@@ -67,10 +67,11 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
 def pack_bool_matrix(bits: np.ndarray) -> np.ndarray:
     """Pack an (n, length) boolean matrix into (n, words) uint64 rows."""
     packed = np.packbits(bits, axis=1, bitorder="little")
-    pad = (-packed.shape[1]) % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view("<u8")
+    if packed.shape[1] % 8 == 0:
+        return packed.view("<u8")
+    out = np.zeros((packed.shape[0], words_for(bits.shape[1])), dtype="<u8")
+    out.view(np.uint8)[:, :packed.shape[1]] = packed
+    return out
 
 
 def popcount_words(words: np.ndarray) -> int:

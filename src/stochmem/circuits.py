@@ -52,6 +52,14 @@ class AppParams:
     gamma_exponent: float = 0.45
     bernstein_degree: int = 6
 
+    def __post_init__(self):
+        for name in ("theta", "delta"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+        if self.bernstein_degree < 1:
+            raise ValueError(f"bernstein_degree must be at least 1, got {self.bernstein_degree}")
+
 
 @dataclass(frozen=True)
 class AppInputs:
@@ -175,9 +183,9 @@ def frame_diff_eval(cur: Bitstream, prev: Bitstream, theta: float) -> int:
     return int(diff > theta * length)
 
 
-def frame_batch(cur_bits: np.ndarray, prev_bits: np.ndarray, theta: float) -> np.ndarray:
-    length = cur_bits.shape[1]
-    counts = np.count_nonzero(cur_bits ^ prev_bits, axis=1)
+def frame_batch(cur: np.ndarray, prev: np.ndarray, theta: float, length: int) -> np.ndarray:
+    """frame_diff_eval over (n, words) packed rows of ``length``-bit streams."""
+    counts = popcount_rows(cur ^ prev)
     return (counts > theta * length).astype(np.float64)
 
 
@@ -264,13 +272,30 @@ def gamma_eval(x_streams: list[Bitstream], coeff_streams: list[Bitstream]) -> Bi
     return Bitstream.from_bits(out)
 
 
-def gamma_batch_counts(x_bits: np.ndarray, coeff_bits: np.ndarray) -> np.ndarray:
-    """Ones count per row; x_bits is (degree, n, L) bool, coeff_bits (degree+1, n, L)."""
-    k = x_bits.sum(axis=0, dtype=np.uint8)
-    out = np.zeros(x_bits.shape[1:], dtype=bool)
-    for level in range(coeff_bits.shape[0]):
-        np.logical_or(out, (k == level) & coeff_bits[level], out=out)
-    return np.count_nonzero(out, axis=1)
+def gamma_batch_counts(x_words: np.ndarray, coeff_words: np.ndarray) -> np.ndarray:
+    """Ones count per row of the gamma_eval output; x_words is (degree, n, words)
+    packed replicas, coeff_words (degree+1, n, words) with zero tails.
+
+    A bit-sliced ripple counter (degree.bit_length() bit planes) holds the
+    per-cycle ones count among the replicas, so no degree can wrap it.
+    """
+    degree = x_words.shape[0]
+    if coeff_words.shape[0] != degree + 1:
+        raise ValueError(f"need {degree + 1} coefficient streams, got {coeff_words.shape[0]}")
+    planes = [np.zeros_like(x_words[0]) for _ in range(degree.bit_length())]
+    for x in x_words:
+        carry = x
+        for plane in planes:
+            plane ^= carry
+            carry = carry & ~plane   # carry out iff the bit was 1 and a carry came in
+    inverted = [~plane for plane in planes]
+    out = np.zeros_like(coeff_words[0])
+    for level, coeff in enumerate(coeff_words):
+        sel = coeff.copy()
+        for bit, (plane, inv) in enumerate(zip(planes, inverted)):
+            sel &= plane if level >> bit & 1 else inv
+        out |= sel
+    return popcount_rows(out)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +319,13 @@ def kde_eval(cur: Bitstream, hist: list[Bitstream], delta: float, theta: float) 
     return int(density < theta)
 
 
-def kde_batch(cur_bits: np.ndarray, hist_bits_iter, delta: float, theta: float,
+def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int,
               n_history: int = KDE_HISTORY) -> np.ndarray:
-    length = cur_bits.shape[1]
-    matches = np.zeros(cur_bits.shape[0], dtype=np.int32)
+    """kde_eval over (n, words) packed rows of ``length``-bit streams."""
+    matches = np.zeros(cur.shape[0], dtype=np.int32)
     seen = 0
-    for hbits in hist_bits_iter:
-        dist = np.count_nonzero(cur_bits ^ hbits, axis=1)
+    for hist in hist_iter:
+        dist = popcount_rows(cur ^ hist)
         matches += dist <= delta * length
         seen += 1
     if seen != n_history:

@@ -11,6 +11,16 @@ evaluates the application circuit:
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
 group, so results are bit-identical for any worker partition.
+
+Images are processed in blocks of whole rows.  Within a block every stream
+is generated packed, as (pixels, words_for(length)) uint64 rows in the
+bitstream layout, and stays packed through the circuit; bits past the
+length are always zero, so popcounts and XOR distances need no masking.
+The ASC designs compare SplitMix64 draws, made in row tiles that share one
+group's draws between its sources, against each source's threshold.
+conv-lfsr reads each 64-bit word as a window into a per-block table of
+packed comparator outputs over one LFSR period.  Neither tile nor block
+size changes any output bit.
 """
 
 from __future__ import annotations
@@ -25,7 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits
-from .bitstream import pack_bool_matrix, popcount_rows
+from .bitstream import (MAX_LENGTH, Bitstream, pack_bool_matrix, popcount_rows, tail_mask,
+                        words_for)
 from .circuits import AppInputs, AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, DAC_BITS
 from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
@@ -38,11 +49,17 @@ from .rng import SeedSpec, bernoulli_threshold_u64, derive_state, \
 from .synth import INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy calibrated against the published accuracy gap at
-# length 1024 (scripts/calibrate_defaults.py); see README.
+# length 1024; scripts/calibrate_defaults.py regenerates it.
 DEFAULT_NOISE_SIGMA = 0.00625
 
 PAPER_LENGTHS = (128, 256, 512, 1024)
 DEFAULT_SEEDS = 20
+
+# stream cells (pixels x length) per pixel block; a block never goes below one
+# image row
+_BLOCK_CELLS = 2_000_000
+# uniform draws per row tile, so a tile and its mixer temporary stay in cache
+_TILE_CELLS = 65_536
 
 # stream-group identities; operand groups occupy 0..7
 _GROUP_SELECT = 8
@@ -70,8 +87,8 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError("bitstream length must be positive")
+        if not 1 <= self.length <= MAX_LENGTH:
+            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {self.length}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
 
@@ -200,8 +217,7 @@ def _round_half_up(x: np.ndarray) -> np.ndarray:
 
 
 def _block_slices(n_rows: int, width: int, length: int):
-    # keep per-block stream matrices around 16 MB
-    rows = max(1, (2_000_000 // max(length, 1)) // max(width, 1))
+    rows = max(1, (_BLOCK_CELLS // max(length, 1)) // max(width, 1))
     for lo in range(0, n_rows, rows):
         yield lo, min(lo + rows, n_rows)
 
@@ -246,20 +262,84 @@ def _stream_level(cfg: ExperimentConfig, source, stored: dict[int, np.ndarray],
     return np.full(n, val)
 
 
-def _group_bits(cfg: ExperimentConfig, group_matrix, levels: np.ndarray) -> np.ndarray:
-    if cfg.design is SystemDesign.CONV_LFSR:
-        return group_matrix <= levels.astype(np.uint16)[:, None]
-    bits = group_matrix < bernoulli_threshold_u64(levels)[:, None]
-    sat = levels >= 1.0
-    if sat.any():
-        bits[sat] = True
-    return bits
+def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
+                 xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Bernoulli streams of the ASC designs: bit j of source s at pixel i is
+    draw j of its group's SplitMix64 sequence at pixel i compared against the
+    source's threshold.  Draws are made in row tiles of about _TILE_CELLS
+    cells and shared by every source of the group."""
+    length = cfg.length
+    n = xs.size
+    streams = np.empty((len(plan.sources), n, words_for(length)), dtype=np.uint64)
+    thresholds = [bernoulli_threshold_u64(p)[:, None] for p in levels]
+    step = max(1, _TILE_CELLS // length)
+    for group in dict.fromkeys(plan.groups):
+        members = [s for s, g in enumerate(plan.groups) if g == group]
+        states = derive_state_grid(cfg.global_seed, xs, ys, group)
+        for lo in range(0, n, step):
+            draws = uniform_block_from_states(states[lo:lo + step], length)
+            for s in members:
+                streams[s, lo:lo + step] = pack_bool_matrix(draws < thresholds[s][lo:lo + step])
+    # p >= 1 has no strict-compare threshold
+    ones = Bitstream.ones(length).words
+    for stream, p in zip(streams, levels):
+        stream[p >= 1.0] = ones
+    return streams
+
+
+def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
+                 xs: np.ndarray, ys: np.ndarray, pix_idx: np.ndarray) -> np.ndarray:
+    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
+    ring[(start_i + j) mod period] <= code_s,i, where start_i is set by the
+    source's group at pixel i.
+
+    Row c of a packed table holds ring[k mod period] <= c for k over one
+    period plus 128 values, so word w of a stream is the unaligned 64-bit
+    window of row code at bit offset (start + 64 w) mod period, and no window
+    runs past the row.
+    """
+    length = cfg.length
+    cycle = LfsrCycle.for_spec(LfsrSpec())
+    period = cycle.spec.period
+    ring = cycle.sequence_block(np.zeros(1, dtype=np.int64), period + 128)[0]
+    k = np.arange(ring.size)
+    # set bit k in row ring[k], then OR each row into the next: row c ends up
+    # with bit k set iff ring[k] <= c
+    table = np.zeros((period + 1, words_for(ring.size)), dtype=np.uint64)
+    np.bitwise_or.at(table, (ring, k >> 6), np.uint64(1) << (k & 63).astype(np.uint64))
+    np.bitwise_or.accumulate(table, axis=0, out=table)
+    row_words = table.shape[1]
+    table = table.ravel()
+    word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
+    streams = np.empty((len(plan.sources), pix_idx.size, words_for(length)), dtype=np.uint64)
+    windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for s, (group, level) in enumerate(zip(plan.groups, levels)):
+        if group not in windows:
+            if cfg.dsc_free_run:
+                base = derive_state(SeedSpec(cfg.global_seed, 0, 0, group))
+                first = int(cycle.position[base % period + 1])
+                start = (first + pix_idx.astype(np.int64) * length) % period
+            else:
+                states = derive_state_grid(cfg.global_seed, xs, ys, group)
+                seeds = (states % np.uint64(period)).astype(np.int64) + 1
+                start = cycle.position[seeds].astype(np.int64)
+            offsets = (start[:, None] + word_starts) % period
+            windows[group] = (offsets >> 6, (offsets & 63).astype(np.uint64))
+        word, shift = windows[group]
+        # ring values never exceed period, so larger codes compare like period
+        code = np.minimum(level.astype(np.uint16), period).astype(np.int64)
+        idx = code[:, None] * row_words + word
+        # the split left shift is 64 - shift for shift 1..63 and drops the
+        # high word at shift 0, where a single shift by 64 is undefined
+        streams[s] = (table[idx] >> shift) | (table[idx + 1] << (63 - shift) << 1)
+    streams[:, :, -1] &= np.uint64(tail_mask(length))
+    return streams
 
 
 def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
                     mem: MemoryInstance, row_lo: int, row_hi: int,
                     addr_base: int) -> np.ndarray:
-    height, width = planes.shape[1], planes.shape[2]
+    width = planes.shape[2]
     length = cfg.length
     ys, xs = np.mgrid[row_lo:row_hi, 0:width]
     xs = xs.ravel()
@@ -273,51 +353,24 @@ def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray
         values = planes[slot, ys, xs]
         stored[slot] = _stored_values(cfg, mem, values, addrs, xs, ys, slot)
 
-    lfsr_mode = cfg.design is SystemDesign.CONV_LFSR
-    cycle = LfsrCycle.for_spec(LfsrSpec()) if lfsr_mode else None
-    group_cache: dict[int, np.ndarray] = {}
-
-    def matrix_for(group: int) -> np.ndarray:
-        m = group_cache.get(group)
-        if m is None:
-            if lfsr_mode:
-                if cfg.dsc_free_run:
-                    base = derive_state(SeedSpec(cfg.global_seed, 0, 0, group))
-                    start = int(cycle.position[base % cycle.spec.period + 1])
-                    pos = (start + pix_idx.astype(np.int64) * length) % cycle.spec.period
-                else:
-                    states = derive_state_grid(cfg.global_seed, xs, ys, group)
-                    seeds = (states % np.uint64(cycle.spec.period)).astype(np.int64) + 1
-                    pos = cycle.position[seeds].astype(np.int64)
-                m = cycle.sequence_block(pos, length)
-            else:
-                states = derive_state_grid(cfg.global_seed, xs, ys, group)
-                m = uniform_block_from_states(states, length)
-            group_cache[group] = m
-        return m
-
-    bits = []
-    for source, group in zip(plan.sources, plan.groups):
-        levels = _stream_level(cfg, source, stored, n)
-        bits.append(_group_bits(cfg, matrix_for(group), levels))
-    group_cache.clear()
+    levels = [_stream_level(cfg, source, stored, n) for source in plan.sources]
+    if cfg.design is SystemDesign.CONV_LFSR:
+        streams = _dsc_streams(cfg, plan, levels, xs, ys, pix_idx)
+    else:
+        streams = _asc_streams(cfg, plan, levels, xs, ys)
 
     app = cfg.app
     if app is AppKind.ROBERT:
-        packed = [pack_bool_matrix(b) for b in bits]
-        out_words = circuits.robert_batch(*packed)
-        return popcount_rows(out_words) / length
+        return popcount_rows(circuits.robert_batch(*streams)) / length
     if app is AppKind.MEDIAN:
-        packed = [pack_bool_matrix(b) for b in bits]
-        return popcount_rows(circuits.median_batch(packed)) / length
+        return popcount_rows(circuits.median_batch(streams)) / length
     if app is AppKind.FRAME:
-        return circuits.frame_batch(bits[0], bits[1], cfg.params.theta)
+        return circuits.frame_batch(streams[0], streams[1], cfg.params.theta, length)
     if app is AppKind.GAMMA:
         deg = cfg.params.bernstein_degree
-        x_bits = np.stack(bits[:deg])
-        coeff_bits = np.stack(bits[deg:])
-        return circuits.gamma_batch_counts(x_bits, coeff_bits) / length
-    return circuits.kde_batch(bits[0], bits[1:], cfg.params.delta, cfg.params.theta)
+        return circuits.gamma_batch_counts(streams[:deg], streams[deg:]) / length
+    return circuits.kde_batch(streams[0], streams[1:], cfg.params.delta, cfg.params.theta,
+                              length)
 
 
 def _run_rows(cfg: ExperimentConfig, inputs: AppInputs,

@@ -29,7 +29,11 @@ def mix64(z: int) -> int:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+    return _mix64_inplace(z.astype(np.uint64, copy=True))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 over a uint64 array, overwriting it; returns it."""
     t = np.empty_like(z)
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
@@ -149,7 +153,7 @@ def derive_generator(seed: SeedSpec) -> RandomSource:
 def uniform_block_from_states(states: np.ndarray, count: int) -> np.ndarray:
     """(n, count) u64 draws: row i is the sequence RandomSource(states[i]) would emit."""
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    return mix64_array(states[:, None] + steps[None, :])
+    return _mix64_inplace(states[:, None] + steps[None, :])
 
 
 def gauss_from_states(states: np.ndarray, sigma: float) -> np.ndarray:

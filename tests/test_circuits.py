@@ -343,3 +343,16 @@ class TestGolden:
         img = ImageGray.from_array(np.full((4, 4), 0.5))
         with pytest.raises(ValueError):
             golden_eval(AppKind.FRAME, AppInputs(image=img), AppParams())
+
+
+class TestAppParams:
+    @pytest.mark.parametrize("field", ("theta", "delta"))
+    def test_rejects_negative_threshold(self, field):
+        with pytest.raises(ValueError, match=field):
+            AppParams(**{field: -0.01})
+        assert getattr(AppParams(**{field: 0.0}), field) == 0.0
+
+    def test_rejects_degree_below_one(self):
+        with pytest.raises(ValueError, match="bernstein_degree"):
+            AppParams(bernstein_degree=0)
+        assert AppParams(bernstein_degree=1).bernstein_degree == 1
