@@ -5,7 +5,8 @@ from .circuits import (AppInputs, AppKind, AppParams, BernsteinPoly, GateKind,
                        fit_bernstein, frame_diff_eval, gamma_eval, gate_eval,
                        golden_eval, kde_eval, median_eval, robert_eval)
 from .converters import (QuantizerConfig, adc_quantize, asc_generate,
-                         dac_dequantize, dsc_generate, sac_integrate, sdc_count)
+                         dac_dequantize, dsc_generate, requantize, sac_integrate,
+                         sdc_count)
 from .costs import (AccessCounts, AccessMultipliers, AppProfile, CostReport,
                     SystemDesign, UnitCost, area_report, default_profile,
                     energy_report, share_breakdown)
@@ -14,7 +15,7 @@ from .harness import (ExperimentConfig, ExperimentReport, calibrate_access,
 from .images import ImageGray, error_metric, load_pgm, save_pgm
 from .lfsr import LfsrSpec, LfsrState, lfsr_next
 from .memory import (MemoryInstance, MemoryKind, NoiseModel, mem_read,
-                     mem_stats, mem_write)
+                     mem_read_block, mem_write, mem_write_block)
 from .rng import RandomSource, SeedSpec, derive_generator
 from .synth import gen_test_inputs
 

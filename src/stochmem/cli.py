@@ -18,8 +18,8 @@ from .costs import (AccessMultipliers, SystemDesign, area_report,
                     share_breakdown)
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS,
                       ExperimentConfig, apply_env_overrides, calibrate_access,
-                      calibrate_noise, load_config, report_csv_row,
-                      run_experiment, sweep)
+                      calibrate_noise, load_config, parse_dims,
+                      report_csv_row, run_experiment, sweep)
 from .images import save_pgm
 from .memory import NoiseModel
 from .synth import gen_test_inputs
@@ -41,11 +41,6 @@ def _parse_designs(spec: str) -> list[SystemDesign]:
     return [SystemDesign.from_name(s) for s in spec.split(",") if s]
 
 
-def _parse_dims(spec: str) -> tuple[int, int]:
-    w, h = spec.lower().split("x")
-    return int(w), int(h)
-
-
 def _config_from_args(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if getattr(args, "config", None):
@@ -60,7 +55,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "seed", None) is not None:
         updates["global_seed"] = args.seed
     if getattr(args, "dims", None):
-        updates["dims"] = _parse_dims(args.dims)
+        updates["dims"] = parse_dims(args.dims)
     if getattr(args, "input", None):
         updates["input_path"] = args.input
     if getattr(args, "frames", None):
@@ -213,7 +208,7 @@ def _cmd_fit_gamma(args) -> int:
 
 
 def _cmd_gen_inputs(args) -> int:
-    dims = _parse_dims(args.dims)
+    dims = parse_dims(args.dims)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for kind in ("scene", "gradient", "checkerboard", "salt-pepper"):
@@ -239,7 +234,7 @@ def _cmd_calibrate(args) -> int:
         return 0
     template = ExperimentConfig()
     if args.dims:
-        template = replace(template, dims=_parse_dims(args.dims))
+        template = replace(template, dims=parse_dims(args.dims))
     if args.seed is not None:
         template = replace(template, global_seed=args.seed)
     noise, gap = calibrate_noise(args.target_gap, template, tol_pp=args.tol,

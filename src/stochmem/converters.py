@@ -1,6 +1,7 @@
 """Data converters between analog, digital, and stochastic representations.
 
-Analog values are plain floats on the normalized full scale [0, 1].
+Analog values are floats on the normalized full scale [0, 1].  The ADC,
+DAC and requantizer take a scalar or an array and return the same shape.
 The comparator-based digital-to-stochastic converter (DSC) emits a one
 when the LFSR value is <= the stored code, so code 2^width-1 saturates
 the stream and a full-period run carries exactly ``code`` ones.
@@ -8,7 +9,6 @@ the stream and a full-period run carries exactly ``code`` ones.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,28 +34,36 @@ class QuantizerConfig:
         return (1 << self.bits) - 1
 
 
-def _check_unit(x: float, what: str) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"{what} must lie in [0, 1], got {x}")
+def _check_range(x, top, what: str) -> None:
+    lo, hi = np.min(x), np.max(x)
+    if not (lo >= 0 and hi <= top):  # also rejects NaN
+        got = x if np.ndim(x) == 0 else f"values in [{lo}, {hi}]"
+        raise ValueError(f"{what} must lie in [0, {top}], got {got}")
 
 
-def adc_quantize(x: float, cfg: QuantizerConfig = QuantizerConfig(ADC_BITS)) -> int:
-    """Round-half-up quantization of a full-scale analog value."""
-    _check_unit(x, "ADC input")
-    return int(math.floor(x * cfg.full_scale + 0.5))
+def _unwrap(a: np.ndarray):
+    """A Python int or float for 0-d results, so scalar calls stay scalar."""
+    return a.item() if a.ndim == 0 else a
 
 
-def dac_dequantize(code: int, cfg: QuantizerConfig = QuantizerConfig(DAC_BITS)) -> float:
-    if not 0 <= code <= cfg.full_scale:
-        raise ValueError(f"code {code} out of range for {cfg.bits}-bit DAC")
-    return code / cfg.full_scale
+def adc_quantize(x, cfg: QuantizerConfig = QuantizerConfig(ADC_BITS)):
+    """Round-half-up quantization of full-scale analog values (scalar or array)."""
+    _check_range(x, 1, "ADC input")
+    return _unwrap(np.floor(np.asarray(x, dtype=np.float64) * cfg.full_scale + 0.5)
+                   .astype(np.int64))
 
 
-def requantize(code: int, src: QuantizerConfig, dst: QuantizerConfig) -> int:
-    """Re-express a code at a different resolution (round-half-up)."""
-    if not 0 <= code <= src.full_scale:
-        raise ValueError(f"code {code} out of range for {src.bits} bits")
-    return int(math.floor(code / src.full_scale * dst.full_scale + 0.5))
+def dac_dequantize(code, cfg: QuantizerConfig = QuantizerConfig(DAC_BITS)):
+    _check_range(code, cfg.full_scale, f"{cfg.bits}-bit DAC code")
+    return _unwrap(np.asarray(code) / cfg.full_scale)
+
+
+def requantize(code, src: QuantizerConfig = QuantizerConfig(ADC_BITS),
+               dst: QuantizerConfig = QuantizerConfig(DAC_BITS)):
+    """Re-express codes at a different resolution (round-half-up)."""
+    _check_range(code, src.full_scale, f"{src.bits}-bit code")
+    return _unwrap(np.floor(np.asarray(code) / src.full_scale * dst.full_scale + 0.5)
+                   .astype(np.int64))
 
 
 def dsc_generate(code: int, length: int, lfsr: LfsrState) -> Bitstream:
@@ -81,7 +89,7 @@ def sdc_count(bs: Bitstream) -> int:
 
 def asc_generate(p: float, length: int, rng: RandomSource) -> Bitstream:
     """Bernoulli sampling stream: ones count is Binomial(length, p)."""
-    _check_unit(p, "ASC input")
+    _check_range(p, 1, "ASC input")
     if length < 1:
         raise ValueError("stream length must be positive")
     return Bitstream(pack_bits(rng.bernoulli_bits(p, length)), length)

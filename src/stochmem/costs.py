@@ -17,17 +17,10 @@ from pathlib import Path
 from .circuits import AppKind
 
 
-class EnergyMode(enum.Enum):
-    PER_CYCLE = "per_cycle"
-    PER_CONVERSION = "per_conversion"
-    PER_ACCESS = "per_access"
-
-
 @dataclass(frozen=True)
 class UnitCost:
     area_um2: float
     energy_pJ: float
-    energy_mode: EnergyMode
     # per-access units may charge writes differently from reads
     write_energy_pJ: float | None = None
 
@@ -45,20 +38,20 @@ class UnitCost:
 
 
 DEFAULT_UNIT_COSTS: dict[str, UnitCost] = {
-    "adc_10bit": UnitCost(50_000.0, 20.0, EnergyMode.PER_CONVERSION),
-    "sram_cell": UnitCost(0.35, 10.0, EnergyMode.PER_ACCESS),
-    "lfsr_10bit": UnitCost(194.0, 0.355, EnergyMode.PER_CYCLE),
-    "comparator_10bit": UnitCost(96.0, 0.041, EnergyMode.PER_CYCLE),
-    "dac_8bit": UnitCost(16_000.0, 64.0, EnergyMode.PER_CONVERSION),
-    "counter_10bit": UnitCost(254.0, 0.179, EnergyMode.PER_CYCLE),
-    "analog_cell": UnitCost(58.7, 10.0, EnergyMode.PER_ACCESS, write_energy_pJ=100.0),
-    "asc": UnitCost(15.0, 0.030, EnergyMode.PER_CYCLE),
-    "sac_integrator": UnitCost(110.0, 0.010, EnergyMode.PER_CYCLE),
-    "logic_robert": UnitCost(339.0, 0.440, EnergyMode.PER_CYCLE),
-    "logic_median": UnitCost(5382.0, 4.090, EnergyMode.PER_CYCLE),
-    "logic_frame": UnitCost(457.0, 0.413, EnergyMode.PER_CYCLE),
-    "logic_gamma": UnitCost(76.0, 0.042, EnergyMode.PER_CYCLE),
-    "logic_kde": UnitCost(8691.0, 7.094, EnergyMode.PER_CYCLE),
+    "adc_10bit": UnitCost(50_000.0, 20.0),
+    "sram_cell": UnitCost(0.35, 10.0),
+    "lfsr_10bit": UnitCost(194.0, 0.355),
+    "comparator_10bit": UnitCost(96.0, 0.041),
+    "dac_8bit": UnitCost(16_000.0, 64.0),
+    "counter_10bit": UnitCost(254.0, 0.179),
+    "analog_cell": UnitCost(58.7, 10.0, write_energy_pJ=100.0),
+    "asc": UnitCost(15.0, 0.030),
+    "sac_integrator": UnitCost(110.0, 0.010),
+    "logic_robert": UnitCost(339.0, 0.440),
+    "logic_median": UnitCost(5382.0, 4.090),
+    "logic_frame": UnitCost(457.0, 0.413),
+    "logic_gamma": UnitCost(76.0, 0.042),
+    "logic_kde": UnitCost(8691.0, 7.094),
 }
 
 
@@ -288,7 +281,8 @@ def average_shares(reports: list[CostReport]) -> dict[str, float]:
 def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfile]]:
     """Parse unit and profile overrides.
 
-    Keys: ``unit.<name>.area_um2|energy_pJ|energy_mode|write_energy_pJ`` and
+    Keys: ``unit.<name>.area_um2|energy_pJ|write_energy_pJ``, where <name> is
+    a key of DEFAULT_UNIT_COSTS, and
     ``profile.<app>.n_streams|n_lfsr|mem_area_digital_um2|mem_area_analog_um2|n_operands``.
     Unlisted fields keep their defaults.
     """
@@ -306,11 +300,10 @@ def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfil
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if parts[0] == "unit":
             _, name, fld = parts
-            base = units.get(name) or UnitCost(0.0, 0.0, EnergyMode.PER_CYCLE)
-            if fld == "energy_mode":
-                units[name] = replace(base, energy_mode=EnergyMode(value))
-            elif fld in ("area_um2", "energy_pJ", "write_energy_pJ"):
-                units[name] = replace(base, **{fld: float(value)})
+            if name not in units:
+                raise ValueError(f"{path}:{lineno}: unknown unit {name!r}")
+            if fld in ("area_um2", "energy_pJ", "write_energy_pJ"):
+                units[name] = replace(units[name], **{fld: float(value)})
             else:
                 raise ValueError(f"{path}:{lineno}: unknown unit field {fld!r}")
         else:

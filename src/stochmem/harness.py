@@ -4,9 +4,14 @@ For each pixel the harness stores the operand values through the design's
 memory path, regenerates stochastic streams from the values read back, and
 evaluates the application circuit:
 
-* conv-lfsr: quantize, digital memory, LFSR+comparator stream generation;
-* conv-mtj:  quantize, digital memory, 8-bit DAC recode, Bernoulli sampling;
+* conv-lfsr: 10-bit ADC, digital memory, LFSR+comparator stream generation;
+* conv-mtj:  10-bit ADC, digital memory, 8-bit DAC, Bernoulli sampling;
 * stochmem:  analog memory with read/write discrepancy, Bernoulli sampling.
+
+Constant sources (the Roberts mux select, the gamma coefficients) skip the
+memory but pass through the same converters.  Each operand slot is written
+and read once per pixel, so the access counts fed to the energy model come
+from the stream plan, not from counters.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -38,7 +43,7 @@ from . import circuits
 from .bitstream import (MAX_LENGTH, Bitstream, pack_bool_matrix, popcount_rows, tail_mask,
                         words_for)
 from .circuits import AppInputs, AppKind, AppParams, fit_bernstein, golden_eval
-from .converters import ADC_BITS, DAC_BITS
+from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
                     area_report, default_profile, energy_report, share_breakdown)
 from .images import ImageGray, error_metric, load_pgm
@@ -82,8 +87,6 @@ class ExperimentConfig:
     input_path: str | None = None
     frames_dir: str | None = None
     dsc_free_run: bool = False
-    adc_bits: int = ADC_BITS
-    dac_bits: int = DAC_BITS
     jobs: int = 1
 
     def __post_init__(self):
@@ -91,6 +94,9 @@ class ExperimentConfig:
             raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {self.length}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if len(self.dims) != 2 or min(self.dims) < 1:
+            raise ValueError(f"dims must be two positive integers (width, height), "
+                             f"got {self.dims}")
 
 
 @dataclass
@@ -103,7 +109,7 @@ class ExperimentReport:
     output: ImageGray
     access_per_pixel: AccessCounts
     area: CostReport
-    energy: CostReport           # fed by the measured access counters
+    energy: CostReport           # fed by the stream plan's access counts
     energy_default: CostReport   # analytic default access counts
     wall_time_s: float
 
@@ -212,54 +218,34 @@ def _operand_planes(app: AppKind, inputs: AppInputs) -> np.ndarray:
 # pixel-block pipeline
 
 
-def _round_half_up(x: np.ndarray) -> np.ndarray:
-    return np.floor(x + 0.5)
-
-
 def _block_slices(n_rows: int, width: int, length: int):
     rows = max(1, (_BLOCK_CELLS // max(length, 1)) // max(width, 1))
     for lo in range(0, n_rows, rows):
         yield lo, min(lo + rows, n_rows)
 
 
-def _stored_values(cfg: ExperimentConfig, mem: MemoryInstance, values: np.ndarray,
-                   addrs: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                   slot: int) -> np.ndarray:
-    """Route one operand slot through the design's memory; returns what the
-    stream generator will see (codes at ADC scale, or the analog value)."""
-    if cfg.design is SystemDesign.STOCHMEM:
-        w_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_WRITE_NOISE + slot)
-        r_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_READ_NOISE + slot)
-        mem_write_block(mem, addrs, values, w_states)
-        return mem_read_block(mem, addrs, r_states)
-    scale = (1 << cfg.adc_bits) - 1
-    codes = _round_half_up(values * scale)
-    mem_write_block(mem, addrs, codes / scale)
-    return _round_half_up(mem_read_block(mem, addrs) * scale)
-
-
-def _stream_level(cfg: ExperimentConfig, source, stored: dict[int, np.ndarray],
-                  n: int) -> np.ndarray:
-    """Per-pixel comparator code (conv-lfsr) or probability (ASC designs)."""
-    adc_scale = (1 << cfg.adc_bits) - 1
-    dac_scale = (1 << cfg.dac_bits) - 1
-    kind, val = source
-    if kind == "op":
-        base = stored[val]
-        if cfg.design is SystemDesign.CONV_LFSR:
-            return base
-        if cfg.design is SystemDesign.CONV_MTJ:
-            return _round_half_up(base / adc_scale * dac_scale) / dac_scale
-        return base
-    # constants bypass memory but use the design's generation path
-    if cfg.design is SystemDesign.CONV_LFSR:
-        code = float(_round_half_up(np.float64(val * adc_scale)))
-        return np.full(n, code)
+def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
+                  xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+    """Per-source generator input: a comparator code (conv-lfsr) or a
+    probability (ASC designs).  Operands go through the ADC (conv designs) and
+    the design's memory; conv-mtj then requantizes once, in the DAC."""
+    conv = cfg.design is not SystemDesign.STOCHMEM
+    mem = MemoryInstance.digital() if conv else MemoryInstance.analog(cfg.noise)
+    read = []
+    for slot in range(plan.n_slots):
+        values = planes[slot, ys, xs]
+        if conv:
+            read.append(mem_read_block(mem, mem_write_block(mem, adc_quantize(values))))
+        else:
+            w_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_WRITE_NOISE + slot)
+            r_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_READ_NOISE + slot)
+            read.append(mem_read_block(mem, mem_write_block(mem, values, w_states), r_states))
+    # constants skip the memory but not the converters
+    levels = [read[val] if kind == "op" else np.full(xs.size, adc_quantize(val) if conv else val)
+              for kind, val in plan.sources]
     if cfg.design is SystemDesign.CONV_MTJ:
-        code = _round_half_up(np.float64(val * adc_scale))
-        p = float(_round_half_up(code / adc_scale * dac_scale)) / dac_scale
-        return np.full(n, p)
-    return np.full(n, val)
+        levels = [dac_dequantize(requantize(code)) for code in levels]
+    return levels
 
 
 def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
@@ -299,7 +285,8 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     runs past the row.
     """
     length = cfg.length
-    cycle = LfsrCycle.for_spec(LfsrSpec())
+    # the comparator is as wide as the ADC code
+    cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
     period = cycle.spec.period
     ring = cycle.sequence_block(np.zeros(1, dtype=np.int64), period + 128)[0]
     k = np.arange(ring.size)
@@ -326,9 +313,7 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
             offsets = (start[:, None] + word_starts) % period
             windows[group] = (offsets >> 6, (offsets & 63).astype(np.uint64))
         word, shift = windows[group]
-        # ring values never exceed period, so larger codes compare like period
-        code = np.minimum(level.astype(np.uint16), period).astype(np.int64)
-        idx = code[:, None] * row_words + word
+        idx = level[:, None] * row_words + word
         # the split left shift is 64 - shift for shift 1..63 and drops the
         # high word at shift 0, where a single shift by 64 is undefined
         streams[s] = (table[idx] >> shift) | (table[idx + 1] << (63 - shift) << 1)
@@ -337,23 +322,15 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
 
 
 def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
-                    mem: MemoryInstance, row_lo: int, row_hi: int,
-                    addr_base: int) -> np.ndarray:
+                    row_lo: int, row_hi: int) -> np.ndarray:
     width = planes.shape[2]
     length = cfg.length
     ys, xs = np.mgrid[row_lo:row_hi, 0:width]
     xs = xs.ravel()
     ys = ys.ravel()
-    n = xs.size
     pix_idx = ys * width + xs
 
-    stored: dict[int, np.ndarray] = {}
-    for slot in range(plan.n_slots):
-        addrs = addr_base + (pix_idx - row_lo * width) * plan.n_slots + slot
-        values = planes[slot, ys, xs]
-        stored[slot] = _stored_values(cfg, mem, values, addrs, xs, ys, slot)
-
-    levels = [_stream_level(cfg, source, stored, n) for source in plan.sources]
+    levels = _stream_levels(cfg, plan, planes, xs, ys)
     if cfg.design is SystemDesign.CONV_LFSR:
         streams = _dsc_streams(cfg, plan, levels, xs, ys, pix_idx)
     else:
@@ -373,23 +350,15 @@ def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray
                               length)
 
 
-def _run_rows(cfg: ExperimentConfig, inputs: AppInputs,
-              row_lo: int, row_hi: int) -> tuple[np.ndarray, int, int]:
-    """Process a contiguous row range; returns (pixels, reads, writes)."""
+def _run_rows(cfg: ExperimentConfig, inputs: AppInputs, row_lo: int, row_hi: int) -> np.ndarray:
+    """Output pixels of a contiguous row range."""
     plan = _stream_plan(cfg.app, cfg.params)
     planes = _operand_planes(cfg.app, inputs)
-    height, width = planes.shape[1], planes.shape[2]
-    mem_cap = (row_hi - row_lo) * width * plan.n_slots
-    if cfg.design is SystemDesign.STOCHMEM:
-        mem = MemoryInstance.analog(mem_cap, cfg.noise)
-    else:
-        mem = MemoryInstance.digital(mem_cap, word_bits=cfg.adc_bits)
+    width = planes.shape[2]
     out = np.empty(((row_hi - row_lo) * width,))
     for lo, hi in _block_slices(row_hi - row_lo, width, cfg.length):
-        seg = _evaluate_block(cfg, plan, planes, mem, row_lo + lo, row_lo + hi,
-                              addr_base=lo * width * plan.n_slots)
-        out[lo * width:hi * width] = seg
-    return out, mem.stats.reads, mem.stats.writes
+        out[lo * width:hi * width] = _evaluate_block(cfg, plan, planes, row_lo + lo, row_lo + hi)
+    return out
 
 
 def _run_rows_star(args):
@@ -404,29 +373,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     plan = _stream_plan(cfg.app, cfg.params)
 
     if cfg.jobs == 1:
-        pixels, reads, writes = _run_rows(cfg, inputs, 0, height)
+        pixels = _run_rows(cfg, inputs, 0, height)
     else:
         bounds = np.linspace(0, height, cfg.jobs + 1).astype(int)
         tasks = [(replace(cfg, jobs=1), inputs, int(lo), int(hi))
                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            parts = list(pool.map(_run_rows_star, tasks))
-        pixels = np.concatenate([p for p, _, _ in parts])
-        reads = sum(r for _, r, _ in parts)
-        writes = sum(w for _, _, w in parts)
+            pixels = np.concatenate(list(pool.map(_run_rows_star, tasks)))
 
     output = ImageGray(width, height, pixels.reshape(height, width))
     golden = golden_eval(cfg.app, inputs, cfg.params)
     inaccuracy = error_metric(output, golden)
 
-    n_pixels = width * height
     profile = default_profile(cfg.app)
     conv = cfg.design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ)
     access = AccessCounts(
         adc_conversions=plan.n_slots if conv else 0,
         dac_conversions=plan.n_slots if cfg.design is SystemDesign.CONV_MTJ else 0,
-        mem_reads=reads / n_pixels,
-        mem_writes=writes / n_pixels,
+        mem_reads=plan.n_slots,
+        mem_writes=plan.n_slots,
     )
     report = ExperimentReport(
         app=cfg.app, design=cfg.design, length=cfg.length, seed=cfg.global_seed,
@@ -613,6 +578,17 @@ _CONFIG_KEYS = (
 )
 
 
+def parse_dims(spec: str) -> tuple[int, int]:
+    """Parse 'WxH' (e.g. 128x128) into a positive (width, height)."""
+    try:
+        w, h = (int(p) for p in spec.lower().split("x"))
+    except ValueError:
+        w = h = 0
+    if w < 1 or h < 1:
+        raise ValueError(f"dims must be WxH with positive integers, e.g. 128x128; got {spec!r}")
+    return w, h
+
+
 def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse a flat key=value config; STOCHMEM_SEED overrides the seed."""
     cfg = base or ExperimentConfig()
@@ -649,8 +625,7 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         elif key == "free_run":
             cfg = replace(cfg, dsc_free_run=value.lower() in ("1", "true", "yes"))
         elif key == "dims":
-            w, h = value.lower().split("x")
-            cfg = replace(cfg, dims=(int(w), int(h)))
+            cfg = replace(cfg, dims=parse_dims(value))
         elif key in ("write_sigma", "read_sigma"):
             noise[key] = float(value)
         elif key.startswith("mult_"):

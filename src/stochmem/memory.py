@@ -1,22 +1,21 @@
 """Behavioral storage models.
 
-Two kinds: an ideal digital memory that round-trips values exactly at its
-word precision, and an analog memory whose writes and reads each add
-clamped zero-mean Gaussian discrepancy.  Both count accesses for the
-energy model.  An instance is single-writer; the harness gives each
-worker a disjoint address range and merges counters afterwards.
+Two kinds: an ideal digital memory that holds ADC codes and returns them
+unchanged, and an analog memory whose writes and reads each add clamped
+zero-mean Gaussian discrepancy to a full-scale value in [0, 1].  A memory
+is a stateless description: a write returns the stored cells and a read
+takes them back, so nothing is allocated, addressed or counted here.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .converters import ADC_BITS
 from .rng import RandomSource, gauss_from_states
-
-DIGITAL_WORD_BITS = 10
 
 
 @dataclass(frozen=True)
@@ -36,82 +35,58 @@ class MemoryKind(enum.Enum):
     ANALOG_NOISY = "analog"
 
 
-@dataclass
-class MemStats:
-    reads: int = 0
-    writes: int = 0
-
-
-@dataclass
+@dataclass(frozen=True)
 class MemoryInstance:
     kind: MemoryKind
-    capacity: int
     noise: NoiseModel = NoiseModel()
-    word_bits: int = DIGITAL_WORD_BITS
-    stats: MemStats = field(default_factory=MemStats)
-
-    def __post_init__(self):
-        self._cells = np.full(self.capacity, np.nan)
 
     @classmethod
-    def digital(cls, capacity: int, word_bits: int = DIGITAL_WORD_BITS) -> "MemoryInstance":
-        return cls(MemoryKind.DIGITAL_IDEAL, capacity, word_bits=word_bits)
+    def digital(cls) -> "MemoryInstance":
+        return cls(MemoryKind.DIGITAL_IDEAL)
 
     @classmethod
-    def analog(cls, capacity: int, noise: NoiseModel) -> "MemoryInstance":
-        return cls(MemoryKind.ANALOG_NOISY, capacity, noise=noise)
+    def analog(cls, noise: NoiseModel) -> "MemoryInstance":
+        return cls(MemoryKind.ANALOG_NOISY, noise)
+
+    @property
+    def full_scale(self) -> float:
+        """Largest storable value: the top ADC code, or 1.0 for analog cells."""
+        return (1 << ADC_BITS) - 1 if self.kind is MemoryKind.DIGITAL_IDEAL else 1.0
 
 
 def _clamp(v):
     return np.clip(v, 0.0, 1.0)
 
 
-def mem_write(mem: MemoryInstance, addr: int, v: float, rng: RandomSource | None = None) -> None:
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"stored value must lie in [0, 1], got {v}")
+def mem_write(mem: MemoryInstance, v: float, rng: RandomSource | None = None) -> float:
+    """Store one value; returns the cell content."""
+    if not 0.0 <= v <= mem.full_scale:
+        raise ValueError(f"stored value must lie in [0, {mem.full_scale}], got {v}")
     if mem.kind is MemoryKind.DIGITAL_IDEAL:
-        scale = (1 << mem.word_bits) - 1
-        stored = round(v * scale) / scale
-    else:
-        stored = float(_clamp(v + rng.gauss(mem.noise.write_sigma)))
-    mem._cells[addr] = stored
-    mem.stats.writes += 1
+        return v
+    return float(_clamp(v + rng.gauss(mem.noise.write_sigma)))
 
 
-def mem_read(mem: MemoryInstance, addr: int, rng: RandomSource | None = None) -> float:
-    stored = mem._cells[addr]
-    if np.isnan(stored):
-        raise KeyError(f"read of unwritten address {addr}")
-    mem.stats.reads += 1
+def mem_read(mem: MemoryInstance, stored: float, rng: RandomSource | None = None) -> float:
+    """What the stream generator sees when it reads one cell."""
     if mem.kind is MemoryKind.DIGITAL_IDEAL:
-        return float(stored)
+        return stored
     return float(_clamp(stored + rng.gauss(mem.noise.read_sigma)))
 
 
-def mem_stats(mem: MemoryInstance) -> tuple[int, int]:
-    return mem.stats.reads, mem.stats.writes
-
-
-def mem_write_block(mem: MemoryInstance, addrs: np.ndarray, values: np.ndarray,
-                    noise_states: np.ndarray | None = None) -> None:
-    """Vectorized writes; noise_states supplies one derived generator state per cell."""
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("stored values must lie in [0, 1]")
+def mem_write_block(mem: MemoryInstance, values: np.ndarray,
+                    noise_states: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized mem_write; noise_states supplies one derived generator state per cell."""
+    if np.any(values < 0.0) or np.any(values > mem.full_scale):
+        raise ValueError(f"stored values must lie in [0, {mem.full_scale}]")
     if mem.kind is MemoryKind.DIGITAL_IDEAL:
-        scale = (1 << mem.word_bits) - 1
-        stored = np.round(values * scale) / scale
-    else:
-        stored = _clamp(values + gauss_from_states(noise_states, mem.noise.write_sigma))
-    mem._cells[addrs] = stored
-    mem.stats.writes += len(addrs)
+        return values
+    return _clamp(values + gauss_from_states(noise_states, mem.noise.write_sigma))
 
 
-def mem_read_block(mem: MemoryInstance, addrs: np.ndarray,
+def mem_read_block(mem: MemoryInstance, stored: np.ndarray,
                    noise_states: np.ndarray | None = None) -> np.ndarray:
-    stored = mem._cells[addrs]
-    if np.isnan(stored).any():
-        raise KeyError("read of unwritten address")
-    mem.stats.reads += len(addrs)
+    """Vectorized mem_read over the cells mem_write_block returned."""
     if mem.kind is MemoryKind.DIGITAL_IDEAL:
-        return stored.copy()
+        return stored
     return _clamp(stored + gauss_from_states(noise_states, mem.noise.read_sigma))

@@ -122,21 +122,11 @@ def bernoulli_threshold_u64(p) -> np.ndarray:
     """Map p in [0, 1) to the u64 threshold with P[u < threshold] = p (within 2^-64).
 
     p >= 1.0 is not representable as a strict compare; callers must force
-    those bits to one (see bernoulli_matrix).
+    those bits to one, as RandomSource.bernoulli_bits does.
     """
     p = np.asarray(p, dtype=np.float64)
     scaled = np.clip(p, 0.0, 1.0) * 2.0**64
     return np.minimum(scaled, _MAX_THRESHOLD).astype(np.uint64)
-
-
-def bernoulli_matrix(u_block: np.ndarray, p_rows: np.ndarray) -> np.ndarray:
-    """Row i of the (n, L) u64 block becomes Bernoulli(p_rows[i]) bits."""
-    p_rows = np.asarray(p_rows, dtype=np.float64)
-    bits = u_block < bernoulli_threshold_u64(p_rows)[:, None]
-    sat = p_rows >= 1.0
-    if sat.any():
-        bits[sat] = True
-    return bits
 
 
 def _boxmuller(a: np.ndarray, b: np.ndarray) -> np.ndarray:

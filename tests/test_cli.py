@@ -1,0 +1,86 @@
+"""The command-line front end: every subcommand on tiny inputs, and the
+documented exit codes (0 success, 1 domain error, 2 usage error)."""
+
+import pytest
+
+from stochmem.cli import main
+
+TINY = ["--dims", "6x5", "--seed", "3"]
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_override(monkeypatch):
+    monkeypatch.delenv("STOCHMEM_SEED", raising=False)
+
+
+def test_run_writes_image_and_report(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--app", "robert", "--design", "stochmem", "--length", "16",
+                 "--out", str(out)] + TINY) == 0
+    assert (out / "output.pgm").is_file()
+    assert (out / "report.csv").read_text().startswith("app,design,length,seed,")
+    assert capsys.readouterr().out.splitlines()[1].startswith("robert\tstochmem\t16\t3\t")
+
+
+def test_sweep_writes_one_row_per_run(tmp_path):
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--apps", "frame,gamma", "--designs", "all", "--lengths", "8,16",
+                 "--seeds", "1", "--out", str(csv)] + TINY) == 0
+    assert len(csv.read_text().splitlines()) == 1 + 2 * 3 * 2
+
+
+def test_cost_prints_area_and_energy_tables(capsys):
+    assert main(["cost", "--app", "gamma", "--design", "stochmem"]) == 0
+    out = capsys.readouterr().out
+    assert "# area_um2 app=gamma design=stochmem" in out
+    assert "total\t\t502" in out
+
+
+def test_fit_gamma_prints_coefficients(capsys):
+    assert main(["fit-gamma", "--degree", "3"]) == 0
+    out = capsys.readouterr().out
+    assert [line.split("\t")[0] for line in out.splitlines()[1:5]] == ["b0", "b1", "b2", "b3"]
+
+
+def test_gen_inputs_writes_pgm_files(tmp_path):
+    assert main(["gen-inputs", "--out", str(tmp_path), "--dims", "6x5"]) == 0
+    assert (tmp_path / "scene.pgm").is_file()
+    assert len(list((tmp_path / "video").glob("*.pgm"))) == 33
+
+
+def test_calibrate_access_reproduces_paper_reductions(capsys):
+    assert main(["calibrate", "--mode", "access"]) == 0
+    out = capsys.readouterr().out
+    assert "mtj_vs_lfsr_reduction_percent\t45.75" in out
+    assert "stochmem_vs_mtj_reduction_percent\t11.10" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["run", "--app", "sobel", "--design", "conv-lfsr"], "unknown app"),
+    (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "32"], "dims"),
+    (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "0x5"], "dims"),
+    (["gen-inputs", "--out", "unused", "--dims", "6by5"], "dims"),
+])
+def test_domain_errors_exit_1(argv, message, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_cost_file_with_unknown_unit_exits_1(tmp_path, capsys):
+    costs = tmp_path / "costs.txt"
+    costs.write_text("unit.adc_12bit.area_um2 = 5\n")
+    assert main(["cost", "--costs", str(costs)]) == 1
+    assert f"{costs}:1: unknown unit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--design", "conv-lfsr"],
+    ["sweep", "--apps", "robert"],
+    ["calibrate", "--mode", "bogus"],
+    [],
+])
+def test_usage_errors_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

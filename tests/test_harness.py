@@ -1,7 +1,16 @@
+import numpy as np
 import pytest
 
 from stochmem.bitstream import MAX_LENGTH
-from stochmem.harness import ExperimentConfig
+from stochmem.circuits import (KDE_HISTORY, AppKind, fit_bernstein, frame_diff_eval,
+                               gamma_eval, kde_eval, median_eval, robert_eval)
+from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
+                                 dac_dequantize, dsc_generate, requantize)
+from stochmem.costs import SystemDesign
+from stochmem.harness import ExperimentConfig, load_config, resolve_inputs, run_experiment
+from stochmem.lfsr import LfsrSpec, seed_state
+from stochmem.memory import MemoryInstance, mem_read, mem_write
+from stochmem.rng import RandomSource, SeedSpec, derive_state
 
 
 @pytest.mark.parametrize("length", (0, MAX_LENGTH + 1))
@@ -14,3 +23,125 @@ def test_config_rejects_length_outside_bitstream_range(length):
 def test_config_rejects_nonpositive_jobs():
     with pytest.raises(ValueError, match="jobs"):
         ExperimentConfig(jobs=0)
+
+
+@pytest.mark.parametrize("dims", ((0, 5), (6, 0), (-1, 4)))
+def test_config_rejects_nonpositive_dims(dims):
+    with pytest.raises(ValueError, match="dims"):
+        ExperimentConfig(dims=dims)
+
+
+def test_config_file_dims_fail_loudly(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("dims = 7x5\n")
+    assert load_config(path).dims == (7, 5)
+    path.write_text("dims = 32\n")
+    with pytest.raises(ValueError, match="dims must be WxH"):
+        load_config(path)
+
+
+# ---------------------------------------------------------------------------
+# differential test: the vectorized pipeline against a per-pixel composition
+# of the scalar converters, memory and circuit evaluators
+
+Q10 = QuantizerConfig(10)
+Q8 = QuantizerConfig(8)
+SEED = 7
+LENGTH = 97
+WIDTH, HEIGHT = 6, 5
+WRITE_NOISE_ID, READ_NOISE_ID = 64, 96
+
+
+def _operands(app, inputs, x, y):
+    """Per-pixel operand values, neighbors clamped to the image edge."""
+    img = inputs.image.data
+
+    def at(dy, dx):
+        return float(img[min(max(y + dy, 0), HEIGHT - 1), min(max(x + dx, 0), WIDTH - 1)])
+
+    if app is AppKind.ROBERT:
+        return [at(0, 0), at(0, 1), at(1, 0), at(1, 1)]
+    if app is AppKind.MEDIAN:
+        return [at(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    if app is AppKind.FRAME:
+        return [at(0, 0), float(inputs.prev.data[y, x])]
+    if app is AppKind.GAMMA:
+        return [at(0, 0)]
+    return [at(0, 0)] + [float(h.data[y, x]) for h in inputs.history]
+
+
+def _wiring(app, params):
+    """(sources, groups): a source is ("op", slot) or ("const", value);
+    streams that must be correlated share a group."""
+    if app is AppKind.ROBERT:
+        return [("op", 0), ("op", 1), ("op", 2), ("op", 3), ("const", 0.5)], [0, 1, 1, 0, 8]
+    if app is AppKind.MEDIAN:
+        return [("op", j) for j in range(9)], [0] * 9
+    if app is AppKind.FRAME:
+        return [("op", 0), ("op", 1)], [0, 0]
+    if app is AppKind.GAMMA:
+        deg = params.bernstein_degree
+        poly, _ = fit_bernstein(lambda v: v ** params.gamma_exponent, deg)
+        return ([("op", 0)] * deg + [("const", c) for c in poly.coeffs],
+                list(range(deg)) + [16] * (deg + 1))
+    return [("op", j) for j in range(1 + KDE_HISTORY)], [0] * (1 + KDE_HISTORY)
+
+
+def _state(x, y, stream_id):
+    return derive_state(SeedSpec(SEED, x, y, stream_id))
+
+
+def _generator_input(design, value, x, y, slot):
+    """Comparator code (conv-lfsr) or probability; slot None is a constant,
+    which skips the memory."""
+    if design is SystemDesign.STOCHMEM:
+        if slot is None:
+            return value
+        mem = MemoryInstance.analog(ExperimentConfig().noise)
+        stored = mem_write(mem, value, RandomSource(_state(x, y, WRITE_NOISE_ID + slot)))
+        return mem_read(mem, stored, RandomSource(_state(x, y, READ_NOISE_ID + slot)))
+    code = adc_quantize(value, Q10)
+    if slot is not None:
+        mem = MemoryInstance.digital()
+        code = mem_read(mem, mem_write(mem, code))
+    if design is SystemDesign.CONV_MTJ:
+        return dac_dequantize(requantize(code, Q10, Q8), Q8)
+    return code
+
+
+def _reference_pixel(cfg, inputs, x, y):
+    ops = _operands(cfg.app, inputs, x, y)
+    sources, groups = _wiring(cfg.app, cfg.params)
+    streams = []
+    for (kind, val), group in zip(sources, groups):
+        level = (_generator_input(cfg.design, ops[val], x, y, val) if kind == "op"
+                 else _generator_input(cfg.design, val, x, y, None))
+        state = _state(x, y, group)
+        if cfg.design is SystemDesign.CONV_LFSR:
+            streams.append(dsc_generate(level, LENGTH, seed_state(LfsrSpec(), state)))
+        else:
+            streams.append(asc_generate(level, LENGTH, RandomSource(state)))
+    p = cfg.params
+    if cfg.app is AppKind.ROBERT:
+        return robert_eval(*streams).ones_count / LENGTH
+    if cfg.app is AppKind.MEDIAN:
+        return median_eval(streams).ones_count / LENGTH
+    if cfg.app is AppKind.FRAME:
+        return float(frame_diff_eval(streams[0], streams[1], p.theta))
+    if cfg.app is AppKind.GAMMA:
+        deg = p.bernstein_degree
+        return gamma_eval(streams[:deg], streams[deg:]).ones_count / LENGTH
+    return float(kde_eval(streams[0], streams[1:], p.delta, p.theta))
+
+
+@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
+@pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
+def test_harness_matches_scalar_composition(app, design):
+    cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
+                           global_seed=SEED, input_seed=SEED)
+    inputs = resolve_inputs(cfg)
+    expected = np.array([[_reference_pixel(cfg, inputs, x, y) for x in range(WIDTH)]
+                         for y in range(HEIGHT)])
+    got = run_experiment(cfg).output.data
+    assert np.array_equal(got, expected)
+

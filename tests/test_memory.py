@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stochmem.memory import (MemoryInstance, NoiseModel, mem_read,
-                             mem_read_block, mem_stats, mem_write,
-                             mem_write_block)
+                             mem_read_block, mem_write, mem_write_block)
 from stochmem.rng import RandomSource, SeedSpec, derive_state, derive_state_grid
 
 
@@ -12,70 +11,54 @@ def _rng(k=0):
 
 
 def test_digital_roundtrip_exact_at_word_width():
-    mem = MemoryInstance.digital(4)
-    for i, code in enumerate((0, 307, 512, 1023)):
-        mem_write(mem, i, code / 1023)
-        assert mem_read(mem, i) == code / 1023
+    mem = MemoryInstance.digital()
+    codes = np.array([0, 307, 512, 1023])
+    for code in codes:
+        assert mem_read(mem, mem_write(mem, int(code))) == code
+    assert np.array_equal(mem_read_block(mem, mem_write_block(mem, codes)), codes)
 
 
 def test_zero_noise_analog_is_ideal():
-    mem = MemoryInstance.analog(2, NoiseModel(0.0, 0.0))
-    mem_write(mem, 0, 0.3721, _rng())
-    assert mem_read(mem, 0, _rng()) == 0.3721
+    mem = MemoryInstance.analog(NoiseModel(0.0, 0.0))
+    assert mem_read(mem, mem_write(mem, 0.3721, _rng()), _rng()) == 0.3721
 
 
 def test_clamp_at_full_scale():
-    mem = MemoryInstance.analog(64, NoiseModel(0.2, 0.0))
+    mem = MemoryInstance.analog(NoiseModel(0.2, 0.0))
     for i in range(64):
-        mem_write(mem, i, 1.0, _rng(i))
-        assert mem_read(mem, i, _rng(i + 1000)) <= 1.0
-
-
-def test_unwritten_address_errors():
-    mem = MemoryInstance.analog(4, NoiseModel())
-    with pytest.raises(KeyError):
-        mem_read(mem, 2, _rng())
+        stored = mem_write(mem, 1.0, _rng(i))
+        assert mem_read(mem, stored, _rng(i + 1000)) <= 1.0
 
 
 def test_value_domain_error():
-    mem = MemoryInstance.digital(1)
     with pytest.raises(ValueError):
-        mem_write(mem, 0, 1.5)
-
-
-def test_counters():
-    mem = MemoryInstance.digital(8)
-    assert mem_stats(mem) == (0, 0)
-    for i in range(3):
-        mem_write(mem, i, 0.5)
-    for _ in range(5):
-        mem_read(mem, 0)
-    assert mem_stats(mem) == (5, 3)
+        mem_write(MemoryInstance.digital(), 1024)
+    with pytest.raises(ValueError):
+        mem_write(MemoryInstance.analog(NoiseModel()), 1.5, _rng())
+    with pytest.raises(ValueError):
+        mem_write_block(MemoryInstance.analog(NoiseModel()), np.array([0.5, -0.1]))
 
 
 def test_write_noise_moments():
     n = 100_000
-    mem = MemoryInstance.analog(n, NoiseModel(write_sigma=0.01))
-    states = derive_state_grid(9, np.arange(n, dtype=np.uint64),
-                               np.zeros(n, dtype=np.uint64), 1)
-    mem_write_block(mem, np.arange(n), np.full(n, 0.5), states)
-    stored = mem_read_block(mem, np.arange(n),
-                            derive_state_grid(9, np.arange(n, dtype=np.uint64),
-                                              np.zeros(n, dtype=np.uint64), 2))
+    mem = MemoryInstance.analog(NoiseModel(write_sigma=0.01))
+    xs = np.arange(n, dtype=np.uint64)
+    zeros = np.zeros(n, dtype=np.uint64)
+    stored = mem_write_block(mem, np.full(n, 0.5), derive_state_grid(9, xs, zeros, 1))
+    got = mem_read_block(mem, stored, derive_state_grid(9, xs, zeros, 2))
     # read noise is zero here, so stats reflect the write draw alone
-    assert abs(stored.mean() - 0.5) <= 0.05 * 0.01 + 1e-4
-    assert abs(stored.std() - 0.01) <= 0.05 * 0.01
+    assert abs(got.mean() - 0.5) <= 0.05 * 0.01 + 1e-4
+    assert abs(got.std() - 0.01) <= 0.05 * 0.01
 
 
 def test_folded_normal_read_write_error():
     n = 100_000
     sigma = 0.01
-    mem = MemoryInstance.analog(n, NoiseModel(sigma, sigma))
-    idx = np.arange(n)
+    mem = MemoryInstance.analog(NoiseModel(sigma, sigma))
     xs = np.arange(n, dtype=np.uint64)
     zeros = np.zeros(n, dtype=np.uint64)
-    mem_write_block(mem, idx, np.full(n, 0.5), derive_state_grid(3, xs, zeros, 1))
-    got = mem_read_block(mem, idx, derive_state_grid(3, xs, zeros, 2))
+    stored = mem_write_block(mem, np.full(n, 0.5), derive_state_grid(3, xs, zeros, 1))
+    got = mem_read_block(mem, stored, derive_state_grid(3, xs, zeros, 2))
     expected = sigma * np.sqrt(2.0) * np.sqrt(2.0 / np.pi)
     measured = np.abs(got - 0.5).mean()
     assert abs(measured - expected) <= 0.05 * expected
@@ -84,30 +67,25 @@ def test_folded_normal_read_write_error():
 def test_read_noise_independent_across_reads():
     n_trials, n_reads = 10_000, 8
     sigma = 0.02
-    mem = MemoryInstance.analog(1, NoiseModel(0.0, sigma))
-    mem_write(mem, 0, 0.5, _rng())
+    mem = MemoryInstance.analog(NoiseModel(0.0, sigma))
+    stored = mem_write(mem, 0.5, _rng())
     xs = np.arange(n_trials * n_reads, dtype=np.uint64)
     states = derive_state_grid(4, xs, np.zeros_like(xs), 7)
-    reads = mem_read_block(mem, np.zeros(n_trials * n_reads, dtype=int), states)
+    reads = mem_read_block(mem, np.full(n_trials * n_reads, stored), states)
     means = reads.reshape(n_trials, n_reads).mean(axis=1)
     var_of_mean = means.var()
     assert abs(var_of_mean - sigma**2 / n_reads) <= 0.10 * sigma**2 / n_reads
 
 
 def test_block_ops_match_scalar_ops():
-    noise = NoiseModel(0.02, 0.015)
-    mem_a = MemoryInstance.analog(16, noise)
-    mem_b = MemoryInstance.analog(16, noise)
+    mem = MemoryInstance.analog(NoiseModel(0.02, 0.015))
     xs = np.arange(16, dtype=np.uint64)
     zeros = np.zeros(16, dtype=np.uint64)
     w_states = derive_state_grid(21, xs, zeros, 1)
     r_states = derive_state_grid(21, xs, zeros, 2)
     values = np.linspace(0.05, 0.95, 16)
-    mem_write_block(mem_a, np.arange(16), values, w_states)
-    got_block = mem_read_block(mem_a, np.arange(16), r_states)
-    got_scalar = []
-    for i in range(16):
-        mem_write(mem_b, i, values[i], RandomSource(int(w_states[i])))
-        got_scalar.append(mem_read(mem_b, i, RandomSource(int(r_states[i]))))
+    got_block = mem_read_block(mem, mem_write_block(mem, values, w_states), r_states)
+    got_scalar = [mem_read(mem, mem_write(mem, values[i], RandomSource(int(w_states[i]))),
+                           RandomSource(int(r_states[i])))
+                  for i in range(16)]
     assert np.allclose(got_block, got_scalar, rtol=0, atol=0)
-    assert mem_stats(mem_a) == mem_stats(mem_b)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochmem.rng import (GOLDEN, RandomSource, SeedSpec, bernoulli_matrix,
-                          derive_generator, derive_state, derive_state_grid,
+from stochmem.rng import (GOLDEN, RandomSource, SeedSpec, derive_generator,
+                          derive_state, derive_state_grid,
                           gauss_from_states, mix64, mix64_array,
                           uniform_block_from_states)
 
@@ -113,11 +113,3 @@ def test_bernoulli_edge_cases():
     assert not src.bernoulli_bits(0.0, 100).any()
     with pytest.raises(ValueError):
         src.bernoulli_bits(1.5, 10)
-
-
-def test_bernoulli_matrix_saturation_and_rate():
-    u = RandomSource(11).u64_block(3 * 4096).reshape(3, 4096)
-    bits = bernoulli_matrix(u, np.array([0.0, 0.3, 1.0]))
-    assert bits[0].sum() == 0
-    assert bits[2].sum() == 4096
-    assert abs(bits[1].mean() - 0.3) < 0.03
