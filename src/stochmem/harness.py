@@ -17,15 +17,18 @@ Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
 group, so results are bit-identical for any worker partition.
 
-Images are processed in blocks of whole rows.  Within a block every stream
-is generated packed, as (pixels, words_for(length)) uint64 rows in the
-bitstream layout, and stays packed through the circuit; bits past the
-length are always zero, so popcounts and XOR distances need no masking.
-The ASC designs compare SplitMix64 draws, made in row tiles that share one
-group's draws between its sources, against each source's threshold.
-conv-lfsr reads each 64-bit word as a window into a per-block table of
-packed comparator outputs over one LFSR period.  Neither tile nor block
-size changes any output bit.
+Images are processed in blocks of contiguous row-major pixels (a block may
+start and end mid-row) holding at most _BLOCK_CELLS pixels x length stream
+cells, so memory per block is bounded for any image shape; only a single
+pixel whose length alone exceeds the budget forms a larger block.  Within a
+block every stream is generated packed, as (pixels, words_for(length))
+uint64 rows in the bitstream layout, and stays packed through the circuit;
+bits past the length are always zero, so popcounts and XOR distances need no
+masking.  The ASC designs compare SplitMix64 draws, made in tiles of at most
+_TILE_CELLS cells in reused buffers and shared between the sources of one
+group, against each source's threshold.  conv-lfsr reads each 64-bit word as
+a window into a table of packed comparator outputs over one LFSR period,
+built once per run.  Neither tile nor block size changes any output bit.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import MemoryInstance, NoiseModel, mem_read_block, mem_write_block
-from .rng import SeedSpec, bernoulli_threshold_u64, derive_state, \
+from .rng import GOLDEN, SeedSpec, bernoulli_threshold_u64, derive_state, \
     derive_state_grid, uniform_block_from_states
 from .synth import INPUT_SEED, gen_test_inputs
 
@@ -60,10 +63,11 @@ DEFAULT_NOISE_SIGMA = 0.00625
 PAPER_LENGTHS = (128, 256, 512, 1024)
 DEFAULT_SEEDS = 20
 
-# stream cells (pixels x length) per pixel block; a block never goes below one
-# image row
+# stream cells (pixels x length) per pixel block; only a one-pixel block may
+# exceed it, when the length alone does
 _BLOCK_CELLS = 2_000_000
-# uniform draws per row tile, so a tile and its mixer temporary stay in cache
+# uniform draws per stream tile, so a tile, its mixer temporary and its compare
+# output stay in cache; long streams are tiled along the length too
 _TILE_CELLS = 65_536
 
 # stream-group identities; operand groups occupy 0..7
@@ -218,10 +222,14 @@ def _operand_planes(app: AppKind, inputs: AppInputs) -> np.ndarray:
 # pixel-block pipeline
 
 
-def _block_slices(n_rows: int, width: int, length: int):
-    rows = max(1, (_BLOCK_CELLS // max(length, 1)) // max(width, 1))
-    for lo in range(0, n_rows, rows):
-        yield lo, min(lo + rows, n_rows)
+def _block_slices(n_pixels: int, length: int):
+    """Contiguous (lo, hi) pixel ranges covering 0..n_pixels whose sizes differ
+    by at most one; a block of more than one pixel holds at most
+    _BLOCK_CELLS stream cells (pixels x length)."""
+    per_block = max(1, _BLOCK_CELLS // length)
+    n_blocks = -(-n_pixels // per_block)
+    bounds = [k * n_pixels // n_blocks for k in range(n_blocks + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
@@ -252,20 +260,38 @@ def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
                  xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bernoulli streams of the ASC designs: bit j of source s at pixel i is
     draw j of its group's SplitMix64 sequence at pixel i compared against the
-    source's threshold.  Draws are made in row tiles of about _TILE_CELLS
-    cells and shared by every source of the group."""
+    source's threshold.
+
+    Draws are made in tiles of at most _TILE_CELLS cells, shared by every
+    source of the group: whole streams of several pixels, or, when the length
+    exceeds _TILE_CELLS, one pixel's columns c0..c0+cols with cols a multiple
+    of 64, drawn from states + c0 * GOLDEN (draw j of state s is
+    mix64(s + (j + 1) * GOLDEN)).  The draw, mixer and compare buffers are
+    allocated once and reused by every tile and group.
+    """
     length = cfg.length
     n = xs.size
     streams = np.empty((len(plan.sources), n, words_for(length)), dtype=np.uint64)
     thresholds = [bernoulli_threshold_u64(p)[:, None] for p in levels]
-    step = max(1, _TILE_CELLS // length)
+    cols = length if length <= _TILE_CELLS else max(64, _TILE_CELLS // 64 * 64)
+    rows = min(n, max(1, _TILE_CELLS // cols))
+    draws = np.empty((rows, cols), dtype=np.uint64)
+    tmp = np.empty_like(draws)
+    bits = np.empty(draws.shape, dtype=bool)
     for group in dict.fromkeys(plan.groups):
         members = [s for s, g in enumerate(plan.groups) if g == group]
         states = derive_state_grid(cfg.global_seed, xs, ys, group)
-        for lo in range(0, n, step):
-            draws = uniform_block_from_states(states[lo:lo + step], length)
-            for s in members:
-                streams[s, lo:lo + step] = pack_bool_matrix(draws < thresholds[s][lo:lo + step])
+        for lo in range(0, n, rows):
+            m = min(rows, n - lo)
+            for c0 in range(0, length, cols):
+                w = min(cols, length - c0)
+                offset = np.uint64(c0 * GOLDEN % (1 << 64))
+                tile = uniform_block_from_states(states[lo:lo + m] + offset, w,
+                                                 into=draws[:m, :w], tmp=tmp[:m, :w])
+                words = slice(c0 // 64, c0 // 64 + words_for(w))
+                for s in members:
+                    np.less(tile, thresholds[s][lo:lo + m], out=bits[:m, :w])
+                    streams[s, lo:lo + m, words] = pack_bool_matrix(bits[:m, :w])
     # p >= 1 has no strict-compare threshold
     ones = Bitstream.ones(length).words
     for stream, p in zip(streams, levels):
@@ -273,28 +299,35 @@ def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     return streams
 
 
-def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
-                 xs: np.ndarray, ys: np.ndarray, pix_idx: np.ndarray) -> np.ndarray:
-    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
-    ring[(start_i + j) mod period] <= code_s,i, where start_i is set by the
-    source's group at pixel i.
-
-    Row c of a packed table holds ring[k mod period] <= c for k over one
-    period plus 128 values, so word w of a stream is the unaligned 64-bit
-    window of row code at bit offset (start + 64 w) mod period, and no window
-    runs past the row.
-    """
-    length = cfg.length
+def _comparator_table() -> np.ndarray:
+    """Packed comparator outputs of the conv-lfsr generator: row c holds bit k
+    set iff ring[k mod period] <= c, for k over one period plus 128 values."""
     # the comparator is as wide as the ADC code
     cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
     period = cycle.spec.period
     ring = cycle.sequence_block(np.zeros(1, dtype=np.int64), period + 128)[0]
     k = np.arange(ring.size)
-    # set bit k in row ring[k], then OR each row into the next: row c ends up
-    # with bit k set iff ring[k] <= c
+    # set bit k in row ring[k], then OR each row into the next
     table = np.zeros((period + 1, words_for(ring.size)), dtype=np.uint64)
     np.bitwise_or.at(table, (ring, k >> 6), np.uint64(1) << (k & 63).astype(np.uint64))
     np.bitwise_or.accumulate(table, axis=0, out=table)
+    return table
+
+
+def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
+                 table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
+                 pix_idx: np.ndarray) -> np.ndarray:
+    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
+    ring[(start_i + j) mod period] <= code_s,i, where start_i is set by the
+    source's group at pixel i.
+
+    Word w of a stream is the unaligned 64-bit window of the _comparator_table
+    row at the source's code, at bit offset (start + 64 w) mod period; the
+    table's 128 extra values keep every window inside its row.
+    """
+    length = cfg.length
+    cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
+    period = cycle.spec.period
     row_words = table.shape[1]
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
@@ -322,17 +355,16 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
 
 
 def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
-                    row_lo: int, row_hi: int) -> np.ndarray:
-    width = planes.shape[2]
+                    table: np.ndarray | None, pix_lo: int, pix_hi: int) -> np.ndarray:
+    """Output of the flat pixel range pix_lo..pix_hi (row-major); ``table`` is
+    the run's _comparator_table for conv-lfsr, else None."""
     length = cfg.length
-    ys, xs = np.mgrid[row_lo:row_hi, 0:width]
-    xs = xs.ravel()
-    ys = ys.ravel()
-    pix_idx = ys * width + xs
+    pix_idx = np.arange(pix_lo, pix_hi)
+    ys, xs = np.divmod(pix_idx, planes.shape[2])
 
     levels = _stream_levels(cfg, plan, planes, xs, ys)
     if cfg.design is SystemDesign.CONV_LFSR:
-        streams = _dsc_streams(cfg, plan, levels, xs, ys, pix_idx)
+        streams = _dsc_streams(cfg, plan, levels, table, xs, ys, pix_idx)
     else:
         streams = _asc_streams(cfg, plan, levels, xs, ys)
 
@@ -351,13 +383,15 @@ def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray
 
 
 def _run_rows(cfg: ExperimentConfig, inputs: AppInputs, row_lo: int, row_hi: int) -> np.ndarray:
-    """Output pixels of a contiguous row range."""
+    """Output pixels of a contiguous row range, evaluated in pixel blocks."""
     plan = _stream_plan(cfg.app, cfg.params)
     planes = _operand_planes(cfg.app, inputs)
     width = planes.shape[2]
+    table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
+    first = row_lo * width
     out = np.empty(((row_hi - row_lo) * width,))
-    for lo, hi in _block_slices(row_hi - row_lo, width, cfg.length):
-        out[lo * width:hi * width] = _evaluate_block(cfg, plan, planes, row_lo + lo, row_lo + hi)
+    for lo, hi in _block_slices(out.size, cfg.length):
+        out[lo:hi] = _evaluate_block(cfg, plan, planes, table, first + lo, first + hi)
     return out
 
 
@@ -448,9 +482,15 @@ def sweep(template: ExperimentConfig,
           out_csv=None,
           jobs: int = 1) -> list[str]:
     """Run the cross product and return CSV lines (header first), sorted by
-    (app, design, length, seed).  Seeds are global_seed + run index."""
-    apps = list(apps or AppKind)
-    designs = list(designs or SystemDesign)
+    (app, design, length, seed).  Seeds are global_seed + run index; apps and
+    designs default to all."""
+    apps = list(AppKind if apps is None else apps)
+    designs = list(SystemDesign if designs is None else designs)
+    for name, chosen in (("apps", apps), ("designs", designs), ("lengths", lengths)):
+        if not chosen:
+            raise ValueError(f"sweep needs at least one of {name}")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     cfgs = [replace(template, app=a, design=d, length=length,
                     global_seed=template.global_seed + k, jobs=1)
             for a in apps for d in designs for length in lengths
@@ -577,6 +617,9 @@ _CONFIG_KEYS = (
     "mult_read", "mult_dac",
 )
 
+_BOOLEANS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
+             "on": True, "off": False}
+
 
 def parse_dims(spec: str) -> tuple[int, int]:
     """Parse 'WxH' (e.g. 128x128) into a positive (width, height)."""
@@ -623,7 +666,11 @@ def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
         elif key == "frames_dir":
             cfg = replace(cfg, frames_dir=value)
         elif key == "free_run":
-            cfg = replace(cfg, dsc_free_run=value.lower() in ("1", "true", "yes"))
+            flag = _BOOLEANS.get(value.lower())
+            if flag is None:
+                raise ValueError(f"{path}:{lineno}: free_run must be one of "
+                                 f"{'/'.join(_BOOLEANS)}, got {value!r}")
+            cfg = replace(cfg, dsc_free_run=flag)
         elif key == "dims":
             cfg = replace(cfg, dims=parse_dims(value))
         elif key in ("write_sigma", "read_sigma"):

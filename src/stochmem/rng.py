@@ -32,9 +32,10 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return _mix64_inplace(z.astype(np.uint64, copy=True))
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 over a uint64 array, overwriting it; returns it."""
-    t = np.empty_like(z)
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """mix64 over a uint64 array, overwriting it; returns it.  ``tmp``, if
+    given, is a uint64 work array of z's shape."""
+    t = np.empty_like(z) if tmp is None else tmp
     np.right_shift(z, np.uint64(30), out=t)
     z ^= t
     z *= np.uint64(_MIX1)
@@ -140,10 +141,18 @@ def derive_generator(seed: SeedSpec) -> RandomSource:
     return RandomSource(derive_state(seed))
 
 
-def uniform_block_from_states(states: np.ndarray, count: int) -> np.ndarray:
-    """(n, count) u64 draws: row i is the sequence RandomSource(states[i]) would emit."""
+def uniform_block_from_states(states: np.ndarray, count: int, into: np.ndarray | None = None,
+                              tmp: np.ndarray | None = None) -> np.ndarray:
+    """(n, count) u64 draws: row i is the sequence RandomSource(states[i]) would emit.
+
+    ``into`` and ``tmp``, if given, are (n, count) uint64 arrays that receive
+    the draws and serve as the mixer's work array; ``into`` is returned.
+    """
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN)
-    return _mix64_inplace(states[:, None] + steps[None, :])
+    if into is None:
+        return _mix64_inplace(states[:, None] + steps[None, :])
+    np.add(states[:, None], steps[None, :], out=into)
+    return _mix64_inplace(into, tmp)
 
 
 def gauss_from_states(states: np.ndarray, sigma: float) -> np.ndarray:

@@ -63,11 +63,23 @@ def test_outputs_do_not_depend_on_worker_count():
 
 @pytest.mark.parametrize("length", (63, 300))
 def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length):
-    # one-pixel tiles and one-row blocks at L=300
+    # blocks of 8-9 (L=63) or 1-2 (L=300) pixels that split the 7-pixel rows, and
+    # one-pixel tiles that split the length axis into 64-bit chunks at L=300
     monkeypatch.setattr(harness, "_TILE_CELLS", 100)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
-    assert list(harness._block_slices(5, 7, 300)) == [(i, i + 1) for i in range(5)]
+    blocks = harness._block_slices(35, length)
+    assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {1, 2})
+    assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
+    widths = set()
+    draw = harness.uniform_block_from_states
+
+    def recording_draw(states, count, **buffers):
+        widths.add(count)
+        return draw(states, count, **buffers)
+
+    monkeypatch.setattr(harness, "uniform_block_from_states", recording_draw)
     _check(_cases(length))
+    assert widths == ({63} if length == 63 else {64, 300 - 4 * 64})
 
 
 if __name__ == "__main__":

@@ -29,6 +29,17 @@ def test_sweep_writes_one_row_per_run(tmp_path):
     assert len(csv.read_text().splitlines()) == 1 + 2 * 3 * 2
 
 
+@pytest.mark.parametrize("flags,name", [
+    (["--seeds", "0"], "n_seeds"), (["--lengths", ","], "lengths"), (["--apps", ","], "apps")])
+def test_sweep_of_nothing_exits_1_without_a_file(tmp_path, capsys, flags, name):
+    csv = tmp_path / "sweep.csv"
+    argv = ["sweep", "--lengths", "8", "--seeds", "1", "--out", str(csv)] + flags + TINY
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err
+    assert not csv.exists()
+
+
 def test_cost_prints_area_and_energy_tables(capsys):
     assert main(["cost", "--app", "gamma", "--design", "stochmem"]) == 0
     out = capsys.readouterr().out

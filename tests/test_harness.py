@@ -1,13 +1,19 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from stochmem import harness
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, AppKind, fit_bernstein, frame_diff_eval,
                                gamma_eval, kde_eval, median_eval, robert_eval)
 from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
                                  dac_dequantize, dsc_generate, requantize)
 from stochmem.costs import SystemDesign
-from stochmem.harness import ExperimentConfig, load_config, resolve_inputs, run_experiment
+from stochmem.harness import ExperimentConfig, load_config, resolve_inputs, run_experiment, sweep
 from stochmem.lfsr import LfsrSpec, seed_state
 from stochmem.memory import MemoryInstance, mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
@@ -38,6 +44,64 @@ def test_config_file_dims_fail_loudly(tmp_path):
     path.write_text("dims = 32\n")
     with pytest.raises(ValueError, match="dims must be WxH"):
         load_config(path)
+
+
+@pytest.mark.parametrize("value,flag", [
+    ("1", True), ("0", False), ("true", True), ("FALSE", False), ("Yes", True), ("no", False),
+    ("on", True), ("Off", False)])
+def test_config_file_free_run_values(tmp_path, value, flag):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"free_run = {value}\n")
+    assert load_config(path).dsc_free_run is flag
+
+
+@pytest.mark.parametrize("value", ["enabled", "ture", "2", ""])
+def test_config_file_free_run_rejects_other_values(tmp_path, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"length = 16\nfree_run = {value}\n")
+    with pytest.raises(ValueError, match=f"{path}:2: free_run"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    (dict(n_seeds=0), "n_seeds"), (dict(apps=[]), "apps"), (dict(designs=[]), "designs"),
+    (dict(lengths=()), "lengths")])
+def test_sweep_rejects_empty_grids(tmp_path, kwargs, name):
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(ValueError, match=name):
+        sweep(ExperimentConfig(dims=(3, 2)), **{"lengths": (8,), **kwargs}, out_csv=out)
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# pixel blocks
+
+
+@given(n_pixels=st.integers(1, 5000), length=st.integers(1, MAX_LENGTH),
+       budget=st.integers(1, 4_000_000))
+def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budget):
+    with mock.patch.object(harness, "_BLOCK_CELLS", budget):
+        blocks = harness._block_slices(n_pixels, length)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n_pixels
+    assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
+    sizes = [hi - lo for lo, hi in blocks]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    assert all(size * length <= budget for size in sizes if size > 1)
+
+
+def test_long_streams_keep_block_memory_bounded():
+    # 64 pixels at L=262144 hold 8.4x the block budget; as one block (the whole
+    # row) the run allocated 77.7 MB
+    cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=1 << 18,
+                           dims=(64, 1))
+    resolve_inputs(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,21 @@ def test_uniform_block_matches_scalar_stream():
     assert block.tolist() == [src.next_u64() for _ in range(64)]
 
 
+def test_uniform_block_column_chunks_in_buffers_match_the_whole_block():
+    # columns c0.. of a row are the draws of state + c0 * GOLDEN; the buffers
+    # may be strided views of larger arrays
+    states = np.array([derive_state(SeedSpec(5, x, 2, 3)) for x in range(3)], dtype=np.uint64)
+    whole = uniform_block_from_states(states, 200)
+    into = np.empty((4, 128), dtype=np.uint64)
+    tmp = np.empty_like(into)
+    for c0 in (0, 128):
+        w = min(128, 200 - c0)
+        got = uniform_block_from_states(states + np.uint64(c0 * GOLDEN & _MASK), w,
+                                        into=into[:3, :w], tmp=tmp[:3, :w])
+        assert np.shares_memory(got, into)
+        assert np.array_equal(got, whole[:, c0:c0 + w])
+
+
 def test_u64_block_advances_state_like_scalar():
     a = RandomSource(123)
     b = RandomSource(123)
