@@ -1,0 +1,73 @@
+"""Time the two broadcast ufuncs of an ASC stream tile against numpy's buffer size.
+
+A tile is `harness._TILE_CELLS` uint64 draws laid out as (rows, row length).
+For each row length the script prints ns per cell of
+
+* compare: np.less(tile, thresholds[:, None], out=bool tile), and
+* draw add: np.add(states[:, None], steps[None, :], out=tile),
+
+once with numpy's default ufunc buffer and once with the buffer set to the row
+length (rounded down to a multiple of 16), the rule `harness._asc_streams`
+applies from `harness._UNBUFFERED_MIN_ROW` draws per row.  Run from the repo
+root:
+
+    PYTHONPATH=src python scripts/tile_buffer_table.py [--repeats N]
+"""
+
+import argparse
+import time
+
+import numpy as np
+
+from stochmem import harness
+from stochmem.rng import GOLDEN
+
+ROW_LENGTHS = (32, 64, 128, 192, 256, 512, 1024, 2048, 4096, 8192)
+
+
+def _ns_per_cell(fn, cells: int, repeats: int, bufsize: int | None) -> float:
+    with np.errstate():
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - t0)
+    return best / cells * 1e9
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeats", type=int, default=50)
+    args = ap.parse_args()
+
+    rng = np.random.default_rng(0)
+    print(f"numpy {np.__version__}, tile of {harness._TILE_CELLS} cells, "
+          f"default buffer {np.getbufsize()}, best of {args.repeats}")
+    print(f"{'row':>5} {'rows':>5}  {'compare default':>15} {'row-sized':>9}"
+          f"  {'draw add default':>16} {'row-sized':>9}")
+    for cols in ROW_LENGTHS:
+        rows = harness._TILE_CELLS // cols
+        tile = rng.integers(0, 2**64, (rows, cols), dtype=np.uint64, endpoint=False)
+        thr = rng.integers(0, 2**64, (rows, 1), dtype=np.uint64, endpoint=False)
+        bits = np.empty(tile.shape, dtype=bool)
+        states = tile[:, 0].copy()
+        steps = np.arange(1, cols + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+        into = np.empty_like(tile)
+
+        def compare():
+            np.less(tile, thr, out=bits)
+
+        def draw_add():
+            np.add(states[:, None], steps[None, :], out=into)
+
+        row_buf = cols // 16 * 16
+        cells = tile.size
+        cmp_d, cmp_r = (_ns_per_cell(compare, cells, args.repeats, b) for b in (None, row_buf))
+        add_d, add_r = (_ns_per_cell(draw_add, cells, args.repeats, b) for b in (None, row_buf))
+        print(f"{cols:>5} {rows:>5}  {cmp_d:>15.3f} {cmp_r:>9.3f}  {add_d:>16.3f} {add_r:>9.3f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -238,7 +238,8 @@ def _cmd_calibrate(args) -> int:
     if args.seed is not None:
         template = replace(template, global_seed=args.seed)
     noise, gap = calibrate_noise(args.target_gap, template, tol_pp=args.tol,
-                                 n_seeds=args.runs, jobs=args.jobs or 1)
+                                 n_seeds=args.runs,
+                                 jobs=1 if args.jobs is None else args.jobs)
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
     return 0

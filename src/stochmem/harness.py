@@ -26,9 +26,14 @@ uint64 rows in the bitstream layout, and stays packed through the circuit;
 bits past the length are always zero, so popcounts and XOR distances need no
 masking.  The ASC designs compare SplitMix64 draws, made in tiles of at most
 _TILE_CELLS cells in reused buffers and shared between the sources of one
-group, against each source's threshold.  conv-lfsr reads each 64-bit word as
-a window into a table of packed comparator outputs over one LFSR period,
-built once per run.  Neither tile nor block size changes any output bit.
+group, against each source's threshold.  The draw add and the compare each
+broadcast a per-pixel column across a tile row; from _UNBUFFERED_MIN_ROW draws
+per row the tile loop sets numpy's ufunc buffer to the row length (inside
+np.errstate, which restores it on exit), so numpy iterates those rows in place
+rather than through its buffers.  Shorter rows keep numpy's default, which is
+faster for them.  conv-lfsr reads each 64-bit word as a window into a table of
+packed comparator outputs over one LFSR period, built once per run.  Neither
+tile nor block size nor buffer size changes any output bit.
 """
 
 from __future__ import annotations
@@ -67,8 +72,18 @@ DEFAULT_SEEDS = 20
 # exceed it, when the length alone does
 _BLOCK_CELLS = 2_000_000
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
-# output stay in cache; long streams are tiled along the length too
+# output stay in cache; long streams are tiled along the length too.  Tiles run
+# with numpy's ufunc buffer set to one tile row (rounded down to a multiple of
+# 16, as numpy requires): a broadcast draw add or threshold compare over rows
+# shorter than the default 8192-element buffer goes through the buffered
+# iterator at about twice the cost of iterating the row in place
 _TILE_CELLS = 65_536
+# fewest draws per tile row that run with the row-sized buffer; shorter rows
+# are faster with numpy's default.  scripts/tile_buffer_table.py (numpy 2.4.6,
+# 2-vCPU x86-64 host), ns/cell default -> row-sized: compare 0.95 -> 2.39 at
+# 32 draws, 0.76 -> 0.89 at 128, 0.72 -> 0.45 at 256; draw add 1.20 -> 2.22 at
+# 32, 0.96 -> 0.68 at 128, 0.96 -> 0.38 at 256
+_UNBUFFERED_MIN_ROW = 256
 
 # stream-group identities; operand groups occupy 0..7
 _GROUP_SELECT = 8
@@ -96,11 +111,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 1 <= self.length <= MAX_LENGTH:
             raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {self.length}")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
+        _check_jobs(self.jobs)
         if len(self.dims) != 2 or min(self.dims) < 1:
             raise ValueError(f"dims must be two positive integers (width, height), "
                              f"got {self.dims}")
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
 @dataclass
@@ -267,7 +286,9 @@ def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     exceeds _TILE_CELLS, one pixel's columns c0..c0+cols with cols a multiple
     of 64, drawn from states + c0 * GOLDEN (draw j of state s is
     mix64(s + (j + 1) * GOLDEN)).  The draw, mixer and compare buffers are
-    allocated once and reused by every tile and group.
+    allocated once and reused by every tile and group.  Rows of at least
+    _UNBUFFERED_MIN_ROW draws run with numpy's ufunc buffer set to the row
+    length; the outputs do not depend on it.
     """
     length = cfg.length
     n = xs.size
@@ -278,20 +299,24 @@ def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     draws = np.empty((rows, cols), dtype=np.uint64)
     tmp = np.empty_like(draws)
     bits = np.empty(draws.shape, dtype=bool)
-    for group in dict.fromkeys(plan.groups):
-        members = [s for s, g in enumerate(plan.groups) if g == group]
-        states = derive_state_grid(cfg.global_seed, xs, ys, group)
-        for lo in range(0, n, rows):
-            m = min(rows, n - lo)
-            for c0 in range(0, length, cols):
-                w = min(cols, length - c0)
-                offset = np.uint64(c0 * GOLDEN % (1 << 64))
-                tile = uniform_block_from_states(states[lo:lo + m] + offset, w,
-                                                 into=draws[:m, :w], tmp=tmp[:m, :w])
-                words = slice(c0 // 64, c0 // 64 + words_for(w))
-                for s in members:
-                    np.less(tile, thresholds[s][lo:lo + m], out=bits[:m, :w])
-                    streams[s, lo:lo + m, words] = pack_bool_matrix(bits[:m, :w])
+    # errstate scopes the buffer size, so it is restored however the loop ends
+    with np.errstate():
+        if cols >= _UNBUFFERED_MIN_ROW:
+            np.setbufsize(cols // 16 * 16)
+        for group in dict.fromkeys(plan.groups):
+            members = [s for s, g in enumerate(plan.groups) if g == group]
+            states = derive_state_grid(cfg.global_seed, xs, ys, group)
+            for lo in range(0, n, rows):
+                m = min(rows, n - lo)
+                for c0 in range(0, length, cols):
+                    w = min(cols, length - c0)
+                    offset = np.uint64(c0 * GOLDEN % (1 << 64))
+                    tile = uniform_block_from_states(states[lo:lo + m] + offset, w,
+                                                     into=draws[:m, :w], tmp=tmp[:m, :w])
+                    words = slice(c0 // 64, c0 // 64 + words_for(w))
+                    for s in members:
+                        np.less(tile, thresholds[s][lo:lo + m], out=bits[:m, :w])
+                        streams[s, lo:lo + m, words] = pack_bool_matrix(bits[:m, :w])
     # p >= 1 has no strict-compare threshold
     ones = Bitstream.ones(length).words
     for stream, p in zip(streams, levels):
@@ -491,6 +516,7 @@ def sweep(template: ExperimentConfig,
             raise ValueError(f"sweep needs at least one of {name}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    _check_jobs(jobs)
     cfgs = [replace(template, app=a, design=d, length=length,
                     global_seed=template.global_seed + k, jobs=1)
             for a in apps for d in designs for length in lengths
@@ -517,6 +543,7 @@ def measure_noise_gap(sigma: float, template: ExperimentConfig,
     """Five-app average StochMem-minus-baseline inaccuracy gap in percentage
     points; the baseline is the Bernoulli-sampling conv design so the gap
     isolates the memory discrepancy."""
+    _check_jobs(jobs)
     noise = NoiseModel(sigma, sigma)
     gaps = []
     for app in AppKind:
@@ -542,6 +569,7 @@ def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = No
     """Bisect the shared read/write sigma until the measured gap matches."""
     if target_gap_pp < 0:
         raise ValueError("target gap must be nonnegative")
+    _check_jobs(jobs)
     template = template or ExperimentConfig()
     gap = lambda s: measure_noise_gap(s, template, n_seeds=n_seeds, jobs=jobs)
     g0 = gap(0.0)

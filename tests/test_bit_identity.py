@@ -2,8 +2,10 @@
 
 ``bit_identity.json`` holds, for every app x design pair plus free-run DSC
 and a degree-9 gamma, at 7x5 pixels and seed 4, the SHA-256 of the output
-image bytes and the repr of ``inaccuracy_percent``.  The same outputs must
-come back for any worker count, stream tile size and pixel block size.
+image bytes and the repr of ``inaccuracy_percent``; also gamma on both ASC
+designs at 2x1 pixels and a length whose stream tiles split the length axis.
+The same outputs must come back for any worker count, stream tile size and
+pixel block size.
 Regenerate the fixture only when outputs are meant to change:
 
     PYTHONPATH=src python tests/test_bit_identity.py
@@ -24,7 +26,8 @@ from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
 
 FIXTURE = Path(__file__).with_name("bit_identity.json")
-LENGTHS = (1, 63, 65, 300)
+LENGTHS = (1, 63, 65, 300, 1024)
+LONG_LENGTH = 70_001   # more than harness._TILE_CELLS draws per stream
 SEED = 4
 
 
@@ -41,6 +44,13 @@ def _cases(length: int) -> dict[str, ExperimentConfig]:
     return cases
 
 
+def _long_cases() -> dict[str, ExperimentConfig]:
+    base = ExperimentConfig(app=AppKind.GAMMA, length=LONG_LENGTH, dims=(2, 1),
+                            global_seed=SEED, input_seed=SEED)
+    return {f"gamma/{d.value}/{LONG_LENGTH}": replace(base, design=d)
+            for d in (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)}
+
+
 def _outcome(cfg: ExperimentConfig) -> list[str]:
     r = harness.run_experiment(cfg)
     return [hashlib.sha256(r.output.data.tobytes()).hexdigest(), repr(r.inaccuracy_percent)]
@@ -55,6 +65,10 @@ def _check(cases: dict[str, ExperimentConfig], **overrides) -> None:
 @pytest.mark.parametrize("length", LENGTHS)
 def test_outputs_match_fixture(length):
     _check(_cases(length))
+
+
+def test_long_outputs_match_fixture():
+    _check(_long_cases())
 
 
 def test_outputs_do_not_depend_on_worker_count():
@@ -86,4 +100,5 @@ if __name__ == "__main__":
     record = {}
     for length in LENGTHS:
         record.update({key: _outcome(cfg) for key, cfg in _cases(length).items()})
+    record.update({key: _outcome(cfg) for key, cfg in _long_cases().items()})
     FIXTURE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

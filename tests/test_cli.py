@@ -71,6 +71,8 @@ def test_calibrate_access_reproduces_paper_reductions(capsys):
     (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "32"], "dims"),
     (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "0x5"], "dims"),
     (["gen-inputs", "--out", "unused", "--dims", "6by5"], "dims"),
+    (["sweep", "--apps", "robert", "--lengths", "8", "--jobs", "0", "--out", "unused"], "jobs"),
+    (["calibrate", "--mode", "noise", "--jobs", "0"], "jobs"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1

@@ -31,6 +31,22 @@ def test_config_rejects_nonpositive_jobs():
         ExperimentConfig(jobs=0)
 
 
+@pytest.mark.parametrize("jobs", (0, -1))
+@pytest.mark.parametrize("entry", ("sweep", "measure_noise_gap", "calibrate_noise"))
+def test_entry_points_reject_nonpositive_jobs(entry, jobs):
+    tiny = ExperimentConfig(dims=(3, 2), length=8)
+    calls = {
+        "sweep": lambda: sweep(tiny, lengths=(8,), n_seeds=1, jobs=jobs),
+        "measure_noise_gap": lambda: harness.measure_noise_gap(0.0, tiny, n_seeds=1, length=8,
+                                                               jobs=jobs),
+        "calibrate_noise": lambda: harness.calibrate_noise(0.19, tiny, n_seeds=1, jobs=jobs),
+    }
+    # a run means the bad value was taken as a serial run
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            calls[entry]()
+
+
 @pytest.mark.parametrize("dims", ((0, 5), (6, 0), (-1, 4)))
 def test_config_rejects_nonpositive_dims(dims):
     with pytest.raises(ValueError, match="dims"):
@@ -102,6 +118,56 @@ def test_long_streams_keep_block_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 25e6
+
+
+# ---------------------------------------------------------------------------
+# ufunc buffer of the ASC tile loop
+
+DEFAULT_BUFSIZE = 8192
+
+
+def _record_bufsizes(monkeypatch, fail_at=None) -> list[int]:
+    """Record np.getbufsize() at every tile draw; raise at draw ``fail_at``."""
+    sizes = []
+    draw = harness.uniform_block_from_states
+
+    def recording_draw(states, count, **buffers):
+        sizes.append(np.getbufsize())
+        if len(sizes) == fail_at:
+            raise RuntimeError("draw failed")
+        return draw(states, count, **buffers)
+
+    monkeypatch.setattr(harness, "uniform_block_from_states", recording_draw)
+    return sizes
+
+
+@pytest.mark.parametrize("length,tile_cells,bufsize", [
+    (300, None, 288),            # row-sized, rounded down to a multiple of 16
+    (1024, None, 1024),
+    (70_001, None, 65_536),      # tiles split the length into 65,536-draw rows
+    (32, None, DEFAULT_BUFSIZE),  # rows below _UNBUFFERED_MIN_ROW keep the default
+    (300, 100, DEFAULT_BUFSIZE),  # 64-draw rows of a tile split along the length
+])
+@pytest.mark.parametrize("design", (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM))
+def test_tile_loop_runs_with_a_row_sized_ufunc_buffer(monkeypatch, design, length,
+                                                      tile_cells, bufsize):
+    assert np.getbufsize() == DEFAULT_BUFSIZE
+    if tile_cells is not None:
+        monkeypatch.setattr(harness, "_TILE_CELLS", tile_cells)
+    sizes = _record_bufsizes(monkeypatch)
+    dims = (1, 1) if length > harness._TILE_CELLS else (3, 2)
+    run_experiment(ExperimentConfig(app=AppKind.ROBERT, design=design, length=length, dims=dims))
+    assert sizes and set(sizes) == {bufsize}
+    assert np.getbufsize() == DEFAULT_BUFSIZE
+
+
+def test_tile_loop_restores_the_ufunc_buffer_when_a_draw_raises(monkeypatch):
+    sizes = _record_bufsizes(monkeypatch, fail_at=2)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_experiment(ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ,
+                                        length=1024, dims=(3, 2)))
+    assert sizes == [1024, 1024]
+    assert np.getbufsize() == DEFAULT_BUFSIZE
 
 
 # ---------------------------------------------------------------------------
