@@ -1,12 +1,11 @@
 """Bit-accurate stochastic-computing simulator and hardware cost model."""
 
-from .bitstream import Bitstream, Encoding, estimate_value
-from .circuits import (AppInputs, AppKind, AppParams, BernsteinPoly, GateKind,
-                       fit_bernstein, frame_diff_eval, gamma_eval, gate_eval,
-                       golden_eval, kde_eval, median_eval, robert_eval)
+from .bitstream import Bitstream, estimate_value
+from .circuits import (AppInputs, AppKind, AppParams, BernsteinPoly, fit_bernstein,
+                       frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
+                       robert_eval)
 from .converters import (QuantizerConfig, adc_quantize, asc_generate,
-                         dac_dequantize, dsc_generate, requantize, sac_integrate,
-                         sdc_count)
+                         dac_dequantize, dsc_generate, requantize)
 from .costs import (AccessCounts, AccessMultipliers, AppProfile, CostReport,
                     SystemDesign, UnitCost, area_report, default_profile,
                     energy_report, share_breakdown)

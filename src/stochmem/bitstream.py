@@ -1,31 +1,19 @@
 """Stochastic bitstream representation.
 
 A stochastic operand is a packed sequence of bits whose value is the
-fraction of ones (unipolar) or its affine remap to [-1, 1] (bipolar).
+fraction of ones (unipolar encoding).
 Bit index 0 is the least significant bit of word 0; bits past ``length``
 in the last word are always zero.
 """
 
 from __future__ import annotations
 
-import enum
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_LENGTH = 1 << 24
 _WORD_BITS = 64
-
-
-class Encoding(enum.Enum):
-    UNIPOLAR = "unipolar"
-    BIPOLAR = "bipolar"
-
-    def decode(self, ones_fraction: float) -> float:
-        if self is Encoding.UNIPOLAR:
-            return ones_fraction
-        return 2.0 * ones_fraction - 1.0
 
 
 def words_for(length: int) -> int:
@@ -36,17 +24,6 @@ def tail_mask(length: int) -> int:
     """Mask selecting the valid bits of the last word."""
     rem = length % _WORD_BITS
     return (1 << rem) - 1 if rem else (1 << _WORD_BITS) - 1
-
-
-def get_bit(words: np.ndarray, index: int) -> int:
-    return int((words[index >> 6] >> np.uint64(index & 63)) & np.uint64(1))
-
-def set_bit(words: np.ndarray, index: int, value: int) -> None:
-    mask = np.uint64(1) << np.uint64(index & 63)
-    if value:
-        words[index >> 6] |= mask
-    else:
-        words[index >> 6] &= ~mask
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -89,7 +66,6 @@ class Bitstream:
 
     words: np.ndarray
     length: int
-    encoding: Encoding = Encoding.UNIPOLAR
     _ones: int = field(init=False, repr=False, compare=False, default=-1)
 
     def __post_init__(self):
@@ -105,45 +81,28 @@ class Bitstream:
         object.__setattr__(self, "_ones", popcount_words(words))
 
     @classmethod
-    def from_bits(cls, bits, encoding: Encoding = Encoding.UNIPOLAR) -> "Bitstream":
+    def from_bits(cls, bits) -> "Bitstream":
         bits = np.asarray(bits)
-        return cls(pack_bits(bits), len(bits), encoding)
+        return cls(pack_bits(bits), len(bits))
 
     @classmethod
-    def zeros(cls, length: int, encoding: Encoding = Encoding.UNIPOLAR) -> "Bitstream":
-        return cls(np.zeros(words_for(length), dtype=np.uint64), length, encoding)
+    def zeros(cls, length: int) -> "Bitstream":
+        return cls(np.zeros(words_for(length), dtype=np.uint64), length)
 
     @classmethod
-    def ones(cls, length: int, encoding: Encoding = Encoding.UNIPOLAR) -> "Bitstream":
+    def ones(cls, length: int) -> "Bitstream":
         words = np.full(words_for(length), ~np.uint64(0), dtype=np.uint64)
         words[-1] = np.uint64(tail_mask(length))
-        return cls(words, length, encoding)
+        return cls(words, length)
 
     @property
     def ones_count(self) -> int:
         return self._ones
 
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise IndexError(index)
-        return get_bit(self.words, index)
-
     def to_bits(self) -> np.ndarray:
         return unpack_bits(self.words, self.length)
 
-    def to_bytes(self) -> bytes:
-        """Debug serialization: u64 length header plus raw little-endian words."""
-        return struct.pack("<Q", self.length) + self.words.astype("<u8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, encoding: Encoding = Encoding.UNIPOLAR) -> "Bitstream":
-        (length,) = struct.unpack_from("<Q", blob)
-        words = np.frombuffer(blob, dtype="<u8", offset=8).copy()
-        return cls(words, length, encoding)
-
 
 def estimate_value(bs: Bitstream) -> float:
-    """Value carried by a stream: exact popcount over length, then decoded."""
-    if bs.length <= 0:
-        raise ValueError("cannot estimate an empty stream")
-    return bs.encoding.decode(bs.ones_count / bs.length)
+    """Value carried by a stream: exact popcount over length."""
+    return bs.ones_count / bs.length

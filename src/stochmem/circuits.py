@@ -15,18 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, popcount_rows, tail_mask, words_for
+from .bitstream import Bitstream, popcount_rows
 from .images import ImageGray
 
 KDE_HISTORY = 32
-
-
-class GateKind(enum.Enum):
-    AND = "and"
-    OR = "or"
-    XOR = "xor"
-    NOT = "not"
-    MUX = "mux"
 
 
 class AppKind(enum.Enum):
@@ -72,7 +64,7 @@ class AppInputs:
 
 
 # ---------------------------------------------------------------------------
-# word-level gate helpers
+# single-stream forms: each *_eval is one row of its packed *_batch circuit
 
 
 def _require_same_length(streams) -> int:
@@ -82,34 +74,8 @@ def _require_same_length(streams) -> int:
     return lengths.pop()
 
 
-def _not_words(words: np.ndarray, length: int) -> np.ndarray:
-    out = ~words
-    out[-1] &= np.uint64(tail_mask(length))
-    return out
-
-
-def gate_eval(kind: GateKind, *inputs: Bitstream) -> Bitstream:
-    """Bitwise gate over equal-length streams; MUX takes (a, b, select)."""
-    if kind is GateKind.NOT:
-        (a,) = inputs
-        return Bitstream(_not_words(a.words, a.length), a.length)
-    if kind is GateKind.MUX:
-        a, b, sel = inputs
-        length = _require_same_length(inputs)
-        out = (a.words & sel.words) | (b.words & _not_words(sel.words, length))
-        return Bitstream(out, length)
-    if len(inputs) < 2:
-        raise ValueError(f"{kind.value} gate needs at least two inputs")
-    length = _require_same_length(inputs)
-    acc = inputs[0].words.copy()
-    for s in inputs[1:]:
-        if kind is GateKind.AND:
-            acc &= s.words
-        elif kind is GateKind.OR:
-            acc |= s.words
-        else:
-            acc ^= s.words
-    return Bitstream(acc, length)
+def _row(stream: Bitstream) -> np.ndarray:
+    return stream.words[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +90,11 @@ def robert_eval(p00: Bitstream, p01: Bitstream, p10: Bitstream, p11: Bitstream,
     and must be independent of the pixel streams.
     """
     length = _require_same_length((p00, p01, p10, p11, sel))
-    x1 = p00.words ^ p11.words
-    x2 = p01.words ^ p10.words
-    out = (x1 & sel.words) | (x2 & _not_words(sel.words, length))
-    return Bitstream(out, length)
+    return Bitstream(robert_batch(*map(_row, (p00, p01, p10, p11, sel)))[0], length)
 
 
 def robert_batch(b00, b01, b10, b11, bsel) -> np.ndarray:
+    """robert_eval over (n, words) packed rows; zero tails stay zero."""
     return ((b00 ^ b11) & bsel) | ((b01 ^ b10) & ~bsel)
 
 
@@ -150,15 +114,11 @@ def median_eval(streams: list[Bitstream]) -> Bitstream:
     if len(streams) != 9:
         raise ValueError(f"median filter takes 9 streams, got {len(streams)}")
     length = _require_same_length(streams)
-    regs = [s.words.copy() for s in streams]
-    for i, j in MEDIAN9_PAIRS:
-        lo = regs[i] & regs[j]
-        hi = regs[i] | regs[j]
-        regs[i], regs[j] = lo, hi
-    return Bitstream(regs[MEDIAN9_OUT], length)
+    return Bitstream(median_batch([_row(s) for s in streams])[0], length)
 
 
 def median_batch(regs: list[np.ndarray]) -> np.ndarray:
+    """median_eval over nine (n, words) packed operands."""
     regs = list(regs)
     for i, j in MEDIAN9_PAIRS:
         lo = regs[i] & regs[j]
@@ -179,8 +139,7 @@ def median9_reference(values) -> float:
 def frame_diff_eval(cur: Bitstream, prev: Bitstream, theta: float) -> int:
     """Foreground iff the XOR ones count exceeds theta of the length."""
     length = _require_same_length((cur, prev))
-    diff = int(np.bitwise_count(cur.words ^ prev.words).sum())
-    return int(diff > theta * length)
+    return int(frame_batch(_row(cur), _row(prev), theta, length)[0])
 
 
 def frame_batch(cur: np.ndarray, prev: np.ndarray, theta: float, length: int) -> np.ndarray:
@@ -308,19 +267,11 @@ def kde_eval(cur: Bitstream, hist: list[Bitstream], delta: float, theta: float) 
     cur must be correlated with every history stream so XOR measures the
     pairwise distance.
     """
-    if len(hist) != KDE_HISTORY:
-        raise ValueError(f"history must hold {KDE_HISTORY} streams, got {len(hist)}")
     length = _require_same_length([cur] + list(hist))
-    matches = 0
-    for h in hist:
-        dist = int(np.bitwise_count(cur.words ^ h.words).sum())
-        matches += dist <= delta * length
-    density = matches / len(hist)
-    return int(density < theta)
+    return int(kde_batch(_row(cur), [_row(h) for h in hist], delta, theta, length)[0])
 
 
-def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int,
-              n_history: int = KDE_HISTORY) -> np.ndarray:
+def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int) -> np.ndarray:
     """kde_eval over (n, words) packed rows of ``length``-bit streams."""
     matches = np.zeros(cur.shape[0], dtype=np.int32)
     seen = 0
@@ -328,9 +279,9 @@ def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: in
         dist = popcount_rows(cur ^ hist)
         matches += dist <= delta * length
         seen += 1
-    if seen != n_history:
-        raise ValueError(f"history must hold {n_history} streams, got {seen}")
-    return ((matches / n_history) < theta).astype(np.float64)
+    if seen != KDE_HISTORY:
+        raise ValueError(f"history must hold {KDE_HISTORY} streams, got {seen}")
+    return ((matches / KDE_HISTORY) < theta).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

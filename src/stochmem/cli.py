@@ -3,25 +3,26 @@
 Subcommands: run, sweep, cost, fit-gamma, gen-inputs, calibrate.
 Exit codes: 0 success, 1 domain error, 2 usage error.  Tables on stdout are
 tab-separated for scripting.
+
+run, sweep and calibrate take one flag per row of config.FIELDS, except the
+fields the command sets itself.  Precedence, lowest first: defaults, the
+--config file, the flags given, then STOCHMEM_SEED for the seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .circuits import AppKind, fit_bernstein
-from .costs import (AccessMultipliers, SystemDesign, area_report,
-                    default_profile, energy_report, load_cost_config,
-                    share_breakdown)
-from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS,
-                      ExperimentConfig, apply_env_overrides, calibrate_access,
-                      calibrate_noise, load_config, parse_dims,
-                      report_csv_row, run_experiment, sweep)
+from .config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, parse_bool,
+                     parse_dims, read_values, resolve_config)
+from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
+from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
+                      calibrate_access, calibrate_noise, report_csv_row, run_experiment,
+                      sweep)
 from .images import save_pgm
-from .memory import NoiseModel
 from .synth import gen_test_inputs
 
 
@@ -41,57 +42,28 @@ def _parse_designs(spec: str) -> list[SystemDesign]:
     return [SystemDesign.from_name(s) for s in spec.split(",") if s]
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    cfg = ExperimentConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(args.config, cfg)
-    updates = {}
-    if getattr(args, "app", None):
-        updates["app"] = AppKind.from_name(args.app)
-    if getattr(args, "design", None):
-        updates["design"] = SystemDesign.from_name(args.design)
-    if getattr(args, "length", None) is not None:
-        updates["length"] = args.length
-    if getattr(args, "seed", None) is not None:
-        updates["global_seed"] = args.seed
-    if getattr(args, "dims", None):
-        updates["dims"] = parse_dims(args.dims)
-    if getattr(args, "input", None):
-        updates["input_path"] = args.input
-    if getattr(args, "frames", None):
-        updates["frames_dir"] = args.frames
-    if getattr(args, "jobs", None) is not None:
-        updates["jobs"] = args.jobs
-    if getattr(args, "free_run", False):
-        updates["dsc_free_run"] = True
-    if getattr(args, "write_sigma", None) is not None or getattr(args, "read_sigma", None) is not None:
-        ws = args.write_sigma if args.write_sigma is not None else cfg.noise.write_sigma
-        rs = args.read_sigma if args.read_sigma is not None else cfg.noise.read_sigma
-        updates["noise"] = NoiseModel(ws, rs)
-    params = cfg.params
-    for name in ("theta", "delta", "gamma_exponent"):
-        val = getattr(args, name, None)
-        if val is not None:
-            params = replace(params, **{name: val})
-    updates["params"] = params
-    return apply_env_overrides(replace(cfg, **updates))
+def _config_from_args(args, need=()) -> ExperimentConfig:
+    """Defaults, then the --config file, then the flags given, then
+    STOCHMEM_SEED; the file or a flag must set each key in ``need``."""
+    values = read_values(args.config) if args.config else {}
+    for f in FIELDS:
+        if getattr(args, f.key, None) is not None:
+            values[f.key] = parse_at(f.parse, getattr(args, f.key), f.flag)
+    missing = [FIELD_BY_KEY[k].flag for k in need if k not in values]
+    if missing:
+        args.parser.error(f"{' and '.join(missing)} required (as a flag or a --config key)")
+    return resolve_config(values)
 
 
-def _add_common_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, help="global seed (env STOCHMEM_SEED overrides)")
-    p.add_argument("--dims", help="image size WxH for synthetic inputs (default 128x128)")
-    p.add_argument("--write-sigma", dest="write_sigma", type=float,
-                   help="analog memory write discrepancy sigma")
-    p.add_argument("--read-sigma", dest="read_sigma", type=float,
-                   help="analog memory read discrepancy sigma")
-    p.add_argument("--theta", type=float, help="segmentation threshold")
-    p.add_argument("--delta", type=float, help="density kernel half-width")
-    p.add_argument("--gamma-exponent", dest="gamma_exponent", type=float,
-                   help="power-function exponent")
-    p.add_argument("--free-run", dest="free_run", action="store_true",
-                   help="let the comparator LFSR run across pixels instead of reseeding")
-    p.add_argument("--jobs", type=int, help="worker processes")
+def _add_config_flags(p: argparse.ArgumentParser, skip=()) -> None:
+    p.set_defaults(parser=p)
+    p.add_argument("--config", help="flat key=value config file; flags given override its "
+                                    "keys, and STOCHMEM_SEED overrides both for the seed")
+    for f in FIELDS:
+        if f.key in skip:
+            continue
+        action = argparse.BooleanOptionalAction if f.parse is parse_bool else None
+        p.add_argument(f.flag, dest=f.key, action=action, help=f.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one experiment and report accuracy and cost")
-    p_run.add_argument("--app", required=True, help="robert|median|frame|gamma|kde")
-    p_run.add_argument("--design", required=True, help="conv-lfsr|conv-mtj|stochmem")
-    p_run.add_argument("--length", type=int, help="bitstream length (default 1024)")
-    p_run.add_argument("--input", help="input image (PGM, maxval 255)")
-    p_run.add_argument("--frames", help="directory of PGM frames for frame/kde")
     p_run.add_argument("--out", help="directory for output.pgm and report.csv")
-    _add_common_run_flags(p_run)
+    _add_config_flags(p_run)
 
     p_sweep = sub.add_parser("sweep", help="run the app x design x length x seed grid")
     p_sweep.add_argument("--apps", default="all", help="comma list or 'all'")
@@ -116,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
                          help="runs per configuration (seed = base + index)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    _add_common_run_flags(p_sweep)
+    _add_config_flags(p_sweep, skip=("app", "design", "length"))
 
     p_cost = sub.add_parser("cost", help="print area and energy tables")
     p_cost.add_argument("--app", default="all", help="application or 'all'")
@@ -139,14 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy gap target in percentage points (noise mode)")
     p_cal.add_argument("--tol", type=float, default=0.05, help="gap tolerance (noise mode)")
     p_cal.add_argument("--runs", type=int, default=5, help="seeds per evaluation (noise mode)")
-    p_cal.add_argument("--dims", help="image size WxH (noise mode)")
-    p_cal.add_argument("--seed", type=int, help="base seed (noise mode)")
-    p_cal.add_argument("--jobs", type=int, help="worker processes")
+    _add_config_flags(p_cal, skip=("app", "design", "length", "write_sigma", "read_sigma"))
     return ap
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args, need=("app", "design"))
     report = run_experiment(cfg)
     print("app\tdesign\tlength\tseed\tinaccuracy_percent\tenergy_pJ_per_pixel\tarea_um2")
     print(f"{report.app.value}\t{report.design.value}\t{report.length}\t{report.seed}\t"
@@ -165,9 +130,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     lengths = tuple(int(s) for s in args.lengths.split(",") if s)
-    jobs = args.jobs or 1
     lines = sweep(cfg, apps=_parse_apps(args.apps), designs=_parse_designs(args.designs),
-                  lengths=lengths, n_seeds=args.seeds, out_csv=args.out, jobs=jobs)
+                  lengths=lengths, n_seeds=args.seeds, out_csv=args.out, jobs=cfg.jobs)
     print(f"wrote {args.out} ({len(lines) - 1} rows)")
     return 0
 
@@ -232,14 +196,9 @@ def _cmd_calibrate(args) -> int:
         print(f"mtj_vs_lfsr_reduction_percent\t{red_ml:.2f}")
         print(f"stochmem_vs_mtj_reduction_percent\t{red_sm:.2f}")
         return 0
-    template = ExperimentConfig()
-    if args.dims:
-        template = replace(template, dims=parse_dims(args.dims))
-    if args.seed is not None:
-        template = replace(template, global_seed=args.seed)
+    template = _config_from_args(args)
     noise, gap = calibrate_noise(args.target_gap, template, tol_pp=args.tol,
-                                 n_seeds=args.runs,
-                                 jobs=1 if args.jobs is None else args.jobs)
+                                 n_seeds=args.runs, jobs=template.jobs)
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, estimate_value, pack_bits
+from .bitstream import Bitstream, pack_bits
 from .lfsr import LfsrState, lfsr_next
 from .rng import RandomSource
 
@@ -80,23 +80,9 @@ def dsc_generate(code: int, length: int, lfsr: LfsrState) -> Bitstream:
     return Bitstream(pack_bits(bits), length)
 
 
-def sdc_count(bs: Bitstream) -> int:
-    """Counter readback: the number of ones in the stream."""
-    if bs.length <= 0:
-        raise ValueError("cannot count an empty stream")
-    return bs.ones_count
-
-
 def asc_generate(p: float, length: int, rng: RandomSource) -> Bitstream:
     """Bernoulli sampling stream: ones count is Binomial(length, p)."""
     _check_range(p, 1, "ASC input")
     if length < 1:
         raise ValueError("stream length must be positive")
     return Bitstream(pack_bits(rng.bernoulli_bits(p, length)), length)
-
-
-def sac_integrate(bs: Bitstream) -> float:
-    """Integrator readback: fraction of time the stream stays at logic one."""
-    if bs.length <= 0:
-        raise ValueError("cannot integrate an empty stream")
-    return estimate_value(Bitstream(bs.words, bs.length, Encoding.UNIPOLAR))

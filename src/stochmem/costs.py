@@ -1,7 +1,7 @@
 """Area and energy accounting for the three system designs.
 
 Unit constants are 45 nm synthesis/measurement numbers treated as data:
-stochastic-rate units (LFSR, comparator, ASC, SAC, counter, app logic)
+stochastic-rate units (LFSR, comparator, ASC, app logic)
 burn energy per cycle at 1 GHz, ADC/DAC per conversion, and memory cells
 per access (the analog cell with distinct read/write energies).  Reports
 group per-unit contributions into input layer (ADC + memory), conversion
@@ -11,8 +11,7 @@ group per-unit contributions into input layer (ADC + memory), conversion
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, field
 
 from .circuits import AppKind
 
@@ -43,10 +42,8 @@ DEFAULT_UNIT_COSTS: dict[str, UnitCost] = {
     "lfsr_10bit": UnitCost(194.0, 0.355),
     "comparator_10bit": UnitCost(96.0, 0.041),
     "dac_8bit": UnitCost(16_000.0, 64.0),
-    "counter_10bit": UnitCost(254.0, 0.179),
     "analog_cell": UnitCost(58.7, 10.0, write_energy_pJ=100.0),
     "asc": UnitCost(15.0, 0.030),
-    "sac_integrator": UnitCost(110.0, 0.010),
     "logic_robert": UnitCost(339.0, 0.440),
     "logic_median": UnitCost(5382.0, 4.090),
     "logic_frame": UnitCost(457.0, 0.413),
@@ -250,20 +247,10 @@ def energy_report(design: SystemDesign, profile: AppProfile, length: int,
 # cross-app aggregates
 
 
-def reduction_percent(new: float, base: float) -> float:
-    return 100.0 * (1.0 - new / base)
-
-
-def aggregate_reduction(new_reports: list[CostReport], base_reports: list[CostReport],
-                        mode: str = "mean_of_ratios") -> float:
-    """Percent reduction across apps, by mean of per-app ratios or by totals."""
-    if mode == "mean_of_ratios":
-        ratios = [n.total / b.total for n, b in zip(new_reports, base_reports)]
-        return 100.0 * (1.0 - sum(ratios) / len(ratios))
-    if mode == "sum_based":
-        return reduction_percent(sum(r.total for r in new_reports),
-                                 sum(r.total for r in base_reports))
-    raise ValueError(f"unknown averaging mode {mode!r}")
+def aggregate_reduction(new_reports: list[CostReport], base_reports: list[CostReport]) -> float:
+    """Percent reduction across apps: one minus the mean of per-app ratios."""
+    ratios = [n.total / b.total for n, b in zip(new_reports, base_reports)]
+    return 100.0 * (1.0 - sum(ratios) / len(ratios))
 
 
 def average_shares(reports: list[CostReport]) -> dict[str, float]:
@@ -272,47 +259,3 @@ def average_shares(reports: list[CostReport]) -> dict[str, float]:
         for g, v in share_breakdown(r).items():
             acc[g] += v
     return {g: v / len(reports) for g, v in acc.items()}
-
-
-# ---------------------------------------------------------------------------
-# registry/profile overrides from a flat key=value file
-
-
-def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfile]]:
-    """Parse unit and profile overrides.
-
-    Keys: ``unit.<name>.area_um2|energy_pJ|write_energy_pJ``, where <name> is
-    a key of DEFAULT_UNIT_COSTS, and
-    ``profile.<app>.n_streams|n_lfsr|mem_area_digital_um2|mem_area_analog_um2|n_operands``.
-    Unlisted fields keep their defaults.
-    """
-    units = dict(DEFAULT_UNIT_COSTS)
-    profiles = {app: default_profile(app) for app in AppKind}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        parts = key.split(".")
-        if len(parts) != 3 or parts[0] not in ("unit", "profile"):
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if parts[0] == "unit":
-            _, name, fld = parts
-            if name not in units:
-                raise ValueError(f"{path}:{lineno}: unknown unit {name!r}")
-            if fld in ("area_um2", "energy_pJ", "write_energy_pJ"):
-                units[name] = replace(units[name], **{fld: float(value)})
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown unit field {fld!r}")
-        else:
-            _, app_name, fld = parts
-            app = AppKind.from_name(app_name)
-            if fld in ("n_streams", "n_lfsr", "n_operands"):
-                profiles[app] = replace(profiles[app], **{fld: int(value)})
-            elif fld in ("mem_area_digital_um2", "mem_area_analog_um2"):
-                profiles[app] = replace(profiles[app], **{fld: float(value)})
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown profile field {fld!r}")
-    return units, profiles

@@ -38,7 +38,6 @@ tile nor block size nor buffer size changes any output bit.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -633,87 +632,3 @@ def calibrate_access(target_mtj_reduction: float = 45.7,
             best = (score, vals, red_ml, red_sm)
     _, vals, red_ml, red_sm = best
     return AccessMultipliers(*vals), red_ml, red_sm
-
-
-# ---------------------------------------------------------------------------
-# flat key=value config files
-
-_CONFIG_KEYS = (
-    "app", "design", "length", "seed", "write_sigma", "read_sigma", "theta",
-    "delta", "gamma_exponent", "bernstein_degree", "free_run", "input",
-    "frames_dir", "dims", "jobs", "input_seed", "mult_adc", "mult_write",
-    "mult_read", "mult_dac",
-)
-
-_BOOLEANS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
-             "on": True, "off": False}
-
-
-def parse_dims(spec: str) -> tuple[int, int]:
-    """Parse 'WxH' (e.g. 128x128) into a positive (width, height)."""
-    try:
-        w, h = (int(p) for p in spec.lower().split("x"))
-    except ValueError:
-        w = h = 0
-    if w < 1 or h < 1:
-        raise ValueError(f"dims must be WxH with positive integers, e.g. 128x128; got {spec!r}")
-    return w, h
-
-
-def load_config(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse a flat key=value config; STOCHMEM_SEED overrides the seed."""
-    cfg = base or ExperimentConfig()
-    noise = dict(write_sigma=cfg.noise.write_sigma, read_sigma=cfg.noise.read_sigma)
-    params = dict(theta=cfg.params.theta, delta=cfg.params.delta,
-                  gamma_exponent=cfg.params.gamma_exponent,
-                  bernstein_degree=cfg.params.bernstein_degree)
-    mult = cfg.multipliers.as_dict()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        if key == "app":
-            cfg = replace(cfg, app=AppKind.from_name(value))
-        elif key == "design":
-            cfg = replace(cfg, design=SystemDesign.from_name(value))
-        elif key == "length":
-            cfg = replace(cfg, length=int(value))
-        elif key == "seed":
-            cfg = replace(cfg, global_seed=int(value))
-        elif key == "input_seed":
-            cfg = replace(cfg, input_seed=int(value))
-        elif key == "jobs":
-            cfg = replace(cfg, jobs=int(value))
-        elif key == "input":
-            cfg = replace(cfg, input_path=value)
-        elif key == "frames_dir":
-            cfg = replace(cfg, frames_dir=value)
-        elif key == "free_run":
-            flag = _BOOLEANS.get(value.lower())
-            if flag is None:
-                raise ValueError(f"{path}:{lineno}: free_run must be one of "
-                                 f"{'/'.join(_BOOLEANS)}, got {value!r}")
-            cfg = replace(cfg, dsc_free_run=flag)
-        elif key == "dims":
-            cfg = replace(cfg, dims=parse_dims(value))
-        elif key in ("write_sigma", "read_sigma"):
-            noise[key] = float(value)
-        elif key.startswith("mult_"):
-            mult[key[5:]] = float(value)
-        else:
-            params[key] = int(value) if key == "bernstein_degree" else float(value)
-    cfg = replace(cfg, noise=NoiseModel(**noise), params=AppParams(**params),
-                  multipliers=AccessMultipliers(**mult))
-    return apply_env_overrides(cfg)
-
-
-def apply_env_overrides(cfg: ExperimentConfig) -> ExperimentConfig:
-    seed = os.environ.get("STOCHMEM_SEED")
-    if seed is not None:
-        cfg = replace(cfg, global_seed=int(seed))
-    return cfg

@@ -110,6 +110,3 @@ class LfsrCycle:
         """(n, count) matrix of emitted values, row i starting at ring position i."""
         idx = (start_positions.astype(np.int64)[:, None] + np.arange(count, dtype=np.int64)) % self.spec.period
         return self.ring[idx]
-
-    def positions_for_states(self, states: np.ndarray) -> np.ndarray:
-        return self.position[states]

@@ -102,10 +102,6 @@ class RandomSource:
         b = self.next_u64()
         return float(_boxmuller(np.uint64(a), np.uint64(b))) * sigma
 
-    def gauss_block(self, n: int, sigma: float = 1.0) -> np.ndarray:
-        raw = self.u64_block(2 * n)
-        return _boxmuller(raw[0::2], raw[1::2]) * sigma
-
     def bernoulli_bits(self, p: float, n: int) -> np.ndarray:
         """n independent Bernoulli(p) bits as a boolean array."""
         if not 0.0 <= p <= 1.0:

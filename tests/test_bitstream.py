@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochmem.bitstream import (Bitstream, Encoding, estimate_value, get_bit,
-                                pack_bits, pack_bool_matrix, popcount_rows,
-                                set_bit, unpack_bits, words_for)
+from stochmem.bitstream import (Bitstream, estimate_value, pack_bits, pack_bool_matrix,
+                                popcount_rows, unpack_bits, words_for)
 
 
 def test_all_ones_unipolar():
@@ -16,13 +15,6 @@ def test_half_ones_unipolar():
     bits = np.zeros(1024, dtype=np.uint8)
     bits[:512] = 1
     assert estimate_value(Bitstream.from_bits(bits)) == 0.5
-
-
-def test_bipolar_decode():
-    bits = np.zeros(1024, dtype=np.uint8)
-    bits[:768] = 1
-    bs = Bitstream.from_bits(bits, Encoding.BIPOLAR)
-    assert estimate_value(bs) == pytest.approx(0.5)
 
 
 def test_length_bounds():
@@ -44,16 +36,6 @@ def test_pack_unpack_roundtrip(bits):
     assert unpack_bits(packed, len(bits)).tolist() == bits
 
 
-@given(st.lists(st.integers(0, 1), min_size=1, max_size=200), st.data())
-def test_set_get_bit_identity(bits, data):
-    words = np.zeros(words_for(len(bits)), dtype=np.uint64)
-    for i, b in enumerate(bits):
-        set_bit(words, i, b)
-    idx = data.draw(st.integers(0, len(bits) - 1))
-    assert get_bit(words, idx) == bits[idx]
-    assert unpack_bits(words, len(bits)).tolist() == bits
-
-
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
 @settings(max_examples=50)
 def test_estimate_matches_popcount_exactly(bits):
@@ -64,15 +46,6 @@ def test_estimate_matches_popcount_exactly(bits):
     assert abs(est * bs.length - bs.ones_count) < 1e-6
 
 
-def test_serialization_roundtrip():
-    rng = np.random.default_rng(7)
-    bits = (rng.random(777) < 0.3).astype(np.uint8)
-    bs = Bitstream.from_bits(bits)
-    again = Bitstream.from_bytes(bs.to_bytes())
-    assert again.length == bs.length
-    assert np.array_equal(again.words, bs.words)
-
-
 def test_pack_bool_matrix_and_popcount_rows():
     rng = np.random.default_rng(3)
     mat = rng.random((5, 130)) < 0.4
@@ -80,10 +53,3 @@ def test_pack_bool_matrix_and_popcount_rows():
     assert packed.shape == (5, words_for(130))
     counts = popcount_rows(packed)
     assert counts.tolist() == mat.sum(axis=1).tolist()
-
-
-def test_bit_accessor_bounds():
-    bs = Bitstream.ones(10)
-    assert bs.bit(9) == 1
-    with pytest.raises(IndexError):
-        bs.bit(10)

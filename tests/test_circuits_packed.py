@@ -1,16 +1,18 @@
-"""The packed ``*_batch`` circuits agree with the scalar ``*_eval`` oracles.
+"""The packed ``*_batch`` circuits against per-bit references.
 
-Row i of every batch input is the word buffer of one random ``Bitstream``,
-so each batch row must equal the oracle run on those streams.
+Row i of every batch input is the word buffer of one random ``Bitstream``;
+each reference evaluates the circuit cycle by cycle on ``to_bits()``, so it
+shares no word expression with the batch circuit.  The ``*_eval`` forms are
+one-row calls of these circuits; ``gamma_eval`` is an independent per-bit
+oracle of its own.
 """
 
 import numpy as np
 import pytest
 
 from stochmem.bitstream import Bitstream, pack_bool_matrix
-from stochmem.circuits import (KDE_HISTORY, frame_batch, frame_diff_eval, gamma_batch_counts,
-                               gamma_eval, kde_batch, kde_eval, median_batch, median_eval,
-                               robert_batch, robert_eval)
+from stochmem.circuits import (KDE_HISTORY, frame_batch, gamma_batch_counts, gamma_eval,
+                               kde_batch, median_batch, robert_batch)
 
 LENGTHS = (1, 63, 64, 65, 200)
 ROWS = 6
@@ -35,13 +37,20 @@ def _rows(streams) -> np.ndarray:
     return np.stack([s.words for s in streams])
 
 
+def _bits(streams) -> np.ndarray:
+    """(rows, length) bool matrix of the streams' bits."""
+    return np.stack([s.to_bits() for s in streams]).astype(bool)
+
+
 @pytest.mark.parametrize("length", LENGTHS)
 def test_robert_batch(length):
     rng = np.random.default_rng(length)
     ins = [_streams(rng, length) for _ in range(5)]
     out = robert_batch(*(_rows(s) for s in ins))
-    for i in range(ROWS):
-        assert np.array_equal(out[i], robert_eval(*(s[i] for s in ins)).words)
+    b00, b01, b10, b11, sel = (_bits(s) for s in ins)
+    # per cycle the select picks one of the two cross differences
+    expected = np.where(sel, b00 != b11, b01 != b10)
+    assert np.array_equal(out, pack_bool_matrix(expected))
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -49,8 +58,9 @@ def test_median_batch(length):
     rng = np.random.default_rng(100 + length)
     ins = [_streams(rng, length) for _ in range(9)]
     out = median_batch([_rows(s) for s in ins])
-    for i in range(ROWS):
-        assert np.array_equal(out[i], median_eval([s[i] for s in ins]).words)
+    # the median of nine bits is one iff at least five are one
+    expected = np.stack([_bits(s) for s in ins]).sum(axis=0) >= 5
+    assert np.array_equal(out, pack_bool_matrix(expected))
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -61,7 +71,8 @@ def test_frame_batch(length, theta):
     prev = _flipped(rng, cur, np.linspace(0.0, 0.5, ROWS))
     out = frame_batch(_rows(cur), _rows(prev), theta, length)
     assert out.dtype == np.float64
-    assert out.tolist() == [frame_diff_eval(c, p, theta) for c, p in zip(cur, prev)]
+    differing = (_bits(cur) != _bits(prev)).sum(axis=1)
+    assert out.tolist() == [float(d > theta * length) for d in differing]
 
 
 @pytest.mark.parametrize("length", LENGTHS)
@@ -73,8 +84,9 @@ def test_kde_batch(length, delta, theta):
     scales = np.linspace(0.0, 4 * delta + 0.1, ROWS)
     hist = [_flipped(rng, cur, rng.random(ROWS) * scales) for _ in range(KDE_HISTORY)]
     out = kde_batch(_rows(cur), [_rows(h) for h in hist], delta, theta, length)
-    expected = [kde_eval(cur[i], [h[i] for h in hist], delta, theta) for i in range(ROWS)]
-    assert out.tolist() == expected
+    cur_bits = _bits(cur)
+    matches = sum((cur_bits != _bits(h)).sum(axis=1) <= delta * length for h in hist)
+    assert out.tolist() == [float(m / KDE_HISTORY < theta) for m in matches]
 
 
 def test_kde_batch_checks_history_size():

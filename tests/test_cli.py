@@ -1,9 +1,13 @@
 """The command-line front end: every subcommand on tiny inputs, and the
 documented exit codes (0 success, 1 domain error, 2 usage error)."""
 
+from unittest import mock
+
 import pytest
 
+from stochmem import cli
 from stochmem.cli import main
+from stochmem.memory import NoiseModel
 
 TINY = ["--dims", "6x5", "--seed", "3"]
 
@@ -27,6 +31,32 @@ def test_sweep_writes_one_row_per_run(tmp_path):
     assert main(["sweep", "--apps", "frame,gamma", "--designs", "all", "--lengths", "8,16",
                  "--seeds", "1", "--out", str(csv)] + TINY) == 0
     assert len(csv.read_text().splitlines()) == 1 + 2 * 3 * 2
+
+
+def test_run_takes_app_and_design_from_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("app = frame\ndesign = conv-mtj\nlength = 16\n")
+    assert main(["run", "--config", str(cfg)] + TINY) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("frame\tconv-mtj\t16\t3\t")
+
+
+def test_sweep_passes_the_config_file_jobs(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("jobs = 2\n")
+    with mock.patch.object(cli, "sweep", return_value=["header"]) as spy:
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
+    assert spy.call_args.kwargs["jobs"] == 2
+
+
+def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
+    cfg = tmp_path / "cal.cfg"
+    cfg.write_text("jobs = 2\ndims = 6x5\n")
+    with mock.patch.object(cli, "calibrate_noise",
+                           return_value=(NoiseModel(0.01, 0.01), 0.2)) as spy:
+        assert main(["calibrate", "--mode", "noise", "--config", str(cfg), "--seed", "4"]) == 0
+    template = spy.call_args.args[1]
+    assert (template.dims, template.global_seed) == ((6, 5), 4)
+    assert spy.call_args.kwargs["jobs"] == 2
 
 
 @pytest.mark.parametrize("flags,name", [
@@ -89,6 +119,7 @@ def test_cost_file_with_unknown_unit_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["run", "--design", "conv-lfsr"],
+    ["run", "--app", "robert"],
     ["sweep", "--apps", "robert"],
     ["calibrate", "--mode", "bogus"],
     [],

@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from stochmem.bitstream import Bitstream, estimate_value
 from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
-                                 dac_dequantize, dsc_generate, requantize,
-                                 sac_integrate, sdc_count)
+                                 dac_dequantize, dsc_generate, requantize)
 from stochmem.lfsr import LfsrSpec, LfsrState, lfsr_next, seed_state
 from stochmem.rng import RandomSource, SeedSpec, derive_generator
 
@@ -81,18 +80,20 @@ class TestDsc:
 
 
 class TestSdc:
+    """The counter readback of a stream is Bitstream.ones_count."""
+
     def test_counts_ones(self):
-        assert sdc_count(Bitstream.ones(1024)) == 1024
+        assert Bitstream.ones(1024).ones_count == 1024
 
     def test_alternating(self):
-        assert sdc_count(Bitstream.from_bits([0, 1] * 5)) == 5
+        assert Bitstream.from_bits([0, 1] * 5).ones_count == 5
 
     def test_matches_naive_loop_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(1000):
             bits = (rng.random(rng.integers(1, 200)) < rng.random()).astype(np.uint8)
             bs = Bitstream.from_bits(bits)
-            assert sdc_count(bs) == int(sum(int(b) for b in bits))
+            assert bs.ones_count == int(sum(int(b) for b in bits))
 
 
 class TestAsc:
@@ -117,23 +118,25 @@ class TestAsc:
 
 
 class TestSac:
+    """The integrator readback of a stream is estimate_value."""
+
     def test_all_ones(self):
-        assert sac_integrate(Bitstream.ones(64)) == 1.0
+        assert estimate_value(Bitstream.ones(64)) == 1.0
 
     def test_half(self):
         bits = np.zeros(1024, dtype=np.uint8)
         bits[::2] = 1
-        assert sac_integrate(Bitstream.from_bits(bits)) == 0.5
+        assert estimate_value(Bitstream.from_bits(bits)) == 0.5
 
     @pytest.mark.parametrize("code", [0, 17, 512, 1023])
     def test_sac_of_full_period_dsc_is_exact(self, code):
         bs = dsc_generate(code, 1023, seed_state(LfsrSpec(), 321))
-        assert sac_integrate(bs) == code / 1023
+        assert estimate_value(bs) == code / 1023
 
     def test_sdc_dsc_roundtrip_full_period(self):
         for code in (3, 99, 640):
             bs = dsc_generate(code, 1023, seed_state(LfsrSpec(), 9))
-            assert sdc_count(bs) == code
+            assert bs.ones_count == code
 
 
 def test_asc_unbiasedness_bound():

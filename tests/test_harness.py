@@ -13,7 +13,8 @@ from stochmem.circuits import (KDE_HISTORY, AppKind, fit_bernstein, frame_diff_e
 from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
                                  dac_dequantize, dsc_generate, requantize)
 from stochmem.costs import SystemDesign
-from stochmem.harness import ExperimentConfig, load_config, resolve_inputs, run_experiment, sweep
+from stochmem.config import load_config
+from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.lfsr import LfsrSpec, seed_state
 from stochmem.memory import MemoryInstance, mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state

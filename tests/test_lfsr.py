@@ -66,7 +66,7 @@ def test_cycle_matches_stepwise_walk():
     cycle = LfsrCycle.for_spec(spec)
     start = 321
     vals, _ = _walk(spec, start, 50)
-    pos = cycle.positions_for_states(np.array([start]))
+    pos = cycle.position[np.array([start])]
     block = cycle.sequence_block(pos.astype(np.int64), 50)[0]
     assert block.tolist() == vals
 
@@ -75,6 +75,6 @@ def test_cycle_wraps_past_full_period():
     spec = LfsrSpec(4, frozenset({4, 3}))
     cycle = LfsrCycle.for_spec(spec)
     vals, _ = _walk(spec, 9, 40)
-    pos = cycle.positions_for_states(np.array([9]))
+    pos = cycle.position[np.array([9])]
     block = cycle.sequence_block(pos.astype(np.int64), 40)[0]
     assert block.tolist() == vals

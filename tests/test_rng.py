@@ -99,14 +99,6 @@ def test_mix64_scalar_vs_array():
     assert arr.tolist() == [mix64(v) for v in vals]
 
 
-def test_gauss_block_matches_scalar_gauss():
-    a = RandomSource(77)
-    b = RandomSource(77)
-    blk = a.gauss_block(8, sigma=0.25)
-    singles = [b.gauss(0.25) for _ in range(8)]
-    assert np.allclose(blk, singles, rtol=0, atol=0)
-
-
 def test_gauss_from_states_matches_sources():
     states = derive_state_grid(3, np.arange(6, dtype=np.uint64),
                                np.zeros(6, dtype=np.uint64), 9)
@@ -116,8 +108,9 @@ def test_gauss_from_states_matches_sources():
 
 
 def test_gauss_moments():
-    src = RandomSource(2024)
-    draws = src.gauss_block(200_000)
+    states = derive_state_grid(2024, np.arange(200_000, dtype=np.uint64),
+                               np.zeros(200_000, dtype=np.uint64), 0)
+    draws = gauss_from_states(states, 1.0)
     assert abs(draws.mean()) < 0.01
     assert abs(draws.std() - 1.0) < 0.01
 
