@@ -4,8 +4,7 @@ from .bitstream import Bitstream, estimate_value
 from .circuits import (AppInputs, AppKind, AppParams, BernsteinPoly, fit_bernstein,
                        frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
                        robert_eval)
-from .converters import (QuantizerConfig, adc_quantize, asc_generate,
-                         dac_dequantize, dsc_generate, requantize)
+from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate, requantize
 from .costs import (AccessCounts, AccessMultipliers, AppProfile, CostReport,
                     SystemDesign, UnitCost, area_report, default_profile,
                     energy_report, share_breakdown)
@@ -13,8 +12,7 @@ from .harness import (ExperimentConfig, ExperimentReport, calibrate_access,
                       calibrate_noise, run_experiment, sweep)
 from .images import ImageGray, error_metric, load_pgm, save_pgm
 from .lfsr import LfsrSpec, LfsrState, lfsr_next
-from .memory import (MemoryInstance, MemoryKind, NoiseModel, mem_read,
-                     mem_read_block, mem_write, mem_write_block)
+from .memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
 from .rng import RandomSource, SeedSpec, derive_generator
 from .synth import gen_test_inputs
 

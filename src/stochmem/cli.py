@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 domain error, 2 usage error.  Tables on stdout are
 tab-separated for scripting.
 
 run, sweep and calibrate take one flag per row of config.FIELDS, except the
-fields the command sets itself.  Precedence, lowest first: defaults, the
---config file, the flags given, then STOCHMEM_SEED for the seed.
+fields the command sets itself (_OWN_KEYS); a --config file that sets one of
+those is an error.  Precedence, lowest first: defaults, the --config file,
+the flags given, then STOCHMEM_SEED for the seed.
 """
 
 from __future__ import annotations
@@ -17,13 +18,26 @@ from pathlib import Path
 
 from .circuits import AppKind, fit_bernstein
 from .config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, parse_bool,
-                     parse_dims, read_values, resolve_config)
+                     parse_dims, read_pairs, read_values, resolve_config)
 from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
                       calibrate_access, calibrate_noise, report_csv_row, run_experiment,
                       sweep)
 from .images import save_pgm
 from .synth import gen_test_inputs
+
+
+# config keys a command sets itself, and what to use instead
+_OWN_KEYS = {
+    "sweep": {"app": "use --apps", "design": "use --designs", "length": "use --lengths"},
+    "calibrate": {
+        "app": "noise calibration runs every app",
+        "design": "noise calibration runs conv-mtj and stochmem",
+        "length": "noise calibration runs at length 1024",
+        "write_sigma": "it is the calibrated value; use --target-gap",
+        "read_sigma": "it is the calibrated value; use --target-gap",
+    },
+}
 
 
 def _fmt(x: float) -> str:
@@ -44,7 +58,13 @@ def _parse_designs(spec: str) -> list[SystemDesign]:
 
 def _config_from_args(args, need=()) -> ExperimentConfig:
     """Defaults, then the --config file, then the flags given, then
-    STOCHMEM_SEED; the file or a flag must set each key in ``need``."""
+    STOCHMEM_SEED; the file or a flag must set each key in ``need``, and the
+    file may set no key the command sets itself."""
+    own = _OWN_KEYS.get(args.command, {})
+    if args.config:
+        for where, key, _ in read_pairs(args.config):
+            if key in own:
+                raise ValueError(f"{where}: {args.command} sets {key} itself; {own[key]}")
     values = read_values(args.config) if args.config else {}
     for f in FIELDS:
         if getattr(args, f.key, None) is not None:
@@ -83,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seeds", type=int, default=DEFAULT_SEEDS,
                          help="runs per configuration (seed = base + index)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    _add_config_flags(p_sweep, skip=("app", "design", "length"))
+    _add_config_flags(p_sweep, skip=_OWN_KEYS["sweep"])
 
     p_cost = sub.add_parser("cost", help="print area and energy tables")
     p_cost.add_argument("--app", default="all", help="application or 'all'")
@@ -106,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accuracy gap target in percentage points (noise mode)")
     p_cal.add_argument("--tol", type=float, default=0.05, help="gap tolerance (noise mode)")
     p_cal.add_argument("--runs", type=int, default=5, help="seeds per evaluation (noise mode)")
-    _add_config_flags(p_cal, skip=("app", "design", "length", "write_sigma", "read_sigma"))
+    _add_config_flags(p_cal, skip=_OWN_KEYS["calibrate"])
     return ap
 
 

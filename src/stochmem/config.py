@@ -151,12 +151,14 @@ def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfil
                 raise ValueError(f"{where}: unknown unit {name!r}")
             if fld not in _UNIT_FIELDS:
                 raise ValueError(f"{where}: unknown unit field {fld!r}")
-            units[name] = replace(units[name],
-                                  **{fld: parse_at(_UNIT_FIELDS[fld], value, f"{where}: {key}")})
+            units[name] = parse_at(
+                lambda v: replace(units[name], **{fld: _UNIT_FIELDS[fld](v)}),
+                value, f"{where}: {key}")
         else:
             app = parse_at(AppKind.from_name, name, where)
             if fld not in _PROFILE_FIELDS:
                 raise ValueError(f"{where}: unknown profile field {fld!r}")
-            profiles[app] = replace(profiles[app], **{
-                fld: parse_at(_PROFILE_FIELDS[fld], value, f"{where}: {key}")})
+            profiles[app] = parse_at(
+                lambda v: replace(profiles[app], **{fld: _PROFILE_FIELDS[fld](v)}),
+                value, f"{where}: {key}")
     return units, profiles

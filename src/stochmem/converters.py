@@ -1,15 +1,15 @@
 """Data converters between analog, digital, and stochastic representations.
 
-Analog values are floats on the normalized full scale [0, 1].  The ADC,
-DAC and requantizer take a scalar or an array and return the same shape.
+Analog values are floats on the normalized full scale [0, 1].  The widths
+are fixed: the ADC makes ADC_BITS codes, the requantizer re-expresses them
+at DAC_BITS, and the DAC reads DAC_BITS codes.  Each takes a scalar or an
+array and returns the same shape.
 The comparator-based digital-to-stochastic converter (DSC) emits a one
 when the LFSR value is <= the stored code, so code 2^width-1 saturates
 the stream and a full-period run carries exactly ``code`` ones.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +19,8 @@ from .rng import RandomSource
 
 ADC_BITS = 10
 DAC_BITS = 8
-
-
-@dataclass(frozen=True)
-class QuantizerConfig:
-    bits: int = ADC_BITS
-
-    def __post_init__(self):
-        if not 1 <= self.bits <= 16:
-            raise ValueError(f"quantizer resolution must be 1..16 bits, got {self.bits}")
-
-    @property
-    def full_scale(self) -> int:
-        return (1 << self.bits) - 1
+_ADC_TOP = (1 << ADC_BITS) - 1
+_DAC_TOP = (1 << DAC_BITS) - 1
 
 
 def _check_range(x, top, what: str) -> None:
@@ -46,23 +35,23 @@ def _unwrap(a: np.ndarray):
     return a.item() if a.ndim == 0 else a
 
 
-def adc_quantize(x, cfg: QuantizerConfig = QuantizerConfig(ADC_BITS)):
-    """Round-half-up quantization of full-scale analog values (scalar or array)."""
+def adc_quantize(x):
+    """Round-half-up ADC_BITS quantization of full-scale analog values."""
     _check_range(x, 1, "ADC input")
-    return _unwrap(np.floor(np.asarray(x, dtype=np.float64) * cfg.full_scale + 0.5)
+    return _unwrap(np.floor(np.asarray(x, dtype=np.float64) * _ADC_TOP + 0.5)
                    .astype(np.int64))
 
 
-def dac_dequantize(code, cfg: QuantizerConfig = QuantizerConfig(DAC_BITS)):
-    _check_range(code, cfg.full_scale, f"{cfg.bits}-bit DAC code")
-    return _unwrap(np.asarray(code) / cfg.full_scale)
+def dac_dequantize(code):
+    """Full-scale value of DAC_BITS codes."""
+    _check_range(code, _DAC_TOP, f"{DAC_BITS}-bit DAC code")
+    return _unwrap(np.asarray(code) / _DAC_TOP)
 
 
-def requantize(code, src: QuantizerConfig = QuantizerConfig(ADC_BITS),
-               dst: QuantizerConfig = QuantizerConfig(DAC_BITS)):
-    """Re-express codes at a different resolution (round-half-up)."""
-    _check_range(code, src.full_scale, f"{src.bits}-bit code")
-    return _unwrap(np.floor(np.asarray(code) / src.full_scale * dst.full_scale + 0.5)
+def requantize(code):
+    """ADC codes re-expressed at the DAC width (round-half-up)."""
+    _check_range(code, _ADC_TOP, f"{ADC_BITS}-bit code")
+    return _unwrap(np.floor(np.asarray(code) / _ADC_TOP * _DAC_TOP + 0.5)
                    .astype(np.int64))
 
 

@@ -11,7 +11,7 @@ group per-unit contributions into input layer (ADC + memory), conversion
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuits import AppKind
 
@@ -75,10 +75,11 @@ class AppProfile:
     mem_area_digital_um2: float
     mem_area_analog_um2: float
     n_operands: int
-    logic_unit: str
 
-    def logic(self, costs: dict[str, UnitCost]) -> UnitCost:
-        return costs[self.logic_unit]
+    def __post_init__(self):
+        if min(self.n_streams, self.n_lfsr, self.mem_area_digital_um2,
+               self.mem_area_analog_um2, self.n_operands) < 0:
+            raise ValueError("profile counts and areas must be nonnegative")
 
 
 _PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
@@ -93,19 +94,18 @@ _PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
 
 def default_profile(app: AppKind) -> AppProfile:
     n_lfsr, n_streams, mem_d, mem_a = _PROFILE_TABLE[app]
-    return AppProfile(app, n_streams, n_lfsr, mem_d, mem_a,
-                      n_operands=n_streams, logic_unit=f"logic_{app.value}")
+    return AppProfile(app, n_streams, n_lfsr, mem_d, mem_a, n_operands=n_streams)
 
 
 @dataclass(frozen=True)
 class AccessMultipliers:
     """Global per-event amortization factors shared by every app.
 
-    The defaults were calibrated (scripts/calibrate_defaults.py) so that the
-    cross-app energy comparison lands on the published reductions: values
-    are converted and written roughly once per several uses while every use
-    pays a read.  All-ones multipliers give the literal one-event-per-use
-    accounting.
+    The defaults were calibrated (`stochmem calibrate --mode access`) so
+    that the cross-app energy comparison lands on the published reductions:
+    values are converted and written roughly once per several uses while
+    every use pays a read.  All-ones multipliers give the literal
+    one-event-per-use accounting.
     """
 
     adc: float = 0.15
@@ -155,7 +155,6 @@ class CostReport:
     design: SystemDesign
     app: AppKind
     entries: list[tuple[str, str, float]]   # (unit, group, value)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def group_totals(self) -> dict[str, float]:
@@ -180,7 +179,7 @@ def area_report(design: SystemDesign, profile: AppProfile,
                 costs: dict[str, UnitCost] | None = None) -> CostReport:
     c = costs or DEFAULT_UNIT_COSTS
     entries: list[tuple[str, str, float]] = []
-    logic = profile.logic(c)
+    logic = c[f"logic_{profile.app.value}"]
     if design is SystemDesign.CONV_LFSR:
         entries.append(("memory", GROUP_INPUT, profile.mem_area_digital_um2))
         entries.append(("adc", GROUP_INPUT, c["adc_10bit"].area_um2))
@@ -209,7 +208,7 @@ def energy_report(design: SystemDesign, profile: AppProfile, length: int,
     c = costs or DEFAULT_UNIT_COSTS
     if access is None:
         access = default_access(profile, design)
-    logic = profile.logic(c)
+    logic = c[f"logic_{profile.app.value}"]
     adc = access.adc_conversions * multipliers.adc
     dac = access.dac_conversions * multipliers.dac
     reads = access.mem_reads * multipliers.read
@@ -234,13 +233,7 @@ def energy_report(design: SystemDesign, profile: AppProfile, length: int,
         entries.append(("asc", GROUP_CONVERSION,
                         c["asc"].energy_pJ * profile.n_streams * length))
     entries.append(("logic", GROUP_LOGIC, logic.energy_pJ * length))
-    return CostReport("energy", design, profile.app, entries,
-                      metadata={"length": length,
-                                "access": {"adc": access.adc_conversions,
-                                           "dac": access.dac_conversions,
-                                           "reads": access.mem_reads,
-                                           "writes": access.mem_writes},
-                                "multipliers": multipliers.as_dict()})
+    return CostReport("energy", design, profile.app, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,19 @@ For each pixel the harness stores the operand values through the design's
 memory path, regenerates stochastic streams from the values read back, and
 evaluates the application circuit:
 
-* conv-lfsr: 10-bit ADC, digital memory, LFSR+comparator stream generation;
-* conv-mtj:  10-bit ADC, digital memory, 8-bit DAC, Bernoulli sampling;
+* conv-lfsr: 10-bit ADC, ideal SRAM, LFSR+comparator stream generation;
+* conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
 * stochmem:  analog memory with read/write discrepancy, Bernoulli sampling.
 
-Constant sources (the Roberts mux select, the gamma coefficients) skip the
-memory but pass through the same converters.  Each operand slot is written
-and read once per pixel, so the access counts fed to the energy model come
-from the stream plan, not from counters.
+The SRAM returns the ADC codes it stores, so the conv designs use the codes
+directly and only stochmem calls the memory model.  Constant sources (the
+Roberts mux select, the gamma coefficients) skip the memory but pass through
+the same converters.  Each operand slot is written and read once per pixel,
+so the access counts fed to the energy model come from the stream plan, not
+from counters.
+
+Every run grid (a run's row ranges, a sweep, a noise-gap evaluation) goes
+through _map, the one place that starts worker processes.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -55,13 +60,13 @@ from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
                     area_report, default_profile, energy_report, share_breakdown)
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
-from .memory import MemoryInstance, NoiseModel, mem_read_block, mem_write_block
+from .memory import NoiseModel, mem_read_block, mem_write_block
 from .rng import GOLDEN, SeedSpec, bernoulli_threshold_u64, derive_state, \
     derive_state_grid, uniform_block_from_states
 from .synth import INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy calibrated against the published accuracy gap at
-# length 1024; scripts/calibrate_defaults.py regenerates it.
+# length 1024; `stochmem calibrate --mode noise` regenerates it.
 DEFAULT_NOISE_SIGMA = 0.00625
 
 PAPER_LENGTHS = (128, 256, 512, 1024)
@@ -256,16 +261,17 @@ def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
     probability (ASC designs).  Operands go through the ADC (conv designs) and
     the design's memory; conv-mtj then requantizes once, in the DAC."""
     conv = cfg.design is not SystemDesign.STOCHMEM
-    mem = MemoryInstance.digital() if conv else MemoryInstance.analog(cfg.noise)
     read = []
     for slot in range(plan.n_slots):
         values = planes[slot, ys, xs]
         if conv:
-            read.append(mem_read_block(mem, mem_write_block(mem, adc_quantize(values))))
+            # the SRAM is ideal: it reads back the ADC codes written to it
+            read.append(adc_quantize(values))
         else:
             w_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_WRITE_NOISE + slot)
             r_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_READ_NOISE + slot)
-            read.append(mem_read_block(mem, mem_write_block(mem, values, w_states), r_states))
+            stored = mem_write_block(cfg.noise, values, w_states)
+            read.append(mem_read_block(cfg.noise, stored, r_states))
     # constants skip the memory but not the converters
     levels = [read[val] if kind == "op" else np.full(xs.size, adc_quantize(val) if conv else val)
               for kind, val in plan.sources]
@@ -423,6 +429,16 @@ def _run_rows_star(args):
     return _run_rows(*args)
 
 
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], over up to ``jobs`` worker processes."""
+    _check_jobs(jobs)
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
     t0 = time.perf_counter()
@@ -430,14 +446,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     height, width = inputs.image.height, inputs.image.width
     plan = _stream_plan(cfg.app, cfg.params)
 
-    if cfg.jobs == 1:
-        pixels = _run_rows(cfg, inputs, 0, height)
-    else:
-        bounds = np.linspace(0, height, cfg.jobs + 1).astype(int)
-        tasks = [(replace(cfg, jobs=1), inputs, int(lo), int(hi))
-                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            pixels = np.concatenate(list(pool.map(_run_rows_star, tasks)))
+    bounds = np.linspace(0, height, cfg.jobs + 1).astype(int)
+    tasks = [(replace(cfg, jobs=1), inputs, int(lo), int(hi))
+             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+    pixels = np.concatenate(_map(_run_rows_star, tasks, cfg.jobs))
 
     output = ImageGray(width, height, pixels.reshape(height, width))
     golden = golden_eval(cfg.app, inputs, cfg.params)
@@ -498,6 +510,22 @@ def _sweep_one(cfg: ExperimentConfig) -> tuple[tuple, str, float]:
     return key, report_csv_row(r), r.inaccuracy_percent
 
 
+def _run_grid(template: ExperimentConfig, apps, designs, lengths, n_seeds: int,
+              jobs: int) -> list[tuple[tuple, str, float]]:
+    """_sweep_one of every (app, design, length, seed) in that nesting order;
+    seeds are template.global_seed + run index."""
+    for name, chosen in (("apps", apps), ("designs", designs), ("lengths", lengths)):
+        if not chosen:
+            raise ValueError(f"a run grid needs at least one of {name}")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    cfgs = [replace(template, app=a, design=d, length=length,
+                    global_seed=template.global_seed + k, jobs=1)
+            for a in apps for d in designs for length in lengths
+            for k in range(n_seeds)]
+    return _map(_sweep_one, cfgs, jobs)
+
+
 def sweep(template: ExperimentConfig,
           apps: list[AppKind] | None = None,
           designs: list[SystemDesign] | None = None,
@@ -510,22 +538,8 @@ def sweep(template: ExperimentConfig,
     designs default to all."""
     apps = list(AppKind if apps is None else apps)
     designs = list(SystemDesign if designs is None else designs)
-    for name, chosen in (("apps", apps), ("designs", designs), ("lengths", lengths)):
-        if not chosen:
-            raise ValueError(f"sweep needs at least one of {name}")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
-    _check_jobs(jobs)
-    cfgs = [replace(template, app=a, design=d, length=length,
-                    global_seed=template.global_seed + k, jobs=1)
-            for a in apps for d in designs for length in lengths
-            for k in range(n_seeds)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_one, cfgs, chunksize=4))
-    else:
-        results = [_sweep_one(c) for c in cfgs]
-    results.sort(key=lambda kr: kr[0])
+    results = sorted(_run_grid(template, apps, designs, lengths, n_seeds, jobs),
+                     key=lambda kr: kr[0])
     lines = [",".join(CSV_COLUMNS)] + [row for _, row, _ in results]
     if out_csv is not None:
         Path(out_csv).write_text("\n".join(lines) + "\n")
@@ -540,26 +554,16 @@ def measure_noise_gap(sigma: float, template: ExperimentConfig,
                       n_seeds: int = 5, length: int = 1024,
                       jobs: int = 1) -> float:
     """Five-app average StochMem-minus-baseline inaccuracy gap in percentage
-    points; the baseline is the Bernoulli-sampling conv design so the gap
-    isolates the memory discrepancy."""
-    _check_jobs(jobs)
-    noise = NoiseModel(sigma, sigma)
-    gaps = []
-    for app in AppKind:
-        meds = {}
-        for design in (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM):
-            cfgs = [replace(template, app=app, design=design, length=length,
-                            noise=noise, global_seed=template.global_seed + k,
-                            jobs=1)
-                    for k in range(n_seeds)]
-            if jobs > 1:
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    inacc = [r.inaccuracy_percent for r in pool.map(run_experiment, cfgs)]
-            else:
-                inacc = [run_experiment(c).inaccuracy_percent for c in cfgs]
-            meds[design] = float(np.median(inacc))
-        gaps.append(meds[SystemDesign.STOCHMEM] - meds[SystemDesign.CONV_MTJ])
-    return float(np.mean(gaps))
+    points, each design's inaccuracy taken as its median over the seeds; the
+    baseline is the Bernoulli-sampling conv design so the gap isolates the
+    memory discrepancy."""
+    designs = (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)
+    results = _run_grid(replace(template, noise=NoiseModel(sigma, sigma)), list(AppKind),
+                        designs, (length,), n_seeds, jobs)
+    inaccuracy = np.array([r[2] for r in results]).reshape(len(AppKind), len(designs), n_seeds)
+    medians = np.median(inaccuracy, axis=2)
+    # columns follow ``designs``: stochmem minus conv-mtj, per app
+    return float(np.mean(medians[:, 1] - medians[:, 0]))
 
 
 def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = None,
@@ -568,7 +572,8 @@ def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = No
     """Bisect the shared read/write sigma until the measured gap matches."""
     if target_gap_pp < 0:
         raise ValueError("target gap must be nonnegative")
-    _check_jobs(jobs)
+    if tol_pp < 0:
+        raise ValueError(f"gap tolerance must be nonnegative, got {tol_pp}")
     template = template or ExperimentConfig()
     gap = lambda s: measure_noise_gap(s, template, n_seeds=n_seeds, jobs=jobs)
     g0 = gap(0.0)

@@ -70,6 +70,40 @@ def test_sweep_of_nothing_exits_1_without_a_file(tmp_path, capsys, flags, name):
     assert not csv.exists()
 
 
+@pytest.mark.parametrize("command,line,instead", [
+    ("sweep", "app = kde", "use --apps"),
+    ("sweep", "design = stochmem", "use --designs"),
+    ("sweep", "length = 77", "use --lengths"),
+    ("calibrate", "app = kde", "runs every app"),
+    ("calibrate", "length = 77", "runs at length 1024"),
+    ("calibrate", "write_sigma = 0.01", "use --target-gap"),
+    ("calibrate", "read_sigma = 0.01", "use --target-gap"),
+])
+def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, line, instead):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(f"dims = 6x5\n{line}\n")
+    csv = tmp_path / "sweep.csv"
+    argv = {"sweep": ["sweep", "--lengths", "8", "--seeds", "1", "--out", str(csv)],
+            "calibrate": ["calibrate", "--mode", "noise", "--runs", "1"]}[command]
+    with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
+        assert main(argv + ["--config", str(cfg)]) == 1
+    key = line.split(" =")[0]
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}:2: {command} sets {key} itself; ") and instead in err
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--runs", "0"], "n_seeds must be at least 1, got 0"),
+    (["--tol", "-0.05"], "tolerance must be nonnegative"),
+])
+def test_calibrate_noise_with_nothing_to_measure_exits_1(capsys, flags, message):
+    with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
+        assert main(["calibrate", "--mode", "noise"] + flags + TINY) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err.startswith("error: ") and message in err.err
+
+
 def test_cost_prints_area_and_energy_tables(capsys):
     assert main(["cost", "--app", "gamma", "--design", "stochmem"]) == 0
     out = capsys.readouterr().out

@@ -111,6 +111,11 @@ def test_file_errors_name_line_and_key(tmp_path):
     ("unit.adc_10bit.area_um2 = 4e4x", r"costs.txt:2: unit.adc_10bit.area_um2: could not convert"),
     ("profile.robert.n_lfsr = 2.5", r"costs.txt:2: profile.robert.n_lfsr: invalid literal"),
     ("profile.sobel.n_lfsr = 2", r"costs.txt:2: unknown application 'sobel'"),
+    ("profile.kde.n_streams = -40", r"costs.txt:2: profile.kde.n_streams: profile counts and "
+                                    r"areas must be nonnegative"),
+    ("profile.gamma.mem_area_analog_um2 = -1",
+     r"costs.txt:2: profile.gamma.mem_area_analog_um2: profile counts and areas"),
+    ("unit.asc.energy_pJ = -0.5", r"costs.txt:2: unit.asc.energy_pJ: unit costs must be"),
 ])
 def test_cost_file_value_errors_name_the_line(tmp_path, line, message):
     path = tmp_path / "costs.txt"

@@ -4,50 +4,49 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stochmem.bitstream import Bitstream, estimate_value
-from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
-                                 dac_dequantize, dsc_generate, requantize)
-from stochmem.lfsr import LfsrSpec, LfsrState, lfsr_next, seed_state
-from stochmem.rng import RandomSource, SeedSpec, derive_generator
-
-Q10 = QuantizerConfig(10)
-Q8 = QuantizerConfig(8)
+from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
+                                 requantize)
+from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
+from stochmem.rng import SeedSpec, derive_generator
 
 
 class TestQuantizers:
+    """The converter widths are fixed: a 10-bit ADC and an 8-bit DAC."""
+
     @pytest.mark.parametrize("x,code", [(1.0, 1023), (0.0, 0), (0.3, 307)])
     def test_adc_values(self, x, code):
-        assert adc_quantize(x, Q10) == code
-
-    def test_adc_dequantize_roundtrip_value(self):
-        assert dac_dequantize(307, Q10) == pytest.approx(0.300097751710655)
+        assert adc_quantize(x) == code
 
     @pytest.mark.parametrize("code,value", [(255, 1.0), (0, 0.0)])
     def test_dac_endpoints(self, code, value):
-        assert dac_dequantize(code, Q8) == value
+        assert dac_dequantize(code) == value
 
     def test_dac_midscale(self):
-        assert dac_dequantize(128, Q8) == pytest.approx(128 / 255)
+        assert dac_dequantize(128) == pytest.approx(128 / 255)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            adc_quantize(1.2, Q10)
+            adc_quantize(1.2)
         with pytest.raises(ValueError):
-            adc_quantize(-0.1, Q10)
-        with pytest.raises(ValueError):
-            dac_dequantize(256, Q8)
+            adc_quantize(-0.1)
+        with pytest.raises(ValueError, match="8-bit DAC code"):
+            dac_dequantize(256)
+        with pytest.raises(ValueError, match="10-bit code"):
+            requantize(1024)
 
-    @given(st.integers(0, 1023))
+    @given(st.integers(0, 255))
     def test_quantize_dequantize_identity_on_codes(self, code):
-        assert adc_quantize(dac_dequantize(code, Q10), Q10) == code
+        # an 8-bit level survives the 10-bit ADC and the requantizer
+        assert requantize(adc_quantize(dac_dequantize(code))) == code
 
     @given(st.floats(0.0, 1.0))
     def test_dequantize_quantize_half_step_bound(self, x):
-        back = dac_dequantize(adc_quantize(x, Q10), Q10)
-        assert abs(back - x) <= 0.5 / 1023 + 1e-12
+        back = dac_dequantize(requantize(adc_quantize(x)))
+        assert abs(back - x) <= 0.5 / 1023 + 0.5 / 255 + 1e-12
 
     @given(st.integers(0, 1023))
     def test_requantize_range(self, code):
-        c8 = requantize(code, Q10, Q8)
+        c8 = requantize(code)
         assert 0 <= c8 <= 255
 
 

@@ -10,13 +10,13 @@ from stochmem import harness
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, AppKind, fit_bernstein, frame_diff_eval,
                                gamma_eval, kde_eval, median_eval, robert_eval)
-from stochmem.converters import (QuantizerConfig, adc_quantize, asc_generate,
-                                 dac_dequantize, dsc_generate, requantize)
+from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
+                                 requantize)
 from stochmem.costs import SystemDesign
 from stochmem.config import load_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.lfsr import LfsrSpec, seed_state
-from stochmem.memory import MemoryInstance, mem_read, mem_write
+from stochmem.memory import mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
 
 
@@ -88,6 +88,37 @@ def test_sweep_rejects_empty_grids(tmp_path, kwargs, name):
     with pytest.raises(ValueError, match=name):
         sweep(ExperimentConfig(dims=(3, 2)), **{"lengths": (8,), **kwargs}, out_csv=out)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", ("measure_noise_gap", "calibrate_noise"))
+def test_noise_calibration_rejects_an_empty_seed_grid(entry):
+    tiny = ExperimentConfig(dims=(3, 2), length=8)
+    calls = {
+        "measure_noise_gap": lambda: harness.measure_noise_gap(0.0, tiny, n_seeds=0, length=8),
+        "calibrate_noise": lambda: harness.calibrate_noise(0.19, tiny, n_seeds=0),
+    }
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match="n_seeds must be at least 1, got 0"):
+            calls[entry]()
+
+
+def test_calibrate_noise_rejects_a_negative_tolerance():
+    # no gap is ever within a negative tolerance, so bisection could only run out
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match="tolerance must be nonnegative, got -0.01"):
+            harness.calibrate_noise(0.19, ExperimentConfig(dims=(3, 2)), tol_pp=-0.01)
+
+
+def test_run_grids_give_the_same_results_on_two_workers():
+    tiny = ExperimentConfig(dims=(3, 2), global_seed=5)
+    serial = sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=1)
+    assert sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=2) == serial
+    gap = harness.measure_noise_gap(0.01, tiny, n_seeds=3, length=40, jobs=1)
+    # one pool per noise-gap evaluation, not one per (app, design)
+    with mock.patch.object(harness, "ProcessPoolExecutor",
+                           wraps=harness.ProcessPoolExecutor) as pools:
+        assert harness.measure_noise_gap(0.01, tiny, n_seeds=3, length=40, jobs=2) == gap
+    assert pools.call_count == 1
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +206,6 @@ def test_tile_loop_restores_the_ufunc_buffer_when_a_draw_raises(monkeypatch):
 # differential test: the vectorized pipeline against a per-pixel composition
 # of the scalar converters, memory and circuit evaluators
 
-Q10 = QuantizerConfig(10)
-Q8 = QuantizerConfig(8)
 SEED = 7
 LENGTH = 97
 WIDTH, HEIGHT = 6, 5
@@ -224,19 +253,17 @@ def _state(x, y, stream_id):
 
 def _generator_input(design, value, x, y, slot):
     """Comparator code (conv-lfsr) or probability; slot None is a constant,
-    which skips the memory."""
+    which skips the memory.  The conv designs' SRAM is ideal, so a stored
+    code reads back unchanged."""
     if design is SystemDesign.STOCHMEM:
         if slot is None:
             return value
-        mem = MemoryInstance.analog(ExperimentConfig().noise)
-        stored = mem_write(mem, value, RandomSource(_state(x, y, WRITE_NOISE_ID + slot)))
-        return mem_read(mem, stored, RandomSource(_state(x, y, READ_NOISE_ID + slot)))
-    code = adc_quantize(value, Q10)
-    if slot is not None:
-        mem = MemoryInstance.digital()
-        code = mem_read(mem, mem_write(mem, code))
+        noise = ExperimentConfig().noise
+        stored = mem_write(noise, value, RandomSource(_state(x, y, WRITE_NOISE_ID + slot)))
+        return mem_read(noise, stored, RandomSource(_state(x, y, READ_NOISE_ID + slot)))
+    code = adc_quantize(value)
     if design is SystemDesign.CONV_MTJ:
-        return dac_dequantize(requantize(code, Q10, Q8), Q8)
+        return dac_dequantize(requantize(code))
     return code
 
 

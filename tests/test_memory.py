@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from stochmem.memory import (MemoryInstance, NoiseModel, mem_read,
-                             mem_read_block, mem_write, mem_write_block)
+from stochmem import harness
+from stochmem.circuits import AppKind
+from stochmem.costs import SystemDesign
+from stochmem.harness import ExperimentConfig
+from stochmem.memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
 from stochmem.rng import RandomSource, SeedSpec, derive_state, derive_state_grid
 
 
@@ -11,41 +14,42 @@ def _rng(k=0):
 
 
 def test_digital_roundtrip_exact_at_word_width():
-    mem = MemoryInstance.digital()
-    codes = np.array([0, 307, 512, 1023])
-    for code in codes:
-        assert mem_read(mem, mem_write(mem, int(code))) == code
-    assert np.array_equal(mem_read_block(mem, mem_write_block(mem, codes)), codes)
+    # the conv designs' SRAM is ideal: comparator levels are the 10-bit ADC codes
+    values = np.array([0.0, 0.3, 0.5, 1.0])
+    cfg = ExperimentConfig(app=AppKind.FRAME, design=SystemDesign.CONV_LFSR)
+    plan = harness._stream_plan(cfg.app, cfg.params)
+    planes = np.stack([values, values[::-1]])[:, None, :]
+    xs, ys = np.arange(4), np.zeros(4, dtype=np.int64)
+    levels = harness._stream_levels(cfg, plan, planes, xs, ys)
+    assert [lv.tolist() for lv in levels] == [[0, 307, 512, 1023], [1023, 512, 307, 0]]
 
 
 def test_zero_noise_analog_is_ideal():
-    mem = MemoryInstance.analog(NoiseModel(0.0, 0.0))
-    assert mem_read(mem, mem_write(mem, 0.3721, _rng()), _rng()) == 0.3721
+    noise = NoiseModel(0.0, 0.0)
+    assert mem_read(noise, mem_write(noise, 0.3721, _rng()), _rng()) == 0.3721
 
 
 def test_clamp_at_full_scale():
-    mem = MemoryInstance.analog(NoiseModel(0.2, 0.0))
+    noise = NoiseModel(0.2, 0.0)
     for i in range(64):
-        stored = mem_write(mem, 1.0, _rng(i))
-        assert mem_read(mem, stored, _rng(i + 1000)) <= 1.0
+        stored = mem_write(noise, 1.0, _rng(i))
+        assert mem_read(noise, stored, _rng(i + 1000)) <= 1.0
 
 
 def test_value_domain_error():
     with pytest.raises(ValueError):
-        mem_write(MemoryInstance.digital(), 1024)
+        mem_write(NoiseModel(), 1.5, _rng())
     with pytest.raises(ValueError):
-        mem_write(MemoryInstance.analog(NoiseModel()), 1.5, _rng())
-    with pytest.raises(ValueError):
-        mem_write_block(MemoryInstance.analog(NoiseModel()), np.array([0.5, -0.1]))
+        mem_write_block(NoiseModel(), np.array([0.5, -0.1]), np.zeros(2, dtype=np.uint64))
 
 
 def test_write_noise_moments():
     n = 100_000
-    mem = MemoryInstance.analog(NoiseModel(write_sigma=0.01))
+    noise = NoiseModel(write_sigma=0.01)
     xs = np.arange(n, dtype=np.uint64)
     zeros = np.zeros(n, dtype=np.uint64)
-    stored = mem_write_block(mem, np.full(n, 0.5), derive_state_grid(9, xs, zeros, 1))
-    got = mem_read_block(mem, stored, derive_state_grid(9, xs, zeros, 2))
+    stored = mem_write_block(noise, np.full(n, 0.5), derive_state_grid(9, xs, zeros, 1))
+    got = mem_read_block(noise, stored, derive_state_grid(9, xs, zeros, 2))
     # read noise is zero here, so stats reflect the write draw alone
     assert abs(got.mean() - 0.5) <= 0.05 * 0.01 + 1e-4
     assert abs(got.std() - 0.01) <= 0.05 * 0.01
@@ -54,11 +58,11 @@ def test_write_noise_moments():
 def test_folded_normal_read_write_error():
     n = 100_000
     sigma = 0.01
-    mem = MemoryInstance.analog(NoiseModel(sigma, sigma))
+    noise = NoiseModel(sigma, sigma)
     xs = np.arange(n, dtype=np.uint64)
     zeros = np.zeros(n, dtype=np.uint64)
-    stored = mem_write_block(mem, np.full(n, 0.5), derive_state_grid(3, xs, zeros, 1))
-    got = mem_read_block(mem, stored, derive_state_grid(3, xs, zeros, 2))
+    stored = mem_write_block(noise, np.full(n, 0.5), derive_state_grid(3, xs, zeros, 1))
+    got = mem_read_block(noise, stored, derive_state_grid(3, xs, zeros, 2))
     expected = sigma * np.sqrt(2.0) * np.sqrt(2.0 / np.pi)
     measured = np.abs(got - 0.5).mean()
     assert abs(measured - expected) <= 0.05 * expected
@@ -67,25 +71,25 @@ def test_folded_normal_read_write_error():
 def test_read_noise_independent_across_reads():
     n_trials, n_reads = 10_000, 8
     sigma = 0.02
-    mem = MemoryInstance.analog(NoiseModel(0.0, sigma))
-    stored = mem_write(mem, 0.5, _rng())
+    noise = NoiseModel(0.0, sigma)
+    stored = mem_write(noise, 0.5, _rng())
     xs = np.arange(n_trials * n_reads, dtype=np.uint64)
     states = derive_state_grid(4, xs, np.zeros_like(xs), 7)
-    reads = mem_read_block(mem, np.full(n_trials * n_reads, stored), states)
+    reads = mem_read_block(noise, np.full(n_trials * n_reads, stored), states)
     means = reads.reshape(n_trials, n_reads).mean(axis=1)
     var_of_mean = means.var()
     assert abs(var_of_mean - sigma**2 / n_reads) <= 0.10 * sigma**2 / n_reads
 
 
 def test_block_ops_match_scalar_ops():
-    mem = MemoryInstance.analog(NoiseModel(0.02, 0.015))
+    noise = NoiseModel(0.02, 0.015)
     xs = np.arange(16, dtype=np.uint64)
     zeros = np.zeros(16, dtype=np.uint64)
     w_states = derive_state_grid(21, xs, zeros, 1)
     r_states = derive_state_grid(21, xs, zeros, 2)
     values = np.linspace(0.05, 0.95, 16)
-    got_block = mem_read_block(mem, mem_write_block(mem, values, w_states), r_states)
-    got_scalar = [mem_read(mem, mem_write(mem, values[i], RandomSource(int(w_states[i]))),
+    got_block = mem_read_block(noise, mem_write_block(noise, values, w_states), r_states)
+    got_scalar = [mem_read(noise, mem_write(noise, values[i], RandomSource(int(w_states[i]))),
                            RandomSource(int(r_states[i])))
                   for i in range(16)]
     assert np.allclose(got_block, got_scalar, rtol=0, atol=0)

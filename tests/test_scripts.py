@@ -11,7 +11,7 @@ SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
 
 
 def test_scripts_are_found():
-    assert {"calibrate_defaults.py", "tile_buffer_table.py"} <= {p.name for p in SCRIPTS}
+    assert {"tile_buffer_table.py"} <= {p.name for p in SCRIPTS}
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
