@@ -1,7 +1,7 @@
 """Bit-accurate stochastic-computing simulator and hardware cost model."""
 
 from .bitstream import Bitstream, estimate_value
-from .circuits import (AppInputs, AppKind, AppParams, BernsteinPoly, fit_bernstein,
+from .circuits import (AppKind, AppParams, BernsteinPoly, fit_bernstein,
                        frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
                        robert_eval)
 from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate, requantize

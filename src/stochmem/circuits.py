@@ -3,8 +3,9 @@
 Correlation is part of each circuit's contract: streams fed to XOR (absolute
 difference) or to the AND/OR compare-exchange network (min/max) must share
 one generator, while mux selects and the power-function input replicas must
-be independent.  Every circuit has an exact floating-point golden evaluator
-defining its maximum-possible-accuracy output.
+be independent.  golden_eval gives each circuit's exact floating-point output,
+its maximum-possible accuracy, over the operand planes the streams encode, in
+the harness stream plan's slot order (OPERAND_SLOTS).
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class AppParams:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.bernstein_degree < 1:
             raise ValueError(f"bernstein_degree must be at least 1, got {self.bernstein_degree}")
-
-
-@dataclass(frozen=True)
-class AppInputs:
-    """Input planes for one run: image (current frame), and for the video
-    apps the previous frame or the history window."""
-
-    image: ImageGray
-    prev: ImageGray | None = None
-    history: tuple[ImageGray, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -285,60 +276,34 @@ def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: in
 
 
 # ---------------------------------------------------------------------------
-# golden (maximum-possible-accuracy) evaluators
+# golden (maximum-possible-accuracy) output
+
+# operand planes each app reads, in stream-plan slot order: robert the 2x2
+# window (p00, p01, p10, p11), median the 3x3 window row by row, frame the
+# current and previous frames, gamma the pixel, kde the current frame and then
+# the history
+OPERAND_SLOTS = {AppKind.ROBERT: 4, AppKind.MEDIAN: 9, AppKind.FRAME: 2, AppKind.GAMMA: 1,
+                 AppKind.KDE: 1 + KDE_HISTORY}
 
 
-def _pad_edge(data: np.ndarray, top: int, bottom: int, left: int, right: int) -> np.ndarray:
-    return np.pad(data, ((top, bottom), (left, right)), mode="edge")
-
-
-def golden_robert(img: ImageGray) -> ImageGray:
-    d = _pad_edge(img.data, 0, 1, 0, 1)
-    h, w = img.data.shape
-    p00, p01 = d[:h, :w], d[:h, 1:w + 1]
-    p10, p11 = d[1:h + 1, :w], d[1:h + 1, 1:w + 1]
-    z = 0.5 * (np.abs(p00 - p11) + np.abs(p01 - p10))
-    return ImageGray.from_array(z)
-
-
-def golden_median(img: ImageGray) -> ImageGray:
-    d = _pad_edge(img.data, 1, 1, 1, 1)
-    h, w = img.data.shape
-    stack = np.stack([d[1 + dy:1 + dy + h, 1 + dx:1 + dx + w]
-                      for dy in (-1, 0, 1) for dx in (-1, 0, 1)])
-    return ImageGray.from_array(np.median(stack, axis=0))
-
-
-def golden_frame(cur: ImageGray, prev: ImageGray, theta: float) -> ImageGray:
-    return ImageGray.from_array((np.abs(cur.data - prev.data) > theta).astype(np.float64))
-
-
-def golden_gamma(img: ImageGray, exponent: float) -> ImageGray:
-    return ImageGray.from_array(img.data ** exponent)
-
-
-def golden_kde(cur: ImageGray, history, delta: float, theta: float) -> ImageGray:
-    if len(history) != KDE_HISTORY:
-        raise ValueError(f"history must hold {KDE_HISTORY} frames, got {len(history)}")
-    matches = np.zeros_like(cur.data)
-    for h in history:
-        matches += np.abs(cur.data - h.data) <= delta
-    density = matches / len(history)
-    return ImageGray.from_array((density < theta).astype(np.float64))
-
-
-def golden_eval(app: AppKind, inputs: AppInputs, params: AppParams = AppParams()) -> ImageGray:
-    """Exact expected-output image for one application."""
+def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams()) -> ImageGray:
+    """Exact expected-output image of one application over its operand planes
+    (slot, y, x), the values its streams encode."""
+    if len(planes) != OPERAND_SLOTS[app]:
+        raise ValueError(f"{app.value} reads {OPERAND_SLOTS[app]} operand planes, "
+                         f"got {len(planes)}")
     if app is AppKind.ROBERT:
-        return golden_robert(inputs.image)
-    if app is AppKind.MEDIAN:
-        return golden_median(inputs.image)
-    if app is AppKind.FRAME:
-        if inputs.prev is None:
-            raise ValueError("frame difference needs a previous frame")
-        return golden_frame(inputs.image, inputs.prev, params.theta)
-    if app is AppKind.GAMMA:
-        return golden_gamma(inputs.image, params.gamma_exponent)
-    if app is AppKind.KDE:
-        return golden_kde(inputs.image, inputs.history, params.delta, params.theta)
-    raise ValueError(f"unknown app {app}")
+        p00, p01, p10, p11 = planes
+        out = 0.5 * (np.abs(p00 - p11) + np.abs(p01 - p10))
+    elif app is AppKind.MEDIAN:
+        out = np.median(planes, axis=0)
+    elif app is AppKind.FRAME:
+        out = (np.abs(planes[0] - planes[1]) > params.theta).astype(np.float64)
+    elif app is AppKind.GAMMA:
+        out = planes[0] ** params.gamma_exponent
+    else:
+        matches = np.zeros_like(planes[0])
+        for hist in planes[1:]:
+            matches += np.abs(planes[0] - hist) <= params.delta
+        out = (matches / KDE_HISTORY < params.theta).astype(np.float64)
+    return ImageGray.from_array(out)

@@ -7,7 +7,9 @@ tab-separated for scripting.
 run, sweep and calibrate take one flag per row of config.FIELDS, except the
 fields the command sets itself (_OWN_KEYS); a --config file that sets one of
 those is an error.  Precedence, lowest first: defaults, the --config file,
-the flags given, then STOCHMEM_SEED for the seed.
+the flags given, then STOCHMEM_SEED for the seed.  calibrate --mode access
+reads no run config, so it rejects --config, those flags and the noise-mode
+options.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ _OWN_KEYS = {
         "read_sigma": "it is the calibrated value; use --target-gap",
     },
 }
+
+# calibrate's noise-mode options: dest, flag, type, default, help
+_NOISE_OPTIONS = (
+    ("target_gap", "--target-gap", float, 0.19, "accuracy gap target in percentage points"),
+    ("tol", "--tol", float, 0.05, "gap tolerance"),
+    ("runs", "--runs", int, 5, "seeds per evaluation"),
+)
 
 
 def _fmt(x: float) -> str:
@@ -122,10 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="calibrate noise sigma or access multipliers")
     p_cal.add_argument("--mode", choices=("noise", "access"), default="noise")
-    p_cal.add_argument("--target-gap", dest="target_gap", type=float, default=0.19,
-                       help="accuracy gap target in percentage points (noise mode)")
-    p_cal.add_argument("--tol", type=float, default=0.05, help="gap tolerance (noise mode)")
-    p_cal.add_argument("--runs", type=int, default=5, help="seeds per evaluation (noise mode)")
+    for dest, flag, kind, default, text in _NOISE_OPTIONS:
+        p_cal.add_argument(flag, dest=dest, type=kind,
+                           help=f"{text} (noise mode; default {default})")
     _add_config_flags(p_cal, skip=_OWN_KEYS["calibrate"])
     return ap
 
@@ -209,6 +217,12 @@ def _cmd_gen_inputs(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     if args.mode == "access":
+        # access calibration is cost-model arithmetic over the default profiles
+        given = (["--config"] if args.config else []) + [
+            f.flag for f in FIELDS if getattr(args, f.key, None) is not None] + [
+            flag for dest, flag, *_ in _NOISE_OPTIONS if getattr(args, dest) is not None]
+        if given:
+            raise ValueError(f"calibrate --mode access takes no run options; got {given[0]}")
         mult, red_ml, red_sm = calibrate_access()
         print("multiplier\tvalue")
         for k, v in mult.as_dict().items():
@@ -217,8 +231,10 @@ def _cmd_calibrate(args) -> int:
         print(f"stochmem_vs_mtj_reduction_percent\t{red_sm:.2f}")
         return 0
     template = _config_from_args(args)
-    noise, gap = calibrate_noise(args.target_gap, template, tol_pp=args.tol,
-                                 n_seeds=args.runs, jobs=template.jobs)
+    opts = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, _, _, default, _ in _NOISE_OPTIONS}
+    noise, gap = calibrate_noise(opts["target_gap"], template, tol_pp=opts["tol"],
+                                 n_seeds=opts["runs"], jobs=template.jobs)
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
     return 0

@@ -1,8 +1,10 @@
 """End-to-end experiment runner.
 
-For each pixel the harness stores the operand values through the design's
-memory path, regenerates stochastic streams from the values read back, and
-evaluates the application circuit:
+resolve_inputs turns a run's input frames into its operand planes (slot, y, x),
+one plane per operand slot of the app's stream plan.  For each pixel the
+harness stores the operand values through the design's memory path,
+regenerates stochastic streams from the values read back, and evaluates the
+application circuit:
 
 * conv-lfsr: 10-bit ADC, ideal SRAM, LFSR+comparator stream generation;
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
@@ -11,9 +13,9 @@ evaluates the application circuit:
 The SRAM returns the ADC codes it stores, so the conv designs use the codes
 directly and only stochmem calls the memory model.  Constant sources (the
 Roberts mux select, the gamma coefficients) skip the memory but pass through
-the same converters.  Each operand slot is written and read once per pixel,
-so the access counts fed to the energy model come from the stream plan, not
-from counters.
+the same converters.  The golden output is circuits.golden_eval over the same
+planes.  Each operand slot is written and read once per pixel, so the access
+counts fed to the energy model are the plane count, not counters.
 
 Every run grid (a run's row ranges, a sweep, a noise-gap evaluation) goes
 through _map, the one place that starts worker processes.
@@ -54,7 +56,7 @@ import numpy as np
 from . import circuits
 from .bitstream import (MAX_LENGTH, Bitstream, pack_bool_matrix, popcount_rows, tail_mask,
                         words_for)
-from .circuits import AppInputs, AppKind, AppParams, fit_bernstein, golden_eval
+from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
                     area_report, default_profile, energy_report, share_breakdown)
@@ -145,35 +147,58 @@ class ExperimentReport:
 # inputs
 
 
+# synthetic input kind of each app, when no --frames or --input is given
+_SYNTHETIC_KIND = {AppKind.ROBERT: "scene", AppKind.GAMMA: "scene",
+                   AppKind.MEDIAN: "salt-pepper", AppKind.FRAME: "video", AppKind.KDE: "video"}
+
+# (dy, dx) of each operand slot of the windowed apps, row by row
+_WINDOWS = {AppKind.ROBERT: ((0, 0), (0, 1), (1, 0), (1, 1)),
+            AppKind.MEDIAN: tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))}
+
+
 @lru_cache(maxsize=16)
-def _default_inputs(app: AppKind, dims: tuple[int, int], seed: int) -> AppInputs:
-    if app is AppKind.ROBERT or app is AppKind.GAMMA:
-        return AppInputs(image=gen_test_inputs("scene", dims, seed))
-    if app is AppKind.MEDIAN:
-        return AppInputs(image=gen_test_inputs("salt-pepper", dims, seed))
-    video = gen_test_inputs("video", dims, seed)
-    if app is AppKind.FRAME:
-        return AppInputs(image=video[-1], prev=video[-2])
-    return AppInputs(image=video[-1], history=tuple(video[:circuits.KDE_HISTORY]))
+def _synthetic(kind: str, dims: tuple[int, int], seed: int) -> list[ImageGray]:
+    """Frames of one synthetic input kind, a single image as one frame."""
+    frames = gen_test_inputs(kind, dims, seed)
+    return frames if kind == "video" else [frames]
 
 
-def resolve_inputs(cfg: ExperimentConfig) -> AppInputs:
+def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
+    """Operand planes (slot, y, x) of cfg's app, the values its streams encode.
+
+    The frames come from --frames, else --input, else the synthetic set; the
+    last frame is the current one and the ones before it are the previous frame
+    (frame) or the history (kde).  Neighbourhoods are clamped to the image edge.
+    """
+    video = _SYNTHETIC_KIND[cfg.app] == "video"
+    need = circuits.OPERAND_SLOTS[cfg.app] if video else 1
     if cfg.frames_dir is not None:
-        frames = sorted(Path(cfg.frames_dir).glob("*.pgm"))
-        need = circuits.KDE_HISTORY + 1 if cfg.app is AppKind.KDE else 2
-        if len(frames) < need:
+        paths = sorted(Path(cfg.frames_dir).glob("*.pgm"))
+        if len(paths) < need:
             raise ValueError(f"{cfg.frames_dir}: need at least {need} frames, "
-                             f"found {len(frames)}")
-        imgs = [load_pgm(p) for p in frames]
-        if cfg.app is AppKind.KDE:
-            return AppInputs(image=imgs[circuits.KDE_HISTORY],
-                             history=tuple(imgs[:circuits.KDE_HISTORY]))
-        return AppInputs(image=imgs[-1], prev=imgs[-2])
-    if cfg.input_path is not None:
-        if cfg.app in (AppKind.FRAME, AppKind.KDE):
+                             f"found {len(paths)}")
+        frames = [load_pgm(p) for p in paths[-need:]]
+    elif cfg.input_path is not None:
+        if video:
             raise ValueError(f"{cfg.app.value} needs --frames, not a single image")
-        return AppInputs(image=load_pgm(cfg.input_path))
-    return _default_inputs(cfg.app, cfg.dims, cfg.input_seed)
+        frames = [load_pgm(cfg.input_path)]
+    else:
+        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims, cfg.input_seed)
+    img = frames[-1].data
+    if cfg.app in _WINDOWS:
+        return np.stack([_shift_plane(img, dy, dx) for dy, dx in _WINDOWS[cfg.app]])
+    # gamma: the pixel; frame: current, previous; kde: current, then the
+    # history oldest first
+    return np.stack([img] + [f.data for f in frames[-need:-1]])
+
+
+def _shift_plane(data: np.ndarray, dy: int, dx: int) -> np.ndarray:
+    """Neighbor plane with clamp-to-edge borders."""
+    h, w = data.shape
+    pad = np.pad(data, ((max(0, -dy), max(0, dy)), (max(0, -dx), max(0, dx))), mode="edge")
+    y0 = max(0, -dy) + dy
+    x0 = max(0, -dx) + dx
+    return pad[y0:y0 + h, x0:x0 + w]
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +207,11 @@ def resolve_inputs(cfg: ExperimentConfig) -> AppInputs:
 
 @dataclass(frozen=True)
 class _StreamPlan:
-    sources: tuple            # ("op", slot) or ("const", value)
+    # a source is ("op", slot), the operand plane at index slot of
+    # resolve_inputs, or ("const", value); sources that must be correlated
+    # share a group
+    sources: tuple
     groups: tuple[int, ...]
-    n_slots: int
 
 
 @lru_cache(maxsize=8)
@@ -197,11 +224,7 @@ def _stream_plan(app: AppKind, params: AppParams) -> _StreamPlan:
     if app is AppKind.ROBERT:
         # cross pairs (p00, p11) and (p01, p10) are correlated; select is not
         return _StreamPlan((("op", 0), ("op", 1), ("op", 2), ("op", 3), ("const", 0.5)),
-                           (0, 1, 1, 0, _GROUP_SELECT), 4)
-    if app is AppKind.MEDIAN:
-        return _StreamPlan(tuple(("op", j) for j in range(9)), (0,) * 9, 9)
-    if app is AppKind.FRAME:
-        return _StreamPlan((("op", 0), ("op", 1)), (0, 0), 2)
+                           (0, 1, 1, 0, _GROUP_SELECT))
     if app is AppKind.GAMMA:
         # the x replicas must be mutually independent; the coefficient
         # streams may share one generator because each cycle samples
@@ -211,34 +234,10 @@ def _stream_plan(app: AppKind, params: AppParams) -> _StreamPlan:
         sources = tuple(("op", 0) for _ in range(deg))
         sources += tuple(("const", c) for c in poly.coeffs)
         groups = tuple(range(deg)) + (_GROUP_COEFF_BASE,) * (deg + 1)
-        return _StreamPlan(sources, groups, 1)
-    n_hist = circuits.KDE_HISTORY
-    return _StreamPlan(tuple(("op", j) for j in range(1 + n_hist)),
-                       (0,) * (1 + n_hist), 1 + n_hist)
-
-
-def _shift_plane(data: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Neighbor plane with clamp-to-edge borders."""
-    h, w = data.shape
-    pad = np.pad(data, ((max(0, -dy), max(0, dy)), (max(0, -dx), max(0, dx))), mode="edge")
-    y0 = max(0, -dy) + dy
-    x0 = max(0, -dx) + dx
-    return pad[y0:y0 + h, x0:x0 + w]
-
-
-def _operand_planes(app: AppKind, inputs: AppInputs) -> np.ndarray:
-    img = inputs.image.data
-    if app is AppKind.ROBERT:
-        offs = ((0, 0), (0, 1), (1, 0), (1, 1))
-        return np.stack([_shift_plane(img, dy, dx) for dy, dx in offs])
-    if app is AppKind.MEDIAN:
-        offs = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
-        return np.stack([_shift_plane(img, dy, dx) for dy, dx in offs])
-    if app is AppKind.FRAME:
-        return np.stack([img, inputs.prev.data])
-    if app is AppKind.GAMMA:
-        return img[None, :, :]
-    return np.stack([img] + [h.data for h in inputs.history])
+        return _StreamPlan(sources, groups)
+    # median, frame and kde compare operands with each other: one generator
+    n = circuits.OPERAND_SLOTS[app]
+    return _StreamPlan(tuple(("op", j) for j in range(n)), (0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +261,7 @@ def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
     the design's memory; conv-mtj then requantizes once, in the DAC."""
     conv = cfg.design is not SystemDesign.STOCHMEM
     read = []
-    for slot in range(plan.n_slots):
+    for slot in range(len(planes)):
         values = planes[slot, ys, xs]
         if conv:
             # the SRAM is ideal: it reads back the ADC codes written to it
@@ -412,10 +411,10 @@ def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray
                               length)
 
 
-def _run_rows(cfg: ExperimentConfig, inputs: AppInputs, row_lo: int, row_hi: int) -> np.ndarray:
+def _run_rows(cfg: ExperimentConfig, planes: np.ndarray, row_lo: int,
+              row_hi: int) -> np.ndarray:
     """Output pixels of a contiguous row range, evaluated in pixel blocks."""
     plan = _stream_plan(cfg.app, cfg.params)
-    planes = _operand_planes(cfg.app, inputs)
     width = planes.shape[2]
     table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
     first = row_lo * width
@@ -442,26 +441,25 @@ def _map(fn, items: list, jobs: int) -> list:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
     t0 = time.perf_counter()
-    inputs = resolve_inputs(cfg)
-    height, width = inputs.image.height, inputs.image.width
-    plan = _stream_plan(cfg.app, cfg.params)
+    planes = resolve_inputs(cfg)
+    n_planes, height, width = planes.shape
 
     bounds = np.linspace(0, height, cfg.jobs + 1).astype(int)
-    tasks = [(replace(cfg, jobs=1), inputs, int(lo), int(hi))
+    tasks = [(replace(cfg, jobs=1), planes, int(lo), int(hi))
              for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
     pixels = np.concatenate(_map(_run_rows_star, tasks, cfg.jobs))
 
     output = ImageGray(width, height, pixels.reshape(height, width))
-    golden = golden_eval(cfg.app, inputs, cfg.params)
+    golden = golden_eval(cfg.app, planes, cfg.params)
     inaccuracy = error_metric(output, golden)
 
     profile = default_profile(cfg.app)
     conv = cfg.design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ)
     access = AccessCounts(
-        adc_conversions=plan.n_slots if conv else 0,
-        dac_conversions=plan.n_slots if cfg.design is SystemDesign.CONV_MTJ else 0,
-        mem_reads=plan.n_slots,
-        mem_writes=plan.n_slots,
+        adc_conversions=n_planes if conv else 0,
+        dac_conversions=n_planes if cfg.design is SystemDesign.CONV_MTJ else 0,
+        mem_reads=n_planes,
+        mem_writes=n_planes,
     )
     report = ExperimentReport(
         app=cfg.app, design=cfg.design, length=cfg.length, seed=cfg.global_seed,

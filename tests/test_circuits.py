@@ -6,15 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmem.bitstream import Bitstream, estimate_value
-from stochmem.circuits import (AppInputs, AppKind, AppParams, BernsteinPoly,
-                               MEDIAN9_PAIRS, bernstein_basis,
-                               fit_bernstein, frame_diff_eval, gamma_eval,
-                               golden_eval, golden_frame,
-                               golden_gamma, golden_kde, golden_median,
-                               golden_robert, kde_eval, median9_reference,
-                               median_eval, robert_eval)
+from stochmem.circuits import (AppKind, AppParams, BernsteinPoly, MEDIAN9_PAIRS,
+                               bernstein_basis, fit_bernstein, frame_diff_eval, gamma_eval,
+                               golden_eval, kde_eval, median9_reference, median_eval,
+                               robert_eval)
 from stochmem.converters import dsc_generate
-from stochmem.images import ImageGray
 from stochmem.lfsr import LfsrSpec, seed_state
 from stochmem.rng import SeedSpec, derive_generator
 
@@ -308,37 +304,40 @@ class TestKde:
 
 class TestGolden:
     def test_robert_flat_image_zero(self):
-        img = ImageGray.from_array(np.full((16, 16), 0.4))
-        assert golden_robert(img).data.max() == 0.0
+        planes = np.full((4, 16, 16), 0.4)
+        assert golden_eval(AppKind.ROBERT, planes).data.max() == 0.0
 
     def test_gamma_power_values(self):
-        img = ImageGray.from_array(np.array([[0.25]]))
-        assert golden_gamma(img, 0.45).data[0, 0] == pytest.approx(0.25 ** 0.45)
+        planes = np.array([[[0.25]]])
+        out = golden_eval(AppKind.GAMMA, planes, AppParams(gamma_exponent=0.45))
+        assert out.data[0, 0] == pytest.approx(0.25 ** 0.45)
         assert 0.25 ** 0.45 == pytest.approx(0.5359, abs=1e-4)
 
     def test_median_order_statistic(self):
-        data = np.array([[0.2, 0.2, 0.2],
-                         [0.2, 0.2, 0.9],
-                         [0.9, 0.9, 0.9]])
-        out = golden_median(ImageGray.from_array(data))
-        assert out.data[1, 1] == 0.2
+        window = np.array([[0.2, 0.2, 0.2],
+                           [0.2, 0.2, 0.9],
+                           [0.9, 0.9, 0.9]])
+        out = golden_eval(AppKind.MEDIAN, window.reshape(9, 1, 1))
+        assert out.data[0, 0] == 0.2
 
     def test_frame_threshold(self):
-        cur = ImageGray.from_array(np.array([[0.9, 0.5]]))
-        prev = ImageGray.from_array(np.array([[0.4, 0.45]]))
-        out = golden_frame(cur, prev, theta=0.1)
+        planes = np.array([[[0.9, 0.5]],
+                           [[0.4, 0.45]]])
+        out = golden_eval(AppKind.FRAME, planes, AppParams(theta=0.1))
         assert out.data.tolist() == [[1.0, 0.0]]
 
     def test_kde_density(self):
-        cur = ImageGray.from_array(np.array([[0.9]]))
-        hist = tuple(ImageGray.from_array(np.array([[0.1]])) for _ in range(32))
-        out = golden_kde(cur, hist, delta=0.1, theta=0.5)
+        planes = np.array([0.9] + [0.1] * 32).reshape(33, 1, 1)
+        out = golden_eval(AppKind.KDE, planes, AppParams(delta=0.1, theta=0.5))
         assert out.data[0, 0] == 1.0
 
     def test_dispatcher_validates(self):
-        img = ImageGray.from_array(np.full((4, 4), 0.5))
-        with pytest.raises(ValueError):
-            golden_eval(AppKind.FRAME, AppInputs(image=img), AppParams())
+        # one plane short of what each app reads
+        for app, count in ((AppKind.ROBERT, 3), (AppKind.MEDIAN, 8), (AppKind.FRAME, 1),
+                           (AppKind.GAMMA, 0), (AppKind.KDE, 32)):
+            with pytest.raises(ValueError, match=f"{app.value} reads {count + 1} operand "
+                                                 f"planes, got {count}"):
+                golden_eval(app, np.full((count, 4, 4), 0.5), AppParams())
 
 
 class TestAppParams:

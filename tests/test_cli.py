@@ -56,7 +56,8 @@ def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
         assert main(["calibrate", "--mode", "noise", "--config", str(cfg), "--seed", "4"]) == 0
     template = spy.call_args.args[1]
     assert (template.dims, template.global_seed) == ((6, 5), 4)
-    assert spy.call_args.kwargs["jobs"] == 2
+    assert spy.call_args.args[0] == 0.19
+    assert spy.call_args.kwargs == {"tol_pp": 0.05, "n_seeds": 5, "jobs": 2}
 
 
 @pytest.mark.parametrize("flags,name", [
@@ -128,6 +129,25 @@ def test_calibrate_access_reproduces_paper_reductions(capsys):
     out = capsys.readouterr().out
     assert "mtj_vs_lfsr_reduction_percent\t45.75" in out
     assert "stochmem_vs_mtj_reduction_percent\t11.10" in out
+
+
+def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length = 5\nmult_adc = 0.9\n")
+    argv = ["calibrate", "--mode", "access", "--config", str(cfg), "--mult-dac", "0.3",
+            "--runs", "0", "--tol", "-1"]
+    assert main(argv) == 1
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == ("error: calibrate --mode access takes no run "
+                                         "options; got --config\n")
+
+
+@pytest.mark.parametrize("flags", (["--mult-dac", "0.3"], ["--seed", "2"], ["--dims", "6x5"],
+                                   ["--free-run"], ["--target-gap", "0.19"], ["--tol", "0.05"],
+                                   ["--runs", "5"]))
+def test_calibrate_access_names_each_ignored_option(capsys, flags):
+    assert main(["calibrate", "--mode", "access"] + flags) == 1
+    assert capsys.readouterr().err.endswith(f"got {flags[0]}\n")
 
 
 @pytest.mark.parametrize("argv,message", [

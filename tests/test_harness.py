@@ -1,3 +1,6 @@
+import contextlib
+import io
+import shutil
 import tracemalloc
 from unittest import mock
 
@@ -8,16 +11,20 @@ from hypothesis import strategies as st
 
 from stochmem import harness
 from stochmem.bitstream import MAX_LENGTH
-from stochmem.circuits import (KDE_HISTORY, AppKind, fit_bernstein, frame_diff_eval,
-                               gamma_eval, kde_eval, median_eval, robert_eval)
+from stochmem.circuits import (KDE_HISTORY, OPERAND_SLOTS, AppKind, AppParams, fit_bernstein,
+                               frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
+                               robert_eval)
 from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
                                  requantize)
+from stochmem.cli import main
 from stochmem.costs import SystemDesign
 from stochmem.config import load_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
+from stochmem.images import load_pgm
 from stochmem.lfsr import LfsrSpec, seed_state
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
+from stochmem.synth import gen_test_inputs
 
 
 @pytest.mark.parametrize("length", (0, MAX_LENGTH + 1))
@@ -122,6 +129,92 @@ def test_run_grids_give_the_same_results_on_two_workers():
 
 
 # ---------------------------------------------------------------------------
+# inputs: operand planes from --input, --frames and the synthetic set
+
+
+@pytest.fixture(scope="module")
+def written_inputs(tmp_path_factory):
+    """The synthetic input set at 7x5, written as PGM files by gen-inputs."""
+    out = tmp_path_factory.mktemp("inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen-inputs", "--out", str(out), "--dims", "7x5"]) == 0
+    return out
+
+
+def _video(path):
+    return [load_pgm(p).data for p in sorted(path.glob("*.pgm"))]
+
+
+@pytest.mark.parametrize("app", (AppKind.ROBERT, AppKind.MEDIAN, AppKind.GAMMA),
+                         ids=lambda a: a.value)
+def test_input_image_is_the_pixel_operand_plane(written_inputs, app):
+    path = written_inputs / "scene.pgm"
+    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ, length=16,
+                           input_path=str(path))
+    planes = resolve_inputs(cfg)
+    own = {AppKind.ROBERT: 0, AppKind.MEDIAN: 4, AppKind.GAMMA: 0}[app]
+    assert planes.shape == (OPERAND_SLOTS[app], 5, 7)
+    assert np.array_equal(planes[own], load_pgm(path).data)
+    assert run_experiment(cfg).output.data.shape == (5, 7)
+
+
+@pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE), ids=lambda a: a.value)
+def test_frames_are_the_current_frame_then_the_ones_before_it(written_inputs, app):
+    frames = _video(written_inputs / "video")
+    cfg = ExperimentConfig(app=app, design=SystemDesign.STOCHMEM, length=16,
+                           frames_dir=str(written_inputs / "video"))
+    planes = resolve_inputs(cfg)
+    before = frames[-2:-1] if app is AppKind.FRAME else frames[:-1]
+    assert np.array_equal(planes, np.stack([frames[-1]] + before))
+    assert run_experiment(cfg).output.data.shape == (5, 7)
+
+
+def test_kde_takes_the_last_frame_and_the_32_before_it(written_inputs, tmp_path):
+    video = tmp_path / "video"
+    shutil.copytree(written_inputs / "video", video)
+    shutil.copy(written_inputs / "gradient.pgm", video / "frame_33.pgm")
+    frames = _video(video)
+    assert len(frames) == 34
+    planes = resolve_inputs(ExperimentConfig(app=AppKind.KDE, frames_dir=str(video)))
+    assert np.array_equal(planes[0], load_pgm(written_inputs / "gradient.pgm").data)
+    assert np.array_equal(planes, np.stack(frames[-1:] + frames[1:-1]))
+
+
+@pytest.mark.parametrize("app,kept", ((AppKind.FRAME, 1), (AppKind.KDE, KDE_HISTORY)),
+                         ids=("frame", "kde"))
+def test_too_few_frames_fail_loudly(written_inputs, tmp_path, app, kept):
+    for src in sorted((written_inputs / "video").glob("*.pgm"))[:kept]:
+        shutil.copy(src, tmp_path)
+    with pytest.raises(ValueError, match=f"need at least {kept + 1} frames, found {kept}"):
+        resolve_inputs(ExperimentConfig(app=app, frames_dir=str(tmp_path)))
+
+
+@pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE), ids=lambda a: a.value)
+def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
+    cfg = ExperimentConfig(app=app, input_path=str(written_inputs / "scene.pgm"))
+    with pytest.raises(ValueError, match=f"{app.value} needs --frames, not a single image"):
+        resolve_inputs(cfg)
+
+
+@pytest.mark.parametrize("app,degree", [(a, 6) for a in AppKind if a is not AppKind.GAMMA]
+                         + [(AppKind.GAMMA, d) for d in (1, 6, 9)])
+def test_stream_plan_reads_every_operand_plane(app, degree):
+    cfg = ExperimentConfig(app=app, dims=(4, 3), params=AppParams(bernstein_degree=degree))
+    plan = harness._stream_plan(app, cfg.params)
+    slots = {val for kind, val in plan.sources if kind == "op"}
+    assert sorted(slots) == list(range(len(resolve_inputs(cfg))))
+
+
+def test_synthetic_frames_are_made_once_per_input_kind():
+    harness._synthetic.cache_clear()
+    with mock.patch.object(harness, "gen_test_inputs",
+                           wraps=harness.gen_test_inputs) as gen:
+        for app in AppKind:
+            resolve_inputs(ExperimentConfig(app=app, dims=(5, 4), input_seed=9))
+    assert sorted(c.args[0] for c in gen.call_args_list) == ["salt-pepper", "scene", "video"]
+
+
+# ---------------------------------------------------------------------------
 # pixel blocks
 
 
@@ -212,22 +305,64 @@ WIDTH, HEIGHT = 6, 5
 WRITE_NOISE_ID, READ_NOISE_ID = 64, 96
 
 
-def _operands(app, inputs, x, y):
-    """Per-pixel operand values, neighbors clamped to the image edge."""
-    img = inputs.image.data
+def _source_frames(app, dims, input_seed):
+    """The synthetic frames an app reads, oldest first, from gen_test_inputs."""
+    if app in (AppKind.FRAME, AppKind.KDE):
+        return gen_test_inputs("video", dims, input_seed)
+    kind = "salt-pepper" if app is AppKind.MEDIAN else "scene"
+    return [gen_test_inputs(kind, dims, input_seed)]
+
+
+def _operands(app, frames, x, y):
+    """Per-pixel operand values, neighbors clamped to the image edge; the last
+    frame is the current one."""
+    img = frames[-1].data
+    height, width = img.shape
 
     def at(dy, dx):
-        return float(img[min(max(y + dy, 0), HEIGHT - 1), min(max(x + dx, 0), WIDTH - 1)])
+        return float(img[min(max(y + dy, 0), height - 1), min(max(x + dx, 0), width - 1)])
 
     if app is AppKind.ROBERT:
         return [at(0, 0), at(0, 1), at(1, 0), at(1, 1)]
     if app is AppKind.MEDIAN:
         return [at(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
     if app is AppKind.FRAME:
-        return [at(0, 0), float(inputs.prev.data[y, x])]
+        return [at(0, 0), float(frames[-2].data[y, x])]
     if app is AppKind.GAMMA:
         return [at(0, 0)]
-    return [at(0, 0)] + [float(h.data[y, x]) for h in inputs.history]
+    return [at(0, 0)] + [float(h.data[y, x]) for h in frames[-1 - KDE_HISTORY:-1]]
+
+
+def _golden_pixel(app, params, ops):
+    """Exact output of one pixel from its operand values."""
+    if app is AppKind.ROBERT:
+        a, b, c, d = ops
+        return 0.5 * (abs(a - d) + abs(b - c))
+    if app is AppKind.MEDIAN:
+        return sorted(ops)[4]
+    if app is AppKind.FRAME:
+        return float(abs(ops[0] - ops[1]) > params.theta)
+    if app is AppKind.GAMMA:
+        return ops[0] ** params.gamma_exponent
+    matches = sum(abs(ops[0] - h) <= params.delta for h in ops[1:])
+    return float(matches / KDE_HISTORY < params.theta)
+
+
+@pytest.mark.parametrize("params", (AppParams(),
+                                    AppParams(theta=0.3, delta=0.02, gamma_exponent=2.2)),
+                         ids=("default", "other"))
+@pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
+def test_golden_matches_a_per_pixel_oracle(app, params):
+    cfg = ExperimentConfig(app=app, dims=(7, 5), input_seed=SEED, params=params)
+    frames = _source_frames(app, cfg.dims, SEED)
+    expected = np.array([[_golden_pixel(app, params, _operands(app, frames, x, y))
+                          for x in range(7)] for y in range(5)])
+    got = golden_eval(app, resolve_inputs(cfg), params).data
+    if app is AppKind.GAMMA:
+        # numpy's vectorized pow may round one ulp away from the scalar libm pow
+        np.testing.assert_allclose(got, expected, rtol=2 * np.finfo(float).eps, atol=0)
+    else:
+        assert np.array_equal(got, expected)
 
 
 def _wiring(app, params):
@@ -267,8 +402,8 @@ def _generator_input(design, value, x, y, slot):
     return code
 
 
-def _reference_pixel(cfg, inputs, x, y):
-    ops = _operands(cfg.app, inputs, x, y)
+def _reference_pixel(cfg, frames, x, y):
+    ops = _operands(cfg.app, frames, x, y)
     sources, groups = _wiring(cfg.app, cfg.params)
     streams = []
     for (kind, val), group in zip(sources, groups):
@@ -297,8 +432,8 @@ def _reference_pixel(cfg, inputs, x, y):
 def test_harness_matches_scalar_composition(app, design):
     cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
                            global_seed=SEED, input_seed=SEED)
-    inputs = resolve_inputs(cfg)
-    expected = np.array([[_reference_pixel(cfg, inputs, x, y) for x in range(WIDTH)]
+    frames = _source_frames(app, cfg.dims, SEED)
+    expected = np.array([[_reference_pixel(cfg, frames, x, y) for x in range(WIDTH)]
                          for y in range(HEIGHT)])
     got = run_experiment(cfg).output.data
     assert np.array_equal(got, expected)

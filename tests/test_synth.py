@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from stochmem.circuits import golden_eval, AppInputs, AppKind, AppParams, golden_robert
+from stochmem.circuits import AppKind, AppParams, golden_eval
+from stochmem.harness import ExperimentConfig, resolve_inputs
+from stochmem.images import save_pgm
 from stochmem.synth import (gen_test_inputs, make_checkerboard, make_scene,
                             make_static_video, make_video)
 
@@ -17,9 +19,11 @@ def test_seed_changes_scene():
                               make_scene(64, 64, seed=2).data)
 
 
-def test_checkerboard_edges_only_on_boundaries():
-    img = make_checkerboard(64, 64, cell=16)
-    edges = golden_robert(img).data
+def test_checkerboard_edges_only_on_boundaries(tmp_path):
+    path = tmp_path / "board.pgm"
+    save_pgm(make_checkerboard(64, 64, cell=16), path)
+    planes = resolve_inputs(ExperimentConfig(app=AppKind.ROBERT, input_path=str(path)))
+    edges = golden_eval(AppKind.ROBERT, planes).data
     interior_mask = np.ones_like(edges, dtype=bool)
     for b in range(16, 64, 16):
         interior_mask[b - 1:b + 1, :] = False
@@ -30,17 +34,15 @@ def test_checkerboard_edges_only_on_boundaries():
 
 def test_static_video_kde_all_background():
     frames = make_static_video(32, 32)
-    out = golden_eval(AppKind.KDE,
-                      AppInputs(image=frames[-1], history=tuple(frames[:32])),
-                      AppParams())
+    planes = np.stack([f.data for f in frames[-1:] + frames[:-1]])
+    out = golden_eval(AppKind.KDE, planes, AppParams())
     assert out.data.max() == 0.0
 
 
 def test_moving_square_frame_diff_covers_motion():
     frames = make_video(64, 64)
-    out = golden_eval(AppKind.FRAME,
-                      AppInputs(image=frames[-1], prev=frames[-2]),
-                      AppParams())
+    planes = np.stack([frames[-1].data, frames[-2].data])
+    out = golden_eval(AppKind.FRAME, planes, AppParams())
     # foreground exists and sits inside the band swept by the objects
     assert out.data.sum() > 0
 
