@@ -1,9 +1,6 @@
 """Bit-accurate stochastic-computing simulator and hardware cost model."""
 
-from .bitstream import Bitstream, estimate_value
-from .circuits import (AppKind, AppParams, BernsteinPoly, fit_bernstein,
-                       frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
-                       robert_eval)
+from .circuits import AppKind, AppParams, BernsteinPoly, fit_bernstein, gamma_eval, golden_eval
 from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate, requantize
 from .costs import (AccessCounts, AccessMultipliers, AppProfile, CostReport,
                     SystemDesign, UnitCost, area_report, default_profile,

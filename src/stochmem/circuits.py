@@ -1,5 +1,9 @@
 """Stochastic logic primitives and the five benchmark circuits.
 
+Each *_batch circuit evaluates n pixels on packed (n, words) uint64 rows in
+the bitstream layout; gamma_eval (on bool bit arrays) and median9_reference
+are independent scalar oracles.
+
 Correlation is part of each circuit's contract: streams fed to XOR (absolute
 difference) or to the AND/OR compare-exchange network (min/max) must share
 one generator, while mux selects and the power-function input replicas must
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, popcount_rows
+from .bitstream import popcount_rows
 from .images import ImageGray
 
 KDE_HISTORY = 32
@@ -55,37 +59,16 @@ class AppParams:
 
 
 # ---------------------------------------------------------------------------
-# single-stream forms: each *_eval is one row of its packed *_batch circuit
-
-
-def _require_same_length(streams) -> int:
-    lengths = {s.length for s in streams}
-    if len(lengths) != 1:
-        raise ValueError(f"stream length mismatch: {sorted(lengths)}")
-    return lengths.pop()
-
-
-def _row(stream: Bitstream) -> np.ndarray:
-    return stream.words[None, :]
-
-
-# ---------------------------------------------------------------------------
 # edge detection (two XORs into a mux)
 
 
-def robert_eval(p00: Bitstream, p01: Bitstream, p10: Bitstream, p11: Bitstream,
-                sel: Bitstream) -> Bitstream:
-    """Cross-difference edge magnitude 0.5*(|p00-p11| + |p01-p10|).
+def robert_batch(b00, b01, b10, b11, bsel) -> np.ndarray:
+    """Cross-difference edge magnitude 0.5*(|p00-p11| + |p01-p10|); zero tails
+    stay zero.
 
     (p00, p11) and (p01, p10) must each share a generator; sel carries 0.5
     and must be independent of the pixel streams.
     """
-    length = _require_same_length((p00, p01, p10, p11, sel))
-    return Bitstream(robert_batch(*map(_row, (p00, p01, p10, p11, sel)))[0], length)
-
-
-def robert_batch(b00, b01, b10, b11, bsel) -> np.ndarray:
-    """robert_eval over (n, words) packed rows; zero tails stay zero."""
     return ((b00 ^ b11) & bsel) | ((b01 ^ b10) & ~bsel)
 
 
@@ -100,17 +83,11 @@ MEDIAN9_PAIRS = (
 MEDIAN9_OUT = 4
 
 
-def median_eval(streams: list[Bitstream]) -> Bitstream:
-    """Median of nine mutually correlated streams (AND=min, OR=max)."""
-    if len(streams) != 9:
-        raise ValueError(f"median filter takes 9 streams, got {len(streams)}")
-    length = _require_same_length(streams)
-    return Bitstream(median_batch([_row(s) for s in streams])[0], length)
-
-
 def median_batch(regs: list[np.ndarray]) -> np.ndarray:
-    """median_eval over nine (n, words) packed operands."""
+    """Median of nine mutually correlated operands (AND=min, OR=max)."""
     regs = list(regs)
+    if len(regs) != 9:
+        raise ValueError(f"median filter takes 9 streams, got {len(regs)}")
     for i, j in MEDIAN9_PAIRS:
         lo = regs[i] & regs[j]
         regs[j] = regs[i] | regs[j]
@@ -127,14 +104,9 @@ def median9_reference(values) -> float:
 # frame difference segmentation
 
 
-def frame_diff_eval(cur: Bitstream, prev: Bitstream, theta: float) -> int:
-    """Foreground iff the XOR ones count exceeds theta of the length."""
-    length = _require_same_length((cur, prev))
-    return int(frame_batch(_row(cur), _row(prev), theta, length)[0])
-
-
 def frame_batch(cur: np.ndarray, prev: np.ndarray, theta: float, length: int) -> np.ndarray:
-    """frame_diff_eval over (n, words) packed rows of ``length``-bit streams."""
+    """Foreground (1.0) iff the XOR ones count of the correlated ``length``-bit
+    streams exceeds theta of the length."""
     counts = popcount_rows(cur ^ prev)
     return (counts > theta * length).astype(np.float64)
 
@@ -168,8 +140,9 @@ class BernsteinPoly:
 
 
 def fit_bernstein(target, degree: int, grid_points: int = 1001) -> tuple[BernsteinPoly, float]:
-    """Least-squares coefficients on a uniform grid, constrained to [0, 1]
-    by clip-and-refit; returns the polynomial and its max fit error."""
+    """Least-squares coefficients on a uniform grid, bounded to [0, 1], by the
+    active-set method of Lawson & Hanson ("Solving least squares problems",
+    1974); returns the polynomial and its max fit error."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     grid = np.linspace(0.0, 1.0, grid_points)
@@ -179,52 +152,55 @@ def fit_bernstein(target, degree: int, grid_points: int = 1001) -> tuple[Bernste
     basis = bernstein_basis(grid, degree)
 
     n = degree + 1
-    fixed: dict[int, float] = {}
+    fixed = dict.fromkeys(range(n), 0.0)   # coefficient held at a bound -> the bound
     coeffs = np.zeros(n)
-    for _ in range(n + 1):
+
+    def refit() -> tuple[list[int], np.ndarray]:
         free = [j for j in range(n) if j not in fixed]
-        residual = y - sum(basis[:, j] * v for j, v in fixed.items()) if fixed else y
-        sol, *_ = np.linalg.lstsq(basis[:, free], residual, rcond=None)
-        for j, v in zip(free, sol):
-            coeffs[j] = v
-        for j, v in fixed.items():
-            coeffs[j] = v
-        clipped = False
-        for j in free:
-            if coeffs[j] < 0.0:
-                fixed[j] = 0.0
-                clipped = True
-            elif coeffs[j] > 1.0:
-                fixed[j] = 1.0
-                clipped = True
-        if not clipped:
+        residual = y - sum(basis[:, j] * v for j, v in fixed.items())
+        out = coeffs.copy()
+        out[free] = np.linalg.lstsq(basis[:, free], residual, rcond=None)[0]
+        return [j for j in free if not 0.0 <= out[j] <= 1.0], out
+
+    # gradients below tol are rounding noise; freeing on them could cycle
+    tol = 1e-13 * np.abs(basis.T @ y).max()
+    while True:
+        grad = basis.T @ (basis @ coeffs - y)
+        inward = [j for j, v in fixed.items() if abs(grad[j]) > tol and (grad[j] < 0) == (v == 0.0)]
+        if not inward:
             break
+        del fixed[max(inward, key=lambda j: abs(grad[j]))]
+        clipped, goal = refit()
+        while clipped:
+            # walk towards the refit until a coefficient meets its bound; hold it there
+            steps = {j: (float(goal[j] > 1.0) - coeffs[j]) / (goal[j] - coeffs[j])
+                     for j in clipped}
+            j = min(steps, key=steps.get)
+            coeffs = coeffs + steps[j] * (goal - coeffs)
+            coeffs[j] = fixed[j] = float(goal[j] > 1.0)
+            clipped, goal = refit()
+        coeffs = goal
     coeffs = np.clip(coeffs, 0.0, 1.0)
     max_err = float(np.abs(basis @ coeffs - y).max())
     return BernsteinPoly(degree, tuple(coeffs)), max_err
 
 
-def gamma_eval(x_streams: list[Bitstream], coeff_streams: list[Bitstream]) -> Bitstream:
-    """Per cycle the ones count among the x replicas selects one coefficient
-    stream's bit; expectation is the Bernstein polynomial at x.
-
-    The replicas must be mutually independent and independent of the
-    coefficient streams.
+def gamma_eval(x_bits, coeff_bits) -> np.ndarray:
+    """Output bits from (degree, L) replica and (degree+1, L) coefficient bits:
+    per cycle the ones count among the x replicas selects one coefficient
+    stream's bit, so the expectation is the Bernstein polynomial at x.  The
+    replicas must be mutually independent and independent of the coefficients.
     """
-    degree = len(x_streams)
-    if len(coeff_streams) != degree + 1:
-        raise ValueError(f"need {degree + 1} coefficient streams, got {len(coeff_streams)}")
-    length = _require_same_length(list(x_streams) + list(coeff_streams))
-    xbits = np.stack([s.to_bits() for s in x_streams])
-    cbits = np.stack([s.to_bits() for s in coeff_streams])
-    k = xbits.sum(axis=0, dtype=np.intp)
-    out = cbits[k, np.arange(length)]
-    return Bitstream.from_bits(out)
+    if len(coeff_bits) != len(x_bits) + 1:
+        raise ValueError(f"need {len(x_bits) + 1} coefficient streams, got {len(coeff_bits)}")
+    k = np.sum(x_bits, axis=0, dtype=np.intp)
+    return np.asarray(coeff_bits)[k, np.arange(k.size)]
 
 
 def gamma_batch_counts(x_words: np.ndarray, coeff_words: np.ndarray) -> np.ndarray:
-    """Ones count per row of the gamma_eval output; x_words is (degree, n, words)
-    packed replicas, coeff_words (degree+1, n, words) with zero tails.
+    """Ones count per row of the gamma_eval output (and under its contract);
+    x_words is (degree, n, words) packed replicas, coeff_words (degree+1, n,
+    words) with zero tails.
 
     A bit-sliced ripple counter (degree.bit_length() bit planes) holds the
     per-cycle ones count among the replicas, so no degree can wrap it.
@@ -252,18 +228,14 @@ def gamma_batch_counts(x_words: np.ndarray, coeff_words: np.ndarray) -> np.ndarr
 # kernel-density segmentation
 
 
-def kde_eval(cur: Bitstream, hist: list[Bitstream], delta: float, theta: float) -> int:
-    """Foreground iff the box-kernel density over the history is below theta.
+def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int) -> np.ndarray:
+    """Foreground (1.0) iff the box-kernel density over the KDE_HISTORY history
+    rows, each matching when its XOR distance to cur is at most delta of the
+    length, is below theta.
 
     cur must be correlated with every history stream so XOR measures the
     pairwise distance.
     """
-    length = _require_same_length([cur] + list(hist))
-    return int(kde_batch(_row(cur), [_row(h) for h in hist], delta, theta, length)[0])
-
-
-def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int) -> np.ndarray:
-    """kde_eval over (n, words) packed rows of ``length``-bit streams."""
     matches = np.zeros(cur.shape[0], dtype=np.int32)
     seen = 0
     for hist in hist_iter:

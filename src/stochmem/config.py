@@ -116,6 +116,9 @@ def _with(obj, attr: str, value):
 
 def resolve_config(values: dict[str, object]) -> ExperimentConfig:
     """The defaults with ``values`` (parsed, by key) set, then STOCHMEM_SEED."""
+    for key in ("input", "frames_dir"):
+        if "dims" in values and key in values:
+            raise ValueError(f"dims sizes only the synthetic inputs; it cannot be set with {key}")
     cfg = ExperimentConfig()
     for key, value in values.items():
         cfg = _with(cfg, FIELD_BY_KEY[key].attr, value)

@@ -7,13 +7,14 @@ array and returns the same shape.
 The comparator-based digital-to-stochastic converter (DSC) emits a one
 when the LFSR value is <= the stored code, so code 2^width-1 saturates
 the stream and a full-period run carries exactly ``code`` ones.
+dsc_generate and asc_generate are the scalar generator oracles; each returns
+one stream as a 1-D bool array of ``length`` bits.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bitstream import Bitstream, pack_bits
 from .lfsr import LfsrState, lfsr_next
 from .rng import RandomSource
 
@@ -55,23 +56,23 @@ def requantize(code):
                    .astype(np.int64))
 
 
-def dsc_generate(code: int, length: int, lfsr: LfsrState) -> Bitstream:
+def dsc_generate(code: int, length: int, lfsr: LfsrState) -> np.ndarray:
     """Comparator stream: bit i is one iff the i-th LFSR value is <= code."""
     if not 0 <= code <= lfsr.spec.period:
         raise ValueError(f"code {code} out of range for width {lfsr.spec.width}")
     if length < 1:
         raise ValueError("stream length must be positive")
-    bits = np.empty(length, dtype=np.uint8)
+    bits = np.empty(length, dtype=bool)
     st = lfsr
     for i in range(length):
         value, st = lfsr_next(st)
         bits[i] = value <= code
-    return Bitstream(pack_bits(bits), length)
+    return bits
 
 
-def asc_generate(p: float, length: int, rng: RandomSource) -> Bitstream:
+def asc_generate(p: float, length: int, rng: RandomSource) -> np.ndarray:
     """Bernoulli sampling stream: ones count is Binomial(length, p)."""
     _check_range(p, 1, "ASC input")
     if length < 1:
         raise ValueError("stream length must be positive")
-    return Bitstream(pack_bits(rng.bernoulli_bits(p, length)), length)
+    return rng.bernoulli_bits(p, length)

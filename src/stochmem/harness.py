@@ -54,8 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits
-from .bitstream import (MAX_LENGTH, Bitstream, pack_bool_matrix, popcount_rows, tail_mask,
-                        words_for)
+from .bitstream import MAX_LENGTH, pack_bool_matrix, popcount_rows, tail_mask, words_for
 from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
@@ -91,7 +90,8 @@ _TILE_CELLS = 65_536
 # 32, 0.96 -> 0.68 at 128, 0.96 -> 0.38 at 256
 _UNBUFFERED_MIN_ROW = 256
 
-# stream-group identities; operand groups occupy 0..7
+# stream-group identities; operand groups occupy 0..7 and gamma replica k
+# group k, so the degree may not pass _GROUP_COEFF_BASE
 _GROUP_SELECT = 8
 _GROUP_COEFF_BASE = 16
 _SID_WRITE_NOISE = 64
@@ -121,6 +121,9 @@ class ExperimentConfig:
         if len(self.dims) != 2 or min(self.dims) < 1:
             raise ValueError(f"dims must be two positive integers (width, height), "
                              f"got {self.dims}")
+        if self.params.bernstein_degree > _GROUP_COEFF_BASE:
+            raise ValueError(f"bernstein_degree must be at most {_GROUP_COEFF_BASE} (gamma "
+                             f"replica streams), got {self.params.bernstein_degree}")
 
 
 def _check_jobs(jobs: int) -> None:
@@ -178,6 +181,11 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
             raise ValueError(f"{cfg.frames_dir}: need at least {need} frames, "
                              f"found {len(paths)}")
         frames = [load_pgm(p) for p in paths[-need:]]
+        for path, frame in zip(paths[-need:], frames):
+            if frame.data.shape != frames[-1].data.shape:
+                raise ValueError(f"{cfg.frames_dir}: frame {path.name} is {frame.width}x"
+                                 f"{frame.height}, the current frame {paths[-1].name} is "
+                                 f"{frames[-1].width}x{frames[-1].height}")
     elif cfg.input_path is not None:
         if video:
             raise ValueError(f"{cfg.app.value} needs --frames, not a single image")
@@ -322,7 +330,8 @@ def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
                         np.less(tile, thresholds[s][lo:lo + m], out=bits[:m, :w])
                         streams[s, lo:lo + m, words] = pack_bool_matrix(bits[:m, :w])
     # p >= 1 has no strict-compare threshold
-    ones = Bitstream.ones(length).words
+    ones = np.full(words_for(length), ~np.uint64(0))
+    ones[-1] = tail_mask(length)
     for stream, p in zip(streams, levels):
         stream[p >= 1.0] = ones
     return streams

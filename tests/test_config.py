@@ -107,6 +107,15 @@ def test_file_errors_name_line_and_key(tmp_path):
         _config(tmp_path, {"lenght": "16"}, [])
 
 
+@pytest.mark.parametrize("key", ("input", "frames_dir"))
+def test_dims_with_an_input_file_fail_loudly(tmp_path, key):
+    message = f"dims sizes only the synthetic inputs; it cannot be set with {key}"
+    with pytest.raises(ValueError, match=message):
+        _config(tmp_path, {"dims": "64x64", key: SAMPLES[key][0]}, [])
+    with pytest.raises(ValueError, match=message):
+        _config(tmp_path, {key: SAMPLES[key][0]}, ["--dims", "64x64"])
+
+
 @pytest.mark.parametrize("line,message", [
     ("unit.adc_10bit.area_um2 = 4e4x", r"costs.txt:2: unit.adc_10bit.area_um2: could not convert"),
     ("profile.robert.n_lfsr = 2.5", r"costs.txt:2: profile.robert.n_lfsr: invalid literal"),

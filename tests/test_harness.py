@@ -9,18 +9,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
 from stochmem import harness
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, OPERAND_SLOTS, AppKind, AppParams, fit_bernstein,
-                               frame_diff_eval, gamma_eval, golden_eval, kde_eval, median_eval,
-                               robert_eval)
+                               gamma_eval, golden_eval)
 from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
                                  requantize)
 from stochmem.cli import main
 from stochmem.costs import SystemDesign
 from stochmem.config import load_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
-from stochmem.images import load_pgm
+from stochmem.images import ImageGray, load_pgm, save_pgm
 from stochmem.lfsr import LfsrSpec, seed_state
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
@@ -189,6 +189,17 @@ def test_too_few_frames_fail_loudly(written_inputs, tmp_path, app, kept):
         resolve_inputs(ExperimentConfig(app=app, frames_dir=str(tmp_path)))
 
 
+@pytest.mark.parametrize("app,odd", ((AppKind.FRAME, "frame_31.pgm"),
+                                     (AppKind.KDE, "frame_00.pgm")), ids=("frame", "kde"))
+def test_frames_of_another_size_fail_loudly(written_inputs, tmp_path, app, odd):
+    video = tmp_path / "video"
+    shutil.copytree(written_inputs / "video", video)
+    save_pgm(ImageGray.from_array(np.full((5, 6), 0.5)), video / odd)
+    with pytest.raises(ValueError, match=f"{video}: frame {odd} is 6x5, the current frame "
+                                         f"frame_32.pgm is 7x5"):
+        resolve_inputs(ExperimentConfig(app=app, frames_dir=str(video)))
+
+
 @pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE), ids=lambda a: a.value)
 def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
     cfg = ExperimentConfig(app=app, input_path=str(written_inputs / "scene.pgm"))
@@ -203,6 +214,43 @@ def test_stream_plan_reads_every_operand_plane(app, degree):
     plan = harness._stream_plan(app, cfg.params)
     slots = {val for kind, val in plan.sources if kind == "op"}
     assert sorted(slots) == list(range(len(resolve_inputs(cfg))))
+
+
+def test_gamma_degree_is_bounded_by_the_coefficient_stream_group():
+    # replica k reads stream group k; the coefficient streams read group 16
+    cfg = ExperimentConfig(app=AppKind.GAMMA, design=SystemDesign.CONV_MTJ, length=64,
+                           dims=(3, 2), params=AppParams(bernstein_degree=16))
+    assert run_experiment(cfg).output.data.shape == (2, 3)
+    with pytest.raises(ValueError, match="bernstein_degree must be at most 16.*got 17"):
+        ExperimentConfig(params=AppParams(bernstein_degree=17))
+
+
+# kde on stochmem takes write-noise ids 64..96 and read-noise ids 96..128 for its
+# 33 operand slots, so slot 32's write noise and slot 0's read noise share id 96
+_SHARED_NOISE_ID = pytest.mark.xfail(
+    strict=True, reason="kde stochmem derives noise id 96 twice per block; renumbering the "
+                        "noise ids changes bench/reference.json (ROADMAP item 1)")
+
+
+@pytest.mark.parametrize("app,degree", [(a, 6) for a in AppKind if a is not AppKind.GAMMA]
+                         + [(AppKind.GAMMA, d) for d in (1, 6, 16)])
+@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
+def test_generator_identities_of_a_block_are_disjoint(app, degree, design, request):
+    if (app, design) == (AppKind.KDE, SystemDesign.STOCHMEM):
+        request.applymarker(_SHARED_NOISE_ID)
+    ids = []
+    derive = harness.derive_state_grid
+
+    def recording_derive(global_seed, xs, ys, stream_id):
+        ids.append(stream_id)
+        return derive(global_seed, xs, ys, stream_id)
+
+    cfg = ExperimentConfig(app=app, design=design, length=64, dims=(3, 2),
+                           params=AppParams(bernstein_degree=degree))
+    assert harness._block_slices(6, cfg.length) == [(0, 6)]
+    with mock.patch.object(harness, "derive_state_grid", recording_derive):
+        run_experiment(cfg)
+    assert ids and len(ids) == len(set(ids))
 
 
 def test_synthetic_frames_are_made_once_per_input_kind():
@@ -297,7 +345,7 @@ def test_tile_loop_restores_the_ufunc_buffer_when_a_draw_raises(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # differential test: the vectorized pipeline against a per-pixel composition
-# of the scalar converters, memory and circuit evaluators
+# of the scalar converters and memory, with each circuit evaluated bit by bit
 
 SEED = 7
 LENGTH = 97
@@ -416,15 +464,15 @@ def _reference_pixel(cfg, frames, x, y):
             streams.append(asc_generate(level, LENGTH, RandomSource(state)))
     p = cfg.params
     if cfg.app is AppKind.ROBERT:
-        return robert_eval(*streams).ones_count / LENGTH
+        return robert_bits(*streams).sum() / LENGTH
     if cfg.app is AppKind.MEDIAN:
-        return median_eval(streams).ones_count / LENGTH
+        return median_bits(streams).sum() / LENGTH
     if cfg.app is AppKind.FRAME:
-        return float(frame_diff_eval(streams[0], streams[1], p.theta))
+        return frame_flags(streams[0], streams[1], p.theta)
     if cfg.app is AppKind.GAMMA:
         deg = p.bernstein_degree
-        return gamma_eval(streams[:deg], streams[deg:]).ones_count / LENGTH
-    return float(kde_eval(streams[0], streams[1:], p.delta, p.theta))
+        return gamma_eval(streams[:deg], streams[deg:]).sum() / LENGTH
+    return kde_flags(streams[0], streams[1:], p.delta, p.theta)
 
 
 @pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
