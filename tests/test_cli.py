@@ -154,13 +154,13 @@ def test_calibrate_access_names_each_ignored_option(capsys, flags):
     (["run", "--app", "sobel", "--design", "conv-lfsr"], "unknown app"),
     (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "32"], "dims"),
     (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "0x5"], "dims"),
+    (["gen-inputs", "--out", "unused", "--dims", "6by5"], "dims"),
+    (["sweep", "--apps", "robert", "--lengths", "8", "--jobs", "0", "--out", "unused"], "jobs"),
+    (["calibrate", "--mode", "noise", "--jobs", "0"], "jobs"),
     (["run", "--app", "robert", "--design", "conv-lfsr", "--input", "scene.pgm", "--dims",
       "64x64"], "dims sizes only the synthetic inputs; it cannot be set with input"),
     (["run", "--app", "gamma", "--design", "conv-mtj", "--bernstein-degree", "17"],
      "bernstein_degree must be at most 16"),
-    (["gen-inputs", "--out", "unused", "--dims", "6by5"], "dims"),
-    (["sweep", "--apps", "robert", "--lengths", "8", "--jobs", "0", "--out", "unused"], "jobs"),
-    (["calibrate", "--mode", "noise", "--jobs", "0"], "jobs"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1
