@@ -54,6 +54,9 @@ class AppParams:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        if not 0 <= self.gamma_exponent < math.inf:
+            raise ValueError(f"gamma_exponent must be nonnegative and finite, "
+                             f"got {self.gamma_exponent}")
         if self.bernstein_degree < 1:
             raise ValueError(f"bernstein_degree must be at least 1, got {self.bernstein_degree}")
 

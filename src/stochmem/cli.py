@@ -15,6 +15,7 @@ options.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -191,6 +192,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_fit_gamma(args) -> int:
+    if not 0 <= args.exponent < math.inf:
+        raise ValueError(f"--exponent must be nonnegative and finite, got {args.exponent}")
     poly, max_err = fit_bernstein(lambda x: x ** args.exponent, args.degree)
     print("coefficient\tvalue")
     for k, c in enumerate(poly.coeffs):

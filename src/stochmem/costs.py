@@ -11,9 +11,16 @@ group per-unit contributions into input layer (ADC + memory), conversion
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .circuits import AppKind
+
+
+def _check_nonnegative_finite(what: str, **values: float) -> None:
+    for name, value in values.items():
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{what} must be nonnegative and finite; {name} is {value}")
 
 
 @dataclass(frozen=True)
@@ -24,8 +31,8 @@ class UnitCost:
     write_energy_pJ: float | None = None
 
     def __post_init__(self):
-        if self.area_um2 < 0 or self.energy_pJ < 0:
-            raise ValueError("unit costs must be nonnegative")
+        _check_nonnegative_finite("unit costs", area_um2=self.area_um2, energy_pJ=self.energy_pJ,
+                                  write_energy_pJ=self.write_pJ)
 
     @property
     def read_pJ(self) -> float:
@@ -77,9 +84,10 @@ class AppProfile:
     n_operands: int
 
     def __post_init__(self):
-        if min(self.n_streams, self.n_lfsr, self.mem_area_digital_um2,
-               self.mem_area_analog_um2, self.n_operands) < 0:
-            raise ValueError("profile counts and areas must be nonnegative")
+        _check_nonnegative_finite(
+            "profile counts and areas", n_streams=self.n_streams, n_lfsr=self.n_lfsr,
+            mem_area_digital_um2=self.mem_area_digital_um2,
+            mem_area_analog_um2=self.mem_area_analog_um2, n_operands=self.n_operands)
 
 
 _PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
@@ -113,9 +121,8 @@ class AccessMultipliers:
     read: float = 1.0
     dac: float = 0.45
 
-    @classmethod
-    def unit(cls) -> "AccessMultipliers":
-        return cls(1.0, 1.0, 1.0, 1.0)
+    def __post_init__(self):
+        _check_nonnegative_finite("access multipliers", **self.as_dict())
 
     def as_dict(self) -> dict[str, float]:
         return {"adc": self.adc, "write": self.write, "read": self.read, "dac": self.dac}
@@ -151,9 +158,6 @@ GROUPS = (GROUP_INPUT, GROUP_CONVERSION, GROUP_LOGIC)
 
 @dataclass
 class CostReport:
-    kind: str                       # "area" or "energy"
-    design: SystemDesign
-    app: AppKind
     entries: list[tuple[str, str, float]]   # (unit, group, value)
 
     @property
@@ -195,7 +199,7 @@ def area_report(design: SystemDesign, profile: AppProfile,
         entries.append(("memory", GROUP_INPUT, profile.mem_area_analog_um2))
         entries.append(("asc", GROUP_CONVERSION, c["asc"].area_um2 * profile.n_streams))
     entries.append(("logic", GROUP_LOGIC, logic.area_um2))
-    return CostReport("area", design, profile.app, entries)
+    return CostReport(entries)
 
 
 def energy_report(design: SystemDesign, profile: AppProfile, length: int,
@@ -233,7 +237,7 @@ def energy_report(design: SystemDesign, profile: AppProfile, length: int,
         entries.append(("asc", GROUP_CONVERSION,
                         c["asc"].energy_pJ * profile.n_streams * length))
     entries.append(("logic", GROUP_LOGIC, logic.energy_pJ * length))
-    return CostReport("energy", design, profile.app, entries)
+    return CostReport(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -17,30 +17,33 @@ the same converters.  The golden output is circuits.golden_eval over the same
 planes.  Each operand slot is written and read once per pixel, so the access
 counts fed to the energy model are the plane count, not counters.
 
-Every run grid (a run's row ranges, a sweep, a noise-gap evaluation) goes
-through _map, the one place that starts worker processes.
-
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
 group, so results are bit-identical for any worker partition.
 
-Images are processed in blocks of contiguous row-major pixels (a block may
+A run is cut once, into blocks of contiguous row-major pixels (a block may
 start and end mid-row) holding at most _BLOCK_CELLS pixels x length stream
 cells, so memory per block is bounded for any image shape; only a single
-pixel whose length alone exceeds the budget forms a larger block.  Within a
-block every stream is generated packed, as (pixels, words_for(length))
-uint64 rows in the bitstream layout, and stays packed through the circuit;
-bits past the length are always zero, so popcounts and XOR distances need no
-masking.  The ASC designs compare SplitMix64 draws, made in tiles of at most
-_TILE_CELLS cells in reused buffers and shared between the sources of one
-group, against each source's threshold.  The draw add and the compare each
-broadcast a per-pixel column across a tile row; from _UNBUFFERED_MIN_ROW draws
-per row the tile loop sets numpy's ufunc buffer to the row length (inside
-np.errstate, which restores it on exit), so numpy iterates those rows in place
-rather than through its buffers.  Shorter rows keep numpy's default, which is
-faster for them.  conv-lfsr reads each 64-bit word as a window into a table of
-packed comparator outputs over one LFSR period, built once per run.  Neither
-tile nor block size nor buffer size changes any output bit.
+pixel whose length alone exceeds the budget forms a larger block.  The blocks
+are the tasks _map hands to the workers (_map is the one place that starts
+worker processes, for every run grid: a run's blocks, a sweep, a noise-gap
+evaluation).  Each task carries only its block's operand columns; the stream
+plan and the comparator table are built once per run.  With several workers
+the block count is a multiple of the worker count, so a small image still
+spreads over every worker.  Within a block every stream is generated packed,
+as (pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
+packed through the circuit; bits past the length are always zero, so
+popcounts and XOR distances need no masking.  The ASC designs compare
+SplitMix64 draws, made in tiles of at most _TILE_CELLS cells in reused
+buffers and shared between the sources of one group, against each source's
+threshold.  The draw add and the compare each broadcast a per-pixel column
+across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop sets
+numpy's ufunc buffer to the row length (inside np.errstate, which restores it
+on exit), so numpy iterates those rows in place rather than through its
+buffers.  Shorter rows keep numpy's default, which is faster for them.
+conv-lfsr reads each 64-bit word as a window into a table of packed
+comparator outputs over one LFSR period.  Neither tile nor block size nor
+buffer size nor worker count changes any output bit.
 """
 
 from __future__ import annotations
@@ -139,7 +142,6 @@ class ExperimentReport:
     seed: int
     inaccuracy_percent: float
     output: ImageGray
-    access_per_pixel: AccessCounts
     area: CostReport
     energy: CostReport           # fed by the stream plan's access counts
     energy_default: CostReport   # analytic default access counts
@@ -252,25 +254,26 @@ def _stream_plan(app: AppKind, params: AppParams) -> _StreamPlan:
 # pixel-block pipeline
 
 
-def _block_slices(n_pixels: int, length: int):
+def _block_slices(n_pixels: int, length: int, jobs: int):
     """Contiguous (lo, hi) pixel ranges covering 0..n_pixels whose sizes differ
     by at most one; a block of more than one pixel holds at most
-    _BLOCK_CELLS stream cells (pixels x length)."""
+    _BLOCK_CELLS stream cells (pixels x length).  The block count is a
+    multiple of jobs unless it is n_pixels."""
     per_block = max(1, _BLOCK_CELLS // length)
-    n_blocks = -(-n_pixels // per_block)
+    n_blocks = min(n_pixels, jobs * -(-n_pixels // (per_block * jobs)))
     bounds = [k * n_pixels // n_blocks for k in range(n_blocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
+def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, operands: np.ndarray,
                   xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
     """Per-source generator input: a comparator code (conv-lfsr) or a
-    probability (ASC designs).  Operands go through the ADC (conv designs) and
-    the design's memory; conv-mtj then requantizes once, in the DAC."""
+    probability (ASC designs), from the (slot, pixel) operand rows of the
+    pixels at xs, ys.  Operands go through the ADC (conv designs) and the
+    design's memory; conv-mtj then requantizes once, in the DAC."""
     conv = cfg.design is not SystemDesign.STOCHMEM
     read = []
-    for slot in range(len(planes)):
-        values = planes[slot, ys, xs]
+    for slot, values in enumerate(operands):
         if conv:
             # the SRAM is ideal: it reads back the ADC codes written to it
             read.append(adc_quantize(values))
@@ -392,15 +395,17 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     return streams
 
 
-def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray,
-                    table: np.ndarray | None, pix_lo: int, pix_hi: int) -> np.ndarray:
-    """Output of the flat pixel range pix_lo..pix_hi (row-major); ``table`` is
-    the run's _comparator_table for conv-lfsr, else None."""
+def _evaluate_block(task: tuple) -> np.ndarray:
+    """Output of one pixel block.  task is (cfg, plan, table, width, lo, hi,
+    operands): the flat row-major pixels lo..hi of a width-pixel-wide image,
+    their (slot, pixel) operand columns, and the run's _comparator_table for
+    conv-lfsr, else None."""
+    cfg, plan, table, width, lo, hi, operands = task
     length = cfg.length
-    pix_idx = np.arange(pix_lo, pix_hi)
-    ys, xs = np.divmod(pix_idx, planes.shape[2])
+    pix_idx = np.arange(lo, hi)
+    ys, xs = np.divmod(pix_idx, width)
 
-    levels = _stream_levels(cfg, plan, planes, xs, ys)
+    levels = _stream_levels(cfg, plan, operands, xs, ys)
     if cfg.design is SystemDesign.CONV_LFSR:
         streams = _dsc_streams(cfg, plan, levels, table, xs, ys, pix_idx)
     else:
@@ -420,23 +425,6 @@ def _evaluate_block(cfg: ExperimentConfig, plan: _StreamPlan, planes: np.ndarray
                               length)
 
 
-def _run_rows(cfg: ExperimentConfig, planes: np.ndarray, row_lo: int,
-              row_hi: int) -> np.ndarray:
-    """Output pixels of a contiguous row range, evaluated in pixel blocks."""
-    plan = _stream_plan(cfg.app, cfg.params)
-    width = planes.shape[2]
-    table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
-    first = row_lo * width
-    out = np.empty(((row_hi - row_lo) * width,))
-    for lo, hi in _block_slices(out.size, cfg.length):
-        out[lo:hi] = _evaluate_block(cfg, plan, planes, table, first + lo, first + hi)
-    return out
-
-
-def _run_rows_star(args):
-    return _run_rows(*args)
-
-
 def _map(fn, items: list, jobs: int) -> list:
     """[fn(item) for item in items], over up to ``jobs`` worker processes."""
     _check_jobs(jobs)
@@ -453,10 +441,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     planes = resolve_inputs(cfg)
     n_planes, height, width = planes.shape
 
-    bounds = np.linspace(0, height, cfg.jobs + 1).astype(int)
-    tasks = [(replace(cfg, jobs=1), planes, int(lo), int(hi))
-             for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-    pixels = np.concatenate(_map(_run_rows_star, tasks, cfg.jobs))
+    plan = _stream_plan(cfg.app, cfg.params)
+    table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
+    operands = planes.reshape(n_planes, -1)
+    tasks = [(cfg, plan, table, width, lo, hi, operands[:, lo:hi])
+             for lo, hi in _block_slices(height * width, cfg.length, cfg.jobs)]
+    pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
 
     output = ImageGray(width, height, pixels.reshape(height, width))
     golden = golden_eval(cfg.app, planes, cfg.params)
@@ -470,18 +460,16 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         mem_reads=n_planes,
         mem_writes=n_planes,
     )
-    report = ExperimentReport(
+    return ExperimentReport(
         app=cfg.app, design=cfg.design, length=cfg.length, seed=cfg.global_seed,
         inaccuracy_percent=inaccuracy,
         output=output,
-        access_per_pixel=access,
         area=area_report(cfg.design, profile),
         energy=energy_report(cfg.design, profile, cfg.length, access, cfg.multipliers),
         energy_default=energy_report(cfg.design, profile, cfg.length,
                                      multipliers=cfg.multipliers),
         wall_time_s=time.perf_counter() - t0,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,10 @@ class NoiseModel:
     read_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.write_sigma < 0 or self.read_sigma < 0:
-            raise ValueError("noise sigmas must be nonnegative")
+        for name in ("write_sigma", "read_sigma"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise ValueError(f"noise sigmas must be nonnegative and finite; {name} is {value}")
 
 
 def _clamp(v):

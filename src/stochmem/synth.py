@@ -17,7 +17,6 @@ INPUT_SEED = 0xA11CE
 VIDEO_FRAMES = 33
 _STREAM_SCENE = 1
 _STREAM_NOISE = 2
-_STREAM_VIDEO = 3
 
 
 def _source(kind_id: int, seed: int) -> RandomSource:

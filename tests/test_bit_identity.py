@@ -81,7 +81,7 @@ def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length):
     # one-pixel tiles that split the length axis into 64-bit chunks at L=300
     monkeypatch.setattr(harness, "_TILE_CELLS", 100)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
-    blocks = harness._block_slices(35, length)
+    blocks = harness._block_slices(35, length, 1)
     assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {1, 2})
     assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
     widths = set()

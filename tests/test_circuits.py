@@ -354,3 +354,9 @@ class TestAppParams:
         with pytest.raises(ValueError, match="bernstein_degree"):
             AppParams(bernstein_degree=0)
         assert AppParams(bernstein_degree=1).bernstein_degree == 1
+
+    @pytest.mark.parametrize("value", (-1.0, float("nan"), float("inf")))
+    def test_rejects_a_negative_or_non_finite_gamma_exponent(self, value):
+        with pytest.raises(ValueError, match=f"gamma_exponent .* got {value}"):
+            AppParams(gamma_exponent=value)
+        assert AppParams(gamma_exponent=0.0).gamma_exponent == 0.0

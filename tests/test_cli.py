@@ -161,6 +161,22 @@ def test_calibrate_access_names_each_ignored_option(capsys, flags):
       "64x64"], "dims sizes only the synthetic inputs; it cannot be set with input"),
     (["run", "--app", "gamma", "--design", "conv-mtj", "--bernstein-degree", "17"],
      "bernstein_degree must be at most 16"),
+    (["run", "--app", "gamma", "--design", "stochmem", "--dims", "8x8", "--length", "64",
+      "--write-sigma", "nan"], "noise sigmas must be nonnegative and finite; write_sigma is nan"),
+    (["run", "--app", "gamma", "--design", "stochmem", "--dims", "8x8", "--length", "64",
+      "--read-sigma", "inf"], "noise sigmas must be nonnegative and finite; read_sigma is inf"),
+    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-dac", "-5"],
+     "access multipliers must be nonnegative and finite; dac is -5.0"),
+    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-adc", "nan"],
+     "access multipliers must be nonnegative and finite; adc is nan"),
+    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-read", "inf"],
+     "access multipliers must be nonnegative and finite; read is inf"),
+    (["run", "--app", "gamma", "--design", "conv-mtj", "--gamma-exponent", "nan"],
+     "gamma_exponent must be nonnegative and finite, got nan"),
+    (["run", "--app", "gamma", "--design", "conv-mtj", "--gamma-exponent", "-1"],
+     "gamma_exponent must be nonnegative and finite, got -1.0"),
+    (["fit-gamma", "--exponent", "-1"], "--exponent must be nonnegative and finite, got -1.0"),
+    (["fit-gamma", "--exponent", "nan"], "--exponent must be nonnegative and finite, got nan"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1
@@ -173,6 +189,16 @@ def test_cost_file_with_unknown_unit_exits_1(tmp_path, capsys):
     costs.write_text("unit.adc_12bit.area_um2 = 5\n")
     assert main(["cost", "--costs", str(costs)]) == 1
     assert f"{costs}:1: unknown unit" in capsys.readouterr().err
+
+
+def test_cost_file_with_a_nan_unit_cost_exits_1(tmp_path, capsys):
+    costs = tmp_path / "costs.txt"
+    costs.write_text("unit.adc_10bit.energy_pJ = nan\n")
+    assert main(["cost", "--costs", str(costs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {costs}:1: unit.adc_10bit.energy_pJ: unit costs must be nonnegative and "
+        f"finite; energy_pJ is nan\n")
 
 
 @pytest.mark.parametrize("argv", [

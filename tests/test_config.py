@@ -125,6 +125,12 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key):
     ("profile.gamma.mem_area_analog_um2 = -1",
      r"costs.txt:2: profile.gamma.mem_area_analog_um2: profile counts and areas"),
     ("unit.asc.energy_pJ = -0.5", r"costs.txt:2: unit.asc.energy_pJ: unit costs must be"),
+    ("unit.adc_10bit.energy_pJ = nan", r"costs.txt:2: unit.adc_10bit.energy_pJ: unit costs must "
+                                       r"be nonnegative and finite; energy_pJ is nan"),
+    ("unit.analog_cell.write_energy_pJ = inf", r"costs.txt:2: unit.analog_cell.write_energy_pJ: "
+                                               r"unit costs .* write_energy_pJ is inf"),
+    ("profile.kde.mem_area_analog_um2 = nan", r"costs.txt:2: profile.kde.mem_area_analog_um2: "
+                                              r"profile counts .* mem_area_analog_um2 is nan"),
 ])
 def test_cost_file_value_errors_name_the_line(tmp_path, line, message):
     path = tmp_path / "costs.txt"

@@ -136,7 +136,7 @@ class TestEnergy:
         acc = AccessCounts(adc_conversions=2, dac_conversions=0, mem_reads=4,
                            mem_writes=2)
         rep = energy_report(SystemDesign.CONV_LFSR, p, 1024, access=acc,
-                            multipliers=AccessMultipliers.unit())
+                            multipliers=AccessMultipliers(1.0, 1.0, 1.0, 1.0))
         parts = dict((u, v) for u, _, v in rep.entries)
         assert parts["adc"] == 40.0
         assert parts["memory"] == 60.0
@@ -211,3 +211,12 @@ def test_cost_config_has_no_energy_mode_knob(tmp_path):
 def test_unit_cost_validation():
     with pytest.raises(ValueError):
         UnitCost(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("value", (-5.0, float("nan"), float("inf")))
+@pytest.mark.parametrize("field", ("adc", "write", "read", "dac"))
+def test_access_multipliers_must_be_nonnegative_and_finite(field, value):
+    with pytest.raises(ValueError, match=f"access multipliers .*; {field} is {value}"):
+        AccessMultipliers(**{field: value})
+    assert AccessMultipliers(0, 0, 0, 0).as_dict() == dict.fromkeys(("adc", "write", "read",
+                                                                     "dac"), 0)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import shutil
 import tracemalloc
+from dataclasses import replace
+from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from stochmem.costs import SystemDesign
 from stochmem.config import load_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.images import ImageGray, load_pgm, save_pgm
-from stochmem.lfsr import LfsrSpec, seed_state
+from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
 from stochmem.synth import gen_test_inputs
@@ -247,7 +249,7 @@ def test_generator_identities_of_a_block_are_disjoint(app, degree, design, reque
 
     cfg = ExperimentConfig(app=app, design=design, length=64, dims=(3, 2),
                            params=AppParams(bernstein_degree=degree))
-    assert harness._block_slices(6, cfg.length) == [(0, 6)]
+    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
     with mock.patch.object(harness, "derive_state_grid", recording_derive):
         run_experiment(cfg)
     assert ids and len(ids) == len(set(ids))
@@ -267,15 +269,58 @@ def test_synthetic_frames_are_made_once_per_input_kind():
 
 
 @given(n_pixels=st.integers(1, 5000), length=st.integers(1, MAX_LENGTH),
-       budget=st.integers(1, 4_000_000))
-def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budget):
+       budget=st.integers(1, 4_000_000), jobs=st.integers(1, 8))
+def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budget, jobs):
     with mock.patch.object(harness, "_BLOCK_CELLS", budget):
-        blocks = harness._block_slices(n_pixels, length)
+        blocks = harness._block_slices(n_pixels, length, jobs)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_pixels
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
     assert all(size * length <= budget for size in sizes if size > 1)
+    # every worker gets a block, and the workers get equal shares of them
+    assert len(blocks) >= min(jobs, n_pixels)
+    assert len(blocks) % jobs == 0 or len(blocks) == n_pixels
+    if jobs == 1:
+        # the fewest blocks the budget allows
+        assert len(blocks) == -(-n_pixels // max(1, budget // length))
+
+
+def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
+    # 3x2 pixels fit one block at jobs=1; at jobs=2 they split in two
+    cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.STOCHMEM, length=65,
+                           dims=(3, 2))
+    serial = run_experiment(cfg).output.data
+    with mock.patch.object(harness, "ProcessPoolExecutor",
+                           wraps=harness.ProcessPoolExecutor) as pools:
+        parallel = run_experiment(replace(cfg, jobs=2)).output.data
+    assert pools.call_count == 1 and pools.call_args.kwargs == {"max_workers": 2}
+    assert parallel.tobytes() == serial.tobytes()
+
+
+def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
+    cfg = ExperimentConfig(app=AppKind.MEDIAN, design=SystemDesign.CONV_LFSR, length=300,
+                           dims=(7, 5), jobs=3)
+    serial = run_experiment(replace(cfg, jobs=1)).output.data
+    calls = []
+    map_ = harness._map
+
+    def recording_map(fn, items, jobs):
+        calls.append((fn, items, jobs))
+        return map_(fn, items, 1)
+
+    monkeypatch.setattr(harness, "_map", recording_map)
+    assert run_experiment(cfg).output.data.tobytes() == serial.tobytes()
+    [(fn, tasks, jobs)] = calls
+    assert fn is harness._evaluate_block and jobs == 3
+    assert [(lo, hi) for *_, lo, hi, _ in tasks] == harness._block_slices(35, 300, 3)
+    # the comparator table is built once per run and shared by every block
+    assert len({id(table) for _, _, table, *_ in tasks}) == 1 and tasks[0][2] is not None
+    operands = resolve_inputs(cfg).reshape(9, 35)
+    for *_, lo, hi, block in tasks:
+        assert block.shape == (9, hi - lo)
+        assert np.array_equal(block, operands[:, lo:hi])
 
 
 def test_long_streams_keep_block_memory_bounded():
@@ -450,6 +495,16 @@ def _generator_input(design, value, x, y, slot):
     return code
 
 
+@lru_cache(maxsize=None)
+def _free_run_lfsr(group, pixel):
+    """The free-running comparator LFSR of a group at the first cycle of a
+    row-major pixel: seeded once per run, then stepped LENGTH times per pixel."""
+    lfsr = seed_state(LfsrSpec(), derive_state(SeedSpec(SEED, 0, 0, group)))
+    for _ in range(pixel * LENGTH):
+        _, lfsr = lfsr_next(lfsr)
+    return lfsr
+
+
 def _reference_pixel(cfg, frames, x, y):
     ops = _operands(cfg.app, frames, x, y)
     sources, groups = _wiring(cfg.app, cfg.params)
@@ -459,7 +514,9 @@ def _reference_pixel(cfg, frames, x, y):
                  else _generator_input(cfg.design, val, x, y, None))
         state = _state(x, y, group)
         if cfg.design is SystemDesign.CONV_LFSR:
-            streams.append(dsc_generate(level, LENGTH, seed_state(LfsrSpec(), state)))
+            lfsr = (_free_run_lfsr(group, y * WIDTH + x) if cfg.dsc_free_run
+                    else seed_state(LfsrSpec(), state))
+            streams.append(dsc_generate(level, LENGTH, lfsr))
         else:
             streams.append(asc_generate(level, LENGTH, RandomSource(state)))
     p = cfg.params
@@ -475,11 +532,13 @@ def _reference_pixel(cfg, frames, x, y):
     return kde_flags(streams[0], streams[1:], p.delta, p.theta)
 
 
-@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
+@pytest.mark.parametrize("design,free_run",
+                         [(d, False) for d in SystemDesign] + [(SystemDesign.CONV_LFSR, True)],
+                         ids=[d.value for d in SystemDesign] + ["conv-lfsr-free-run"])
 @pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
-def test_harness_matches_scalar_composition(app, design):
+def test_harness_matches_scalar_composition(app, design, free_run):
     cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
-                           global_seed=SEED, input_seed=SEED)
+                           global_seed=SEED, input_seed=SEED, dsc_free_run=free_run)
     frames = _source_frames(app, cfg.dims, SEED)
     expected = np.array([[_reference_pixel(cfg, frames, x, y) for x in range(WIDTH)]
                          for y in range(HEIGHT)])

@@ -18,9 +18,9 @@ def test_digital_roundtrip_exact_at_word_width():
     values = np.array([0.0, 0.3, 0.5, 1.0])
     cfg = ExperimentConfig(app=AppKind.FRAME, design=SystemDesign.CONV_LFSR)
     plan = harness._stream_plan(cfg.app, cfg.params)
-    planes = np.stack([values, values[::-1]])[:, None, :]
+    operands = np.stack([values, values[::-1]])
     xs, ys = np.arange(4), np.zeros(4, dtype=np.int64)
-    levels = harness._stream_levels(cfg, plan, planes, xs, ys)
+    levels = harness._stream_levels(cfg, plan, operands, xs, ys)
     assert [lv.tolist() for lv in levels] == [[0, 307, 512, 1023], [1023, 512, 307, 0]]
 
 
@@ -41,6 +41,13 @@ def test_value_domain_error():
         mem_write(NoiseModel(), 1.5, _rng())
     with pytest.raises(ValueError):
         mem_write_block(NoiseModel(), np.array([0.5, -0.1]), np.zeros(2, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("value", (-0.1, float("nan"), float("inf")))
+@pytest.mark.parametrize("field", ("write_sigma", "read_sigma"))
+def test_noise_sigmas_must_be_nonnegative_and_finite(field, value):
+    with pytest.raises(ValueError, match=f"noise sigmas .*; {field} is {value}"):
+        NoiseModel(**{field: value})
 
 
 def test_write_noise_moments():
