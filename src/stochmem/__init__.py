@@ -5,8 +5,8 @@ from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate
 from .costs import (AccessCounts, AccessMultipliers, AppProfile, CostReport,
                     SystemDesign, UnitCost, area_report, default_profile,
                     energy_report, share_breakdown)
-from .harness import (ExperimentConfig, ExperimentReport, calibrate_access,
-                      calibrate_noise, run_experiment, sweep)
+from .calibrate import calibrate_access, calibrate_noise
+from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
 from .images import ImageGray, error_metric, load_pgm, save_pgm
 from .lfsr import LfsrSpec, LfsrState, lfsr_next
 from .memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block

@@ -15,6 +15,11 @@ MAX_LENGTH = 1 << 24
 _WORD_BITS = 64
 
 
+def check_length(length: int) -> None:
+    if not 1 <= length <= MAX_LENGTH:
+        raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {length}")
+
+
 def words_for(length: int) -> int:
     return (length + _WORD_BITS - 1) // _WORD_BITS
 

@@ -7,9 +7,9 @@ tab-separated for scripting.
 run, sweep and calibrate take one flag per row of config.FIELDS, except the
 fields the command sets itself (_OWN_KEYS); a --config file that sets one of
 those is an error.  Precedence, lowest first: defaults, the --config file,
-the flags given, then STOCHMEM_SEED for the seed.  calibrate --mode access
-reads no run config, so it rejects --config, those flags and the noise-mode
-options.
+the flags given, then STOCHMEM_SEED for the seed.  calibrate runs the
+stochmem.calibrate fits; --mode access reads no run config, so it rejects
+--config, those flags and the noise-mode options.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ import math
 import sys
 from pathlib import Path
 
+from .bitstream import check_length
+from .calibrate import calibrate_access, calibrate_noise
 from .circuits import AppKind, fit_bernstein
 from .config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, parse_bool,
                      parse_dims, read_pairs, read_values, resolve_config)
 from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
-                      calibrate_access, calibrate_noise, report_csv_row, run_experiment,
-                      sweep)
+                      report_csv_row, run_experiment, sweep)
 from .images import save_pgm
 from .synth import gen_test_inputs
 
@@ -175,6 +176,7 @@ def _print_report(report, value_name: str) -> None:
 
 
 def _cmd_cost(args) -> int:
+    check_length(args.length)
     costs, profiles = (load_cost_config(args.costs) if args.costs
                        else (None, {a: default_profile(a) for a in AppKind}))
     apps = _parse_apps(args.app)
@@ -237,7 +239,7 @@ def _cmd_calibrate(args) -> int:
     opts = {dest: default if getattr(args, dest) is None else getattr(args, dest)
             for dest, _, _, default, _ in _NOISE_OPTIONS}
     noise, gap = calibrate_noise(opts["target_gap"], template, tol_pp=opts["tol"],
-                                 n_seeds=opts["runs"], jobs=template.jobs)
+                                 n_seeds=opts["runs"])
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
     return 0

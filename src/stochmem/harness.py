@@ -26,8 +26,8 @@ start and end mid-row) holding at most _BLOCK_CELLS pixels x length stream
 cells, so memory per block is bounded for any image shape; only a single
 pixel whose length alone exceeds the budget forms a larger block.  The blocks
 are the tasks _map hands to the workers (_map is the one place that starts
-worker processes, for every run grid: a run's blocks, a sweep, a noise-gap
-evaluation).  Each task carries only its block's operand columns; the stream
+worker processes, for every run grid: a run's blocks, a sweep, a noise-fit
+grid).  Each task carries only its block's operand columns; the stream
 plan and the comparator table are built once per run.  With several workers
 the block count is a multiple of the worker count, so a small image still
 spreads over every worker.  Within a block every stream is generated packed,
@@ -48,7 +48,6 @@ buffer size nor worker count changes any output bit.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -57,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import circuits
-from .bitstream import MAX_LENGTH, pack_bool_matrix, popcount_rows, tail_mask, words_for
+from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
 from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
@@ -69,8 +68,8 @@ from .rng import GOLDEN, SeedSpec, bernoulli_threshold_u64, derive_state, \
     derive_state_grid, uniform_block_from_states
 from .synth import INPUT_SEED, gen_test_inputs
 
-# Read/write discrepancy calibrated against the published accuracy gap at
-# length 1024; `stochmem calibrate --mode noise` regenerates it.
+# Read/write discrepancy fitted to the published accuracy gap at length 1024
+# by stochmem.calibrate; `stochmem calibrate --mode noise` regenerates it.
 DEFAULT_NOISE_SIGMA = 0.00625
 
 PAPER_LENGTHS = (128, 256, 512, 1024)
@@ -118,8 +117,7 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise ValueError(f"length must be in 1..{MAX_LENGTH}, got {self.length}")
+        check_length(self.length)
         _check_jobs(self.jobs)
         if len(self.dims) != 2 or min(self.dims) < 1:
             raise ValueError(f"dims must be two positive integers (width, height), "
@@ -145,7 +143,6 @@ class ExperimentReport:
     area: CostReport
     energy: CostReport           # fed by the stream plan's access counts
     energy_default: CostReport   # analytic default access counts
-    wall_time_s: float
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +434,6 @@ def _map(fn, items: list, jobs: int) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
-    t0 = time.perf_counter()
     planes = resolve_inputs(cfg)
     n_planes, height, width = planes.shape
 
@@ -468,7 +464,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         energy=energy_report(cfg.design, profile, cfg.length, access, cfg.multipliers),
         energy_default=energy_report(cfg.design, profile, cfg.length,
                                      multipliers=cfg.multipliers),
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -531,6 +526,8 @@ def sweep(template: ExperimentConfig,
     """Run the cross product and return CSV lines (header first), sorted by
     (app, design, length, seed).  Seeds are global_seed + run index; apps and
     designs default to all."""
+    if out_csv is not None and not Path(out_csv).parent.is_dir():
+        raise ValueError(f"{out_csv}: directory {Path(out_csv).parent} does not exist")
     apps = list(AppKind if apps is None else apps)
     designs = list(SystemDesign if designs is None else designs)
     results = sorted(_run_grid(template, apps, designs, lengths, n_seeds, jobs),
@@ -539,96 +536,3 @@ def sweep(template: ExperimentConfig,
     if out_csv is not None:
         Path(out_csv).write_text("\n".join(lines) + "\n")
     return lines
-
-
-# ---------------------------------------------------------------------------
-# calibration
-
-
-def measure_noise_gap(sigma: float, template: ExperimentConfig,
-                      n_seeds: int = 5, length: int = 1024,
-                      jobs: int = 1) -> float:
-    """Five-app average StochMem-minus-baseline inaccuracy gap in percentage
-    points, each design's inaccuracy taken as its median over the seeds; the
-    baseline is the Bernoulli-sampling conv design so the gap isolates the
-    memory discrepancy."""
-    designs = (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)
-    results = _run_grid(replace(template, noise=NoiseModel(sigma, sigma)), list(AppKind),
-                        designs, (length,), n_seeds, jobs)
-    inaccuracy = np.array([r[2] for r in results]).reshape(len(AppKind), len(designs), n_seeds)
-    medians = np.median(inaccuracy, axis=2)
-    # columns follow ``designs``: stochmem minus conv-mtj, per app
-    return float(np.mean(medians[:, 1] - medians[:, 0]))
-
-
-def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = None,
-                    tol_pp: float = 0.05, sigma_hi: float = 0.1,
-                    n_seeds: int = 5, jobs: int = 1) -> tuple[NoiseModel, float]:
-    """Bisect the shared read/write sigma until the measured gap matches."""
-    if target_gap_pp < 0:
-        raise ValueError("target gap must be nonnegative")
-    if tol_pp < 0:
-        raise ValueError(f"gap tolerance must be nonnegative, got {tol_pp}")
-    template = template or ExperimentConfig()
-    gap = lambda s: measure_noise_gap(s, template, n_seeds=n_seeds, jobs=jobs)
-    g0 = gap(0.0)
-    if g0 >= target_gap_pp - tol_pp:
-        return NoiseModel(0.0, 0.0), g0
-    ghi = gap(sigma_hi)
-    if ghi < target_gap_pp - tol_pp:
-        raise ValueError(
-            f"target gap {target_gap_pp}pp unreachable: gap({sigma_hi}) = {ghi:.3f}pp")
-    lo, hi = 0.0, sigma_hi
-    gmid = ghi
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        gmid = gap(mid)
-        if abs(gmid - target_gap_pp) <= tol_pp:
-            return NoiseModel(mid, mid), gmid
-        if gmid < target_gap_pp:
-            lo = mid
-        else:
-            hi = mid
-    return NoiseModel(mid, mid), gmid
-
-
-def calibrate_access(target_mtj_reduction: float = 45.7,
-                     target_stoch_reduction: float = 11.1,
-                     length: int = 1024) -> tuple[AccessMultipliers, float, float]:
-    """Grid-search one global multiplier set against the published energy
-    reductions; pure cost-model arithmetic, no simulation.
-
-    Energy is linear in the multipliers, so each (design, app) total is
-    probed once per multiplier axis and the grid is scored in closed form.
-    """
-    profiles = [default_profile(a) for a in AppKind]
-    axes = ("adc", "write", "read", "dac")
-
-    def totals(mult: AccessMultipliers) -> np.ndarray:
-        return np.array([[energy_report(d, p, length, multipliers=mult).total
-                          for d in SystemDesign] for p in profiles])
-
-    base = totals(AccessMultipliers(0, 0, 0, 0))
-    slopes = [totals(AccessMultipliers(**{a: 1.0 for a in (ax,)},
-                                       **{a: 0.0 for a in axes if a != ax})) - base
-              for ax in axes]
-
-    def reductions(vals: tuple[float, ...]) -> tuple[float, float, bool]:
-        e = base + sum(v * s for v, s in zip(vals, slopes))
-        lfsr, mtj, stoch = e[:, 0], e[:, 1], e[:, 2]
-        ordered = bool(np.all(stoch < mtj) and np.all(mtj < lfsr))
-        return (100 * (1 - float(np.mean(mtj / lfsr))),
-                100 * (1 - float(np.mean(stoch / mtj))), ordered)
-
-    import itertools
-    best = None
-    grid = [round(v, 2) for v in np.arange(0.05, 1.01, 0.05)]
-    for vals in itertools.product(grid, grid, (0.5, 0.75, 1.0), grid):
-        red_ml, red_sm, ordered = reductions(vals)
-        if not ordered:
-            continue
-        score = abs(red_ml - target_mtj_reduction) + abs(red_sm - target_stoch_reduction)
-        if best is None or score < best[0]:
-            best = (score, vals, red_ml, red_sm)
-    _, vals, red_ml, red_sm = best
-    return AccessMultipliers(*vals), red_ml, red_sm

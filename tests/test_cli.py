@@ -55,9 +55,9 @@ def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
                            return_value=(NoiseModel(0.01, 0.01), 0.2)) as spy:
         assert main(["calibrate", "--mode", "noise", "--config", str(cfg), "--seed", "4"]) == 0
     template = spy.call_args.args[1]
-    assert (template.dims, template.global_seed) == ((6, 5), 4)
+    assert (template.dims, template.global_seed, template.jobs) == ((6, 5), 4, 2)
     assert spy.call_args.args[0] == 0.19
-    assert spy.call_args.kwargs == {"tol_pp": 0.05, "n_seeds": 5, "jobs": 2}
+    assert spy.call_args.kwargs == {"tol_pp": 0.05, "n_seeds": 5}
 
 
 @pytest.mark.parametrize("flags,name", [
@@ -177,11 +177,15 @@ def test_calibrate_access_names_each_ignored_option(capsys, flags):
      "gamma_exponent must be nonnegative and finite, got -1.0"),
     (["fit-gamma", "--exponent", "-1"], "--exponent must be nonnegative and finite, got -1.0"),
     (["fit-gamma", "--exponent", "nan"], "--exponent must be nonnegative and finite, got nan"),
+    (["cost", "--length", "0"], "length must be in 1..16777216, got 0"),
+    (["cost", "--length", "-1"], "length must be in 1..16777216, got -1"),
+    (["cost", "--length", "99999999"], "length must be in 1..16777216, got 99999999"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_cost_file_with_unknown_unit_exits_1(tmp_path, capsys):

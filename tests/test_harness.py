@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
-from stochmem import harness
+from stochmem import calibrate, harness
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, OPERAND_SLOTS, AppKind, AppParams, fit_bernstein,
                                gamma_eval, golden_eval)
@@ -45,11 +46,13 @@ def test_config_rejects_nonpositive_jobs():
 @pytest.mark.parametrize("entry", ("sweep", "measure_noise_gap", "calibrate_noise"))
 def test_entry_points_reject_nonpositive_jobs(entry, jobs):
     tiny = ExperimentConfig(dims=(3, 2), length=8)
+    # the noise entry points take their workers from the template
     calls = {
         "sweep": lambda: sweep(tiny, lengths=(8,), n_seeds=1, jobs=jobs),
-        "measure_noise_gap": lambda: harness.measure_noise_gap(0.0, tiny, n_seeds=1, length=8,
-                                                               jobs=jobs),
-        "calibrate_noise": lambda: harness.calibrate_noise(0.19, tiny, n_seeds=1, jobs=jobs),
+        "measure_noise_gap": lambda: calibrate._median_inaccuracy(
+            replace(tiny, jobs=jobs), SystemDesign.STOCHMEM, 1),
+        "calibrate_noise": lambda: calibrate.calibrate_noise(0.19, replace(tiny, jobs=jobs),
+                                                             n_seeds=1),
     }
     # a run means the bad value was taken as a serial run
     with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
@@ -99,35 +102,17 @@ def test_sweep_rejects_empty_grids(tmp_path, kwargs, name):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("entry", ("measure_noise_gap", "calibrate_noise"))
-def test_noise_calibration_rejects_an_empty_seed_grid(entry):
-    tiny = ExperimentConfig(dims=(3, 2), length=8)
-    calls = {
-        "measure_noise_gap": lambda: harness.measure_noise_gap(0.0, tiny, n_seeds=0, length=8),
-        "calibrate_noise": lambda: harness.calibrate_noise(0.19, tiny, n_seeds=0),
-    }
+def test_sweep_checks_the_output_directory_before_the_first_run(tmp_path):
+    out = tmp_path / "missing" / "sweep.csv"
     with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
-        with pytest.raises(ValueError, match="n_seeds must be at least 1, got 0"):
-            calls[entry]()
-
-
-def test_calibrate_noise_rejects_a_negative_tolerance():
-    # no gap is ever within a negative tolerance, so bisection could only run out
-    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
-        with pytest.raises(ValueError, match="tolerance must be nonnegative, got -0.01"):
-            harness.calibrate_noise(0.19, ExperimentConfig(dims=(3, 2)), tol_pp=-0.01)
+        with pytest.raises(ValueError, match=re.escape(f"directory {out.parent} does not")):
+            sweep(ExperimentConfig(dims=(3, 2)), lengths=(8,), n_seeds=1, out_csv=out)
 
 
 def test_run_grids_give_the_same_results_on_two_workers():
     tiny = ExperimentConfig(dims=(3, 2), global_seed=5)
     serial = sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=1)
     assert sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=2) == serial
-    gap = harness.measure_noise_gap(0.01, tiny, n_seeds=3, length=40, jobs=1)
-    # one pool per noise-gap evaluation, not one per (app, design)
-    with mock.patch.object(harness, "ProcessPoolExecutor",
-                           wraps=harness.ProcessPoolExecutor) as pools:
-        assert harness.measure_noise_gap(0.01, tiny, n_seeds=3, length=40, jobs=2) == gap
-    assert pools.call_count == 1
 
 
 # ---------------------------------------------------------------------------
