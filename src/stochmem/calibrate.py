@@ -3,10 +3,10 @@
 calibrate_noise bisects the read/write sigma against the five-app gap of
 stochmem's over conv-mtj's median inaccuracy.  conv-mtj keeps its operands in
 ideal SRAM, so its medians do not depend on sigma: they are measured once per
-fit, and each step runs only stochmem.  The default `stochmem calibrate --mode
-noise` (128x128, L=1024, 5 seeds) gives sigma 0.00625 and 0.1996 pp after 6
-gap evaluations.  Energy is linear in the access multipliers, so
-calibrate_access scores its whole grid in one numpy broadcast."""
+fit, and each step runs only stochmem.  The default `stochmem calibrate`
+(128x128, L=1024, 5 seeds) gives sigma 0.00625 and 0.1996 pp after 6 gap
+evaluations.  Energy is linear in the access multipliers, so calibrate_access
+(`stochmem calibrate-access`) scores its whole grid in one numpy broadcast."""
 
 from __future__ import annotations
 
@@ -36,10 +36,11 @@ def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = No
                     tol_pp: float = 0.05, n_seeds: int = 5) -> tuple[NoiseModel, float]:
     """Bisect the shared read/write sigma until the gap is within tol_pp of
     target_gap_pp; return the noise model and its gap.  Sigma 0 stands if its
-    gap already reaches the target."""
-    if target_gap_pp < 0:
-        raise ValueError("target gap must be nonnegative")
-    if tol_pp < 0:
+    gap already reaches the target.  A search that ends outside the tolerance
+    raises a ValueError."""
+    if not target_gap_pp >= 0:
+        raise ValueError(f"target gap must be nonnegative, got {target_gap_pp}")
+    if not tol_pp >= 0:
         raise ValueError(f"gap tolerance must be nonnegative, got {tol_pp}")
     template = template or ExperimentConfig()
     baseline = _median_inaccuracy(template, SystemDesign.CONV_MTJ, n_seeds)
@@ -57,6 +58,9 @@ def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = No
         lo, hi = (sigma, hi) if g < target_gap_pp else (lo, sigma)
         sigma = 0.5 * (lo + hi)
         g = gap(sigma)
+    if sigma > 0.0 and abs(g - target_gap_pp) > tol_pp:
+        raise ValueError(f"sigma search did not converge: gap({sigma:.6g}) = {g:.4f}pp, "
+                         f"target {target_gap_pp}pp +/- {tol_pp}pp")
     return NoiseModel(sigma, sigma), g
 
 

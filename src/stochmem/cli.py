@@ -1,15 +1,16 @@
 """Command-line front end.
 
-Subcommands: run, sweep, cost, fit-gamma, gen-inputs, calibrate.
-Exit codes: 0 success, 1 domain error, 2 usage error.  Tables on stdout are
-tab-separated for scripting.
+Subcommands: run, sweep, cost, fit-gamma, gen-inputs, calibrate,
+calibrate-access.  Exit codes: 0 success, 1 domain error, 2 usage error.
+Tables on stdout are tab-separated for scripting.  No option may be
+abbreviated.
 
 run, sweep and calibrate take one flag per row of config.FIELDS, except the
 fields the command sets itself (_OWN_KEYS); a --config file that sets one of
 those is an error.  Precedence, lowest first: defaults, the --config file,
-the flags given, then STOCHMEM_SEED for the seed.  calibrate runs the
-stochmem.calibrate fits; --mode access reads no run config, so it rejects
---config, those flags and the noise-mode options.
+the flags given, then STOCHMEM_SEED for the seed.  calibrate fits the noise
+sigma and calibrate-access the access multipliers (stochmem.calibrate); the
+access fit reads no run config, so calibrate-access takes no options.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .bitstream import check_length
@@ -43,28 +45,16 @@ _OWN_KEYS = {
     },
 }
 
-# calibrate's noise-mode options: dest, flag, type, default, help
-_NOISE_OPTIONS = (
-    ("target_gap", "--target-gap", float, 0.19, "accuracy gap target in percentage points"),
-    ("tol", "--tol", float, 0.05, "gap tolerance"),
-    ("runs", "--runs", int, 5, "seeds per evaluation"),
-)
-
 
 def _fmt(x: float) -> str:
     return f"{x:g}"
 
 
-def _parse_apps(spec: str) -> list[AppKind]:
+def _parse_list(kind, spec: str) -> list:
+    """The members of the enum ``kind`` named in a comma list, or all of them."""
     if spec == "all":
-        return list(AppKind)
-    return [AppKind.from_name(s) for s in spec.split(",") if s]
-
-
-def _parse_designs(spec: str) -> list[SystemDesign]:
-    if spec == "all":
-        return list(SystemDesign)
-    return [SystemDesign.from_name(s) for s in spec.split(",") if s]
+        return list(kind)
+    return [kind.from_name(s) for s in spec.split(",") if s]
 
 
 def _config_from_args(args, need=()) -> ExperimentConfig:
@@ -101,12 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stochmem",
                                  description="Stochastic image-processing system simulator")
     sub = ap.add_subparsers(dest="command", required=True)
+    # a prefix would be one more spelling: sweep's --apps would take --app
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p_run = sub.add_parser("run", help="run one experiment and report accuracy and cost")
+    p_run = add("run", help="run one experiment and report accuracy and cost")
     p_run.add_argument("--out", help="directory for output.pgm and report.csv")
     _add_config_flags(p_run)
 
-    p_sweep = sub.add_parser("sweep", help="run the app x design x length x seed grid")
+    p_sweep = add("sweep", help="run the app x design x length x seed grid")
     p_sweep.add_argument("--apps", default="all", help="comma list or 'all'")
     p_sweep.add_argument("--designs", default="all", help="comma list or 'all'")
     p_sweep.add_argument("--lengths", default=",".join(str(v) for v in PAPER_LENGTHS),
@@ -116,27 +108,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     _add_config_flags(p_sweep, skip=_OWN_KEYS["sweep"])
 
-    p_cost = sub.add_parser("cost", help="print area and energy tables")
+    p_cost = add("cost", help="print area and energy tables")
     p_cost.add_argument("--app", default="all", help="application or 'all'")
     p_cost.add_argument("--design", default="all", help="design or 'all'")
     p_cost.add_argument("--length", type=int, default=1024,
                         help="bitstream length for the energy table")
     p_cost.add_argument("--costs", help="unit/profile override file")
 
-    p_fit = sub.add_parser("fit-gamma", help="fit the power function as a Bernstein polynomial")
+    p_fit = add("fit-gamma", help="fit the power function as a Bernstein polynomial")
     p_fit.add_argument("--exponent", type=float, default=0.45)
     p_fit.add_argument("--degree", type=int, default=6)
 
-    p_gen = sub.add_parser("gen-inputs", help="write the synthetic input set as PGM files")
+    p_gen = add("gen-inputs", help="write the synthetic input set as PGM files")
     p_gen.add_argument("--out", required=True, help="output directory")
     p_gen.add_argument("--dims", default="128x128")
 
-    p_cal = sub.add_parser("calibrate", help="calibrate noise sigma or access multipliers")
-    p_cal.add_argument("--mode", choices=("noise", "access"), default="noise")
-    for dest, flag, kind, default, text in _NOISE_OPTIONS:
-        p_cal.add_argument(flag, dest=dest, type=kind,
-                           help=f"{text} (noise mode; default {default})")
+    p_cal = add("calibrate", help="fit the noise sigma to the accuracy gap")
+    p_cal.add_argument("--target-gap", type=float, default=0.19,
+                       help="accuracy gap target in percentage points")
+    p_cal.add_argument("--tol", type=float, default=0.05, help="gap tolerance")
+    p_cal.add_argument("--runs", type=int, default=5, help="seeds per evaluation")
     _add_config_flags(p_cal, skip=_OWN_KEYS["calibrate"])
+
+    add("calibrate-access", help="fit the access multipliers to the energy reductions")
     return ap
 
 
@@ -160,8 +154,8 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     lengths = tuple(int(s) for s in args.lengths.split(",") if s)
-    lines = sweep(cfg, apps=_parse_apps(args.apps), designs=_parse_designs(args.designs),
-                  lengths=lengths, n_seeds=args.seeds, out_csv=args.out, jobs=cfg.jobs)
+    lines = sweep(cfg, _parse_list(AppKind, args.apps), _parse_list(SystemDesign, args.designs),
+                  lengths, n_seeds=args.seeds, out_csv=args.out, jobs=cfg.jobs)
     print(f"wrote {args.out} ({len(lines) - 1} rows)")
     return 0
 
@@ -179,9 +173,8 @@ def _cmd_cost(args) -> int:
     check_length(args.length)
     costs, profiles = (load_cost_config(args.costs) if args.costs
                        else (None, {a: default_profile(a) for a in AppKind}))
-    apps = _parse_apps(args.app)
-    designs = _parse_designs(args.design)
-    for app in apps:
+    designs = _parse_list(SystemDesign, args.design)
+    for app in _parse_list(AppKind, args.app):
         profile = profiles[app]
         for design in designs:
             print(f"# area_um2 app={app.value} design={design.value}")
@@ -221,27 +214,21 @@ def _cmd_gen_inputs(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    if args.mode == "access":
-        # access calibration is cost-model arithmetic over the default profiles
-        given = (["--config"] if args.config else []) + [
-            f.flag for f in FIELDS if getattr(args, f.key, None) is not None] + [
-            flag for dest, flag, *_ in _NOISE_OPTIONS if getattr(args, dest) is not None]
-        if given:
-            raise ValueError(f"calibrate --mode access takes no run options; got {given[0]}")
-        mult, red_ml, red_sm = calibrate_access()
-        print("multiplier\tvalue")
-        for k, v in mult.as_dict().items():
-            print(f"{k}\t{v:g}")
-        print(f"mtj_vs_lfsr_reduction_percent\t{red_ml:.2f}")
-        print(f"stochmem_vs_mtj_reduction_percent\t{red_sm:.2f}")
-        return 0
-    template = _config_from_args(args)
-    opts = {dest: default if getattr(args, dest) is None else getattr(args, dest)
-            for dest, _, _, default, _ in _NOISE_OPTIONS}
-    noise, gap = calibrate_noise(opts["target_gap"], template, tol_pp=opts["tol"],
-                                 n_seeds=opts["runs"])
+    noise, gap = calibrate_noise(args.target_gap, _config_from_args(args), tol_pp=args.tol,
+                                 n_seeds=args.runs)
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
+    return 0
+
+
+def _cmd_calibrate_access(args) -> int:
+    # access calibration is cost-model arithmetic over the default profiles
+    mult, red_ml, red_sm = calibrate_access()
+    print("multiplier\tvalue")
+    for k, v in mult.as_dict().items():
+        print(f"{k}\t{v:g}")
+    print(f"mtj_vs_lfsr_reduction_percent\t{red_ml:.2f}")
+    print(f"stochmem_vs_mtj_reduction_percent\t{red_sm:.2f}")
     return 0
 
 
@@ -252,6 +239,7 @@ _COMMANDS = {
     "fit-gamma": _cmd_fit_gamma,
     "gen-inputs": _cmd_gen_inputs,
     "calibrate": _cmd_calibrate,
+    "calibrate-access": _cmd_calibrate_access,
 }
 
 

@@ -1,11 +1,12 @@
 """Run and cost configuration from flat key=value files and command-line flags.
 
-FIELDS is the one table of ExperimentConfig fields; a row gives the file key,
-the flag and the parse function both sources use.  A run config is built from
-the ExperimentConfig defaults, then the keys of the --config file, then the
-flags given, then the STOCHMEM_SEED environment variable for the seed; each
-step overrides the one before.  read_pairs reads every file: one key = value
-per line, '#' starts a comment, and errors name path:line.
+FIELDS is the one table of ExperimentConfig fields; a row gives the file key
+and the parse function both sources use, and the key spells the flag.  A run
+config is built from the ExperimentConfig defaults, then the keys of the
+--config file, then the flags given, then the STOCHMEM_SEED environment
+variable for the seed; each step overrides the one before.  read_pairs reads
+every file: one key = value per line, '#' starts a comment, and errors name
+path:line.
 """
 
 from __future__ import annotations
@@ -44,37 +45,38 @@ def parse_bool(spec) -> bool:
 @dataclass(frozen=True)
 class Field:
     key: str                          # file key
-    flag: str
     attr: str                         # ExperimentConfig attribute, dotted for a sub-field
     parse: Callable[[str], object]
     help: str
 
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
 
 FIELDS = (
-    Field("app", "--app", "app", AppKind.from_name, "robert|median|frame|gamma|kde"),
-    Field("design", "--design", "design", SystemDesign.from_name,
-          "conv-lfsr|conv-mtj|stochmem"),
-    Field("length", "--length", "length", int, "bitstream length (default 1024)"),
-    Field("seed", "--seed", "global_seed", int, "global seed"),
-    Field("dims", "--dims", "dims", parse_dims, "synthetic image size WxH (default 128x128)"),
-    Field("input_seed", "--input-seed", "input_seed", int, "seed of the synthetic inputs"),
-    Field("input", "--input", "input_path", str, "input image (PGM, maxval 255)"),
-    Field("frames_dir", "--frames", "frames_dir", str, "directory of PGM frames for frame/kde"),
-    Field("write_sigma", "--write-sigma", "noise.write_sigma", float, "analog write sigma"),
-    Field("read_sigma", "--read-sigma", "noise.read_sigma", float, "analog read sigma"),
-    Field("theta", "--theta", "params.theta", float, "segmentation threshold"),
-    Field("delta", "--delta", "params.delta", float, "density kernel half-width"),
-    Field("gamma_exponent", "--gamma-exponent", "params.gamma_exponent", float,
-          "power-function exponent"),
-    Field("bernstein_degree", "--bernstein-degree", "params.bernstein_degree", int,
+    Field("app", "app", AppKind.from_name, "robert|median|frame|gamma|kde"),
+    Field("design", "design", SystemDesign.from_name, "conv-lfsr|conv-mtj|stochmem"),
+    Field("length", "length", int, "bitstream length (default 1024)"),
+    Field("seed", "global_seed", int, "global seed"),
+    Field("dims", "dims", parse_dims, "synthetic image size WxH (default 128x128)"),
+    Field("input_seed", "input_seed", int, "seed of the synthetic inputs"),
+    Field("input", "input_path", str,
+          "input image (PGM, maxval 255), or a directory of PGM frames for frame/kde"),
+    Field("write_sigma", "noise.write_sigma", float, "analog write sigma"),
+    Field("read_sigma", "noise.read_sigma", float, "analog read sigma"),
+    Field("theta", "params.theta", float, "segmentation threshold"),
+    Field("delta", "params.delta", float, "density kernel half-width"),
+    Field("gamma_exponent", "params.gamma_exponent", float, "power-function exponent"),
+    Field("bernstein_degree", "params.bernstein_degree", int,
           "degree of the gamma circuit's Bernstein polynomial"),
-    Field("mult_adc", "--mult-adc", "multipliers.adc", float, "ADC energy multiplier"),
-    Field("mult_write", "--mult-write", "multipliers.write", float, "write energy multiplier"),
-    Field("mult_read", "--mult-read", "multipliers.read", float, "read energy multiplier"),
-    Field("mult_dac", "--mult-dac", "multipliers.dac", float, "DAC energy multiplier"),
-    Field("free_run", "--free-run", "dsc_free_run", parse_bool,
+    Field("mult_adc", "multipliers.adc", float, "ADC energy multiplier"),
+    Field("mult_write", "multipliers.write", float, "write energy multiplier"),
+    Field("mult_read", "multipliers.read", float, "read energy multiplier"),
+    Field("mult_dac", "multipliers.dac", float, "DAC energy multiplier"),
+    Field("free_run", "dsc_free_run", parse_bool,
           "let the comparator LFSR run across pixels instead of reseeding"),
-    Field("jobs", "--jobs", "jobs", int, "worker processes"),
+    Field("jobs", "jobs", int, "worker processes"),
 )
 FIELD_BY_KEY = {f.key: f for f in FIELDS}
 
@@ -116,9 +118,9 @@ def _with(obj, attr: str, value):
 
 def resolve_config(values: dict[str, object]) -> ExperimentConfig:
     """The defaults with ``values`` (parsed, by key) set, then STOCHMEM_SEED."""
-    for key in ("input", "frames_dir"):
-        if "dims" in values and key in values:
-            raise ValueError(f"dims sizes only the synthetic inputs; it cannot be set with {key}")
+    for key, verb in (("dims", "sizes"), ("input_seed", "seeds")):
+        if key in values and "input" in values:
+            raise ValueError(f"{key} {verb} only the synthetic inputs; it cannot be set with input")
     cfg = ExperimentConfig()
     for key, value in values.items():
         cfg = _with(cfg, FIELD_BY_KEY[key].attr, value)
@@ -128,14 +130,9 @@ def resolve_config(values: dict[str, object]) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path) -> ExperimentConfig:
-    """The defaults, then the keys of a run config file, then STOCHMEM_SEED."""
-    return resolve_config(read_values(path))
-
-
 _UNIT_FIELDS = {"area_um2": float, "energy_pJ": float, "write_energy_pJ": float}
-_PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "n_operands": int,
-                   "mem_area_digital_um2": float, "mem_area_analog_um2": float}
+_PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": float,
+                   "mem_area_analog_um2": float}
 
 
 def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfile]]:

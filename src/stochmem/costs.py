@@ -81,13 +81,12 @@ class AppProfile:
     n_lfsr: int
     mem_area_digital_um2: float
     mem_area_analog_um2: float
-    n_operands: int
 
     def __post_init__(self):
         _check_nonnegative_finite(
             "profile counts and areas", n_streams=self.n_streams, n_lfsr=self.n_lfsr,
             mem_area_digital_um2=self.mem_area_digital_um2,
-            mem_area_analog_um2=self.mem_area_analog_um2, n_operands=self.n_operands)
+            mem_area_analog_um2=self.mem_area_analog_um2)
 
 
 _PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
@@ -102,14 +101,14 @@ _PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
 
 def default_profile(app: AppKind) -> AppProfile:
     n_lfsr, n_streams, mem_d, mem_a = _PROFILE_TABLE[app]
-    return AppProfile(app, n_streams, n_lfsr, mem_d, mem_a, n_operands=n_streams)
+    return AppProfile(app, n_streams, n_lfsr, mem_d, mem_a)
 
 
 @dataclass(frozen=True)
 class AccessMultipliers:
     """Global per-event amortization factors shared by every app.
 
-    The defaults were calibrated (`stochmem calibrate --mode access`) so
+    The defaults were calibrated (`stochmem calibrate-access`) so
     that the cross-app energy comparison lands on the published reductions:
     values are converted and written roughly once per several uses while
     every use pays a read.  All-ones multipliers give the literal
@@ -143,10 +142,12 @@ class AccessCounts:
             raise ValueError("access counts must be nonnegative")
 
 
-def default_access(profile: AppProfile, design: SystemDesign) -> AccessCounts:
-    n = profile.n_operands
-    dac = n if design is SystemDesign.CONV_MTJ else 0
-    return AccessCounts(adc_conversions=n, dac_conversions=dac,
+def access_counts(design: SystemDesign, n: int) -> AccessCounts:
+    """Accesses for n operands per pixel: one write and one read each, and one
+    ADC conversion each on the conv designs and one DAC conversion each on
+    conv-mtj."""
+    return AccessCounts(adc_conversions=0 if design is SystemDesign.STOCHMEM else n,
+                        dac_conversions=n if design is SystemDesign.CONV_MTJ else 0,
                         mem_reads=n, mem_writes=n)
 
 
@@ -211,7 +212,7 @@ def energy_report(design: SystemDesign, profile: AppProfile, length: int,
         raise ValueError("length must be nonnegative")
     c = costs or DEFAULT_UNIT_COSTS
     if access is None:
-        access = default_access(profile, design)
+        access = access_counts(design, profile.n_streams)
     logic = c[f"logic_{profile.app.value}"]
     adc = access.adc_conversions * multipliers.adc
     dac = access.dac_conversions * multipliers.dac

@@ -14,8 +14,8 @@ The SRAM returns the ADC codes it stores, so the conv designs use the codes
 directly and only stochmem calls the memory model.  Constant sources (the
 Roberts mux select, the gamma coefficients) skip the memory but pass through
 the same converters.  The golden output is circuits.golden_eval over the same
-planes.  Each operand slot is written and read once per pixel, so the access
-counts fed to the energy model are the plane count, not counters.
+planes.  Each operand slot is written and read once per pixel, so the energy
+model's access counts are costs.access_counts of the plane count.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -59,8 +59,8 @@ from . import circuits
 from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
 from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
-from .costs import (AccessCounts, AccessMultipliers, CostReport, SystemDesign,
-                    area_report, default_profile, energy_report, share_breakdown)
+from .costs import (AccessMultipliers, CostReport, SystemDesign, access_counts, area_report,
+                    default_profile, energy_report, share_breakdown)
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
@@ -69,7 +69,7 @@ from .rng import GOLDEN, SeedSpec, bernoulli_threshold_u64, derive_state, \
 from .synth import INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy fitted to the published accuracy gap at length 1024
-# by stochmem.calibrate; `stochmem calibrate --mode noise` regenerates it.
+# by stochmem.calibrate; `stochmem calibrate` regenerates it.
 DEFAULT_NOISE_SIGMA = 0.00625
 
 PAPER_LENGTHS = (128, 256, 512, 1024)
@@ -112,7 +112,6 @@ class ExperimentConfig:
     dims: tuple[int, int] = (128, 128)
     input_seed: int = INPUT_SEED
     input_path: str | None = None
-    frames_dir: str | None = None
     dsc_free_run: bool = False
     jobs: int = 1
 
@@ -149,7 +148,7 @@ class ExperimentReport:
 # inputs
 
 
-# synthetic input kind of each app, when no --frames or --input is given
+# synthetic input kind of each app, when no input is given
 _SYNTHETIC_KIND = {AppKind.ROBERT: "scene", AppKind.GAMMA: "scene",
                    AppKind.MEDIAN: "salt-pepper", AppKind.FRAME: "video", AppKind.KDE: "video"}
 
@@ -168,29 +167,26 @@ def _synthetic(kind: str, dims: tuple[int, int], seed: int) -> list[ImageGray]:
 def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
     """Operand planes (slot, y, x) of cfg's app, the values its streams encode.
 
-    The frames come from --frames, else --input, else the synthetic set; the
-    last frame is the current one and the ones before it are the previous frame
-    (frame) or the history (kde).  Neighbourhoods are clamped to the image edge.
+    The frames are cfg.input_path, a PGM image as one frame or a directory of
+    PGM frames in name order, else the synthetic set; the last frame is the
+    current one and the ones before it are the previous frame (frame) or the
+    history (kde).  Neighbourhoods are clamped to the image edge.
     """
-    video = _SYNTHETIC_KIND[cfg.app] == "video"
-    need = circuits.OPERAND_SLOTS[cfg.app] if video else 1
-    if cfg.frames_dir is not None:
-        paths = sorted(Path(cfg.frames_dir).glob("*.pgm"))
+    need = circuits.OPERAND_SLOTS[cfg.app] if _SYNTHETIC_KIND[cfg.app] == "video" else 1
+    if cfg.input_path is None:
+        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims, cfg.input_seed)
+    else:
+        path = Path(cfg.input_path)
+        paths = sorted(path.glob("*.pgm")) if path.is_dir() else [path]
         if len(paths) < need:
-            raise ValueError(f"{cfg.frames_dir}: need at least {need} frames, "
+            raise ValueError(f"{cfg.input_path}: {cfg.app.value} needs at least {need} frames, "
                              f"found {len(paths)}")
         frames = [load_pgm(p) for p in paths[-need:]]
-        for path, frame in zip(paths[-need:], frames):
+        for p, frame in zip(paths[-need:], frames):
             if frame.data.shape != frames[-1].data.shape:
-                raise ValueError(f"{cfg.frames_dir}: frame {path.name} is {frame.width}x"
+                raise ValueError(f"{cfg.input_path}: frame {p.name} is {frame.width}x"
                                  f"{frame.height}, the current frame {paths[-1].name} is "
                                  f"{frames[-1].width}x{frames[-1].height}")
-    elif cfg.input_path is not None:
-        if video:
-            raise ValueError(f"{cfg.app.value} needs --frames, not a single image")
-        frames = [load_pgm(cfg.input_path)]
-    else:
-        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims, cfg.input_seed)
     img = frames[-1].data
     if cfg.app in _WINDOWS:
         return np.stack([_shift_plane(img, dy, dx) for dy, dx in _WINDOWS[cfg.app]])
@@ -449,19 +445,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     inaccuracy = error_metric(output, golden)
 
     profile = default_profile(cfg.app)
-    conv = cfg.design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ)
-    access = AccessCounts(
-        adc_conversions=n_planes if conv else 0,
-        dac_conversions=n_planes if cfg.design is SystemDesign.CONV_MTJ else 0,
-        mem_reads=n_planes,
-        mem_writes=n_planes,
-    )
     return ExperimentReport(
         app=cfg.app, design=cfg.design, length=cfg.length, seed=cfg.global_seed,
         inaccuracy_percent=inaccuracy,
         output=output,
         area=area_report(cfg.design, profile),
-        energy=energy_report(cfg.design, profile, cfg.length, access, cfg.multipliers),
+        energy=energy_report(cfg.design, profile, cfg.length,
+                             access_counts(cfg.design, n_planes), cfg.multipliers),
         energy_default=energy_report(cfg.design, profile, cfg.length,
                                      multipliers=cfg.multipliers),
     )
@@ -523,11 +513,15 @@ def sweep(template: ExperimentConfig,
           n_seeds: int = DEFAULT_SEEDS,
           out_csv=None,
           jobs: int = 1) -> list[str]:
-    """Run the cross product and return CSV lines (header first), sorted by
-    (app, design, length, seed).  Seeds are global_seed + run index; apps and
-    designs default to all."""
+    """Run the cross product on jobs (= template.jobs) workers and return CSV
+    lines (header first), sorted by (app, design, length, seed).  Seeds are
+    global_seed + run index; apps and designs default to all."""
     if out_csv is not None and not Path(out_csv).parent.is_dir():
         raise ValueError(f"{out_csv}: directory {Path(out_csv).parent} does not exist")
+    _check_jobs(jobs)
+    if template.jobs != jobs:
+        raise ValueError(f"sweep runs on jobs={jobs} workers, but template.jobs is "
+                         f"{template.jobs}")
     apps = list(AppKind if apps is None else apps)
     designs = list(SystemDesign if designs is None else designs)
     results = sorted(_run_grid(template, apps, designs, lengths, n_seeds, jobs),

@@ -147,12 +147,6 @@ def make_video(width: int, height: int, frames: int = VIDEO_FRAMES,
     return out
 
 
-def make_static_video(width: int, height: int, frames: int = VIDEO_FRAMES,
-                      seed: int = INPUT_SEED) -> list[ImageGray]:
-    frame = make_scene(width, height, seed)
-    return [frame] * frames
-
-
 def gen_test_inputs(kind: str, dims: tuple[int, int] = (128, 128),
                     seed: int = INPUT_SEED):
     """Dispatch on input kind; returns an ImageGray or a frame list."""
@@ -167,6 +161,4 @@ def gen_test_inputs(kind: str, dims: tuple[int, int] = (128, 128),
         return salt_pepper(make_scene(width, height, seed), seed=seed)
     if kind == "video":
         return make_video(width, height, seed=seed)
-    if kind == "static-video":
-        return make_static_video(width, height, seed=seed)
     raise ValueError(f"unknown input kind {kind!r}")

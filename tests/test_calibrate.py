@@ -1,6 +1,7 @@
 """The two calibration fits: the noise sigma against the accuracy gap, and the
 access multipliers against the published energy reductions."""
 
+import contextlib
 import itertools
 import re
 from collections import Counter
@@ -19,11 +20,20 @@ from stochmem.memory import NoiseModel
 TINY = ExperimentConfig(dims=(3, 2), length=8)
 
 
+@contextlib.contextmanager
+def _design_runs():
+    """A Counter that, on leaving the block, holds how many runs each design made."""
+    counts = Counter()
+    with mock.patch.object(harness, "run_experiment", wraps=harness.run_experiment) as runs:
+        yield counts
+    counts.update(call.args[0].design for call in runs.call_args_list)
+
+
 def _calibrate_counting_designs(target_gap_pp, template, n_seeds):
     """calibrate_noise's result and how many runs each design made."""
-    with mock.patch.object(harness, "run_experiment", wraps=harness.run_experiment) as runs:
+    with _design_runs() as runs:
         result = calibrate.calibrate_noise(target_gap_pp, template, n_seeds=n_seeds)
-    return result, Counter(call.args[0].design for call in runs.call_args_list)
+    return result, runs
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +54,13 @@ def test_default_fit_at_32x32_gives_the_pinned_sigma_and_gap(default_fit_32x32):
 ])
 def test_conv_mtj_runs_once_per_calibration_whatever_the_step_count(
         default_fit_32x32, target, template, n_seeds):
-    _, runs = (default_fit_32x32 if template is None
-                        else _calibrate_counting_designs(target, template, n_seeds))
+    if template is None:
+        _, runs = default_fit_32x32
+    else:
+        # 8x6 at 1.0 pp ends 20 steps outside the tolerance: gap 1.0928 pp
+        with _design_runs() as runs, pytest.raises(ValueError, match=re.escape(
+                "did not converge: gap(0.0186526) = 1.0928pp, target 1.0pp +/- 0.05pp")):
+            calibrate.calibrate_noise(target, template, n_seeds=n_seeds)
     evaluations, rest = divmod(runs[SystemDesign.STOCHMEM], 5 * n_seeds)
     assert rest == 0 and evaluations >= 3
     assert runs == {SystemDesign.CONV_MTJ: 5 * n_seeds,
@@ -67,7 +82,9 @@ def test_noise_fit_on_two_workers_equals_the_serial_fit_with_one_pool_per_grid()
 def test_noise_fit_follows_the_template_length():
     template = ExperimentConfig(dims=(6, 5), length=40)
     with mock.patch.object(harness, "run_experiment", wraps=harness.run_experiment) as runs:
-        calibrate.calibrate_noise(0.5, template, n_seeds=1)
+        # a one-seed fit at 6x5 ends outside the tolerance
+        with pytest.raises(ValueError, match=r"did not converge: .* = 0\.2952pp"):
+            calibrate.calibrate_noise(0.5, template, n_seeds=1)
     assert {call.args[0].length for call in runs.call_args_list} == {40}
 
 
@@ -86,6 +103,17 @@ def test_noise_calibration_rejects_an_empty_seed_grid(entry):
     with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
         with pytest.raises(ValueError, match="n_seeds must be at least 1, got 0"):
             calls[entry]()
+
+
+@pytest.mark.parametrize("target,tol,message", [
+    (float("nan"), 0.05, "target gap must be nonnegative, got nan"),
+    (-0.1, 0.05, "target gap must be nonnegative, got -0.1"),
+    (0.19, float("nan"), "gap tolerance must be nonnegative, got nan"),
+])
+def test_calibrate_noise_rejects_a_nan_or_negative_target_or_tolerance(target, tol, message):
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match=message):
+            calibrate.calibrate_noise(target, TINY, tol_pp=tol)
 
 
 def test_calibrate_noise_rejects_a_negative_tolerance():

@@ -7,6 +7,7 @@ import pytest
 
 from stochmem import cli
 from stochmem.cli import main
+from stochmem.config import FIELDS, parse_bool
 from stochmem.memory import NoiseModel
 
 TINY = ["--dims", "6x5", "--seed", "3"]
@@ -53,7 +54,7 @@ def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
     cfg.write_text("jobs = 2\ndims = 6x5\n")
     with mock.patch.object(cli, "calibrate_noise",
                            return_value=(NoiseModel(0.01, 0.01), 0.2)) as spy:
-        assert main(["calibrate", "--mode", "noise", "--config", str(cfg), "--seed", "4"]) == 0
+        assert main(["calibrate", "--config", str(cfg), "--seed", "4"]) == 0
     template = spy.call_args.args[1]
     assert (template.dims, template.global_seed, template.jobs) == ((6, 5), 4, 2)
     assert spy.call_args.args[0] == 0.19
@@ -85,7 +86,7 @@ def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, lin
     cfg.write_text(f"dims = 6x5\n{line}\n")
     csv = tmp_path / "sweep.csv"
     argv = {"sweep": ["sweep", "--lengths", "8", "--seeds", "1", "--out", str(csv)],
-            "calibrate": ["calibrate", "--mode", "noise", "--runs", "1"]}[command]
+            "calibrate": ["calibrate", "--runs", "1"]}[command]
     with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
         assert main(argv + ["--config", str(cfg)]) == 1
     key = line.split(" =")[0]
@@ -100,7 +101,7 @@ def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, lin
 ])
 def test_calibrate_noise_with_nothing_to_measure_exits_1(capsys, flags, message):
     with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
-        assert main(["calibrate", "--mode", "noise"] + flags + TINY) == 1
+        assert main(["calibrate"] + flags + TINY) == 1
     err = capsys.readouterr()
     assert err.out == "" and err.err.startswith("error: ") and message in err.err
 
@@ -125,7 +126,7 @@ def test_gen_inputs_writes_pgm_files(tmp_path):
 
 
 def test_calibrate_access_reproduces_paper_reductions(capsys):
-    assert main(["calibrate", "--mode", "access"]) == 0
+    assert main(["calibrate-access"]) == 0
     out = capsys.readouterr().out
     assert "mtj_vs_lfsr_reduction_percent\t45.75" in out
     assert "stochmem_vs_mtj_reduction_percent\t11.10" in out
@@ -134,20 +135,48 @@ def test_calibrate_access_reproduces_paper_reductions(capsys):
 def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("length = 5\nmult_adc = 0.9\n")
-    argv = ["calibrate", "--mode", "access", "--config", str(cfg), "--mult-dac", "0.3",
-            "--runs", "0", "--tol", "-1"]
-    assert main(argv) == 1
+    options = ["--config", str(cfg), "--mult-dac", "0.3", "--runs", "0", "--tol", "-1"]
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-access"] + options)
+    assert exc.value.code == 2
     err = capsys.readouterr()
-    assert err.out == "" and err.err == ("error: calibrate --mode access takes no run "
-                                         "options; got --config\n")
+    assert err.out == "" and err.err.endswith(f"error: unrecognized arguments: "
+                                              f"{' '.join(options)}\n")
 
 
-@pytest.mark.parametrize("flags", (["--mult-dac", "0.3"], ["--seed", "2"], ["--dims", "6x5"],
-                                   ["--free-run"], ["--target-gap", "0.19"], ["--tol", "0.05"],
-                                   ["--runs", "5"]))
+# every run flag, --config and calibrate's own options
+_NOT_ACCESS_OPTIONS = [["--mult-dac", "0.3"], ["--seed", "2"], ["--dims", "6x5"],
+                       ["--free-run"], ["--target-gap", "0.19"], ["--tol", "0.05"],
+                       ["--runs", "5"]]
+_NOT_ACCESS_OPTIONS += [[flag, "1"] for flag in [f.flag for f in FIELDS] + ["--config"]
+                        if flag not in {argv[0] for argv in _NOT_ACCESS_OPTIONS}]
+
+
+@pytest.mark.parametrize("flags", _NOT_ACCESS_OPTIONS)
 def test_calibrate_access_names_each_ignored_option(capsys, flags):
-    assert main(["calibrate", "--mode", "access"] + flags) == 1
-    assert capsys.readouterr().err.endswith(f"got {flags[0]}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-access"] + flags)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(flags)}\n")
+
+
+# the config keys each command sets itself
+_OWN_KEYS = {"run": set(), "sweep": {"app", "design", "length"},
+             "calibrate": {"app", "design", "length", "write_sigma", "read_sigma"}}
+
+
+@pytest.mark.parametrize("command", _OWN_KEYS)
+def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command):
+    base = [command, "--out", "sweep.csv"] if command == "sweep" else [command]
+    for field in FIELDS:
+        value = True if field.parse is parse_bool else "1"
+        argv = base + ([field.flag] if value is True else [field.flag, value])
+        if field.key in _OWN_KEYS[command]:
+            with pytest.raises(SystemExit) as exc:
+                cli.build_parser().parse_args(argv)
+            assert exc.value.code == 2, argv
+        else:
+            assert getattr(cli.build_parser().parse_args(argv), field.key) == value, argv
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -156,7 +185,7 @@ def test_calibrate_access_names_each_ignored_option(capsys, flags):
     (["run", "--app", "robert", "--design", "conv-lfsr", "--dims", "0x5"], "dims"),
     (["gen-inputs", "--out", "unused", "--dims", "6by5"], "dims"),
     (["sweep", "--apps", "robert", "--lengths", "8", "--jobs", "0", "--out", "unused"], "jobs"),
-    (["calibrate", "--mode", "noise", "--jobs", "0"], "jobs"),
+    (["calibrate", "--jobs", "0"], "jobs"),
     (["run", "--app", "robert", "--design", "conv-lfsr", "--input", "scene.pgm", "--dims",
       "64x64"], "dims sizes only the synthetic inputs; it cannot be set with input"),
     (["run", "--app", "gamma", "--design", "conv-mtj", "--bernstein-degree", "17"],
@@ -209,7 +238,7 @@ def test_cost_file_with_a_nan_unit_cost_exits_1(tmp_path, capsys):
     ["run", "--design", "conv-lfsr"],
     ["run", "--app", "robert"],
     ["sweep", "--apps", "robert"],
-    ["calibrate", "--mode", "bogus"],
+    ["calibrate", "--mode", "access"],
     [],
 ])
 def test_usage_errors_exit_2(argv):

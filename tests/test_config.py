@@ -10,14 +10,15 @@ import dataclasses
 import pytest
 
 from stochmem import cli
-from stochmem.config import FIELDS, load_config, load_cost_config, parse_bool, read_pairs
+from stochmem.config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_bool, read_pairs,
+                             read_values, resolve_config)
 from stochmem.harness import ExperimentConfig
 
 # two values per key, both different from the default
 SAMPLES = {
     "app": ("gamma", "kde"), "design": ("conv-mtj", "stochmem"), "length": ("77", "300"),
     "seed": ("5", "7"), "dims": ("7x5", "9x3"), "input_seed": ("11", "12"),
-    "input": ("a.pgm", "b.pgm"), "frames_dir": ("frames_a", "frames_b"),
+    "input": ("a.pgm", "b.pgm"),
     "write_sigma": ("0.01", "0.02"), "read_sigma": ("0.03", "0.04"),
     "theta": ("0.2", "0.3"), "delta": ("0.05", "0.15"), "gamma_exponent": ("0.5", "2.2"),
     "bernstein_degree": ("3", "9"), "mult_adc": ("0.3", "0.4"),
@@ -81,7 +82,7 @@ def test_every_config_leaf_has_one_row():
 def test_env_seed_beats_file_and_flag(tmp_path, monkeypatch):
     monkeypatch.setenv("STOCHMEM_SEED", "99")
     assert _config(tmp_path, {"seed": "5"}, ["--seed", "7"]).global_seed == 99
-    assert load_config(tmp_path / "run.cfg").global_seed == 99
+    assert resolve_config(read_values(tmp_path / "run.cfg")).global_seed == 99
     monkeypatch.delenv("STOCHMEM_SEED")
     assert _config(tmp_path, {"seed": "5"}, ["--seed", "7"]).global_seed == 7
 
@@ -107,13 +108,14 @@ def test_file_errors_name_line_and_key(tmp_path):
         _config(tmp_path, {"lenght": "16"}, [])
 
 
-@pytest.mark.parametrize("key", ("input", "frames_dir"))
-def test_dims_with_an_input_file_fail_loudly(tmp_path, key):
-    message = f"dims sizes only the synthetic inputs; it cannot be set with {key}"
+@pytest.mark.parametrize("key,verb", (("dims", "sizes"), ("input_seed", "seeds")),
+                         ids=("dims", "input_seed"))
+def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
+    message = f"{key} {verb} only the synthetic inputs; it cannot be set with input"
     with pytest.raises(ValueError, match=message):
-        _config(tmp_path, {"dims": "64x64", key: SAMPLES[key][0]}, [])
+        _config(tmp_path, {key: SAMPLES[key][0], "input": "a.pgm"}, [])
     with pytest.raises(ValueError, match=message):
-        _config(tmp_path, {key: SAMPLES[key][0]}, ["--dims", "64x64"])
+        _config(tmp_path, {"input": "a.pgm"}, [FIELD_BY_KEY[key].flag, SAMPLES[key][0]])
 
 
 @pytest.mark.parametrize("line,message", [

@@ -5,7 +5,7 @@ from stochmem.circuits import AppKind
 from stochmem.config import load_cost_config
 from stochmem.costs import (AccessCounts, AccessMultipliers,
                             SystemDesign, UnitCost, aggregate_reduction,
-                            area_report, average_shares, default_access,
+                            access_counts, area_report, average_shares,
                             default_profile, energy_report, share_breakdown)
 
 APPS = list(AppKind)
@@ -162,11 +162,9 @@ def test_share_breakdown_zero_total_rejected():
 
 
 def test_default_access_counts():
-    p = default_profile(AppKind.KDE)
-    acc = default_access(p, SystemDesign.CONV_MTJ)
-    assert (acc.adc_conversions, acc.dac_conversions) == (42, 42)
-    acc2 = default_access(p, SystemDesign.STOCHMEM)
-    assert acc2.dac_conversions == 0
+    assert access_counts(SystemDesign.CONV_LFSR, 42) == AccessCounts(42, 0, 42, 42)
+    assert access_counts(SystemDesign.CONV_MTJ, 42) == AccessCounts(42, 42, 42, 42)
+    assert access_counts(SystemDesign.STOCHMEM, 42) == AccessCounts(0, 0, 42, 42)
 
 
 def test_cost_config_overrides(tmp_path):

@@ -21,7 +21,7 @@ from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc
                                  requantize)
 from stochmem.cli import main
 from stochmem.costs import SystemDesign
-from stochmem.config import load_config
+from stochmem.config import read_values, resolve_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.images import ImageGray, load_pgm, save_pgm
 from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
@@ -69,10 +69,10 @@ def test_config_rejects_nonpositive_dims(dims):
 def test_config_file_dims_fail_loudly(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dims = 7x5\n")
-    assert load_config(path).dims == (7, 5)
+    assert resolve_config(read_values(path)).dims == (7, 5)
     path.write_text("dims = 32\n")
     with pytest.raises(ValueError, match="dims must be WxH"):
-        load_config(path)
+        resolve_config(read_values(path))
 
 
 @pytest.mark.parametrize("value,flag", [
@@ -81,7 +81,7 @@ def test_config_file_dims_fail_loudly(tmp_path):
 def test_config_file_free_run_values(tmp_path, value, flag):
     path = tmp_path / "run.cfg"
     path.write_text(f"free_run = {value}\n")
-    assert load_config(path).dsc_free_run is flag
+    assert resolve_config(read_values(path)).dsc_free_run is flag
 
 
 @pytest.mark.parametrize("value", ["enabled", "ture", "2", ""])
@@ -89,7 +89,7 @@ def test_config_file_free_run_rejects_other_values(tmp_path, value):
     path = tmp_path / "run.cfg"
     path.write_text(f"length = 16\nfree_run = {value}\n")
     with pytest.raises(ValueError, match=f"{path}:2: free_run"):
-        load_config(path)
+        resolve_config(read_values(path))
 
 
 @pytest.mark.parametrize("kwargs,name", [
@@ -112,11 +112,18 @@ def test_sweep_checks_the_output_directory_before_the_first_run(tmp_path):
 def test_run_grids_give_the_same_results_on_two_workers():
     tiny = ExperimentConfig(dims=(3, 2), global_seed=5)
     serial = sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=1)
-    assert sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=2) == serial
+    assert sweep(replace(tiny, jobs=2), lengths=(8, 65), n_seeds=2, jobs=2) == serial
+
+
+def test_sweep_rejects_workers_other_than_the_template_jobs():
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match="jobs=1 workers, but template.jobs is 2"):
+            sweep(ExperimentConfig(dims=(3, 2), jobs=2), lengths=(8,), n_seeds=2)
 
 
 # ---------------------------------------------------------------------------
-# inputs: operand planes from --input, --frames and the synthetic set
+# inputs: operand planes from an input image, an input frame directory and the
+# synthetic set
 
 
 @pytest.fixture(scope="module")
@@ -145,13 +152,15 @@ def test_input_image_is_the_pixel_operand_plane(written_inputs, app):
     assert run_experiment(cfg).output.data.shape == (5, 7)
 
 
-@pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE), ids=lambda a: a.value)
+# an image app given a frame directory reads its last frame
+@pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE, AppKind.GAMMA),
+                         ids=lambda a: a.value)
 def test_frames_are_the_current_frame_then_the_ones_before_it(written_inputs, app):
     frames = _video(written_inputs / "video")
     cfg = ExperimentConfig(app=app, design=SystemDesign.STOCHMEM, length=16,
-                           frames_dir=str(written_inputs / "video"))
+                           input_path=str(written_inputs / "video"))
     planes = resolve_inputs(cfg)
-    before = frames[-2:-1] if app is AppKind.FRAME else frames[:-1]
+    before = {AppKind.FRAME: frames[-2:-1], AppKind.KDE: frames[:-1], AppKind.GAMMA: []}[app]
     assert np.array_equal(planes, np.stack([frames[-1]] + before))
     assert run_experiment(cfg).output.data.shape == (5, 7)
 
@@ -162,7 +171,7 @@ def test_kde_takes_the_last_frame_and_the_32_before_it(written_inputs, tmp_path)
     shutil.copy(written_inputs / "gradient.pgm", video / "frame_33.pgm")
     frames = _video(video)
     assert len(frames) == 34
-    planes = resolve_inputs(ExperimentConfig(app=AppKind.KDE, frames_dir=str(video)))
+    planes = resolve_inputs(ExperimentConfig(app=AppKind.KDE, input_path=str(video)))
     assert np.array_equal(planes[0], load_pgm(written_inputs / "gradient.pgm").data)
     assert np.array_equal(planes, np.stack(frames[-1:] + frames[1:-1]))
 
@@ -172,8 +181,9 @@ def test_kde_takes_the_last_frame_and_the_32_before_it(written_inputs, tmp_path)
 def test_too_few_frames_fail_loudly(written_inputs, tmp_path, app, kept):
     for src in sorted((written_inputs / "video").glob("*.pgm"))[:kept]:
         shutil.copy(src, tmp_path)
-    with pytest.raises(ValueError, match=f"need at least {kept + 1} frames, found {kept}"):
-        resolve_inputs(ExperimentConfig(app=app, frames_dir=str(tmp_path)))
+    with pytest.raises(ValueError, match=f"{tmp_path}: {app.value} needs at least {kept + 1} "
+                                         f"frames, found {kept}"):
+        resolve_inputs(ExperimentConfig(app=app, input_path=str(tmp_path)))
 
 
 @pytest.mark.parametrize("app,odd", ((AppKind.FRAME, "frame_31.pgm"),
@@ -184,14 +194,15 @@ def test_frames_of_another_size_fail_loudly(written_inputs, tmp_path, app, odd):
     save_pgm(ImageGray.from_array(np.full((5, 6), 0.5)), video / odd)
     with pytest.raises(ValueError, match=f"{video}: frame {odd} is 6x5, the current frame "
                                          f"frame_32.pgm is 7x5"):
-        resolve_inputs(ExperimentConfig(app=app, frames_dir=str(video)))
+        resolve_inputs(ExperimentConfig(app=app, input_path=str(video)))
 
 
 @pytest.mark.parametrize("app", (AppKind.FRAME, AppKind.KDE), ids=lambda a: a.value)
 def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
-    cfg = ExperimentConfig(app=app, input_path=str(written_inputs / "scene.pgm"))
-    with pytest.raises(ValueError, match=f"{app.value} needs --frames, not a single image"):
-        resolve_inputs(cfg)
+    path = written_inputs / "scene.pgm"
+    with pytest.raises(ValueError, match=f"{path}: {app.value} needs at least "
+                                         f"{OPERAND_SLOTS[app]} frames, found 1"):
+        resolve_inputs(ExperimentConfig(app=app, input_path=str(path)))
 
 
 @pytest.mark.parametrize("app,degree", [(a, 6) for a in AppKind if a is not AppKind.GAMMA]

@@ -4,8 +4,7 @@ import pytest
 from stochmem.circuits import AppKind, AppParams, golden_eval
 from stochmem.harness import ExperimentConfig, resolve_inputs
 from stochmem.images import save_pgm
-from stochmem.synth import (gen_test_inputs, make_checkerboard, make_scene,
-                            make_static_video, make_video)
+from stochmem.synth import gen_test_inputs, make_checkerboard, make_scene, make_video
 
 
 def test_deterministic_generation():
@@ -33,7 +32,7 @@ def test_checkerboard_edges_only_on_boundaries(tmp_path):
 
 
 def test_static_video_kde_all_background():
-    frames = make_static_video(32, 32)
+    frames = [make_scene(32, 32)] * 33
     planes = np.stack([f.data for f in frames[-1:] + frames[:-1]])
     out = golden_eval(AppKind.KDE, planes, AppParams())
     assert out.data.max() == 0.0
