@@ -8,9 +8,9 @@ abbreviated.
 run, sweep and calibrate take one flag per row of config.FIELDS, except the
 fields the command sets itself (_OWN_KEYS); a --config file that sets one of
 those is an error.  Precedence, lowest first: defaults, the --config file,
-the flags given, then STOCHMEM_SEED for the seed.  calibrate fits the noise
-sigma and calibrate-access the access multipliers (stochmem.calibrate); the
-access fit reads no run config, so calibrate-access takes no options.
+then the flags given.  calibrate fits the noise sigma and calibrate-access
+the access multipliers (stochmem.calibrate); the access fit reads no run
+config, so calibrate-access takes no options.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def _parse_list(kind, spec: str) -> list:
 
 
 def _config_from_args(args, need=()) -> ExperimentConfig:
-    """Defaults, then the --config file, then the flags given, then
-    STOCHMEM_SEED; the file or a flag must set each key in ``need``, and the
-    file may set no key the command sets itself."""
+    """Defaults, then the --config file, then the flags given; the file or a
+    flag must set each key in ``need``, and the file may set no key the
+    command sets itself."""
     own = _OWN_KEYS.get(args.command, {})
     if args.config:
         for where, key, _ in read_pairs(args.config):
@@ -79,7 +79,7 @@ def _config_from_args(args, need=()) -> ExperimentConfig:
 def _add_config_flags(p: argparse.ArgumentParser, skip=()) -> None:
     p.set_defaults(parser=p)
     p.add_argument("--config", help="flat key=value config file; flags given override its "
-                                    "keys, and STOCHMEM_SEED overrides both for the seed")
+                                    "keys")
     for f in FIELDS:
         if f.key in skip:
             continue

@@ -3,15 +3,13 @@
 FIELDS is the one table of ExperimentConfig fields; a row gives the file key
 and the parse function both sources use, and the key spells the flag.  A run
 config is built from the ExperimentConfig defaults, then the keys of the
---config file, then the flags given, then the STOCHMEM_SEED environment
-variable for the seed; each step overrides the one before.  read_pairs reads
-every file: one key = value per line, '#' starts a comment, and errors name
-path:line.
+--config file, then the flags given; each step overrides the one before, and
+ExperimentConfig checks the result.  read_pairs reads every file: one
+key = value per line, '#' starts a comment, and errors name path:line.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -117,16 +115,10 @@ def _with(obj, attr: str, value):
 
 
 def resolve_config(values: dict[str, object]) -> ExperimentConfig:
-    """The defaults with ``values`` (parsed, by key) set, then STOCHMEM_SEED."""
-    for key, verb in (("dims", "sizes"), ("input_seed", "seeds")):
-        if key in values and "input" in values:
-            raise ValueError(f"{key} {verb} only the synthetic inputs; it cannot be set with input")
+    """The defaults with ``values`` (parsed, by key) set."""
     cfg = ExperimentConfig()
     for key, value in values.items():
         cfg = _with(cfg, FIELD_BY_KEY[key].attr, value)
-    seed = os.environ.get("STOCHMEM_SEED")
-    if seed is not None:
-        cfg = replace(cfg, global_seed=parse_at(int, seed, "STOCHMEM_SEED"))
     return cfg
 
 

@@ -3,9 +3,11 @@
 Unit constants are 45 nm synthesis/measurement numbers treated as data:
 stochastic-rate units (LFSR, comparator, ASC, app logic)
 burn energy per cycle at 1 GHz, ADC/DAC per conversion, and memory cells
-per access (the analog cell with distinct read/write energies).  Reports
-group per-unit contributions into input layer (ADC + memory), conversion
-(DSC, DAC+ASC, or ASC), and stochastic logic.
+per access (the analog cell with distinct read/write energies).  _units is
+the one inventory of each design's units and how each is charged; area_report
+and energy_report are its two columns.  Reports group the units into input
+layer (memory + ADC), conversion (DSC, DAC + ASC, or ASC), and stochastic
+logic.
 """
 
 from __future__ import annotations
@@ -26,17 +28,13 @@ def _check_nonnegative_finite(what: str, **values: float) -> None:
 @dataclass(frozen=True)
 class UnitCost:
     area_um2: float
-    energy_pJ: float
+    energy_pJ: float      # per cycle, per conversion, or per read
     # per-access units may charge writes differently from reads
     write_energy_pJ: float | None = None
 
     def __post_init__(self):
         _check_nonnegative_finite("unit costs", area_um2=self.area_um2, energy_pJ=self.energy_pJ,
                                   write_energy_pJ=self.write_pJ)
-
-    @property
-    def read_pJ(self) -> float:
-        return self.energy_pJ
 
     @property
     def write_pJ(self) -> float:
@@ -77,7 +75,9 @@ class SystemDesign(enum.Enum):
 @dataclass(frozen=True)
 class AppProfile:
     app: AppKind
-    n_streams: int        # comparators on the LFSR design, ASCs otherwise
+    # stochastic input streams: comparators on conv-lfsr, ASCs otherwise; also
+    # the operand count energy_report charges when it is given none
+    n_streams: int
     n_lfsr: int
     mem_area_digital_um2: float
     mem_area_analog_um2: float
@@ -89,19 +89,22 @@ class AppProfile:
             mem_area_analog_um2=self.mem_area_analog_um2)
 
 
-_PROFILE_TABLE: dict[AppKind, tuple[int, int, float, float]] = {
-    # app: (n_lfsr, n_streams, digital mem area, analog mem area)
-    AppKind.ROBERT: (5, 5, 21.0, 183.0),
-    AppKind.MEDIAN: (10, 10, 38.0, 336.0),
-    AppKind.FRAME: (2, 4, 17.0, 153.0),
-    AppKind.GAMMA: (2, 8, 35.0, 306.0),
-    AppKind.KDE: (11, 42, 122.0, 1071.0),
-}
+_PROFILE_TABLE: dict[AppKind, AppProfile] = {p.app: p for p in (
+    AppProfile(app=AppKind.ROBERT, n_streams=5, n_lfsr=5,
+               mem_area_digital_um2=21.0, mem_area_analog_um2=183.0),
+    AppProfile(app=AppKind.MEDIAN, n_streams=10, n_lfsr=10,
+               mem_area_digital_um2=38.0, mem_area_analog_um2=336.0),
+    AppProfile(app=AppKind.FRAME, n_streams=4, n_lfsr=2,
+               mem_area_digital_um2=17.0, mem_area_analog_um2=153.0),
+    AppProfile(app=AppKind.GAMMA, n_streams=8, n_lfsr=2,
+               mem_area_digital_um2=35.0, mem_area_analog_um2=306.0),
+    AppProfile(app=AppKind.KDE, n_streams=42, n_lfsr=11,
+               mem_area_digital_um2=122.0, mem_area_analog_um2=1071.0),
+)}
 
 
 def default_profile(app: AppKind) -> AppProfile:
-    n_lfsr, n_streams, mem_d, mem_a = _PROFILE_TABLE[app]
-    return AppProfile(app, n_streams, n_lfsr, mem_d, mem_a)
+    return _PROFILE_TABLE[app]
 
 
 @dataclass(frozen=True)
@@ -125,30 +128,6 @@ class AccessMultipliers:
 
     def as_dict(self) -> dict[str, float]:
         return {"adc": self.adc, "write": self.write, "read": self.read, "dac": self.dac}
-
-
-@dataclass(frozen=True)
-class AccessCounts:
-    """Per-pixel access events before amortization."""
-
-    adc_conversions: float
-    dac_conversions: float
-    mem_reads: float
-    mem_writes: float
-
-    def __post_init__(self):
-        if min(self.adc_conversions, self.dac_conversions,
-               self.mem_reads, self.mem_writes) < 0:
-            raise ValueError("access counts must be nonnegative")
-
-
-def access_counts(design: SystemDesign, n: int) -> AccessCounts:
-    """Accesses for n operands per pixel: one write and one read each, and one
-    ADC conversion each on the conv designs and one DAC conversion each on
-    conv-mtj."""
-    return AccessCounts(adc_conversions=0 if design is SystemDesign.STOCHMEM else n,
-                        dac_conversions=n if design is SystemDesign.CONV_MTJ else 0,
-                        mem_reads=n, mem_writes=n)
 
 
 GROUP_INPUT = "input_layer"
@@ -180,65 +159,59 @@ def share_breakdown(report: CostReport) -> dict[str, float]:
     return {g: v / total for g, v in report.group_totals.items()}
 
 
+def _units(design: SystemDesign, profile: AppProfile, costs: dict[str, UnitCost] | None = None,
+           length: int = 0, n: int = 0, m: AccessMultipliers = AccessMultipliers()
+           ) -> list[tuple[str, str, float, float]]:
+    """(unit, group, area_um2, energy_pJ) of every unit of design, in report
+    order: memory, adc (conv designs), then dsc, or dac (conv-mtj) and asc,
+    then logic.  Energy is per pixel: per-cycle units run for `length` cycles,
+    and each of n operands is written once and read once, and converted once
+    by the ADC on the conv designs and by the DAC on conv-mtj, each event
+    scaled by its multiplier in m.  Area depends on neither length, n nor m."""
+    c = costs or DEFAULT_UNIT_COSTS
+    conv = design is not SystemDesign.STOCHMEM
+    cell = c["sram_cell" if conv else "analog_cell"]
+    units = [("memory", GROUP_INPUT,
+              profile.mem_area_digital_um2 if conv else profile.mem_area_analog_um2,
+              cell.energy_pJ * (n * m.read) + cell.write_pJ * (n * m.write))]
+    if conv:
+        adc = c["adc_10bit"]
+        units.append(("adc", GROUP_INPUT, adc.area_um2, adc.energy_pJ * (n * m.adc)))
+    if design is SystemDesign.CONV_LFSR:
+        lfsr, cmp = c["lfsr_10bit"], c["comparator_10bit"]
+        units.append(("dsc", GROUP_CONVERSION,
+                      lfsr.area_um2 * profile.n_lfsr + cmp.area_um2 * profile.n_streams,
+                      (lfsr.energy_pJ * profile.n_lfsr
+                       + cmp.energy_pJ * profile.n_streams) * length))
+    else:
+        if design is SystemDesign.CONV_MTJ:
+            dac = c["dac_8bit"]
+            units.append(("dac", GROUP_CONVERSION, dac.area_um2, dac.energy_pJ * (n * m.dac)))
+        asc = c["asc"]
+        units.append(("asc", GROUP_CONVERSION, asc.area_um2 * profile.n_streams,
+                      asc.energy_pJ * profile.n_streams * length))
+    logic = c[f"logic_{profile.app.value}"]
+    units.append(("logic", GROUP_LOGIC, logic.area_um2, logic.energy_pJ * length))
+    return units
+
+
 def area_report(design: SystemDesign, profile: AppProfile,
                 costs: dict[str, UnitCost] | None = None) -> CostReport:
-    c = costs or DEFAULT_UNIT_COSTS
-    entries: list[tuple[str, str, float]] = []
-    logic = c[f"logic_{profile.app.value}"]
-    if design is SystemDesign.CONV_LFSR:
-        entries.append(("memory", GROUP_INPUT, profile.mem_area_digital_um2))
-        entries.append(("adc", GROUP_INPUT, c["adc_10bit"].area_um2))
-        entries.append(("dsc", GROUP_CONVERSION,
-                        c["lfsr_10bit"].area_um2 * profile.n_lfsr
-                        + c["comparator_10bit"].area_um2 * profile.n_streams))
-    elif design is SystemDesign.CONV_MTJ:
-        entries.append(("memory", GROUP_INPUT, profile.mem_area_digital_um2))
-        entries.append(("adc", GROUP_INPUT, c["adc_10bit"].area_um2))
-        entries.append(("dac", GROUP_CONVERSION, c["dac_8bit"].area_um2))
-        entries.append(("asc", GROUP_CONVERSION, c["asc"].area_um2 * profile.n_streams))
-    else:
-        entries.append(("memory", GROUP_INPUT, profile.mem_area_analog_um2))
-        entries.append(("asc", GROUP_CONVERSION, c["asc"].area_um2 * profile.n_streams))
-    entries.append(("logic", GROUP_LOGIC, logic.area_um2))
-    return CostReport(entries)
+    """Area in um^2 of every unit of design."""
+    return CostReport([(unit, group, area)
+                       for unit, group, area, _ in _units(design, profile, costs)])
 
 
 def energy_report(design: SystemDesign, profile: AppProfile, length: int,
-                  access: AccessCounts | None = None,
+                  n_operands: int | None = None,
                   multipliers: AccessMultipliers = AccessMultipliers(),
                   costs: dict[str, UnitCost] | None = None) -> CostReport:
-    """Per-pixel energy in pJ; per-cycle units run for `length` cycles."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    c = costs or DEFAULT_UNIT_COSTS
-    if access is None:
-        access = access_counts(design, profile.n_streams)
-    logic = c[f"logic_{profile.app.value}"]
-    adc = access.adc_conversions * multipliers.adc
-    dac = access.dac_conversions * multipliers.dac
-    reads = access.mem_reads * multipliers.read
-    writes = access.mem_writes * multipliers.write
-
-    entries: list[tuple[str, str, float]] = []
-    if design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ):
-        entries.append(("adc", GROUP_INPUT, c["adc_10bit"].energy_pJ * adc))
-        sram = c["sram_cell"]
-        entries.append(("memory", GROUP_INPUT, sram.read_pJ * reads + sram.write_pJ * writes))
-        if design is SystemDesign.CONV_LFSR:
-            entries.append(("dsc", GROUP_CONVERSION,
-                            (c["lfsr_10bit"].energy_pJ * profile.n_lfsr
-                             + c["comparator_10bit"].energy_pJ * profile.n_streams) * length))
-        else:
-            entries.append(("dac", GROUP_CONVERSION, c["dac_8bit"].energy_pJ * dac))
-            entries.append(("asc", GROUP_CONVERSION,
-                            c["asc"].energy_pJ * profile.n_streams * length))
-    else:
-        cell = c["analog_cell"]
-        entries.append(("memory", GROUP_INPUT, cell.read_pJ * reads + cell.write_pJ * writes))
-        entries.append(("asc", GROUP_CONVERSION,
-                        c["asc"].energy_pJ * profile.n_streams * length))
-    entries.append(("logic", GROUP_LOGIC, logic.energy_pJ * length))
-    return CostReport(entries)
+    """Per-pixel energy in pJ of every unit of design, for streams of `length`
+    cycles and n_operands stored operands (default profile.n_streams)."""
+    n = profile.n_streams if n_operands is None else n_operands
+    _check_nonnegative_finite("stream length and operand count", length=length, n_operands=n)
+    return CostReport([(unit, group, energy) for unit, group, _, energy
+                       in _units(design, profile, costs, length, n, multipliers)])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ The SRAM returns the ADC codes it stores, so the conv designs use the codes
 directly and only stochmem calls the memory model.  Constant sources (the
 Roberts mux select, the gamma coefficients) skip the memory but pass through
 the same converters.  The golden output is circuits.golden_eval over the same
-planes.  Each operand slot is written and read once per pixel, so the energy
-model's access counts are costs.access_counts of the plane count.
+planes.  The run's energy charges each operand plane as one stored operand
+(costs.energy_report with n_operands the plane count).
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -59,8 +59,8 @@ from . import circuits
 from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
 from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
-from .costs import (AccessMultipliers, CostReport, SystemDesign, access_counts, area_report,
-                    default_profile, energy_report, share_breakdown)
+from .costs import (AccessMultipliers, CostReport, SystemDesign, area_report, default_profile,
+                    energy_report, share_breakdown)
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
@@ -109,8 +109,10 @@ class ExperimentConfig:
     noise: NoiseModel = NoiseModel(DEFAULT_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
     params: AppParams = AppParams()
     multipliers: AccessMultipliers = AccessMultipliers()
-    dims: tuple[int, int] = (128, 128)
-    input_seed: int = INPUT_SEED
+    # size and seed of the synthetic inputs, None for 128x128 at synth.INPUT_SEED;
+    # neither may be set with input_path
+    dims: tuple[int, int] | None = None
+    input_seed: int | None = None
     input_path: str | None = None
     dsc_free_run: bool = False
     jobs: int = 1
@@ -118,9 +120,13 @@ class ExperimentConfig:
     def __post_init__(self):
         check_length(self.length)
         _check_jobs(self.jobs)
-        if len(self.dims) != 2 or min(self.dims) < 1:
+        if self.dims is not None and (len(self.dims) != 2 or min(self.dims) < 1):
             raise ValueError(f"dims must be two positive integers (width, height), "
                              f"got {self.dims}")
+        for key, verb in (("dims", "sizes"), ("input_seed", "seeds")):
+            if getattr(self, key) is not None and self.input_path is not None:
+                raise ValueError(f"{key} {verb} only the synthetic inputs; it cannot be set "
+                                 f"with input")
         if self.params.bernstein_degree > _GROUP_COEFF_BASE:
             raise ValueError(f"bernstein_degree must be at most {_GROUP_COEFF_BASE} (gamma "
                              f"replica streams), got {self.params.bernstein_degree}")
@@ -140,8 +146,8 @@ class ExperimentReport:
     inaccuracy_percent: float
     output: ImageGray
     area: CostReport
-    energy: CostReport           # fed by the stream plan's access counts
-    energy_default: CostReport   # analytic default access counts
+    energy: CostReport           # one stored operand per operand plane
+    energy_default: CostReport   # the profile's n_streams stored operands
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +180,8 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
     """
     need = circuits.OPERAND_SLOTS[cfg.app] if _SYNTHETIC_KIND[cfg.app] == "video" else 1
     if cfg.input_path is None:
-        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims, cfg.input_seed)
+        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims or (128, 128),
+                            INPUT_SEED if cfg.input_seed is None else cfg.input_seed)
     else:
         path = Path(cfg.input_path)
         paths = sorted(path.glob("*.pgm")) if path.is_dir() else [path]
@@ -450,8 +457,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         inaccuracy_percent=inaccuracy,
         output=output,
         area=area_report(cfg.design, profile),
-        energy=energy_report(cfg.design, profile, cfg.length,
-                             access_counts(cfg.design, n_planes), cfg.multipliers),
+        energy=energy_report(cfg.design, profile, cfg.length, n_planes, cfg.multipliers),
         energy_default=energy_report(cfg.design, profile, cfg.length,
                                      multipliers=cfg.multipliers),
     )

@@ -2,21 +2,19 @@
 
 The default generator is the 10-bit register with feedback taps {10, 7};
 tap positions are 1-based, tap k reading bit k-1 of the state.  Maximality
-is verified by full-period simulation at construction instead of trusting
-a polynomial table.
+is verified at construction by walking the state cycle through 1 (the one
+walk per spec, kept as its LfsrCycle) instead of trusting a polynomial table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_WIDTH = 10
 DEFAULT_TAPS = frozenset({10, 7})
-
-_verified_specs: set[tuple[int, frozenset[int]]] = set()
-_cycle_cache: dict[tuple[int, frozenset[int]], "LfsrCycle"] = {}
 
 
 def _step(width: int, taps: frozenset[int], state: int) -> int:
@@ -37,26 +35,12 @@ class LfsrSpec:
             raise ValueError(f"LFSR width must be in 2..16, got {self.width}")
         if not self.taps or any(not 1 <= t <= self.width for t in self.taps):
             raise ValueError(f"taps must lie in 1..{self.width}")
-        key = (self.width, self.taps)
-        if key not in _verified_specs:
-            if _simulated_period(self.width, self.taps) != self.period:
-                raise ValueError(
-                    f"taps {sorted(self.taps)} are not maximal for width {self.width}"
-                )
-            _verified_specs.add(key)
+        if LfsrCycle.for_spec(self).ring.size != self.period:
+            raise ValueError(f"taps {sorted(self.taps)} are not maximal for width {self.width}")
 
     @property
     def period(self) -> int:
         return (1 << self.width) - 1
-
-
-def _simulated_period(width: int, taps: frozenset[int]) -> int:
-    state = 1
-    for i in range(1, (1 << width)):
-        state = _step(width, taps, state)
-        if state == 1:
-            return i
-    return 0
 
 
 @dataclass(frozen=True)
@@ -83,28 +67,27 @@ def seed_state(spec: LfsrSpec, raw: int) -> LfsrState:
 
 
 class LfsrCycle:
-    """Precomputed full state cycle for vectorized sequence extraction."""
+    """Precomputed full state cycle for vectorized sequence extraction.
+
+    ring holds the states from 1 until the walk returns to 1; a walk that has
+    not returned after one period stops one state later, so the ring is
+    exactly one period long only for maximal taps."""
 
     def __init__(self, spec: LfsrSpec):
         self.spec = spec
-        period = spec.period
-        ring = np.empty(period, dtype=np.uint16)
-        pos = np.zeros(period + 1, dtype=np.uint16)
-        s = 1
-        for i in range(period):
-            ring[i] = s
-            pos[s] = i
+        ring = [1]
+        s = _step(spec.width, spec.taps, 1)
+        while s != 1 and len(ring) <= spec.period:
+            ring.append(s)
             s = _step(spec.width, spec.taps, s)
-        self.ring = ring
-        self.position = pos
+        self.ring = np.array(ring, dtype=np.uint16)
+        self.position = np.zeros(spec.period + 1, dtype=np.uint16)
+        self.position[self.ring] = np.arange(self.ring.size)
 
     @classmethod
+    @functools.cache
     def for_spec(cls, spec: LfsrSpec) -> "LfsrCycle":
-        key = (spec.width, spec.taps)
-        cycle = _cycle_cache.get(key)
-        if cycle is None:
-            cycle = _cycle_cache[key] = cls(spec)
-        return cycle
+        return cls(spec)
 
     def sequence_block(self, start_positions: np.ndarray, count: int) -> np.ndarray:
         """(n, count) matrix of emitted values, row i starting at ring position i."""

@@ -13,11 +13,6 @@ from stochmem.memory import NoiseModel
 TINY = ["--dims", "6x5", "--seed", "3"]
 
 
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv("STOCHMEM_SEED", raising=False)
-
-
 def test_run_writes_image_and_report(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["run", "--app", "robert", "--design", "stochmem", "--length", "16",

@@ -1,8 +1,8 @@
 """One field table drives the config file keys and the command-line flags.
 
 For every ExperimentConfig field the file key alone, the flag alone, and
-both (the flag wins) must give the same config; STOCHMEM_SEED beats both for
-the seed; and every leaf of ExperimentConfig must have a table row.
+both (the flag wins) must give the same config; and every leaf of
+ExperimentConfig must have a table row.
 """
 
 import dataclasses
@@ -10,8 +10,7 @@ import dataclasses
 import pytest
 
 from stochmem import cli
-from stochmem.config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_bool, read_pairs,
-                             read_values, resolve_config)
+from stochmem.config import FIELD_BY_KEY, FIELDS, load_cost_config, parse_bool, read_pairs
 from stochmem.harness import ExperimentConfig
 
 # two values per key, both different from the default
@@ -25,11 +24,6 @@ SAMPLES = {
     "mult_write": ("0.5", "0.6"), "mult_read": ("0.7", "0.8"), "mult_dac": ("0.2", "0.9"),
     "free_run": ("true", "false"), "jobs": ("2", "3"),
 }
-
-
-@pytest.fixture(autouse=True)
-def _no_seed_override(monkeypatch):
-    monkeypatch.delenv("STOCHMEM_SEED", raising=False)
 
 
 def _argv(field, value) -> list[str]:
@@ -77,14 +71,6 @@ def test_every_config_leaf_has_one_row():
     assert sorted(attrs) == sorted(_leaves(ExperimentConfig()))
     assert len({f.key for f in FIELDS}) == len({f.flag for f in FIELDS}) == len(FIELDS)
     assert set(SAMPLES) == {f.key for f in FIELDS}
-
-
-def test_env_seed_beats_file_and_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("STOCHMEM_SEED", "99")
-    assert _config(tmp_path, {"seed": "5"}, ["--seed", "7"]).global_seed == 99
-    assert resolve_config(read_values(tmp_path / "run.cfg")).global_seed == 99
-    monkeypatch.delenv("STOCHMEM_SEED")
-    assert _config(tmp_path, {"seed": "5"}, ["--seed", "7"]).global_seed == 7
 
 
 def test_no_free_run_flag_clears_the_file_key(tmp_path):

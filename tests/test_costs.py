@@ -3,10 +3,10 @@ import pytest
 
 from stochmem.circuits import AppKind
 from stochmem.config import load_cost_config
-from stochmem.costs import (AccessCounts, AccessMultipliers,
-                            SystemDesign, UnitCost, aggregate_reduction,
-                            access_counts, area_report, average_shares,
-                            default_profile, energy_report, share_breakdown)
+from stochmem.costs import (AccessMultipliers, SystemDesign, UnitCost, aggregate_reduction,
+                            area_report, average_shares, default_profile, energy_report,
+                            share_breakdown)
+from stochmem.harness import ExperimentConfig, run_experiment
 
 APPS = list(AppKind)
 
@@ -132,18 +132,18 @@ class TestEnergy:
             assert got == pytest.approx(ref, abs=0.10)
 
     def test_custom_access_counts(self):
+        # each operand: one ADC and one DAC conversion, one write and one read
         p = default_profile(AppKind.FRAME)
-        acc = AccessCounts(adc_conversions=2, dac_conversions=0, mem_reads=4,
-                           mem_writes=2)
-        rep = energy_report(SystemDesign.CONV_LFSR, p, 1024, access=acc,
+        rep = energy_report(SystemDesign.CONV_MTJ, p, 1024, n_operands=3,
                             multipliers=AccessMultipliers(1.0, 1.0, 1.0, 1.0))
         parts = dict((u, v) for u, _, v in rep.entries)
-        assert parts["adc"] == 40.0
-        assert parts["memory"] == 60.0
+        assert (parts["adc"], parts["dac"], parts["memory"]) == (60.0, 192.0, 60.0)
 
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            AccessCounts(-1, 0, 0, 0)
+    def test_negative_operand_count_rejected(self):
+        with pytest.raises(ValueError, match="operand count must be nonnegative and finite; "
+                                             "n_operands is -1"):
+            energy_report(SystemDesign.STOCHMEM, default_profile(AppKind.GAMMA), 1024,
+                          n_operands=-1)
 
 
 def test_share_breakdown_sums_to_one():
@@ -161,10 +161,42 @@ def test_share_breakdown_zero_total_rejected():
         share_breakdown(rep)
 
 
-def test_default_access_counts():
-    assert access_counts(SystemDesign.CONV_LFSR, 42) == AccessCounts(42, 0, 42, 42)
-    assert access_counts(SystemDesign.CONV_MTJ, 42) == AccessCounts(42, 42, 42, 42)
-    assert access_counts(SystemDesign.STOCHMEM, 42) == AccessCounts(0, 0, 42, 42)
+@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
+@pytest.mark.parametrize("app", APPS, ids=lambda a: a.value)
+def test_area_and_energy_list_the_same_units_in_order(app, design):
+    area = area_report(design, default_profile(app))
+    energy = energy_report(design, default_profile(app), 1024)
+    assert [(u, g) for u, g, _ in area.entries] == [(u, g) for u, g, _ in energy.entries]
+
+
+# repr of (area.total, energy.total, energy_default.total) of a run at L=1024:
+# energy charges one operand per operand plane, energy_default the profile's
+# n_streams
+RUN_TOTALS = {
+    (AppKind.ROBERT, SystemDesign.CONV_LFSR): ("51810.0", "2536.08", "2550.58"),
+    (AppKind.ROBERT, SystemDesign.CONV_MTJ): ("66435.0", "777.3599999999999", "820.6600000000001"),
+    (AppKind.ROBERT, SystemDesign.STOCHMEM): ("597.0", "704.16", "729.1600000000001"),
+    (AppKind.MEDIAN, SystemDesign.CONV_LFSR): ("58320.0", "8373.7", "8388.2"),
+    (AppKind.MEDIAN, SystemDesign.CONV_MTJ): ("71570.0", "4885.0599999999995", "4928.36"),
+    (AppKind.MEDIAN, SystemDesign.STOCHMEM): ("5868.0", "4720.36", "4745.36"),
+    (AppKind.FRAME, SystemDesign.CONV_LFSR): ("51246.0", "1346.888", "1375.888"),
+    (AppKind.FRAME, SystemDesign.CONV_MTJ): ("66534.0", "632.3919999999999", "718.992"),
+    (AppKind.FRAME, SystemDesign.STOCHMEM): ("670.0", "595.7919999999999", "645.7919999999999"),
+    (AppKind.GAMMA, SystemDesign.CONV_LFSR): ("51267.0", "1120.42", "1221.92"),
+    (AppKind.GAMMA, SystemDesign.CONV_MTJ): ("66231.0", "332.068", "635.168"),
+    (AppKind.GAMMA, SystemDesign.STOCHMEM): ("502.0", "313.768", "488.768"),
+    (AppKind.KDE, SystemDesign.CONV_LFSR): ("64979.0", "13504.804", "13635.304"),
+    (AppKind.KDE, SystemDesign.CONV_MTJ): ("75443.0", "9983.396", "10373.096000000001"),
+    (AppKind.KDE, SystemDesign.STOCHMEM): ("10392.0", "9379.496", "9604.496"),
+}
+
+
+@pytest.mark.parametrize("app,design", list(RUN_TOTALS),
+                         ids=lambda v: v.value)
+def test_run_cost_totals_are_bit_exact(app, design):
+    r = run_experiment(ExperimentConfig(app=app, design=design, length=1024, dims=(4, 4)))
+    got = (repr(r.area.total), repr(r.energy.total), repr(r.energy_default.total))
+    assert got == RUN_TOTALS[(app, design)]
 
 
 def test_cost_config_overrides(tmp_path):

@@ -27,7 +27,7 @@ from stochmem.images import ImageGray, load_pgm, save_pgm
 from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import RandomSource, SeedSpec, derive_state
-from stochmem.synth import gen_test_inputs
+from stochmem.synth import INPUT_SEED, gen_test_inputs
 
 
 @pytest.mark.parametrize("length", (0, MAX_LENGTH + 1))
@@ -249,6 +249,22 @@ def test_generator_identities_of_a_block_are_disjoint(app, degree, design, reque
     with mock.patch.object(harness, "derive_state_grid", recording_derive):
         run_experiment(cfg)
     assert ids and len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("key,value,verb", (("dims", (64, 64), "sizes"), ("input_seed", 5, "seeds")),
+                         ids=("dims", "input_seed"))
+def test_synthetic_input_settings_with_an_input_fail_loudly(written_inputs, key, value, verb):
+    # the API path, not only the config file and flags, rejects the pair
+    with pytest.raises(ValueError, match=f"{key} {verb} only the synthetic inputs; it cannot "
+                                         f"be set with input"):
+        run_experiment(ExperimentConfig(app=AppKind.ROBERT, length=16,
+                                        input_path=str(written_inputs / "scene.pgm"),
+                                        **{key: value}))
+
+
+def test_default_synthetic_input_is_128x128_at_the_input_seed():
+    planes = resolve_inputs(ExperimentConfig(app=AppKind.GAMMA))
+    assert np.array_equal(planes[0], gen_test_inputs("scene", (128, 128), INPUT_SEED).data)
 
 
 def test_synthetic_frames_are_made_once_per_input_kind():
