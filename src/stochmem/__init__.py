@@ -7,9 +7,9 @@ from .costs import (AccessMultipliers, AppProfile, CostReport, SystemDesign, Uni
 from .calibrate import calibrate_access, calibrate_noise
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
 from .images import ImageGray, error_metric, load_pgm, save_pgm
-from .lfsr import LfsrSpec, LfsrState, lfsr_next
+from .lfsr import LfsrSpec, lfsr_values
 from .memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
-from .rng import RandomSource, SeedSpec, derive_generator
+from .rng import derive_state, gauss, uniforms
 from .synth import gen_test_inputs
 
 __version__ = "0.1.0"

@@ -231,22 +231,19 @@ def gamma_batch_counts(x_words: np.ndarray, coeff_words: np.ndarray) -> np.ndarr
 # kernel-density segmentation
 
 
-def kde_batch(cur: np.ndarray, hist_iter, delta: float, theta: float, length: int) -> np.ndarray:
+def kde_batch(cur: np.ndarray, history, delta: float, theta: float, length: int) -> np.ndarray:
     """Foreground (1.0) iff the box-kernel density over the KDE_HISTORY history
     rows, each matching when its XOR distance to cur is at most delta of the
-    length, is below theta.
+    length, is below theta.  history is a sequence of packed stream matrices.
 
     cur must be correlated with every history stream so XOR measures the
     pairwise distance.
     """
+    if len(history) != KDE_HISTORY:
+        raise ValueError(f"history must hold {KDE_HISTORY} streams, got {len(history)}")
     matches = np.zeros(cur.shape[0], dtype=np.int32)
-    seen = 0
-    for hist in hist_iter:
-        dist = popcount_rows(cur ^ hist)
-        matches += dist <= delta * length
-        seen += 1
-    if seen != KDE_HISTORY:
-        raise ValueError(f"history must hold {KDE_HISTORY} streams, got {seen}")
+    for hist in history:
+        matches += popcount_rows(cur ^ hist) <= delta * length
     return ((matches / KDE_HISTORY) < theta).astype(np.float64)
 
 

@@ -27,8 +27,8 @@ from .circuits import AppKind, fit_bernstein
 from .config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, parse_bool,
                      parse_dims, read_pairs, read_values, resolve_config)
 from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
-from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
-                      report_csv_row, run_experiment, sweep)
+from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, MAX_BERNSTEIN_DEGREE, PAPER_LENGTHS,
+                      ExperimentConfig, report_csv_row, run_experiment, sweep)
 from .images import save_pgm
 from .synth import gen_test_inputs
 
@@ -117,7 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = add("fit-gamma", help="fit the power function as a Bernstein polynomial")
     p_fit.add_argument("--exponent", type=float, default=0.45)
-    p_fit.add_argument("--degree", type=int, default=6)
+    p_fit.add_argument("--degree", type=int, default=6,
+                       help=f"polynomial degree, at most {MAX_BERNSTEIN_DEGREE} (the gamma "
+                            f"circuit's replica streams)")
 
     p_gen = add("gen-inputs", help="write the synthetic input set as PGM files")
     p_gen.add_argument("--out", required=True, help="output directory")
@@ -189,6 +191,10 @@ def _cmd_cost(args) -> int:
 def _cmd_fit_gamma(args) -> int:
     if not 0 <= args.exponent < math.inf:
         raise ValueError(f"--exponent must be nonnegative and finite, got {args.exponent}")
+    # no run can use a fit the gamma circuit has no replica streams for
+    if args.degree > MAX_BERNSTEIN_DEGREE:
+        raise ValueError(f"--degree must be at most {MAX_BERNSTEIN_DEGREE} (gamma replica "
+                         f"streams), got {args.degree}")
     poly, max_err = fit_bernstein(lambda x: x ** args.exponent, args.degree)
     print("coefficient\tvalue")
     for k, c in enumerate(poly.coeffs):

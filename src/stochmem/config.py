@@ -74,7 +74,7 @@ FIELDS = (
     Field("mult_dac", "multipliers.dac", float, "DAC energy multiplier"),
     Field("free_run", "dsc_free_run", parse_bool,
           "let the comparator LFSR run across pixels instead of reseeding"),
-    Field("jobs", "jobs", int, "worker processes"),
+    Field("jobs", "jobs", int, "worker processes, at most one per CPU"),
 )
 FIELD_BY_KEY = {f.key: f for f in FIELDS}
 

@@ -8,15 +8,21 @@ The comparator-based digital-to-stochastic converter (DSC) emits a one
 when the LFSR value is <= the stored code, so code 2^width-1 saturates
 the stream and a full-period run carries exactly ``code`` ones.
 dsc_generate and asc_generate are the scalar generator oracles; each returns
-one stream as a 1-D bool array of ``length`` bits.
+one stream as a 1-D bool array of ``length`` bits from one 64-bit generator
+state.  dsc_generate walks the LFSR step by step (lfsr.lfsr_values), not
+through the engine's ring and comparator table.  asc_generate states the
+stochastic number generator's compare, bit = 1 iff draw < p * 2^64, with one
+exact integer threshold, so it is independent of the engine's
+bernoulli_threshold_u64 and of its tiles, packing and p >= 1 fix-up; it
+shares only the SplitMix64 draws (rng.uniform_block_from_states).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .lfsr import LfsrState, lfsr_next
-from .rng import RandomSource
+from .lfsr import LfsrSpec, lfsr_values
+from .rng import uniform_block_from_states
 
 ADC_BITS = 10
 DAC_BITS = 8
@@ -56,23 +62,23 @@ def requantize(code):
                    .astype(np.int64))
 
 
-def dsc_generate(code: int, length: int, lfsr: LfsrState) -> np.ndarray:
-    """Comparator stream: bit i is one iff the i-th LFSR value is <= code."""
-    if not 0 <= code <= lfsr.spec.period:
-        raise ValueError(f"code {code} out of range for width {lfsr.spec.width}")
+def dsc_generate(code: int, length: int, raw: int, spec: LfsrSpec = LfsrSpec()) -> np.ndarray:
+    """Comparator stream: bit i is one iff the i-th LFSR value is <= code; the
+    register is seeded from the 64-bit value raw (lfsr.lfsr_values)."""
+    if not 0 <= code <= spec.period:
+        raise ValueError(f"code {code} out of range for width {spec.width}")
     if length < 1:
         raise ValueError("stream length must be positive")
-    bits = np.empty(length, dtype=bool)
-    st = lfsr
-    for i in range(length):
-        value, st = lfsr_next(st)
-        bits[i] = value <= code
-    return bits
+    return np.array(lfsr_values(spec, raw, length)) <= code
 
 
-def asc_generate(p: float, length: int, rng: RandomSource) -> np.ndarray:
-    """Bernoulli sampling stream: ones count is Binomial(length, p)."""
+def asc_generate(p: float, length: int, state: int) -> np.ndarray:
+    """Bernoulli sampling stream: bit j is one iff draw j of state is below
+    int(p * 2^64), so the ones count is Binomial(length, p), and all ones at
+    p = 1."""
     _check_range(p, 1, "ASC input")
     if length < 1:
         raise ValueError("stream length must be positive")
-    return rng.bernoulli_bits(p, length)
+    draws = uniform_block_from_states(np.array([state], dtype=np.uint64), length)[0]
+    # a Python int compares exactly with uint64, also 2^64 at p = 1
+    return draws < int(p * 2.0**64)

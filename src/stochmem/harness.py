@@ -28,11 +28,12 @@ pixel whose length alone exceeds the budget forms a larger block.  The blocks
 are the tasks _map hands to the workers (_map is the one place that starts
 worker processes, for every run grid: a run's blocks, a sweep, a noise-fit
 grid).  Each task carries only its block's operand columns; the stream
-plan and the comparator table are built once per run.  With several workers
-the block count is a multiple of the worker count, so a small image still
-spreads over every worker.  Within a block every stream is generated packed,
-as (pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
-packed through the circuit; bits past the length are always zero, so
+plan and the comparator table are built once per run.  The worker count is
+jobs capped at the CPU count (_workers); with several workers the block
+count is a multiple of it, so a small image still spreads over every
+worker.  Within a block every stream is generated packed, as (pixels,
+words_for(length)) uint64 rows in the bitstream layout, and stays packed
+through the circuit; bits past the length are always zero, so
 popcounts and XOR distances need no masking.  The ASC designs compare
 SplitMix64 draws, made in tiles of at most _TILE_CELLS cells in reused
 buffers and shared between the sources of one group, against each source's
@@ -48,6 +49,7 @@ buffer size nor worker count changes any output bit.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -64,8 +66,8 @@ from .costs import (AccessMultipliers, CostReport, SystemDesign, area_report, de
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
-from .rng import GOLDEN, SeedSpec, bernoulli_threshold_u64, derive_state, \
-    derive_state_grid, uniform_block_from_states
+from .rng import GOLDEN, bernoulli_threshold_u64, derive_state, derive_state_grid, \
+    uniform_block_from_states
 from .synth import INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy fitted to the published accuracy gap at length 1024
@@ -93,9 +95,10 @@ _TILE_CELLS = 65_536
 _UNBUFFERED_MIN_ROW = 256
 
 # stream-group identities; operand groups occupy 0..7 and gamma replica k
-# group k, so the degree may not pass _GROUP_COEFF_BASE
+# group k, so the degree may not pass the coefficient group
+MAX_BERNSTEIN_DEGREE = 16
 _GROUP_SELECT = 8
-_GROUP_COEFF_BASE = 16
+_GROUP_COEFF_BASE = MAX_BERNSTEIN_DEGREE
 _SID_WRITE_NOISE = 64
 _SID_READ_NOISE = 96
 
@@ -127,8 +130,8 @@ class ExperimentConfig:
             if getattr(self, key) is not None and self.input_path is not None:
                 raise ValueError(f"{key} {verb} only the synthetic inputs; it cannot be set "
                                  f"with input")
-        if self.params.bernstein_degree > _GROUP_COEFF_BASE:
-            raise ValueError(f"bernstein_degree must be at most {_GROUP_COEFF_BASE} (gamma "
+        if self.params.bernstein_degree > MAX_BERNSTEIN_DEGREE:
+            raise ValueError(f"bernstein_degree must be at most {MAX_BERNSTEIN_DEGREE} (gamma "
                              f"replica streams), got {self.params.bernstein_degree}")
 
 
@@ -377,7 +380,7 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     for s, (group, level) in enumerate(zip(plan.groups, levels)):
         if group not in windows:
             if cfg.dsc_free_run:
-                base = derive_state(SeedSpec(cfg.global_seed, 0, 0, group))
+                base = derive_state(cfg.global_seed, stream_id=group)
                 first = int(cycle.position[base % period + 1])
                 start = (first + pix_idx.astype(np.int64) * length) % period
             else:
@@ -425,10 +428,15 @@ def _evaluate_block(task: tuple) -> np.ndarray:
                               length)
 
 
-def _map(fn, items: list, jobs: int) -> list:
-    """[fn(item) for item in items], over up to ``jobs`` worker processes."""
+def _workers(jobs: int) -> int:
+    """Worker processes for ``jobs``: at most one per CPU."""
     _check_jobs(jobs)
-    workers = min(jobs, len(items))
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], over up to _workers(jobs) processes."""
+    workers = min(_workers(jobs), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -444,7 +452,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
     operands = planes.reshape(n_planes, -1)
     tasks = [(cfg, plan, table, width, lo, hi, operands[:, lo:hi])
-             for lo, hi in _block_slices(height * width, cfg.length, cfg.jobs)]
+             for lo, hi in _block_slices(height * width, cfg.length, _workers(cfg.jobs))]
     pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
 
     output = ImageGray(width, height, pixels.reshape(height, width))

@@ -4,6 +4,9 @@ The default generator is the 10-bit register with feedback taps {10, 7};
 tap positions are 1-based, tap k reading bit k-1 of the state.  Maximality
 is verified at construction by walking the state cycle through 1 (the one
 walk per spec, kept as its LfsrCycle) instead of trusting a polynomial table.
+lfsr_values is the stepwise walk from one seed, the scalar oracle of the
+comparator streams; it shares no table or ring indexing with LfsrCycle,
+which the engine reads.
 """
 
 from __future__ import annotations
@@ -43,27 +46,16 @@ class LfsrSpec:
         return (1 << self.width) - 1
 
 
-@dataclass(frozen=True)
-class LfsrState:
-    spec: LfsrSpec
-    state: int
-
-    def __post_init__(self):
-        if not 1 <= self.state <= self.spec.period:
-            raise ValueError(
-                f"LFSR state must be nonzero and fit {self.spec.width} bits, got {self.state}"
-            )
-
-
-def lfsr_next(st: LfsrState) -> tuple[int, LfsrState]:
-    """Emit the current state as the random value, then advance one step."""
-    nxt = _step(st.spec.width, st.spec.taps, st.state)
-    return st.state, LfsrState(st.spec, nxt)
-
-
-def seed_state(spec: LfsrSpec, raw: int) -> LfsrState:
-    """Fold an arbitrary 64-bit value onto the nonzero state range."""
-    return LfsrState(spec, raw % spec.period + 1)
+def lfsr_values(spec: LfsrSpec, raw: int, count: int) -> list[int]:
+    """The first count states of the register seeded from raw, a 64-bit value
+    folded onto the nonzero states 1..period; each state is emitted as the
+    random value, then the register steps once."""
+    state = raw % spec.period + 1
+    values = []
+    for _ in range(count):
+        values.append(state)
+        state = _step(spec.width, spec.taps, state)
+    return values
 
 
 class LfsrCycle:

@@ -5,6 +5,9 @@ from the NoiseModel's sigmas, to a full-scale value in [0, 1].  The memory
 is stateless: a write returns the stored cells and a read takes them back,
 so nothing is allocated, addressed or counted here.  The conventional
 designs' SRAM is ideal and holds ADC codes unchanged, so it needs no model.
+Each cell's noise comes from one 64-bit generator state.  mem_write and
+mem_read are the scalar oracles: they draw through rng.gauss, the scalar
+mix64, not through the engine's array mixer in gauss_from_states.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import RandomSource, gauss_from_states
+from .rng import gauss, gauss_from_states
 
 
 @dataclass(frozen=True)
@@ -34,16 +37,18 @@ def _clamp(v):
     return np.clip(v, 0.0, 1.0)
 
 
-def mem_write(noise: NoiseModel, v: float, rng: RandomSource) -> float:
-    """Store one value; returns the cell content."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"stored value must lie in [0, 1], got {v}")
-    return float(_clamp(v + rng.gauss(noise.write_sigma)))
+def mem_write(noise: NoiseModel, value: float, state: int) -> float:
+    """Store one value with the write noise of generator state; returns the
+    cell content."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"stored value must lie in [0, 1], got {value}")
+    return float(_clamp(value + gauss(state, noise.write_sigma)))
 
 
-def mem_read(noise: NoiseModel, stored: float, rng: RandomSource) -> float:
-    """What the stream generator sees when it reads one cell."""
-    return float(_clamp(stored + rng.gauss(noise.read_sigma)))
+def mem_read(noise: NoiseModel, stored: float, state: int) -> float:
+    """What the stream generator sees when it reads one cell, with the read
+    noise of generator state."""
+    return float(_clamp(stored + gauss(state, noise.read_sigma)))
 
 
 def mem_write_block(noise: NoiseModel, values: np.ndarray,

@@ -11,16 +11,15 @@ from __future__ import annotations
 import numpy as np
 
 from .images import ImageGray
-from .rng import RandomSource, SeedSpec, derive_state
+from .rng import derive_state, uniforms
 
 INPUT_SEED = 0xA11CE
 VIDEO_FRAMES = 33
 _STREAM_SCENE = 1
 _STREAM_NOISE = 2
-
-
-def _source(kind_id: int, seed: int) -> RandomSource:
-    return RandomSource(derive_state(SeedSpec(seed, 0, 0, kind_id)))
+# uniform draws make_scene takes: two phases for each of 4 textures, six
+# for each of 6 blobs and of 2 rectangles
+_SCENE_DRAWS = 4 * 2 + 6 * 6 + 2 * 6
 
 
 def _grid(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -44,28 +43,29 @@ def make_checkerboard(width: int, height: int, cell: int = 16,
 def make_scene(width: int, height: int, seed: int = INPUT_SEED) -> ImageGray:
     """Smooth composite of a ramp, sinusoidal texture, Gaussian blobs, and
     soft-edged rectangles; a stand-in with natural-image-like edge content."""
-    rng = _source(_STREAM_SCENE, seed)
+    state = derive_state(seed, stream_id=_STREAM_SCENE)
+    draw = iter(uniforms(state, _SCENE_DRAWS).tolist()).__next__
     xs, ys = _grid(width, height)
     img = 0.15 + 0.55 * (xs + ys) / max(width + height - 2, 1)
     for amp, fx, fy in ((0.07, 3.1, 2.3), (0.06, 5.3, 4.1), (0.07, 11.2, 8.7),
                         (0.05, 17.3, 14.1)):
-        phase_x = 2.0 * np.pi * rng.next_f64()
-        phase_y = 2.0 * np.pi * rng.next_f64()
+        phase_x = 2.0 * np.pi * draw()
+        phase_y = 2.0 * np.pi * draw()
         img = img + amp * np.sin(2.0 * np.pi * fx * xs / width + phase_x) \
                         * np.sin(2.0 * np.pi * fy * ys / height + phase_y)
     for _ in range(6):
-        cx = rng.next_f64() * width
-        cy = rng.next_f64() * height
-        sx = (0.08 + 0.17 * rng.next_f64()) * width
-        sy = (0.08 + 0.17 * rng.next_f64()) * height
-        amp = (0.15 + 0.2 * rng.next_f64()) * (1 if rng.next_f64() < 0.5 else -1)
+        cx = draw() * width
+        cy = draw() * height
+        sx = (0.08 + 0.17 * draw()) * width
+        sy = (0.08 + 0.17 * draw()) * height
+        amp = (0.15 + 0.2 * draw()) * (1 if draw() < 0.5 else -1)
         img = img + amp * np.exp(-0.5 * (((xs - cx) / sx) ** 2 + ((ys - cy) / sy) ** 2))
     for _ in range(2):
-        cx = rng.next_f64() * width
-        cy = rng.next_f64() * height
-        hw = (0.06 + 0.12 * rng.next_f64()) * width
-        hh = (0.06 + 0.12 * rng.next_f64()) * height
-        amp = (0.15 + 0.15 * rng.next_f64()) * (1 if rng.next_f64() < 0.5 else -1)
+        cx = draw() * width
+        cy = draw() * height
+        hw = (0.06 + 0.12 * draw()) * width
+        hh = (0.06 + 0.12 * draw()) * height
+        amp = (0.15 + 0.15 * draw()) * (1 if draw() < 0.5 else -1)
         img = img + amp * _soft_rect(xs, ys, cx, cy, hw, hh, edge=2.0)
     return ImageGray.from_array(np.clip(img, 0.02, 0.98))
 
@@ -85,8 +85,8 @@ def _soft_rect(xs, ys, cx, cy, half_w, half_h, edge: float) -> np.ndarray:
 
 
 def salt_pepper(img: ImageGray, density: float = 0.05, seed: int = INPUT_SEED) -> ImageGray:
-    rng = _source(_STREAM_NOISE, seed)
-    u = rng.uniforms(img.width * img.height).reshape(img.height, img.width)
+    u = uniforms(derive_state(seed, stream_id=_STREAM_NOISE),
+                 img.width * img.height).reshape(img.height, img.width)
     out = img.data.copy()
     out[u < density / 2] = 0.0
     out[(u >= density / 2) & (u < density)] = 1.0

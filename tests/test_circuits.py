@@ -11,20 +11,18 @@ from stochmem.circuits import (AppKind, AppParams, BernsteinPoly, MEDIAN9_PAIRS,
                                golden_eval, kde_batch, median9_reference, median_batch,
                                robert_batch)
 from stochmem.converters import asc_generate, dsc_generate
-from stochmem.lfsr import LfsrSpec, seed_state
-from stochmem.rng import SeedSpec, derive_generator
+from stochmem.rng import derive_state
 
 FULL = 1023
 
 
 def _shared(code, seed=11):
     """Streams from one generator are correlated by construction."""
-    return dsc_generate(code, FULL, seed_state(LfsrSpec(), seed))
+    return dsc_generate(code, FULL, seed)
 
 
 def _bern(p, length, seed_fields):
-    rng = derive_generator(SeedSpec(*seed_fields))
-    return asc_generate(p, length, rng)
+    return asc_generate(p, length, derive_state(*seed_fields))
 
 
 def _row(bits) -> np.ndarray:
@@ -94,12 +92,11 @@ class TestRobert:
         for trial in range(500):
             vals = rng.random(4)
             g = 0.5 * (abs(vals[0] - vals[3]) + abs(vals[1] - vals[2]))
-            sel = derive_generator(SeedSpec(trial, 0, 0, 8))
-            ua = asc_generate(vals[0], length, derive_generator(SeedSpec(trial, 0, 0, 0)))
-            da = asc_generate(vals[3], length, derive_generator(SeedSpec(trial, 0, 0, 0)))
-            ub = asc_generate(vals[1], length, derive_generator(SeedSpec(trial, 0, 0, 1)))
-            db = asc_generate(vals[2], length, derive_generator(SeedSpec(trial, 0, 0, 1)))
-            s = asc_generate(0.5, length, sel)
+            ua = asc_generate(vals[0], length, derive_state(trial, 0, 0, 0))
+            da = asc_generate(vals[3], length, derive_state(trial, 0, 0, 0))
+            ub = asc_generate(vals[1], length, derive_state(trial, 0, 0, 1))
+            db = asc_generate(vals[2], length, derive_state(trial, 0, 0, 1))
+            s = asc_generate(0.5, length, derive_state(trial, 0, 0, 8))
             est = _value(robert_batch(*map(_row, (ua, ub, db, da, s))), length)
             errs.append(abs(est - g))
         assert np.mean(errs) <= 0.02
@@ -170,9 +167,9 @@ class TestFrameDiff:
         flips = 0
         trials = 10_000
         for k in range(trials):
-            rng = SeedSpec(2001, k, 0, 0)
-            a = asc_generate(a_val, length, derive_generator(rng))
-            b = asc_generate(b_val, length, derive_generator(SeedSpec(2001, k, 0, 0)))
+            state = derive_state(2001, k)
+            a = asc_generate(a_val, length, state)
+            b = asc_generate(b_val, length, state)
             # shared generator: xor counts are Binomial(length, diff)
             flips += frame_batch(_row(a), _row(b), theta, length)[0]
         p_pred = binom.sf(int(np.floor(theta * length)), length, diff)
@@ -229,9 +226,9 @@ def poly():
 class TestGamma:
 
     def _run(self, x, poly, length=1024, seed=5):
-        xs = [asc_generate(x, length, derive_generator(SeedSpec(seed, 0, 0, g)))
+        xs = [asc_generate(x, length, derive_state(seed, 0, 0, g))
               for g in range(6)]
-        cs = [asc_generate(c, length, derive_generator(SeedSpec(seed, 0, 0, 16 + k)))
+        cs = [asc_generate(c, length, derive_state(seed, 0, 0, 16 + k))
               for k, c in enumerate(poly.coeffs)]
         return gamma_eval(xs, cs).mean()
 
@@ -256,7 +253,7 @@ class TestGamma:
             assert abs(np.mean(ests) - poly(x)) <= 4 * np.sqrt(0.25 / (5 * length))
 
     def test_stream_count_validation(self, poly):
-        xs = [asc_generate(0.5, 64, derive_generator(SeedSpec(1, 0, 0, g)))
+        xs = [asc_generate(0.5, 64, derive_state(1, 0, 0, g))
               for g in range(6)]
         with pytest.raises(ValueError):
             gamma_eval(xs, xs)
@@ -265,7 +262,7 @@ class TestGamma:
 class TestKde:
     def _streams(self, cur_val, hist_vals, length=1024, seed=31):
         """Packed rows of cur and of the history, all from one generator."""
-        rng = lambda: derive_generator(SeedSpec(seed, 0, 0, 0))
+        rng = lambda: derive_state(seed, 0, 0, 0)
         cur = _row(asc_generate(cur_val, length, rng()))
         hist = [_row(asc_generate(v, length, rng())) for v in hist_vals]
         return cur, hist

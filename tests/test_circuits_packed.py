@@ -72,6 +72,11 @@ def test_kde_batch_checks_history_size():
     rows = np.zeros((2, 1), dtype=np.uint64)
     with pytest.raises(ValueError):
         kde_batch(rows, [rows] * (KDE_HISTORY - 1), 0.1, 0.1, 64)
+    # the size is checked before any row is read: these rows do not broadcast
+    odd = np.zeros((3, 1), dtype=np.uint64)
+    for n in (KDE_HISTORY - 1, KDE_HISTORY + 1):
+        with pytest.raises(ValueError, match=f"history must hold {KDE_HISTORY} streams, got {n}"):
+            kde_batch(rows, [odd] * n, 0.1, 0.1, 64)
 
 
 @pytest.mark.parametrize("length", LENGTHS)

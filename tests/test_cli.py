@@ -114,6 +114,11 @@ def test_fit_gamma_prints_coefficients(capsys):
     assert [line.split("\t")[0] for line in out.splitlines()[1:5]] == ["b0", "b1", "b2", "b3"]
 
 
+def test_fit_gamma_accepts_the_largest_degree_a_run_uses(capsys):
+    assert main(["fit-gamma", "--degree", "16"]) == 0
+    assert capsys.readouterr().out.splitlines()[17].startswith("b16\t")
+
+
 def test_gen_inputs_writes_pgm_files(tmp_path):
     assert main(["gen-inputs", "--out", str(tmp_path), "--dims", "6x5"]) == 0
     assert (tmp_path / "scene.pgm").is_file()
@@ -204,6 +209,10 @@ def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command):
     (["cost", "--length", "0"], "length must be in 1..16777216, got 0"),
     (["cost", "--length", "-1"], "length must be in 1..16777216, got -1"),
     (["cost", "--length", "99999999"], "length must be in 1..16777216, got 99999999"),
+    (["fit-gamma", "--degree", "17"], "--degree must be at most 16 (gamma replica streams), "
+                                      "got 17"),
+    (["fit-gamma", "--degree", "1100"], "--degree must be at most 16 (gamma replica streams), "
+                                        "got 1100"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
                                  requantize)
-from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
-from stochmem.rng import SeedSpec, derive_generator
+from stochmem.lfsr import LfsrCycle, LfsrSpec
+from stochmem.rng import derive_state
 
 
 class TestQuantizers:
@@ -51,43 +51,48 @@ class TestQuantizers:
 
 class TestDsc:
     def test_full_scale_code_saturates(self):
-        bits = dsc_generate(1023, 200, seed_state(LfsrSpec(), 99))
+        bits = dsc_generate(1023, 200, 99)
         assert bits.sum() == 200
 
     def test_zero_code_all_zeros(self):
-        bits = dsc_generate(0, 200, seed_state(LfsrSpec(), 99))
+        bits = dsc_generate(0, 200, 99)
         assert bits.sum() == 0
 
     @pytest.mark.parametrize("code", [1, 37, 512, 800, 1022])
     def test_full_period_ones_equals_code(self, code):
-        bits = dsc_generate(code, 1023, seed_state(LfsrSpec(), 5))
+        bits = dsc_generate(code, 1023, 5)
         assert bits.sum() == code
 
     def test_code_out_of_range(self):
         with pytest.raises(ValueError):
-            dsc_generate(1024, 10, seed_state(LfsrSpec(), 5))
+            dsc_generate(1024, 10, 5)
 
     def test_matches_stepwise_comparator(self):
-        st0 = seed_state(LfsrSpec(), 777)
-        got = dsc_generate(400, 64, st0)
-        cur, bits = st0, []
-        for _ in range(64):
-            v, cur = lfsr_next(cur)
-            bits.append(v <= 400)
-        assert got.dtype == bool and got.tolist() == bits
+        # raw 777 seeds state 777 % 1023 + 1; the values follow the cycle's ring
+        ring = LfsrCycle.for_spec(LfsrSpec()).ring.tolist()
+        start = ring.index(778)
+        values = [ring[(start + i) % len(ring)] for i in range(64)]
+        got = dsc_generate(400, 64, 777)
+        assert got.dtype == bool and got.tolist() == [v <= 400 for v in values]
+
+    def test_other_spec(self):
+        # a 4-bit register: a full period of 15 values carries code ones
+        spec = LfsrSpec(4, frozenset({4, 3}))
+        assert dsc_generate(6, 15, 2, spec).sum() == 6
+        with pytest.raises(ValueError):
+            dsc_generate(16, 15, 2, spec)
 
 
 class TestAsc:
     def test_saturated(self):
-        rng = derive_generator(SeedSpec(1))
-        assert asc_generate(1.0, 256, rng).sum() == 256
-        assert asc_generate(0.0, 256, rng).sum() == 0
+        state = derive_state(1)
+        assert asc_generate(1.0, 256, state).sum() == 256
+        assert asc_generate(0.0, 256, state).sum() == 0
 
     def test_binomial_moments(self):
         ones = []
         for k in range(1000):
-            rng = derive_generator(SeedSpec(10, k, 0, 0))
-            ones.append(asc_generate(0.3, 1024, rng).sum())
+            ones.append(asc_generate(0.3, 1024, derive_state(10, k)).sum())
         ones = np.array(ones, dtype=float)
         assert abs(ones.mean() - 307.2) <= 0.05 * 307.2
         expect_std = np.sqrt(1024 * 0.3 * 0.7)
@@ -95,7 +100,7 @@ class TestAsc:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            asc_generate(1.01, 10, derive_generator(SeedSpec(1)))
+            asc_generate(1.01, 10, derive_state(1))
 
 
 class TestSac:
@@ -103,12 +108,12 @@ class TestSac:
 
     @pytest.mark.parametrize("code", [0, 17, 512, 1023])
     def test_sac_of_full_period_dsc_is_exact(self, code):
-        bits = dsc_generate(code, 1023, seed_state(LfsrSpec(), 321))
+        bits = dsc_generate(code, 1023, 321)
         assert bits.mean() == code / 1023
 
     def test_sdc_dsc_roundtrip_full_period(self):
         for code in (3, 99, 640):
-            bits = dsc_generate(code, 1023, seed_state(LfsrSpec(), 9))
+            bits = dsc_generate(code, 1023, 9)
             assert bits.sum() == code
 
 
@@ -117,7 +122,6 @@ def test_asc_unbiasedness_bound():
     p, trials, length = 0.42, 400, 512
     total = 0
     for k in range(trials):
-        rng = derive_generator(SeedSpec(77, k, 1, 2))
-        total += asc_generate(p, length, rng).sum()
+        total += asc_generate(p, length, derive_state(77, k, 1, 2)).sum()
     mean = total / (trials * length)
     assert abs(mean - p) <= 4 * np.sqrt(p * (1 - p) / (trials * length))

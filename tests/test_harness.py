@@ -13,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
-from stochmem import calibrate, harness
+from stochmem import calibrate, harness, rng
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, OPERAND_SLOTS, AppKind, AppParams, fit_bernstein,
                                gamma_eval, golden_eval)
@@ -24,9 +24,9 @@ from stochmem.costs import SystemDesign
 from stochmem.config import read_values, resolve_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.images import ImageGray, load_pgm, save_pgm
-from stochmem.lfsr import LfsrSpec, lfsr_next, seed_state
+from stochmem.lfsr import LfsrSpec, lfsr_values
 from stochmem.memory import mem_read, mem_write
-from stochmem.rng import RandomSource, SeedSpec, derive_state
+from stochmem.rng import derive_state
 from stochmem.synth import INPUT_SEED, gen_test_inputs
 
 
@@ -303,7 +303,8 @@ def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
     cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.STOCHMEM, length=65,
                            dims=(3, 2))
     serial = run_experiment(cfg).output.data
-    with mock.patch.object(harness, "ProcessPoolExecutor",
+    with mock.patch.object(harness.os, "cpu_count", return_value=2), \
+            mock.patch.object(harness, "ProcessPoolExecutor",
                            wraps=harness.ProcessPoolExecutor) as pools:
         parallel = run_experiment(replace(cfg, jobs=2)).output.data
     assert pools.call_count == 1 and pools.call_args.kwargs == {"max_workers": 2}
@@ -312,6 +313,8 @@ def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
 
 def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
+    # three CPUs, so jobs=3 runs on three workers
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = ExperimentConfig(app=AppKind.MEDIAN, design=SystemDesign.CONV_LFSR, length=300,
                            dims=(7, 5), jobs=3)
     serial = run_experiment(replace(cfg, jobs=1)).output.data
@@ -333,6 +336,39 @@ def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     for *_, lo, hi, block in tasks:
         assert block.shape == (9, hi - lo)
         assert np.array_equal(block, operands[:, lo:hi])
+
+
+@pytest.mark.parametrize("entry", ("run_experiment", "sweep"))
+def test_no_pool_asks_for_more_workers_than_cpus(monkeypatch, entry):
+    # jobs=10**6 asked the parent for one worker per block (64 here) or run;
+    # the pool is a stand-in that records its size and maps in this process
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+    cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ, length=16,
+                           dims=(8, 8), jobs=10**6)
+    if entry == "run_experiment":
+        got = run_experiment(cfg).output.data.tobytes()
+        assert got == run_experiment(replace(cfg, jobs=1)).output.data.tobytes()
+    else:
+        grid = ([AppKind.ROBERT], [SystemDesign.CONV_MTJ], (16,))
+        got = sweep(cfg, *grid, n_seeds=4, jobs=cfg.jobs)
+        assert got == sweep(replace(cfg, jobs=1), *grid, n_seeds=4, jobs=1)
+    assert asked == [3]
 
 
 def test_long_streams_keep_block_memory_bounded():
@@ -488,7 +524,7 @@ def _wiring(app, params):
 
 
 def _state(x, y, stream_id):
-    return derive_state(SeedSpec(SEED, x, y, stream_id))
+    return derive_state(SEED, x, y, stream_id)
 
 
 def _generator_input(design, value, x, y, slot):
@@ -499,8 +535,8 @@ def _generator_input(design, value, x, y, slot):
         if slot is None:
             return value
         noise = ExperimentConfig().noise
-        stored = mem_write(noise, value, RandomSource(_state(x, y, WRITE_NOISE_ID + slot)))
-        return mem_read(noise, stored, RandomSource(_state(x, y, READ_NOISE_ID + slot)))
+        stored = mem_write(noise, value, _state(x, y, WRITE_NOISE_ID + slot))
+        return mem_read(noise, stored, _state(x, y, READ_NOISE_ID + slot))
     code = adc_quantize(value)
     if design is SystemDesign.CONV_MTJ:
         return dac_dequantize(requantize(code))
@@ -510,11 +546,10 @@ def _generator_input(design, value, x, y, slot):
 @lru_cache(maxsize=None)
 def _free_run_lfsr(group, pixel):
     """The free-running comparator LFSR of a group at the first cycle of a
-    row-major pixel: seeded once per run, then stepped LENGTH times per pixel."""
-    lfsr = seed_state(LfsrSpec(), derive_state(SeedSpec(SEED, 0, 0, group)))
-    for _ in range(pixel * LENGTH):
-        _, lfsr = lfsr_next(lfsr)
-    return lfsr
+    row-major pixel, seeded once per run, then stepped LENGTH times per pixel;
+    as the raw value that seeds it (raw s - 1 folds onto state s)."""
+    return lfsr_values(LfsrSpec(), derive_state(SEED, stream_id=group),
+                       pixel * LENGTH + 1)[-1] - 1
 
 
 def _reference_pixel(cfg, frames, x, y):
@@ -526,11 +561,10 @@ def _reference_pixel(cfg, frames, x, y):
                  else _generator_input(cfg.design, val, x, y, None))
         state = _state(x, y, group)
         if cfg.design is SystemDesign.CONV_LFSR:
-            lfsr = (_free_run_lfsr(group, y * WIDTH + x) if cfg.dsc_free_run
-                    else seed_state(LfsrSpec(), state))
-            streams.append(dsc_generate(level, LENGTH, lfsr))
+            raw = _free_run_lfsr(group, y * WIDTH + x) if cfg.dsc_free_run else state
+            streams.append(dsc_generate(level, LENGTH, raw))
         else:
-            streams.append(asc_generate(level, LENGTH, RandomSource(state)))
+            streams.append(asc_generate(level, LENGTH, state))
     p = cfg.params
     if cfg.app is AppKind.ROBERT:
         return robert_bits(*streams).sum() / LENGTH
@@ -551,9 +585,29 @@ def _reference_pixel(cfg, frames, x, y):
 def test_harness_matches_scalar_composition(app, design, free_run):
     cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
                            global_seed=SEED, input_seed=SEED, dsc_free_run=free_run)
-    frames = _source_frames(app, cfg.dims, SEED)
-    expected = np.array([[_reference_pixel(cfg, frames, x, y) for x in range(WIDTH)]
-                         for y in range(HEIGHT)])
-    got = run_experiment(cfg).output.data
-    assert np.array_equal(got, expected)
+    assert np.array_equal(run_experiment(cfg).output.data, _scalar_composition(cfg))
+
+
+def _scalar_composition(cfg):
+    frames = _source_frames(cfg.app, cfg.dims, SEED)
+    return np.array([[_reference_pixel(cfg, frames, x, y) for x in range(WIDTH)]
+                     for y in range(HEIGHT)])
+
+
+def test_scalar_composition_does_not_share_the_engine_threshold():
+    # the ASC oracle states its own threshold, int(p * 2^64), so an engine
+    # threshold scaled by 1 - 2^-12 must break the differential test
+    cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ, length=LENGTH,
+                           dims=(WIDTH, HEIGHT), global_seed=SEED, input_seed=SEED)
+    exact = rng.bernoulli_threshold_u64
+
+    def scaled(p):
+        return (exact(p) * (1.0 - 2.0 ** -12)).astype(np.uint64)
+
+    with mock.patch.object(rng, "bernoulli_threshold_u64", scaled), \
+            mock.patch.object(harness, "bernoulli_threshold_u64", scaled):
+        got = run_experiment(cfg).output.data
+        expected = _scalar_composition(cfg)
+    assert not np.array_equal(got, expected)
+    assert np.array_equal(run_experiment(cfg).output.data, expected)
 

@@ -1,44 +1,31 @@
 import numpy as np
 import pytest
 
-from stochmem.lfsr import (LfsrCycle, LfsrSpec, LfsrState, lfsr_next,
-                           seed_state)
+from stochmem.lfsr import LfsrCycle, LfsrSpec, lfsr_values
 
 
-def _walk(spec, seed, steps):
-    st = LfsrState(spec, seed)
-    out = []
-    for _ in range(steps):
-        v, st = lfsr_next(st)
-        out.append(v)
-    return out, st
+def _walk(spec, state, steps):
+    """steps values from a register at state (1..period), and the state after."""
+    values = lfsr_values(spec, state - 1, steps + 1)
+    return values[:-1], values[-1]
 
 
 @pytest.mark.parametrize("width,taps", [(4, {4, 3}), (10, {10, 7})])
 def test_period_is_maximal(width, taps):
     spec = LfsrSpec(width, frozenset(taps))
     period = (1 << width) - 1
-    _, st = _walk(spec, 1, period)
-    assert st.state == 1
+    vals, state = _walk(spec, 1, period)
+    assert state == 1
     # no earlier return to the seed
-    seen, cur = set(), LfsrState(spec, 1)
-    for _ in range(period):
-        v, cur = lfsr_next(cur)
-        assert v not in seen
-        seen.add(v)
-    assert seen == set(range(1, 1 << width))
+    assert len(set(vals)) == period
+    assert set(vals) == set(range(1, 1 << width))
 
 
 def test_width4_revisits_seed_after_15_steps():
     spec = LfsrSpec(4, frozenset({4, 3}))
-    vals, st = _walk(spec, 1, 15)
-    assert st.state == 1
+    vals, state = _walk(spec, 1, 15)
+    assert state == 1
     assert len(set(vals)) == 15
-
-
-def test_zero_state_rejected():
-    with pytest.raises(ValueError):
-        LfsrState(LfsrSpec(), 0)
 
 
 def test_non_maximal_taps_rejected():
@@ -56,9 +43,9 @@ def test_tap_positions_validated():
 
 def test_seed_state_folds_onto_nonzero_range():
     spec = LfsrSpec()
-    assert seed_state(spec, 0).state == 1
-    assert seed_state(spec, 1022).state == 1023
-    assert seed_state(spec, 1023).state == 1
+    assert lfsr_values(spec, 0, 1) == [1]
+    assert lfsr_values(spec, 1022, 1) == [1023]
+    assert lfsr_values(spec, 1023, 1) == [1]
 
 
 def test_cycle_matches_stepwise_walk():

@@ -6,11 +6,11 @@ from stochmem.circuits import AppKind
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
 from stochmem.memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
-from stochmem.rng import RandomSource, SeedSpec, derive_state, derive_state_grid
+from stochmem.rng import derive_state, derive_state_grid
 
 
-def _rng(k=0):
-    return RandomSource(derive_state(SeedSpec(55, k, 0, 0)))
+def _state(k=0):
+    return derive_state(55, k)
 
 
 def test_digital_roundtrip_exact_at_word_width():
@@ -26,19 +26,19 @@ def test_digital_roundtrip_exact_at_word_width():
 
 def test_zero_noise_analog_is_ideal():
     noise = NoiseModel(0.0, 0.0)
-    assert mem_read(noise, mem_write(noise, 0.3721, _rng()), _rng()) == 0.3721
+    assert mem_read(noise, mem_write(noise, 0.3721, _state()), _state()) == 0.3721
 
 
 def test_clamp_at_full_scale():
     noise = NoiseModel(0.2, 0.0)
     for i in range(64):
-        stored = mem_write(noise, 1.0, _rng(i))
-        assert mem_read(noise, stored, _rng(i + 1000)) <= 1.0
+        stored = mem_write(noise, 1.0, _state(i))
+        assert mem_read(noise, stored, _state(i + 1000)) <= 1.0
 
 
 def test_value_domain_error():
     with pytest.raises(ValueError):
-        mem_write(NoiseModel(), 1.5, _rng())
+        mem_write(NoiseModel(), 1.5, _state())
     with pytest.raises(ValueError):
         mem_write_block(NoiseModel(), np.array([0.5, -0.1]), np.zeros(2, dtype=np.uint64))
 
@@ -79,7 +79,7 @@ def test_read_noise_independent_across_reads():
     n_trials, n_reads = 10_000, 8
     sigma = 0.02
     noise = NoiseModel(0.0, sigma)
-    stored = mem_write(noise, 0.5, _rng())
+    stored = mem_write(noise, 0.5, _state())
     xs = np.arange(n_trials * n_reads, dtype=np.uint64)
     states = derive_state_grid(4, xs, np.zeros_like(xs), 7)
     reads = mem_read_block(noise, np.full(n_trials * n_reads, stored), states)
@@ -96,7 +96,6 @@ def test_block_ops_match_scalar_ops():
     r_states = derive_state_grid(21, xs, zeros, 2)
     values = np.linspace(0.05, 0.95, 16)
     got_block = mem_read_block(noise, mem_write_block(noise, values, w_states), r_states)
-    got_scalar = [mem_read(noise, mem_write(noise, values[i], RandomSource(int(w_states[i]))),
-                           RandomSource(int(r_states[i])))
+    got_scalar = [mem_read(noise, mem_write(noise, values[i], int(w_states[i])), int(r_states[i]))
                   for i in range(16)]
     assert np.allclose(got_block, got_scalar, rtol=0, atol=0)

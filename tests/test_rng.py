@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stochmem.rng import (GOLDEN, RandomSource, SeedSpec, derive_generator,
-                          derive_state, derive_state_grid,
-                          gauss_from_states, mix64, mix64_array,
-                          uniform_block_from_states)
+from stochmem.converters import asc_generate
+from stochmem.rng import (GOLDEN, _mix64_inplace, bernoulli_threshold_u64, derive_state,
+                          derive_state_grid, gauss, gauss_from_states, mix64,
+                          uniform_block_from_states, uniforms)
 
 _MASK = (1 << 64) - 1
 
@@ -24,33 +24,47 @@ def _splitmix_reference(seed, n):
     return out
 
 
+def _draws(state, n):
+    return uniform_block_from_states(np.array([state], dtype=np.uint64), n)[0].tolist()
+
+
 def test_known_first_output_for_zero_seed():
-    assert RandomSource(0).next_u64() == 0xE220A8397B1DCDAF
+    assert _draws(0, 1) == [0xE220A8397B1DCDAF]
 
 
 @given(st.integers(0, _MASK))
 def test_matches_reference_sequence(seed):
-    src = RandomSource(seed)
-    assert [src.next_u64() for _ in range(5)] == _splitmix_reference(seed, 5)
+    assert _draws(seed, 5) == _splitmix_reference(seed, 5)
+
+
+@given(st.integers(0, _MASK))
+def test_uniforms_match_reference_sequence(seed):
+    expected = [(u >> 11) * 2.0 ** -53 for u in _splitmix_reference(seed, 5)]
+    assert uniforms(seed, 5).tolist() == expected
+
+
+@given(st.integers(0, _MASK))
+def test_scalar_gauss_matches_reference_box_muller(seed):
+    a, b = _splitmix_reference(seed, 2)
+    u1 = ((a >> 11) + 1) * 2.0 ** -53
+    u2 = (b >> 11) * 2.0 ** -53
+    expected = float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)) * 0.25
+    assert gauss(seed, 0.25) == expected
 
 
 def test_identical_seedspec_identical_outputs():
-    spec = SeedSpec(42, 7, 9, 3)
-    a = derive_generator(spec)
-    b = derive_generator(spec)
-    assert [a.next_u64() for _ in range(1000)] == [b.next_u64() for _ in range(1000)]
+    assert derive_state(42, 7, 9, 3) == derive_state(42, 7, 9, 3)
+    assert derive_state(42) == derive_state(42, 0, 0, 0)
 
 
 def test_global_seed_changes_sequence():
-    a = derive_generator(SeedSpec(1, 0, 0, 0))
-    b = derive_generator(SeedSpec(2, 0, 0, 0))
-    assert a.next_u64() != b.next_u64()
+    assert _draws(derive_state(1), 1) != _draws(derive_state(2), 1)
 
 
 def test_grid_derivation_no_collisions():
     ys, xs = np.mgrid[0:128, 0:128]
     states = derive_state_grid(99, xs.ravel(), ys.ravel(), 0)
-    first = mix64_array(states + np.uint64(GOLDEN))
+    first = uniform_block_from_states(states, 1)[:, 0]
     assert len(np.unique(first)) == first.size
 
 
@@ -58,21 +72,19 @@ def test_grid_matches_scalar_derivation():
     xs = np.array([0, 3, 17], dtype=np.uint64)
     ys = np.array([5, 0, 11], dtype=np.uint64)
     grid = derive_state_grid(7, xs, ys, 4)
-    scalar = [derive_state(SeedSpec(7, int(x), int(y), 4)) for x, y in zip(xs, ys)]
+    scalar = [derive_state(7, int(x), int(y), 4) for x, y in zip(xs, ys)]
     assert grid.tolist() == scalar
 
 
 def test_uniform_block_matches_scalar_stream():
-    state = derive_state(SeedSpec(5, 1, 2, 3))
-    block = uniform_block_from_states(np.array([state], dtype=np.uint64), 64)[0]
-    src = RandomSource(state)
-    assert block.tolist() == [src.next_u64() for _ in range(64)]
+    state = derive_state(5, 1, 2, 3)
+    assert _draws(state, 64) == _splitmix_reference(state, 64)
 
 
 def test_uniform_block_column_chunks_in_buffers_match_the_whole_block():
     # columns c0.. of a row are the draws of state + c0 * GOLDEN; the buffers
     # may be strided views of larger arrays
-    states = np.array([derive_state(SeedSpec(5, x, 2, 3)) for x in range(3)], dtype=np.uint64)
+    states = np.array([derive_state(5, x, 2, 3) for x in range(3)], dtype=np.uint64)
     whole = uniform_block_from_states(states, 200)
     into = np.empty((4, 128), dtype=np.uint64)
     tmp = np.empty_like(into)
@@ -84,26 +96,20 @@ def test_uniform_block_column_chunks_in_buffers_match_the_whole_block():
         assert np.array_equal(got, whole[:, c0:c0 + w])
 
 
-def test_u64_block_advances_state_like_scalar():
-    a = RandomSource(123)
-    b = RandomSource(123)
-    blk = a.u64_block(10)
-    singles = [b.next_u64() for _ in range(10)]
-    assert blk.tolist() == singles
-    assert a.next_u64() == b.next_u64()
-
-
 def test_mix64_scalar_vs_array():
     vals = [0, 1, 0xDEADBEEF, _MASK]
-    arr = mix64_array(np.array(vals, dtype=np.uint64))
+    arr = _mix64_inplace(np.array(vals, dtype=np.uint64))
     assert arr.tolist() == [mix64(v) for v in vals]
+    # draw 0 of state s - GOLDEN is mix64(s)
+    assert [mix64(v) for v in vals] == [_splitmix_reference((v - GOLDEN) & _MASK, 1)[0]
+                                        for v in vals]
 
 
 def test_gauss_from_states_matches_sources():
     states = derive_state_grid(3, np.arange(6, dtype=np.uint64),
                                np.zeros(6, dtype=np.uint64), 9)
     vec = gauss_from_states(states, 0.5)
-    singles = [RandomSource(int(s)).gauss(0.5) for s in states]
+    singles = [gauss(int(s), 0.5) for s in states]
     assert np.allclose(vec, singles, rtol=0, atol=0)
 
 
@@ -115,9 +121,17 @@ def test_gauss_moments():
     assert abs(draws.std() - 1.0) < 0.01
 
 
+@given(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                 st.sampled_from([0.0, 5e-324, 2.0 ** -1022, 2.0 ** -1074 * 3,
+                                  1.0 - 2.0 ** -53, 0.5])))
+def test_threshold_is_the_exact_integer_scaling(p):
+    # P[u < t] = t / 2^64 for a uniform u64 draw, so t must be p * 2^64 exactly
+    assert int(bernoulli_threshold_u64(p)) == int(p * 2.0**64)
+
+
 def test_bernoulli_edge_cases():
-    src = RandomSource(5)
-    assert src.bernoulli_bits(1.0, 100).all()
-    assert not src.bernoulli_bits(0.0, 100).any()
+    state = derive_state(5)
+    assert asc_generate(1.0, 100, state).all()
+    assert not asc_generate(0.0, 100, state).any()
     with pytest.raises(ValueError):
-        src.bernoulli_bits(1.5, 10)
+        asc_generate(1.5, 10, state)
