@@ -22,6 +22,8 @@ from .memory import NoiseModel
 
 # upper end of the sigma search, which halves the range at most 20 times
 _SIGMA_HI = 0.1
+# the noise fit's gap tolerance in percentage points, and seeds per gap
+GAP_TOL_PP, NOISE_FIT_SEEDS = 0.05, 5
 
 
 def _median_inaccuracy(template: ExperimentConfig, design: SystemDesign,
@@ -33,7 +35,8 @@ def _median_inaccuracy(template: ExperimentConfig, design: SystemDesign,
 
 
 def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = None,
-                    tol_pp: float = 0.05, n_seeds: int = 5) -> tuple[NoiseModel, float]:
+                    tol_pp: float = GAP_TOL_PP,
+                    n_seeds: int = NOISE_FIT_SEEDS) -> tuple[NoiseModel, float]:
     """Bisect the shared read/write sigma until the gap is within tol_pp of
     target_gap_pp; return the noise model and its gap.  Sigma 0 stands if its
     gap already reaches the target.  A search that ends outside the tolerance
@@ -66,7 +69,8 @@ def calibrate_noise(target_gap_pp: float, template: ExperimentConfig | None = No
 
 def calibrate_access(target_mtj_reduction: float = 45.7,
                      target_stoch_reduction: float = 11.1,
-                     length: int = 1024) -> tuple[AccessMultipliers, float, float]:
+                     length: int = ExperimentConfig.length
+                     ) -> tuple[AccessMultipliers, float, float]:
     """Grid-search one multiplier set (adc, write, dac over 0.05..1.0 by 0.05,
     read over 0.5, 0.75, 1.0) against the published energy reductions in
     percent: of the points where stochmem < conv-mtj < conv-lfsr for every app,

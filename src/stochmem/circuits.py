@@ -42,6 +42,10 @@ class AppKind(enum.Enum):
                              f"{[a.value for a in cls]}") from None
 
 
+# the harness gives gamma replica k stream group k, below the coefficient group
+MAX_BERNSTEIN_DEGREE = 16
+
+
 @dataclass(frozen=True)
 class AppParams:
     theta: float = 0.1
@@ -50,15 +54,18 @@ class AppParams:
     bernstein_degree: int = 6
 
     def __post_init__(self):
+        # theta and delta are fractions of a stream or of the history; outside
+        # [0, 1] frame and kde give a constant image
         for name in ("theta", "delta"):
             value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not 0 <= value <= 1:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
         if not 0 <= self.gamma_exponent < math.inf:
             raise ValueError(f"gamma_exponent must be nonnegative and finite, "
                              f"got {self.gamma_exponent}")
-        if self.bernstein_degree < 1:
-            raise ValueError(f"bernstein_degree must be at least 1, got {self.bernstein_degree}")
+        if not 1 <= self.bernstein_degree <= MAX_BERNSTEIN_DEGREE:
+            raise ValueError(f"bernstein_degree must be at most {MAX_BERNSTEIN_DEGREE} (gamma "
+                             f"replica streams) and at least 1, got {self.bernstein_degree}")
 
 
 # ---------------------------------------------------------------------------

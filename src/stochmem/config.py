@@ -17,19 +17,19 @@ from pathlib import Path
 from .circuits import AppKind
 from .costs import DEFAULT_UNIT_COSTS, AppProfile, SystemDesign, UnitCost, default_profile
 from .harness import ExperimentConfig
+from .synth import INPUT_DIMS
 
 _BOOLEANS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
              "on": True, "off": False}
 
 
 def parse_dims(spec: str) -> tuple[int, int]:
-    """Parse 'WxH' (e.g. 128x128) into a positive (width, height)."""
+    """Parse 'WxH' (e.g. 128x128) into (width, height); ExperimentConfig checks
+    that both are positive."""
     try:
         w, h = (int(p) for p in spec.lower().split("x"))
     except ValueError:
-        w = h = 0
-    if w < 1 or h < 1:
-        raise ValueError(f"dims must be WxH with positive integers, e.g. 128x128; got {spec!r}")
+        raise ValueError(f"dims must be WxH, e.g. 128x128; got {spec!r}") from None
     return w, h
 
 
@@ -55,9 +55,9 @@ class Field:
 FIELDS = (
     Field("app", "app", AppKind.from_name, "robert|median|frame|gamma|kde"),
     Field("design", "design", SystemDesign.from_name, "conv-lfsr|conv-mtj|stochmem"),
-    Field("length", "length", int, "bitstream length (default 1024)"),
+    Field("length", "length", int, f"bitstream length (default {ExperimentConfig.length})"),
     Field("seed", "global_seed", int, "global seed"),
-    Field("dims", "dims", parse_dims, "synthetic image size WxH (default 128x128)"),
+    Field("dims", "dims", parse_dims, "synthetic image size WxH (default %dx%d)" % INPUT_DIMS),
     Field("input_seed", "input_seed", int, "seed of the synthetic inputs"),
     Field("input", "input_path", str,
           "input image (PGM, maxval 255), or a directory of PGM frames for frame/kde"),
@@ -98,12 +98,14 @@ def parse_at(parse: Callable[[str], object], value, where: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
-def read_values(path) -> dict[str, object]:
-    """Parsed values of a run config file, by key."""
+def read_values(path, reader: str = "run", keys=FIELD_BY_KEY) -> dict[str, object]:
+    """Parsed values of a config file, by key; the command reader reads only keys."""
     values = {}
     for where, key, value in read_pairs(path):
         if key not in FIELD_BY_KEY:
             raise ValueError(f"{where}: unknown key {key!r}")
+        if key not in keys:
+            raise ValueError(f"{where}: {reader} does not read {key}")
         values[key] = parse_at(FIELD_BY_KEY[key].parse, value, f"{where}: {key}")
     return values
 
@@ -123,6 +125,8 @@ def resolve_config(values: dict[str, object]) -> ExperimentConfig:
 
 
 _UNIT_FIELDS = {"area_um2": float, "energy_pJ": float, "write_energy_pJ": float}
+# the memory cells, the only units whose writes costs._units charges
+_WRITE_UNITS = ("sram_cell", "analog_cell")
 _PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": float,
                    "mem_area_analog_um2": float}
 
@@ -130,7 +134,8 @@ _PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": floa
 def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfile]]:
     """Overrides of DEFAULT_UNIT_COSTS (``unit.<name>.<field>``) and of the
     default profiles (``profile.<app>.<field>``); the fields are the keys of
-    _UNIT_FIELDS and _PROFILE_FIELDS, and unlisted ones keep their defaults."""
+    _UNIT_FIELDS (write_energy_pJ only on _WRITE_UNITS) and _PROFILE_FIELDS,
+    and unlisted ones keep their defaults."""
     units = dict(DEFAULT_UNIT_COSTS)
     profiles = {app: default_profile(app) for app in AppKind}
     for where, key, value in read_pairs(path):
@@ -143,6 +148,9 @@ def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfil
                 raise ValueError(f"{where}: unknown unit {name!r}")
             if fld not in _UNIT_FIELDS:
                 raise ValueError(f"{where}: unknown unit field {fld!r}")
+            if fld == "write_energy_pJ" and name not in _WRITE_UNITS:
+                raise ValueError(f"{where}: {name} charges no writes; write_energy_pJ is a "
+                                 f"field of {' and '.join(_WRITE_UNITS)} only")
             units[name] = parse_at(
                 lambda v: replace(units[name], **{fld: _UNIT_FIELDS[fld](v)}),
                 value, f"{where}: {key}")

@@ -59,7 +59,7 @@ import numpy as np
 
 from . import circuits
 from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
-from .circuits import AppKind, AppParams, fit_bernstein, golden_eval
+from .circuits import MAX_BERNSTEIN_DEGREE, AppKind, AppParams, fit_bernstein, golden_eval
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessMultipliers, CostReport, SystemDesign, area_report, default_profile,
                     energy_report, share_breakdown)
@@ -68,7 +68,7 @@ from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
 from .rng import GOLDEN, bernoulli_threshold_u64, derive_state, derive_state_grid, \
     uniform_block_from_states
-from .synth import INPUT_SEED, gen_test_inputs
+from .synth import INPUT_DIMS, INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy fitted to the published accuracy gap at length 1024
 # by stochmem.calibrate; `stochmem calibrate` regenerates it.
@@ -95,8 +95,7 @@ _TILE_CELLS = 65_536
 _UNBUFFERED_MIN_ROW = 256
 
 # stream-group identities; operand groups occupy 0..7 and gamma replica k
-# group k, so the degree may not pass the coefficient group
-MAX_BERNSTEIN_DEGREE = 16
+# group k, so the coefficient group comes after the largest degree
 _GROUP_SELECT = 8
 _GROUP_COEFF_BASE = MAX_BERNSTEIN_DEGREE
 _SID_WRITE_NOISE = 64
@@ -112,8 +111,8 @@ class ExperimentConfig:
     noise: NoiseModel = NoiseModel(DEFAULT_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
     params: AppParams = AppParams()
     multipliers: AccessMultipliers = AccessMultipliers()
-    # size and seed of the synthetic inputs, None for 128x128 at synth.INPUT_SEED;
-    # neither may be set with input_path
+    # size and seed of the synthetic inputs, None for synth.INPUT_DIMS and
+    # synth.INPUT_SEED; neither may be set with input_path
     dims: tuple[int, int] | None = None
     input_seed: int | None = None
     input_path: str | None = None
@@ -130,9 +129,6 @@ class ExperimentConfig:
             if getattr(self, key) is not None and self.input_path is not None:
                 raise ValueError(f"{key} {verb} only the synthetic inputs; it cannot be set "
                                  f"with input")
-        if self.params.bernstein_degree > MAX_BERNSTEIN_DEGREE:
-            raise ValueError(f"bernstein_degree must be at most {MAX_BERNSTEIN_DEGREE} (gamma "
-                             f"replica streams), got {self.params.bernstein_degree}")
 
 
 def _check_jobs(jobs: int) -> None:
@@ -183,7 +179,7 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
     """
     need = circuits.OPERAND_SLOTS[cfg.app] if _SYNTHETIC_KIND[cfg.app] == "video" else 1
     if cfg.input_path is None:
-        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims or (128, 128),
+        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims or INPUT_DIMS,
                             INPUT_SEED if cfg.input_seed is None else cfg.input_seed)
     else:
         path = Path(cfg.input_path)
@@ -430,7 +426,6 @@ def _evaluate_block(task: tuple) -> np.ndarray:
 
 def _workers(jobs: int) -> int:
     """Worker processes for ``jobs``: at most one per CPU."""
-    _check_jobs(jobs)
     return min(jobs, os.cpu_count() or 1)
 
 
@@ -504,13 +499,23 @@ def _sweep_one(cfg: ExperimentConfig) -> tuple[tuple, str, float]:
     return key, report_csv_row(r), r.inaccuracy_percent
 
 
+def distinct(name: str, values: list) -> list:
+    """values; a ValueError names the list ``name`` if it is empty or names a
+    value twice, which would make, and report, the same runs twice."""
+    if not values:
+        raise ValueError(f"{name} is empty")
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ValueError(f"{name} lists {getattr(value, 'value', value)} twice")
+    return values
+
+
 def _run_grid(template: ExperimentConfig, apps, designs, lengths, n_seeds: int,
               jobs: int) -> list[tuple[tuple, str, float]]:
     """_sweep_one of every (app, design, length, seed) in that nesting order;
     seeds are template.global_seed + run index."""
     for name, chosen in (("apps", apps), ("designs", designs), ("lengths", lengths)):
-        if not chosen:
-            raise ValueError(f"a run grid needs at least one of {name}")
+        distinct(name, chosen)
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     cfgs = [replace(template, app=a, design=d, length=length,

@@ -14,6 +14,7 @@ from .images import ImageGray
 from .rng import derive_state, uniforms
 
 INPUT_SEED = 0xA11CE
+INPUT_DIMS = (128, 128)
 VIDEO_FRAMES = 33
 _STREAM_SCENE = 1
 _STREAM_NOISE = 2
@@ -147,7 +148,7 @@ def make_video(width: int, height: int, frames: int = VIDEO_FRAMES,
     return out
 
 
-def gen_test_inputs(kind: str, dims: tuple[int, int] = (128, 128),
+def gen_test_inputs(kind: str, dims: tuple[int, int] = INPUT_DIMS,
                     seed: int = INPUT_SEED):
     """Dispatch on input kind; returns an ImageGray or a frame list."""
     width, height = dims

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -343,9 +344,13 @@ class TestGolden:
 class TestAppParams:
     @pytest.mark.parametrize("field", ("theta", "delta"))
     def test_rejects_negative_threshold(self, field):
-        with pytest.raises(ValueError, match=field):
-            AppParams(**{field: -0.01})
-        assert getattr(AppParams(**{field: 0.0}), field) == 0.0
+        # outside [0, 1] frame and kde give a constant image
+        for value in (-0.01, 1.01, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must lie in [0, 1], got "
+                                                           f"{value}")):
+                AppParams(**{field: value})
+        for value in (0.0, 1.0):
+            assert getattr(AppParams(**{field: value}), field) == value
 
     def test_rejects_degree_below_one(self):
         with pytest.raises(ValueError, match="bernstein_degree"):

@@ -6,9 +6,11 @@ from unittest import mock
 import pytest
 
 from stochmem import cli
+from stochmem.circuits import AppParams, fit_bernstein
 from stochmem.cli import main
-from stochmem.config import FIELDS, parse_bool
+from stochmem.config import FIELD_BY_KEY, FIELDS, parse_bool, resolve_config
 from stochmem.memory import NoiseModel
+from test_config import SAMPLES
 
 TINY = ["--dims", "6x5", "--seed", "3"]
 
@@ -57,7 +59,10 @@ def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
 
 
 @pytest.mark.parametrize("flags,name", [
-    (["--seeds", "0"], "n_seeds"), (["--lengths", ","], "lengths"), (["--apps", ","], "apps")])
+    (["--seeds", "0"], "n_seeds"), (["--lengths", ","], "lengths"), (["--apps", ","], "apps"),
+    (["--apps", "robert,robert"], "apps lists robert twice"),
+    (["--designs", "stochmem,conv-lfsr,stochmem"], "designs lists stochmem twice"),
+    (["--lengths", "16,16"], "lengths lists 16 twice")])
 def test_sweep_of_nothing_exits_1_without_a_file(tmp_path, capsys, flags, name):
     csv = tmp_path / "sweep.csv"
     argv = ["sweep", "--lengths", "8", "--seeds", "1", "--out", str(csv)] + flags + TINY
@@ -77,6 +82,8 @@ def test_sweep_of_nothing_exits_1_without_a_file(tmp_path, capsys, flags, name):
     ("calibrate", "read_sigma = 0.01", "use --target-gap"),
 ])
 def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, line, instead):
+    """A --config key the command sets itself exits 1 before anything runs,
+    and the command's --help says what it does instead."""
     cfg = tmp_path / "grid.cfg"
     cfg.write_text(f"dims = 6x5\n{line}\n")
     csv = tmp_path / "sweep.csv"
@@ -85,9 +92,12 @@ def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, lin
     with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
         assert main(argv + ["--config", str(cfg)]) == 1
     key = line.split(" =")[0]
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}:2: {command} sets {key} itself; ") and instead in err
+    assert capsys.readouterr().err == f"error: {cfg}:2: {command} does not read {key}\n"
     assert not csv.exists()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert instead in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -102,20 +112,26 @@ def test_calibrate_noise_with_nothing_to_measure_exits_1(capsys, flags, message)
 
 
 def test_cost_prints_area_and_energy_tables(capsys):
-    assert main(["cost", "--app", "gamma", "--design", "stochmem"]) == 0
+    assert main(["cost", "--apps", "gamma", "--designs", "stochmem"]) == 0
     out = capsys.readouterr().out
     assert "# area_um2 app=gamma design=stochmem" in out
     assert "total\t\t502" in out
 
 
 def test_fit_gamma_prints_coefficients(capsys):
-    assert main(["fit-gamma", "--degree", "3"]) == 0
+    assert main(["fit-gamma", "--bernstein-degree", "3"]) == 0
     out = capsys.readouterr().out
     assert [line.split("\t")[0] for line in out.splitlines()[1:5]] == ["b0", "b1", "b2", "b3"]
+    # with no flags, the fit a run makes at the default parameters
+    assert main(["fit-gamma"]) == 0
+    params = AppParams()
+    poly, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent, params.bernstein_degree)
+    assert capsys.readouterr().out.splitlines()[1:] == (
+        [f"b{k}\t{c:.6f}" for k, c in enumerate(poly.coeffs)] + [f"max_fit_error\t{max_err:.6f}"])
 
 
 def test_fit_gamma_accepts_the_largest_degree_a_run_uses(capsys):
-    assert main(["fit-gamma", "--degree", "16"]) == 0
+    assert main(["fit-gamma", "--bernstein-degree", "16"]) == 0
     assert capsys.readouterr().out.splitlines()[17].startswith("b16\t")
 
 
@@ -160,23 +176,47 @@ def test_calibrate_access_names_each_ignored_option(capsys, flags):
     assert capsys.readouterr().err.endswith(f"unrecognized arguments: {' '.join(flags)}\n")
 
 
-# the config keys each command sets itself
-_OWN_KEYS = {"run": set(), "sweep": {"app", "design", "length"},
-             "calibrate": {"app", "design", "length", "write_sigma", "read_sigma"}}
+# the config keys each command reads
+_ALL_KEYS = {f.key for f in FIELDS}
+_READS = {"run": _ALL_KEYS, "sweep": _ALL_KEYS - {"app", "design", "length"},
+          "calibrate": {"seed", "dims", "input_seed", "input", "theta", "delta",
+                        "gamma_exponent", "bernstein_degree", "jobs"}}
 
 
-@pytest.mark.parametrize("command", _OWN_KEYS)
-def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command):
-    base = [command, "--out", "sweep.csv"] if command == "sweep" else [command]
+class _Called(Exception):
+    """Stands in for the call a command hands its config to."""
+
+
+@pytest.mark.parametrize("command", _READS)
+def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command, tmp_path, capsys):
+    """The flag of each key a command reads reaches the config it passes on; a
+    key it does not read exits 2 as a flag and 1 as a --config key."""
+    base, given, (target, position) = {
+        "run": (["run", "--app", "robert", "--design", "conv-lfsr"],
+                {"app": "robert", "design": "conv-lfsr"}, ("run_experiment", 0)),
+        "sweep": (["sweep", "--out", str(tmp_path / "s.csv")], {}, ("sweep", 0)),
+        "calibrate": (["calibrate"], {}, ("calibrate_noise", 1)),
+    }[command]
+    cfg = tmp_path / "run.cfg"
     for field in FIELDS:
-        value = True if field.parse is parse_bool else "1"
-        argv = base + ([field.flag] if value is True else [field.flag, value])
-        if field.key in _OWN_KEYS[command]:
+        value = SAMPLES[field.key][0]
+        flag = [field.flag] if field.parse is parse_bool else [field.flag, value]
+        with mock.patch.object(cli, target, side_effect=_Called) as spy:
+            if field.key in _READS[command]:
+                with pytest.raises(_Called):
+                    main(base + flag)
+                want = resolve_config({k: FIELD_BY_KEY[k].parse(v)
+                                       for k, v in {**given, field.key: value}.items()})
+                assert spy.call_args.args[position] == want, field.key
+                continue
             with pytest.raises(SystemExit) as exc:
-                cli.build_parser().parse_args(argv)
-            assert exc.value.code == 2, argv
-        else:
-            assert getattr(cli.build_parser().parse_args(argv), field.key) == value, argv
+                main(base + flag)
+            assert exc.value.code == 2, field.key
+            cfg.write_text(f"{field.key} = {value}\n")
+            assert main(base + ["--config", str(cfg)]) == 1
+            assert capsys.readouterr().err.endswith(
+                f"error: {cfg}:1: {command} does not read {field.key}\n"), field.key
+            spy.assert_not_called()
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -204,21 +244,43 @@ def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command):
      "gamma_exponent must be nonnegative and finite, got nan"),
     (["run", "--app", "gamma", "--design", "conv-mtj", "--gamma-exponent", "-1"],
      "gamma_exponent must be nonnegative and finite, got -1.0"),
-    (["fit-gamma", "--exponent", "-1"], "--exponent must be nonnegative and finite, got -1.0"),
-    (["fit-gamma", "--exponent", "nan"], "--exponent must be nonnegative and finite, got nan"),
+    (["fit-gamma", "--gamma-exponent", "-1"], "gamma_exponent must be nonnegative and finite, "
+                                               "got -1.0"),
+    (["fit-gamma", "--gamma-exponent", "nan"], "gamma_exponent must be nonnegative and finite, "
+                                                "got nan"),
     (["cost", "--length", "0"], "length must be in 1..16777216, got 0"),
     (["cost", "--length", "-1"], "length must be in 1..16777216, got -1"),
     (["cost", "--length", "99999999"], "length must be in 1..16777216, got 99999999"),
-    (["fit-gamma", "--degree", "17"], "--degree must be at most 16 (gamma replica streams), "
-                                      "got 17"),
-    (["fit-gamma", "--degree", "1100"], "--degree must be at most 16 (gamma replica streams), "
-                                        "got 1100"),
+    (["fit-gamma", "--bernstein-degree", "17"], "bernstein_degree must be at most 16 (gamma "
+                                                "replica streams) and at least 1, got 17"),
+    (["fit-gamma", "--bernstein-degree", "1100"], "bernstein_degree must be at most 16 (gamma "
+                                                  "replica streams) and at least 1, got 1100"),
+    (["run", "--app", "frame", "--design", "conv-mtj", "--theta", "inf"],
+     "theta must lie in [0, 1], got inf"),
+    (["run", "--app", "kde", "--design", "conv-mtj", "--theta", "1.5"],
+     "theta must lie in [0, 1], got 1.5"),
+    (["run", "--app", "kde", "--design", "stochmem", "--delta", "1.01"],
+     "delta must lie in [0, 1], got 1.01"),
+    (["calibrate", "--theta", "-0.1"], "theta must lie in [0, 1], got -0.1"),
+    (["cost", "--apps", "robert,robert"], "apps lists robert twice"),
+    (["cost", "--apps", ""], "apps is empty"),
+    (["cost", "--designs", "conv-mtj,stochmem,conv-mtj"], "designs lists conv-mtj twice"),
+    (["sweep", "--lengths", "16,x", "--out", "unused"], "--lengths: invalid literal"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_fit_gamma_and_run_reject_a_degree_with_one_message(capsys):
+    errors = []
+    for argv in (["fit-gamma"], ["run", "--app", "gamma", "--design", "conv-mtj"]):
+        assert main(argv + ["--bernstein-degree", "17"]) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == ("error: bernstein_degree must be at most 16 (gamma replica "
+                                      "streams) and at least 1, got 17\n")
 
 
 def test_cost_file_with_unknown_unit_exits_1(tmp_path, capsys):

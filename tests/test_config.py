@@ -119,6 +119,9 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
                                                r"unit costs .* write_energy_pJ is inf"),
     ("profile.kde.mem_area_analog_um2 = nan", r"costs.txt:2: profile.kde.mem_area_analog_um2: "
                                               r"profile counts .* mem_area_analog_um2 is nan"),
+    ("unit.adc_10bit.write_energy_pJ = 1", r"costs.txt:2: adc_10bit charges no writes; "
+                                           r"write_energy_pJ is a field of sram_cell and "
+                                           r"analog_cell only"),
 ])
 def test_cost_file_value_errors_name_the_line(tmp_path, line, message):
     path = tmp_path / "costs.txt"

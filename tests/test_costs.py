@@ -205,6 +205,7 @@ def test_cost_config_overrides(tmp_path):
         "# override table\n"
         "unit.adc_10bit.area_um2 = 40000\n"
         "unit.analog_cell.write_energy_pJ = 90\n"
+        "unit.sram_cell.write_energy_pJ = 20\n"
         "profile.robert.n_streams = 6\n")
     units, profiles = load_cost_config(cfg)
     assert units["adc_10bit"].area_um2 == 40000
@@ -213,6 +214,14 @@ def test_cost_config_overrides(tmp_path):
     assert profiles[AppKind.ROBERT].n_streams == 6
     report = area_report(SystemDesign.CONV_LFSR, profiles[AppKind.ROBERT], units)
     assert report.total == 339 + 21 + 40000 + (194 * 5 + 96 * 6)
+    # the SRAM write costs 20 pJ on the memory row of both conv designs, against
+    # 10 pJ by default: 4 operands, each read once and written 0.15 times
+    for design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ):
+        rows = [energy_report(design, default_profile(AppKind.FRAME), 1024, costs=costs).entries[0]
+                for costs in (units, None)]
+        assert [(unit, energy) for unit, _, energy in rows] == [
+            ("memory", pytest.approx(4 * (10 + 20 * 0.15))),
+            ("memory", pytest.approx(4 * (10 + 10 * 0.15)))]
 
 
 def test_cost_config_rejects_unknown_keys(tmp_path):

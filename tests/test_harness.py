@@ -94,7 +94,10 @@ def test_config_file_free_run_rejects_other_values(tmp_path, value):
 
 @pytest.mark.parametrize("kwargs,name", [
     (dict(n_seeds=0), "n_seeds"), (dict(apps=[]), "apps"), (dict(designs=[]), "designs"),
-    (dict(lengths=()), "lengths")])
+    (dict(lengths=()), "lengths"),
+    (dict(apps=[AppKind.KDE, AppKind.ROBERT, AppKind.KDE]), "apps lists kde twice"),
+    (dict(designs=[SystemDesign.STOCHMEM] * 2), "designs lists stochmem twice"),
+    (dict(lengths=(8, 16, 8)), "lengths lists 8 twice")])
 def test_sweep_rejects_empty_grids(tmp_path, kwargs, name):
     out = tmp_path / "sweep.csv"
     with pytest.raises(ValueError, match=name):
