@@ -8,8 +8,11 @@ Correlation is part of each circuit's contract: streams fed to XOR (absolute
 difference) or to the AND/OR compare-exchange network (min/max) must share
 one generator, while mux selects and the power-function input replicas must
 be independent.  golden_eval gives each circuit's exact floating-point output,
-its maximum-possible accuracy, over the operand planes the streams encode, in
-the harness stream plan's slot order (OPERAND_SLOTS).
+its maximum-possible accuracy, over the operand planes the streams encode.
+
+WIRING is the one table of each app's synthetic input kind and operand slots;
+stream_plan gives its stream sources and their generator groups, and operand
+slot s has memory-noise ids WRITE_NOISE_BASE + s and READ_NOISE_BASE + s.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +46,6 @@ class AppKind(enum.Enum):
                              f"{[a.value for a in cls]}") from None
 
 
-# the harness gives gamma replica k stream group k, below the coefficient group
 MAX_BERNSTEIN_DEGREE = 16
 
 
@@ -257,19 +260,11 @@ def kde_batch(cur: np.ndarray, history, delta: float, theta: float, length: int)
 # ---------------------------------------------------------------------------
 # golden (maximum-possible-accuracy) output
 
-# operand planes each app reads, in stream-plan slot order: robert the 2x2
-# window (p00, p01, p10, p11), median the 3x3 window row by row, frame the
-# current and previous frames, gamma the pixel, kde the current frame and then
-# the history
-OPERAND_SLOTS = {AppKind.ROBERT: 4, AppKind.MEDIAN: 9, AppKind.FRAME: 2, AppKind.GAMMA: 1,
-                 AppKind.KDE: 1 + KDE_HISTORY}
-
-
 def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams()) -> ImageGray:
     """Exact expected-output image of one application over its operand planes
     (slot, y, x), the values its streams encode."""
-    if len(planes) != OPERAND_SLOTS[app]:
-        raise ValueError(f"{app.value} reads {OPERAND_SLOTS[app]} operand planes, "
+    if len(planes) != WIRING[app].slots:
+        raise ValueError(f"{app.value} reads {WIRING[app].slots} operand planes, "
                          f"got {len(planes)}")
     if app is AppKind.ROBERT:
         p00, p01, p10, p11 = planes
@@ -286,3 +281,65 @@ def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams(
             matches += np.abs(planes[0] - hist) <= params.delta
         out = (matches / KDE_HISTORY < params.theta).astype(np.float64)
     return ImageGray.from_array(out)
+
+
+# ---------------------------------------------------------------------------
+# per-app stream wiring
+
+
+@dataclass(frozen=True)
+class Wiring:
+    """An app's synthetic input kind and its operand slots: (dy, dx) window
+    offsets into the current frame, else the current frame and the frames - 1
+    before it, oldest first."""
+    synthetic: str
+    window: tuple[tuple[int, int], ...] = ()
+    frames: int = 1
+
+    @property
+    def slots(self) -> int:
+        return len(self.window) or self.frames
+
+
+WIRING = {
+    AppKind.ROBERT: Wiring("scene", window=((0, 0), (0, 1), (1, 0), (1, 1))),
+    AppKind.MEDIAN: Wiring("salt-pepper",
+                           window=tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))),
+    AppKind.FRAME: Wiring("video", frames=2),
+    AppKind.GAMMA: Wiring("scene"),
+    AppKind.KDE: Wiring("video", frames=1 + KDE_HISTORY),
+}
+
+# stream groups: operands occupy 0..7 and gamma replica k group k, so the
+# coefficient group comes after the largest degree
+GROUP_SELECT = 8
+GROUP_COEFF = MAX_BERNSTEIN_DEGREE
+WRITE_NOISE_BASE = 64
+READ_NOISE_BASE = 96
+
+
+@dataclass(frozen=True)
+class StreamPlan:
+    # a source is ("op", slot), the operand plane at index slot, or ("const",
+    # value); sources that must be correlated share a group
+    sources: tuple
+    groups: tuple[int, ...]
+
+
+@lru_cache(maxsize=16)
+def stream_plan(app: AppKind, params: AppParams) -> StreamPlan:
+    if app is AppKind.ROBERT:
+        # cross pairs (p00, p11) and (p01, p10) are correlated; select is not
+        return StreamPlan((("op", 0), ("op", 1), ("op", 2), ("op", 3), ("const", 0.5)),
+                          (0, 1, 1, 0, GROUP_SELECT))
+    if app is AppKind.GAMMA:
+        # the x replicas must be mutually independent; the coefficient
+        # streams may share one generator because each cycle samples
+        # exactly one of them
+        deg = params.bernstein_degree
+        poly, _ = fit_bernstein(lambda x: x ** params.gamma_exponent, deg)
+        return StreamPlan((("op", 0),) * deg + tuple(("const", c) for c in poly.coeffs),
+                          tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
+    # median, frame and kde compare operands with each other: one generator
+    n = WIRING[app].slots
+    return StreamPlan(tuple(("op", j) for j in range(n)), (0,) * n)

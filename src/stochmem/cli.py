@@ -9,10 +9,10 @@ and check, whichever command reads it.  The keys each command reads (_READS):
 run all; sweep all but app, design and length (it takes --apps, --designs and
 --lengths); calibrate seed, dims, input_seed, input, theta, delta,
 gamma_exponent, bernstein_degree and jobs (the noise fit sets app, design,
-length and the sigmas, and measures neither energy nor conv-lfsr); cost
-length; fit-gamma gamma_exponent and bernstein_degree; gen-inputs dims;
-calibrate-access none.  run, sweep and calibrate also take --config, a file
-of keys they read; precedence, lowest first: defaults, the file, the flags.
+length and the sigmas, and measures neither energy nor conv-lfsr); cost length;
+fit-gamma gamma_exponent and bernstein_degree; gen-inputs dims and input_seed;
+calibrate-access none.  run, sweep and calibrate also take --config, a file of
+keys they read; precedence, lowest first: defaults, the file, the flags.
 """
 
 from __future__ import annotations
@@ -23,13 +23,12 @@ from pathlib import Path
 
 from .calibrate import GAP_TOL_PP, NOISE_FIT_SEEDS, calibrate_access, calibrate_noise
 from .circuits import AppKind, fit_bernstein
-from .config import (FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, parse_bool, read_values,
-                     resolve_config)
+from .config import FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, read_values, resolve_config
 from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
                       distinct, report_csv_row, run_experiment, sweep)
 from .images import save_pgm
-from .synth import INPUT_DIMS, gen_test_inputs
+from .synth import INPUT_DIMS, INPUT_SEED, gen_test_inputs
 
 # the FIELDS keys each command reads
 _READS = {
@@ -37,7 +36,7 @@ _READS = {
     "sweep": set(FIELD_BY_KEY) - {"app", "design", "length"},
     "cost": {"length"},
     "fit-gamma": {"gamma_exponent", "bernstein_degree"},
-    "gen-inputs": {"dims"},
+    "gen-inputs": {"dims", "input_seed"},
     "calibrate": {"seed", "dims", "input_seed", "input", "theta", "delta", "gamma_exponent",
                   "bernstein_degree", "jobs"},
     "calibrate-access": set(),
@@ -80,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
                                             "its keys")
         for f in FIELDS:
             if f.key in _READS[command]:
-                action = argparse.BooleanOptionalAction if f.parse is parse_bool else None
-                p.add_argument(f.flag, dest=f.key, action=action, help=f.help)
+                p.add_argument(f.flag, dest=f.key, help=f.help)
         return p
 
     p_run = add("run", "run one experiment and report accuracy and cost", config=True)
@@ -186,16 +184,18 @@ def _cmd_fit_gamma(args) -> int:
 
 
 def _cmd_gen_inputs(args) -> int:
-    dims = _config_from_args(args).dims or INPUT_DIMS
+    cfg = _config_from_args(args)
+    dims = cfg.dims or INPUT_DIMS
+    seed = INPUT_SEED if cfg.input_seed is None else cfg.input_seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for kind in ("scene", "gradient", "checkerboard", "salt-pepper"):
         path = out / f"{kind.replace('-', '_')}.pgm"
-        save_pgm(gen_test_inputs(kind, dims), path)
+        save_pgm(gen_test_inputs(kind, dims, seed), path)
         print(f"wrote {path}")
     video_dir = out / "video"
     video_dir.mkdir(exist_ok=True)
-    for i, frame in enumerate(gen_test_inputs("video", dims)):
+    for i, frame in enumerate(gen_test_inputs("video", dims, seed)):
         save_pgm(frame, video_dir / f"frame_{i:02d}.pgm")
     print(f"wrote {video_dir} (33 frames)")
     return 0

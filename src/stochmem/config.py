@@ -5,7 +5,8 @@ and the parse function both sources use, and the key spells the flag.  A run
 config is built from the ExperimentConfig defaults, then the keys of the
 --config file, then the flags given; each step overrides the one before, and
 ExperimentConfig checks the result.  read_pairs reads every file: one
-key = value per line, '#' starts a comment, and errors name path:line.
+key = value per line, '#' starts a comment, and errors name path:line.  What
+each app reads, and how its streams are wired, is circuits.WIRING, not config.
 """
 
 from __future__ import annotations
@@ -19,9 +20,6 @@ from .costs import DEFAULT_UNIT_COSTS, AppProfile, SystemDesign, UnitCost, defau
 from .harness import ExperimentConfig
 from .synth import INPUT_DIMS
 
-_BOOLEANS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False,
-             "on": True, "off": False}
-
 
 def parse_dims(spec: str) -> tuple[int, int]:
     """Parse 'WxH' (e.g. 128x128) into (width, height); ExperimentConfig checks
@@ -31,13 +29,6 @@ def parse_dims(spec: str) -> tuple[int, int]:
     except ValueError:
         raise ValueError(f"dims must be WxH, e.g. 128x128; got {spec!r}") from None
     return w, h
-
-
-def parse_bool(spec) -> bool:
-    flag = _BOOLEANS.get(str(spec).lower())
-    if flag is None:
-        raise ValueError(f"expected one of {'/'.join(_BOOLEANS)}, got {spec!r}")
-    return flag
 
 
 @dataclass(frozen=True)
@@ -72,8 +63,6 @@ FIELDS = (
     Field("mult_write", "multipliers.write", float, "write energy multiplier"),
     Field("mult_read", "multipliers.read", float, "read energy multiplier"),
     Field("mult_dac", "multipliers.dac", float, "DAC energy multiplier"),
-    Field("free_run", "dsc_free_run", parse_bool,
-          "let the comparator LFSR run across pixels instead of reseeding"),
     Field("jobs", "jobs", int, "worker processes, at most one per CPU"),
 )
 FIELD_BY_KEY = {f.key: f for f in FIELDS}

@@ -1,7 +1,7 @@
 """End-to-end experiment runner.
 
 resolve_inputs turns a run's input frames into its operand planes (slot, y, x),
-one plane per operand slot of the app's stream plan.  For each pixel the
+one plane per operand slot of its circuits.WIRING row.  For each pixel the
 harness stores the operand values through the design's memory path,
 regenerates stochastic streams from the values read back, and evaluates the
 application circuit:
@@ -19,7 +19,8 @@ planes.  The run's energy charges each operand plane as one stored operand
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
-group, so results are bit-identical for any worker partition.
+group (circuits.stream_plan), so results are bit-identical for any worker
+partition.
 
 A run is cut once, into blocks of contiguous row-major pixels (a block may
 start and end mid-row) holding at most _BLOCK_CELLS pixels x length stream
@@ -59,15 +60,15 @@ import numpy as np
 
 from . import circuits
 from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
-from .circuits import MAX_BERNSTEIN_DEGREE, AppKind, AppParams, fit_bernstein, golden_eval
+from .circuits import (READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE, AppKind, AppParams, StreamPlan,
+                       golden_eval, stream_plan)
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
 from .costs import (AccessMultipliers, CostReport, SystemDesign, area_report, default_profile,
                     energy_report, share_breakdown)
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
-from .rng import GOLDEN, bernoulli_threshold_u64, derive_state, derive_state_grid, \
-    uniform_block_from_states
+from .rng import GOLDEN, bernoulli_threshold_u64, derive_state_grid, uniform_block_from_states
 from .synth import INPUT_DIMS, INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy fitted to the published accuracy gap at length 1024
@@ -94,13 +95,6 @@ _TILE_CELLS = 65_536
 # 32, 0.96 -> 0.68 at 128, 0.96 -> 0.38 at 256
 _UNBUFFERED_MIN_ROW = 256
 
-# stream-group identities; operand groups occupy 0..7 and gamma replica k
-# group k, so the coefficient group comes after the largest degree
-_GROUP_SELECT = 8
-_GROUP_COEFF_BASE = MAX_BERNSTEIN_DEGREE
-_SID_WRITE_NOISE = 64
-_SID_READ_NOISE = 96
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -116,7 +110,6 @@ class ExperimentConfig:
     dims: tuple[int, int] | None = None
     input_seed: int | None = None
     input_path: str | None = None
-    dsc_free_run: bool = False
     jobs: int = 1
 
     def __post_init__(self):
@@ -153,15 +146,6 @@ class ExperimentReport:
 # inputs
 
 
-# synthetic input kind of each app, when no input is given
-_SYNTHETIC_KIND = {AppKind.ROBERT: "scene", AppKind.GAMMA: "scene",
-                   AppKind.MEDIAN: "salt-pepper", AppKind.FRAME: "video", AppKind.KDE: "video"}
-
-# (dy, dx) of each operand slot of the windowed apps, row by row
-_WINDOWS = {AppKind.ROBERT: ((0, 0), (0, 1), (1, 0), (1, 1)),
-            AppKind.MEDIAN: tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))}
-
-
 @lru_cache(maxsize=16)
 def _synthetic(kind: str, dims: tuple[int, int], seed: int) -> list[ImageGray]:
     """Frames of one synthetic input kind, a single image as one frame."""
@@ -177,9 +161,10 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
     current one and the ones before it are the previous frame (frame) or the
     history (kde).  Neighbourhoods are clamped to the image edge.
     """
-    need = circuits.OPERAND_SLOTS[cfg.app] if _SYNTHETIC_KIND[cfg.app] == "video" else 1
+    wiring = WIRING[cfg.app]
+    need = wiring.frames
     if cfg.input_path is None:
-        frames = _synthetic(_SYNTHETIC_KIND[cfg.app], cfg.dims or INPUT_DIMS,
+        frames = _synthetic(wiring.synthetic, cfg.dims or INPUT_DIMS,
                             INPUT_SEED if cfg.input_seed is None else cfg.input_seed)
     else:
         path = Path(cfg.input_path)
@@ -194,10 +179,8 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
                                  f"{frame.height}, the current frame {paths[-1].name} is "
                                  f"{frames[-1].width}x{frames[-1].height}")
     img = frames[-1].data
-    if cfg.app in _WINDOWS:
-        return np.stack([_shift_plane(img, dy, dx) for dy, dx in _WINDOWS[cfg.app]])
-    # gamma: the pixel; frame: current, previous; kde: current, then the
-    # history oldest first
+    if wiring.window:
+        return np.stack([_shift_plane(img, dy, dx) for dy, dx in wiring.window])
     return np.stack([img] + [f.data for f in frames[-need:-1]])
 
 
@@ -208,45 +191,6 @@ def _shift_plane(data: np.ndarray, dy: int, dx: int) -> np.ndarray:
     y0 = max(0, -dy) + dy
     x0 = max(0, -dx) + dx
     return pad[y0:y0 + h, x0:x0 + w]
-
-
-# ---------------------------------------------------------------------------
-# per-app stream wiring
-
-
-@dataclass(frozen=True)
-class _StreamPlan:
-    # a source is ("op", slot), the operand plane at index slot of
-    # resolve_inputs, or ("const", value); sources that must be correlated
-    # share a group
-    sources: tuple
-    groups: tuple[int, ...]
-
-
-@lru_cache(maxsize=8)
-def _gamma_poly(exponent: float, degree: int) -> circuits.BernsteinPoly:
-    poly, _ = fit_bernstein(lambda x: x ** exponent, degree)
-    return poly
-
-
-def _stream_plan(app: AppKind, params: AppParams) -> _StreamPlan:
-    if app is AppKind.ROBERT:
-        # cross pairs (p00, p11) and (p01, p10) are correlated; select is not
-        return _StreamPlan((("op", 0), ("op", 1), ("op", 2), ("op", 3), ("const", 0.5)),
-                           (0, 1, 1, 0, _GROUP_SELECT))
-    if app is AppKind.GAMMA:
-        # the x replicas must be mutually independent; the coefficient
-        # streams may share one generator because each cycle samples
-        # exactly one of them
-        poly = _gamma_poly(params.gamma_exponent, params.bernstein_degree)
-        deg = params.bernstein_degree
-        sources = tuple(("op", 0) for _ in range(deg))
-        sources += tuple(("const", c) for c in poly.coeffs)
-        groups = tuple(range(deg)) + (_GROUP_COEFF_BASE,) * (deg + 1)
-        return _StreamPlan(sources, groups)
-    # median, frame and kde compare operands with each other: one generator
-    n = circuits.OPERAND_SLOTS[app]
-    return _StreamPlan(tuple(("op", j) for j in range(n)), (0,) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +208,7 @@ def _block_slices(n_pixels: int, length: int, jobs: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, operands: np.ndarray,
+def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray,
                   xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
     """Per-source generator input: a comparator code (conv-lfsr) or a
     probability (ASC designs), from the (slot, pixel) operand rows of the
@@ -277,8 +221,8 @@ def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, operands: np.ndarra
             # the SRAM is ideal: it reads back the ADC codes written to it
             read.append(adc_quantize(values))
         else:
-            w_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_WRITE_NOISE + slot)
-            r_states = derive_state_grid(cfg.global_seed, xs, ys, _SID_READ_NOISE + slot)
+            w_states = derive_state_grid(cfg.global_seed, xs, ys, WRITE_NOISE_BASE + slot)
+            r_states = derive_state_grid(cfg.global_seed, xs, ys, READ_NOISE_BASE + slot)
             stored = mem_write_block(cfg.noise, values, w_states)
             read.append(mem_read_block(cfg.noise, stored, r_states))
     # constants skip the memory but not the converters
@@ -289,7 +233,7 @@ def _stream_levels(cfg: ExperimentConfig, plan: _StreamPlan, operands: np.ndarra
     return levels
 
 
-def _asc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
+def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
                  xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Bernoulli streams of the ASC designs: bit j of source s at pixel i is
     draw j of its group's SplitMix64 sequence at pixel i compared against the
@@ -354,12 +298,12 @@ def _comparator_table() -> np.ndarray:
     return table
 
 
-def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarray],
-                 table: np.ndarray, xs: np.ndarray, ys: np.ndarray,
-                 pix_idx: np.ndarray) -> np.ndarray:
+def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
+                 table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
-    ring[(start_i + j) mod period] <= code_s,i, where start_i is set by the
-    source's group at pixel i.
+    ring[(start_i + j) mod period] <= code_s,i, where the LFSR at pixel i
+    starts at state derive_state(global seed, x_i, y_i, group) mod period + 1
+    for the source's group.
 
     Word w of a stream is the unaligned 64-bit window of the _comparator_table
     row at the source's code, at bit offset (start + 64 w) mod period; the
@@ -371,18 +315,13 @@ def _dsc_streams(cfg: ExperimentConfig, plan: _StreamPlan, levels: list[np.ndarr
     row_words = table.shape[1]
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
-    streams = np.empty((len(plan.sources), pix_idx.size, words_for(length)), dtype=np.uint64)
+    streams = np.empty((len(plan.sources), xs.size, words_for(length)), dtype=np.uint64)
     windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for s, (group, level) in enumerate(zip(plan.groups, levels)):
         if group not in windows:
-            if cfg.dsc_free_run:
-                base = derive_state(cfg.global_seed, stream_id=group)
-                first = int(cycle.position[base % period + 1])
-                start = (first + pix_idx.astype(np.int64) * length) % period
-            else:
-                states = derive_state_grid(cfg.global_seed, xs, ys, group)
-                seeds = (states % np.uint64(period)).astype(np.int64) + 1
-                start = cycle.position[seeds].astype(np.int64)
+            states = derive_state_grid(cfg.global_seed, xs, ys, group)
+            seeds = (states % np.uint64(period)).astype(np.int64) + 1
+            start = cycle.position[seeds].astype(np.int64)
             offsets = (start[:, None] + word_starts) % period
             windows[group] = (offsets >> 6, (offsets & 63).astype(np.uint64))
         word, shift = windows[group]
@@ -401,12 +340,11 @@ def _evaluate_block(task: tuple) -> np.ndarray:
     conv-lfsr, else None."""
     cfg, plan, table, width, lo, hi, operands = task
     length = cfg.length
-    pix_idx = np.arange(lo, hi)
-    ys, xs = np.divmod(pix_idx, width)
+    ys, xs = np.divmod(np.arange(lo, hi), width)
 
     levels = _stream_levels(cfg, plan, operands, xs, ys)
     if cfg.design is SystemDesign.CONV_LFSR:
-        streams = _dsc_streams(cfg, plan, levels, table, xs, ys, pix_idx)
+        streams = _dsc_streams(cfg, plan, levels, table, xs, ys)
     else:
         streams = _asc_streams(cfg, plan, levels, xs, ys)
 
@@ -443,7 +381,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     planes = resolve_inputs(cfg)
     n_planes, height, width = planes.shape
 
-    plan = _stream_plan(cfg.app, cfg.params)
+    plan = stream_plan(cfg.app, cfg.params)
     table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
     operands = planes.reshape(n_planes, -1)
     tasks = [(cfg, plan, table, width, lo, hi, operands[:, lo:hi])

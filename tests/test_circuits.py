@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochmem.bitstream import pack_bool_matrix, popcount_rows
-from stochmem.circuits import (AppKind, AppParams, BernsteinPoly, MEDIAN9_PAIRS,
+from stochmem.circuits import (MAX_BERNSTEIN_DEGREE, READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE,
+                               AppKind, AppParams, BernsteinPoly, MEDIAN9_PAIRS,
                                bernstein_basis, fit_bernstein, frame_batch, gamma_eval,
                                golden_eval, kde_batch, median9_reference, median_batch,
-                               robert_batch)
+                               robert_batch, stream_plan)
 from stochmem.converters import asc_generate, dsc_generate
 from stochmem.rng import derive_state
 
@@ -362,3 +363,26 @@ class TestAppParams:
         with pytest.raises(ValueError, match=f"gamma_exponent .* got {value}"):
             AppParams(gamma_exponent=value)
         assert AppParams(gamma_exponent=0.0).gamma_exponent == 0.0
+
+
+def test_stream_identities_overlap_only_at_kde_id_96():
+    """Every app at every degree, from the wiring table alone: stream groups lie
+    below the write-noise base, the write- and read-noise ids of the slots a
+    plan streams fill [base, base + slots), and the one id given twice on a
+    stochmem block is 96, kde's slot-32 write noise and slot-0 read noise."""
+    shared = {}
+    for app, degree in itertools.product(AppKind, range(1, MAX_BERNSTEIN_DEGREE + 1)):
+        plan = stream_plan(app, AppParams(bernstein_degree=degree))
+        assert len(plan.groups) == len(plan.sources)
+        assert all(0 <= g < WRITE_NOISE_BASE for g in plan.groups)
+        slots = WIRING[app].slots
+        streamed = {value for kind, value in plan.sources if kind == "op"}
+        noise = []
+        for base in (WRITE_NOISE_BASE, READ_NOISE_BASE):
+            ids = {base + slot for slot in streamed}
+            assert ids == set(range(base, base + slots))
+            noise += sorted(ids)
+        ids = sorted(set(plan.groups)) + noise
+        if len(ids) != len(set(ids)):
+            shared[app, degree] = {i for i in ids if ids.count(i) > 1}
+    assert shared == {(AppKind.KDE, d): {96} for d in range(1, MAX_BERNSTEIN_DEGREE + 1)}

@@ -8,8 +8,10 @@ import pytest
 from stochmem import cli
 from stochmem.circuits import AppParams, fit_bernstein
 from stochmem.cli import main
-from stochmem.config import FIELD_BY_KEY, FIELDS, parse_bool, resolve_config
+from stochmem.config import FIELD_BY_KEY, FIELDS, resolve_config
+from stochmem.images import save_pgm
 from stochmem.memory import NoiseModel
+from stochmem.synth import gen_test_inputs
 from test_config import SAMPLES
 
 TINY = ["--dims", "6x5", "--seed", "3"]
@@ -141,6 +143,29 @@ def test_gen_inputs_writes_pgm_files(tmp_path):
     assert len(list((tmp_path / "video").glob("*.pgm"))) == 33
 
 
+def test_gen_inputs_writes_the_inputs_of_an_input_seed(tmp_path):
+    # the inputs a run with --input-seed reads can be exported
+    for name, flags in (("seeded", ["--input-seed", "5"]), ("default", [])):
+        assert main(["gen-inputs", "--out", str(tmp_path / name), "--dims", "6x5"] + flags) == 0
+    save_pgm(gen_test_inputs("scene", (6, 5), 5), tmp_path / "expected.pgm")
+    scene = (tmp_path / "seeded" / "scene.pgm").read_bytes()
+    assert scene == (tmp_path / "expected.pgm").read_bytes()
+    assert scene != (tmp_path / "default" / "scene.pgm").read_bytes()
+
+
+def test_the_removed_free_run_knob_fails_loudly(tmp_path, capsys):
+    base = ["run", "--app", "robert", "--design", "conv-lfsr", "--length", "8"] + TINY
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("free_run = 1\n")
+    assert main(base + ["--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}:1: unknown key 'free_run'\n"
+    for flag in ("--free-run", "--no-free-run"):
+        with pytest.raises(SystemExit) as exc:
+            main(base + [flag])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"unrecognized arguments: {flag}\n")
+
+
 def test_calibrate_access_reproduces_paper_reductions(capsys):
     assert main(["calibrate-access"]) == 0
     out = capsys.readouterr().out
@@ -162,8 +187,7 @@ def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
 
 # every run flag, --config and calibrate's own options
 _NOT_ACCESS_OPTIONS = [["--mult-dac", "0.3"], ["--seed", "2"], ["--dims", "6x5"],
-                       ["--free-run"], ["--target-gap", "0.19"], ["--tol", "0.05"],
-                       ["--runs", "5"]]
+                       ["--target-gap", "0.19"], ["--tol", "0.05"], ["--runs", "5"]]
 _NOT_ACCESS_OPTIONS += [[flag, "1"] for flag in [f.flag for f in FIELDS] + ["--config"]
                         if flag not in {argv[0] for argv in _NOT_ACCESS_OPTIONS}]
 
@@ -200,7 +224,7 @@ def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command, tmp_path
     cfg = tmp_path / "run.cfg"
     for field in FIELDS:
         value = SAMPLES[field.key][0]
-        flag = [field.flag] if field.parse is parse_bool else [field.flag, value]
+        flag = [field.flag, value]
         with mock.patch.object(cli, target, side_effect=_Called) as spy:
             if field.key in _READS[command]:
                 with pytest.raises(_Called):

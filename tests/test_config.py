@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from stochmem import cli
-from stochmem.config import FIELD_BY_KEY, FIELDS, load_cost_config, parse_bool, read_pairs
+from stochmem.config import FIELD_BY_KEY, FIELDS, load_cost_config, read_pairs
 from stochmem.harness import ExperimentConfig
 
 # two values per key, both different from the default
@@ -22,14 +22,8 @@ SAMPLES = {
     "theta": ("0.2", "0.3"), "delta": ("0.05", "0.15"), "gamma_exponent": ("0.5", "2.2"),
     "bernstein_degree": ("3", "9"), "mult_adc": ("0.3", "0.4"),
     "mult_write": ("0.5", "0.6"), "mult_read": ("0.7", "0.8"), "mult_dac": ("0.2", "0.9"),
-    "free_run": ("true", "false"), "jobs": ("2", "3"),
+    "jobs": ("2", "3"),
 }
-
-
-def _argv(field, value) -> list[str]:
-    if field.parse is parse_bool:
-        return [field.flag if parse_bool(value) else "--no-" + field.flag[2:]]
-    return [field.flag, value]
 
 
 def _config(tmp_path, keys: dict[str, str], argv: list[str]) -> ExperimentConfig:
@@ -58,8 +52,8 @@ def _leaves(obj, prefix=""):
 def test_file_key_and_flag_give_the_same_config(field, tmp_path):
     a, b = SAMPLES[field.key]
     from_file = _config(tmp_path, {field.key: a}, [])
-    from_flag = _config(tmp_path, {}, _argv(field, a))
-    both = _config(tmp_path, {field.key: b}, _argv(field, a))
+    from_flag = _config(tmp_path, {}, [field.flag, a])
+    both = _config(tmp_path, {field.key: b}, [field.flag, a])
     assert from_file == from_flag == both
     assert _get(from_file, field.attr) == field.parse(a)
     assert _get(ExperimentConfig(), field.attr) != field.parse(a)
@@ -71,11 +65,6 @@ def test_every_config_leaf_has_one_row():
     assert sorted(attrs) == sorted(_leaves(ExperimentConfig()))
     assert len({f.key for f in FIELDS}) == len({f.flag for f in FIELDS}) == len(FIELDS)
     assert set(SAMPLES) == {f.key for f in FIELDS}
-
-
-def test_no_free_run_flag_clears_the_file_key(tmp_path):
-    assert _config(tmp_path, {"free_run": "yes"}, []).dsc_free_run is True
-    assert _config(tmp_path, {"free_run": "yes"}, ["--no-free-run"]).dsc_free_run is False
 
 
 @pytest.mark.parametrize("argv,message", [

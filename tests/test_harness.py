@@ -4,7 +4,6 @@ import re
 import shutil
 import tracemalloc
 from dataclasses import replace
-from functools import lru_cache
 from unittest import mock
 
 import numpy as np
@@ -15,8 +14,8 @@ from hypothesis import strategies as st
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
 from stochmem import calibrate, harness, rng
 from stochmem.bitstream import MAX_LENGTH
-from stochmem.circuits import (KDE_HISTORY, OPERAND_SLOTS, AppKind, AppParams, fit_bernstein,
-                               gamma_eval, golden_eval)
+from stochmem.circuits import (KDE_HISTORY, WIRING, AppKind, AppParams, fit_bernstein,
+                               gamma_eval, golden_eval, stream_plan)
 from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
                                  requantize)
 from stochmem.cli import main
@@ -24,7 +23,6 @@ from stochmem.costs import SystemDesign
 from stochmem.config import read_values, resolve_config
 from stochmem.harness import ExperimentConfig, resolve_inputs, run_experiment, sweep
 from stochmem.images import ImageGray, load_pgm, save_pgm
-from stochmem.lfsr import LfsrSpec, lfsr_values
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import derive_state
 from stochmem.synth import INPUT_SEED, gen_test_inputs
@@ -72,23 +70,6 @@ def test_config_file_dims_fail_loudly(tmp_path):
     assert resolve_config(read_values(path)).dims == (7, 5)
     path.write_text("dims = 32\n")
     with pytest.raises(ValueError, match="dims must be WxH"):
-        resolve_config(read_values(path))
-
-
-@pytest.mark.parametrize("value,flag", [
-    ("1", True), ("0", False), ("true", True), ("FALSE", False), ("Yes", True), ("no", False),
-    ("on", True), ("Off", False)])
-def test_config_file_free_run_values(tmp_path, value, flag):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"free_run = {value}\n")
-    assert resolve_config(read_values(path)).dsc_free_run is flag
-
-
-@pytest.mark.parametrize("value", ["enabled", "ture", "2", ""])
-def test_config_file_free_run_rejects_other_values(tmp_path, value):
-    path = tmp_path / "run.cfg"
-    path.write_text(f"length = 16\nfree_run = {value}\n")
-    with pytest.raises(ValueError, match=f"{path}:2: free_run"):
         resolve_config(read_values(path))
 
 
@@ -150,7 +131,7 @@ def test_input_image_is_the_pixel_operand_plane(written_inputs, app):
                            input_path=str(path))
     planes = resolve_inputs(cfg)
     own = {AppKind.ROBERT: 0, AppKind.MEDIAN: 4, AppKind.GAMMA: 0}[app]
-    assert planes.shape == (OPERAND_SLOTS[app], 5, 7)
+    assert planes.shape == (WIRING[app].slots, 5, 7)
     assert np.array_equal(planes[own], load_pgm(path).data)
     assert run_experiment(cfg).output.data.shape == (5, 7)
 
@@ -204,7 +185,7 @@ def test_frames_of_another_size_fail_loudly(written_inputs, tmp_path, app, odd):
 def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
     path = written_inputs / "scene.pgm"
     with pytest.raises(ValueError, match=f"{path}: {app.value} needs at least "
-                                         f"{OPERAND_SLOTS[app]} frames, found 1"):
+                                         f"{WIRING[app].slots} frames, found 1"):
         resolve_inputs(ExperimentConfig(app=app, input_path=str(path)))
 
 
@@ -212,7 +193,7 @@ def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
                          + [(AppKind.GAMMA, d) for d in (1, 6, 9)])
 def test_stream_plan_reads_every_operand_plane(app, degree):
     cfg = ExperimentConfig(app=app, dims=(4, 3), params=AppParams(bernstein_degree=degree))
-    plan = harness._stream_plan(app, cfg.params)
+    plan = stream_plan(app, cfg.params)
     slots = {val for kind, val in plan.sources if kind == "op"}
     assert sorted(slots) == list(range(len(resolve_inputs(cfg))))
 
@@ -230,7 +211,7 @@ def test_gamma_degree_is_bounded_by_the_coefficient_stream_group():
 # 33 operand slots, so slot 32's write noise and slot 0's read noise share id 96
 _SHARED_NOISE_ID = pytest.mark.xfail(
     strict=True, reason="kde stochmem derives noise id 96 twice per block; renumbering the "
-                        "noise ids changes bench/reference.json (ROADMAP item 1)")
+                        "noise ids changes bench/reference.json (ROADMAP item 2)")
 
 
 @pytest.mark.parametrize("app,degree", [(a, 6) for a in AppKind if a is not AppKind.GAMMA]
@@ -546,15 +527,6 @@ def _generator_input(design, value, x, y, slot):
     return code
 
 
-@lru_cache(maxsize=None)
-def _free_run_lfsr(group, pixel):
-    """The free-running comparator LFSR of a group at the first cycle of a
-    row-major pixel, seeded once per run, then stepped LENGTH times per pixel;
-    as the raw value that seeds it (raw s - 1 folds onto state s)."""
-    return lfsr_values(LfsrSpec(), derive_state(SEED, stream_id=group),
-                       pixel * LENGTH + 1)[-1] - 1
-
-
 def _reference_pixel(cfg, frames, x, y):
     ops = _operands(cfg.app, frames, x, y)
     sources, groups = _wiring(cfg.app, cfg.params)
@@ -564,8 +536,7 @@ def _reference_pixel(cfg, frames, x, y):
                  else _generator_input(cfg.design, val, x, y, None))
         state = _state(x, y, group)
         if cfg.design is SystemDesign.CONV_LFSR:
-            raw = _free_run_lfsr(group, y * WIDTH + x) if cfg.dsc_free_run else state
-            streams.append(dsc_generate(level, LENGTH, raw))
+            streams.append(dsc_generate(level, LENGTH, state))
         else:
             streams.append(asc_generate(level, LENGTH, state))
     p = cfg.params
@@ -581,13 +552,11 @@ def _reference_pixel(cfg, frames, x, y):
     return kde_flags(streams[0], streams[1:], p.delta, p.theta)
 
 
-@pytest.mark.parametrize("design,free_run",
-                         [(d, False) for d in SystemDesign] + [(SystemDesign.CONV_LFSR, True)],
-                         ids=[d.value for d in SystemDesign] + ["conv-lfsr-free-run"])
+@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
 @pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
-def test_harness_matches_scalar_composition(app, design, free_run):
+def test_harness_matches_scalar_composition(app, design):
     cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
-                           global_seed=SEED, input_seed=SEED, dsc_free_run=free_run)
+                           global_seed=SEED, input_seed=SEED)
     assert np.array_equal(run_experiment(cfg).output.data, _scalar_composition(cfg))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochmem import harness
-from stochmem.circuits import AppKind
+from stochmem.circuits import AppKind, stream_plan
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
 from stochmem.memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
@@ -17,7 +17,7 @@ def test_digital_roundtrip_exact_at_word_width():
     # the conv designs' SRAM is ideal: comparator levels are the 10-bit ADC codes
     values = np.array([0.0, 0.3, 0.5, 1.0])
     cfg = ExperimentConfig(app=AppKind.FRAME, design=SystemDesign.CONV_LFSR)
-    plan = harness._stream_plan(cfg.app, cfg.params)
+    plan = stream_plan(cfg.app, cfg.params)
     operands = np.stack([values, values[::-1]])
     xs, ys = np.arange(4), np.zeros(4, dtype=np.int64)
     levels = harness._stream_levels(cfg, plan, operands, xs, ys)
