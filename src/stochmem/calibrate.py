@@ -30,7 +30,7 @@ def _median_inaccuracy(template: ExperimentConfig, design: SystemDesign,
                        n_seeds: int) -> np.ndarray:
     """Per-app (AppKind order) median inaccuracy in percent over n_seeds seeds."""
     results = harness._run_grid(template, list(AppKind), [design], (template.length,),
-                                n_seeds, template.jobs)
+                                n_seeds)
     return np.median(np.array([r[2] for r in results]).reshape(len(AppKind), n_seeds), axis=1)
 
 

@@ -280,7 +280,7 @@ def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams(
         for hist in planes[1:]:
             matches += np.abs(planes[0] - hist) <= params.delta
         out = (matches / KDE_HISTORY < params.theta).astype(np.float64)
-    return ImageGray.from_array(out)
+    return ImageGray(out)
 
 
 # ---------------------------------------------------------------------------

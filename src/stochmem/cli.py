@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.  Tables on stdout are
-tab-separated for scripting.  No option may be abbreviated.
+Exit codes: 0 success, 1 domain error, 2 usage error.  No option may be
+abbreviated.  run prints the CSV header and row of its report.csv, the row a
+sweep writes; every other table on stdout is tab-separated.
 
 A command takes one flag per config.FIELDS key it reads, and no other; the
 FIELDS row and ExperimentConfig give each value its spelling, parse, default
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from .calibrate import GAP_TOL_PP, NOISE_FIT_SEEDS, calibrate_access, calibrate_noise
-from .circuits import AppKind, fit_bernstein
+from .circuits import WIRING, AppKind, fit_bernstein
 from .config import FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, read_values, resolve_config
 from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("fit-gamma", "fit the power function as a Bernstein polynomial")
 
-    p_gen = add("gen-inputs", "write the synthetic input set as PGM files")
+    p_gen = add("gen-inputs", "write the synthetic inputs the apps read as PGM files")
     p_gen.add_argument("--out", required=True, help="output directory")
 
     p_cal = add("calibrate", "fit the noise sigma to the accuracy gap", config=True,
@@ -123,16 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args, need=("app", "design"))
     report = run_experiment(cfg)
-    print("app\tdesign\tlength\tseed\tinaccuracy_percent\tenergy_pJ_per_pixel\tarea_um2")
-    print(f"{report.app.value}\t{report.design.value}\t{report.length}\t{report.seed}\t"
-          f"{report.inaccuracy_percent:.6f}\t{report.energy.total:.4f}\t"
-          f"{report.area.total:g}")
+    csv = ",".join(CSV_COLUMNS) + "\n" + report_csv_row(report) + "\n"
+    print(csv, end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         save_pgm(report.output, out / "output.pgm")
-        (out / "report.csv").write_text(
-            ",".join(CSV_COLUMNS) + "\n" + report_csv_row(report) + "\n")
+        (out / "report.csv").write_text(csv)
         print(f"wrote {out / 'output.pgm'}")
     return 0
 
@@ -142,7 +140,7 @@ def _cmd_sweep(args) -> int:
     lengths = tuple(parse_at(int, s, "--lengths") for s in args.lengths.split(",") if s)
     lines = sweep(cfg, _parse_list(AppKind, args.apps, "apps"),
                   _parse_list(SystemDesign, args.designs, "designs"), lengths,
-                  n_seeds=args.seeds, out_csv=args.out, jobs=cfg.jobs)
+                  n_seeds=args.seeds, out_csv=args.out)
     print(f"wrote {args.out} ({len(lines) - 1} rows)")
     return 0
 
@@ -189,15 +187,17 @@ def _cmd_gen_inputs(args) -> int:
     seed = INPUT_SEED if cfg.input_seed is None else cfg.input_seed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for kind in ("scene", "gradient", "checkerboard", "salt-pepper"):
-        path = out / f"{kind.replace('-', '_')}.pgm"
-        save_pgm(gen_test_inputs(kind, dims, seed), path)
-        print(f"wrote {path}")
-    video_dir = out / "video"
-    video_dir.mkdir(exist_ok=True)
-    for i, frame in enumerate(gen_test_inputs("video", dims, seed)):
-        save_pgm(frame, video_dir / f"frame_{i:02d}.pgm")
-    print(f"wrote {video_dir} (33 frames)")
+    for kind in dict.fromkeys(w.synthetic for w in WIRING.values()):
+        frames = gen_test_inputs(kind, dims, seed)
+        if len(frames) == 1:
+            path = out / f"{kind}.pgm"
+            save_pgm(frames[0], path)
+        else:
+            path = out / kind
+            path.mkdir(exist_ok=True)
+            for i, frame in enumerate(frames):
+                save_pgm(frame, path / f"frame_{i:02d}.pgm")
+        print(f"wrote {path} ({len(frames)} frame{'s' if len(frames) > 1 else ''})")
     return 0
 
 

@@ -4,9 +4,10 @@ FIELDS is the one table of ExperimentConfig fields; a row gives the file key
 and the parse function both sources use, and the key spells the flag.  A run
 config is built from the ExperimentConfig defaults, then the keys of the
 --config file, then the flags given; each step overrides the one before, and
-ExperimentConfig checks the result.  read_pairs reads every file: one
-key = value per line, '#' starts a comment, and errors name path:line.  What
-each app reads, and how its streams are wired, is circuits.WIRING, not config.
+ExperimentConfig checks the result.  read_pairs reads every file: one key =
+value per line, each key at most once, '#' starts a comment, and errors name
+path:line.  What each app reads, and how its streams are wired, is
+circuits.WIRING, not config.
 """
 
 from __future__ import annotations
@@ -70,12 +71,16 @@ FIELD_BY_KEY = {f.key: f for f in FIELDS}
 
 def read_pairs(path) -> Iterator[tuple[str, str, str]]:
     """(``path:line``, key, value) for every key=value line of a flat file."""
+    seen: dict[str, int] = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: {key} is already set on line {seen[key]}")
+            seen[key] = lineno
             yield f"{path}:{lineno}", key, value
 
 

@@ -1,10 +1,11 @@
 """End-to-end experiment runner.
 
-resolve_inputs turns a run's input frames into its operand planes (slot, y, x),
-one plane per operand slot of its circuits.WIRING row.  For each pixel the
-harness stores the operand values through the design's memory path,
-regenerates stochastic streams from the values read back, and evaluates the
-application circuit:
+A run's input is a list of frames, oldest first: the synthetic frames of its
+circuits.WIRING row's input kind (synth.gen_test_inputs), or PGM files.
+resolve_inputs turns them into its operand planes (slot, y, x), one plane per
+operand slot of that row.  For each pixel the harness stores the operand
+values through the design's memory path, regenerates stochastic streams from
+the values read back, and evaluates the application circuit:
 
 * conv-lfsr: 10-bit ADC, ideal SRAM, LFSR+comparator stream generation;
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
@@ -15,7 +16,8 @@ directly and only stochmem calls the memory model.  Constant sources (the
 Roberts mux select, the gamma coefficients) skip the memory but pass through
 the same converters.  The golden output is circuits.golden_eval over the same
 planes.  The run's energy charges each operand plane as one stored operand
-(costs.energy_report with n_operands the plane count).
+(costs.energy_report with n_operands the plane count).  A report carries its
+config; report_csv_row, its one text form, is what run prints and sweep writes.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -131,10 +133,7 @@ def _check_jobs(jobs: int) -> None:
 
 @dataclass
 class ExperimentReport:
-    app: AppKind
-    design: SystemDesign
-    length: int
-    seed: int
+    cfg: ExperimentConfig
     inaccuracy_percent: float
     output: ImageGray
     area: CostReport
@@ -146,11 +145,8 @@ class ExperimentReport:
 # inputs
 
 
-@lru_cache(maxsize=16)
-def _synthetic(kind: str, dims: tuple[int, int], seed: int) -> list[ImageGray]:
-    """Frames of one synthetic input kind, a single image as one frame."""
-    frames = gen_test_inputs(kind, dims, seed)
-    return frames if kind == "video" else [frames]
+# gen_test_inputs(kind, dims, seed), made once per argument triple
+_synthetic = lru_cache(maxsize=16)(gen_test_inputs)
 
 
 def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
@@ -180,17 +176,11 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
                                  f"{frames[-1].width}x{frames[-1].height}")
     img = frames[-1].data
     if wiring.window:
-        return np.stack([_shift_plane(img, dy, dx) for dy, dx in wiring.window])
+        # window offsets lie in -1..1, so one edge pixel of padding clamps them all
+        h, w = img.shape
+        pad = np.pad(img, 1, mode="edge")
+        return np.stack([pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dy, dx in wiring.window])
     return np.stack([img] + [f.data for f in frames[-need:-1]])
-
-
-def _shift_plane(data: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Neighbor plane with clamp-to-edge borders."""
-    h, w = data.shape
-    pad = np.pad(data, ((max(0, -dy), max(0, dy)), (max(0, -dx), max(0, dx))), mode="edge")
-    y0 = max(0, -dy) + dy
-    x0 = max(0, -dx) + dx
-    return pad[y0:y0 + h, x0:x0 + w]
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +378,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
              for lo, hi in _block_slices(height * width, cfg.length, _workers(cfg.jobs))]
     pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
 
-    output = ImageGray(width, height, pixels.reshape(height, width))
+    output = ImageGray(pixels.reshape(height, width))
     golden = golden_eval(cfg.app, planes, cfg.params)
     inaccuracy = error_metric(output, golden)
 
     profile = default_profile(cfg.app)
     return ExperimentReport(
-        app=cfg.app, design=cfg.design, length=cfg.length, seed=cfg.global_seed,
+        cfg=cfg,
         inaccuracy_percent=inaccuracy,
         output=output,
         area=area_report(cfg.design, profile),
@@ -419,7 +409,7 @@ def report_csv_row(r: ExperimentReport) -> str:
     e_shares = share_breakdown(r.energy)
     a_shares = share_breakdown(r.area)
     fields = (
-        r.app.value, r.design.value, str(r.length), str(r.seed),
+        r.cfg.app.value, r.cfg.design.value, str(r.cfg.length), str(r.cfg.global_seed),
         f"{r.inaccuracy_percent:.6f}",
         f"{r.energy.total:.4f}",
         f"{e_shares['input_layer']:.6f}", f"{e_shares['conversion']:.6f}",
@@ -448,10 +438,10 @@ def distinct(name: str, values: list) -> list:
     return values
 
 
-def _run_grid(template: ExperimentConfig, apps, designs, lengths, n_seeds: int,
-              jobs: int) -> list[tuple[tuple, str, float]]:
-    """_sweep_one of every (app, design, length, seed) in that nesting order;
-    seeds are template.global_seed + run index."""
+def _run_grid(template: ExperimentConfig, apps, designs, lengths,
+              n_seeds: int) -> list[tuple[tuple, str, float]]:
+    """_sweep_one of every (app, design, length, seed) in that nesting order, on
+    template.jobs workers; seeds are template.global_seed + run index."""
     for name, chosen in (("apps", apps), ("designs", designs), ("lengths", lengths)):
         distinct(name, chosen)
     if n_seeds < 1:
@@ -460,7 +450,7 @@ def _run_grid(template: ExperimentConfig, apps, designs, lengths, n_seeds: int,
                     global_seed=template.global_seed + k, jobs=1)
             for a in apps for d in designs for length in lengths
             for k in range(n_seeds)]
-    return _map(_sweep_one, cfgs, jobs)
+    return _map(_sweep_one, cfgs, template.jobs)
 
 
 def sweep(template: ExperimentConfig,
@@ -469,19 +459,19 @@ def sweep(template: ExperimentConfig,
           lengths: tuple[int, ...] = PAPER_LENGTHS,
           n_seeds: int = DEFAULT_SEEDS,
           out_csv=None,
-          jobs: int = 1) -> list[str]:
-    """Run the cross product on jobs (= template.jobs) workers and return CSV
-    lines (header first), sorted by (app, design, length, seed).  Seeds are
-    global_seed + run index; apps and designs default to all."""
+          jobs: int | None = None) -> list[str]:
+    """Run the cross product on template.jobs workers (a jobs given must equal
+    it) and return CSV lines (header first), sorted by (app, design, length,
+    seed).  Seeds are global_seed + run index; apps and designs default to all."""
     if out_csv is not None and not Path(out_csv).parent.is_dir():
         raise ValueError(f"{out_csv}: directory {Path(out_csv).parent} does not exist")
-    _check_jobs(jobs)
-    if template.jobs != jobs:
+    if jobs not in (None, template.jobs):
+        _check_jobs(jobs)
         raise ValueError(f"sweep runs on jobs={jobs} workers, but template.jobs is "
                          f"{template.jobs}")
     apps = list(AppKind if apps is None else apps)
     designs = list(SystemDesign if designs is None else designs)
-    results = sorted(_run_grid(template, apps, designs, lengths, n_seeds, jobs),
+    results = sorted(_run_grid(template, apps, designs, lengths, n_seeds),
                      key=lambda kr: kr[0])
     lines = [",".join(CSV_COLUMNS)] + [row for _, row, _ in results]
     if out_csv is not None:

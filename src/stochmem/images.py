@@ -1,9 +1,9 @@
 """Grayscale images and netpbm I/O.
 
-Pixels are stored as float64 in [0, 1], row-major.  PGM input accepts the
-binary (P5) and ASCII (P2) variants with maxval 255; output is always P5.
-Byte k loads as k/255 and saving rounds half-up, so an 8-bit round trip is
-the identity.
+An image is its pixel array, read-only float64 in [0, 1] of shape (height,
+width).  PGM input accepts the binary (P5) and ASCII (P2) variants with maxval
+255; output is always P5.  Byte k loads as k/255 and saving rounds half-up, so
+an 8-bit round trip is the identity.
 """
 
 from __future__ import annotations
@@ -20,29 +20,24 @@ class PgmFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ImageGray:
-    width: int
-    height: int
     data: np.ndarray  # (height, width) float64 in [0, 1]
 
     def __post_init__(self):
         data = np.ascontiguousarray(self.data, dtype=np.float64)
-        if data.shape != (self.height, self.width):
-            raise ValueError(f"data shape {data.shape} does not match "
-                             f"{self.height}x{self.width}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError("image must have at least one pixel")
+        if data.ndim != 2 or data.size == 0:
+            raise ValueError(f"image must be a nonempty 2-D array, got shape {data.shape}")
         if np.any(data < 0.0) or np.any(data > 1.0):
             raise ValueError("pixel values must lie in [0, 1]")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
-    @classmethod
-    def from_array(cls, data: np.ndarray) -> "ImageGray":
-        data = np.asarray(data, dtype=np.float64)
-        return cls(data.shape[1], data.shape[0], data)
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
 
-    def to_bytes_u8(self) -> np.ndarray:
-        return np.floor(self.data * 255.0 + 0.5).astype(np.uint8)
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
 
 
 def _tokenize_header(blob: bytes, count: int) -> tuple[list[int], int]:
@@ -102,18 +97,17 @@ def load_pgm(path) -> ImageGray:
         if raw.min() < 0 or raw.max() > 255:
             raise PgmFormatError("malformed payload: sample out of range")
         raw = raw.astype(np.uint8)
-    return ImageGray(width, height, raw.reshape(height, width) / 255.0)
+    return ImageGray(raw.reshape(height, width) / 255.0)
 
 
 def save_pgm(img: ImageGray, path) -> None:
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + img.to_bytes_u8().tobytes())
+    Path(path).write_bytes(header + np.floor(img.data * 255.0 + 0.5).astype(np.uint8).tobytes())
 
 
 def error_metric(out: ImageGray, expected: ImageGray) -> float:
     """Average per-pixel absolute difference, as a percentage of full scale."""
-    if (out.width, out.height) != (expected.width, expected.height):
-        raise ValueError(
-            f"dimension mismatch: {out.width}x{out.height} vs "
-            f"{expected.width}x{expected.height}")
+    if out.data.shape != expected.data.shape:
+        raise ValueError(f"dimension mismatch: {out.width}x{out.height} vs "
+                         f"{expected.width}x{expected.height}")
     return float(100.0 * np.abs(out.data - expected.data).mean())

@@ -1,21 +1,24 @@
-"""Deterministic synthetic test inputs.
+"""Deterministic synthetic inputs: gen_test_inputs gives the frames of each
+input kind that circuits.WIRING names, a still image as one frame.
 
-Stand-ins for camera data: smooth structured scenes, gradients,
-checkerboards, impulse-noised scenes, and a 33-frame video of a soft-edged
-square moving over a static background.  Everything derives from a fixed
-input seed so repeated generation is byte-identical.
+Stand-ins for camera data: a smooth structured scene, the scene with impulse
+noise, and a VIDEO_FRAMES-frame video of a soft-edged square moving over a
+drifting background.  Everything derives from a fixed input seed so repeated
+generation is byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .circuits import KDE_HISTORY
 from .images import ImageGray
 from .rng import derive_state, uniforms
 
 INPUT_SEED = 0xA11CE
 INPUT_DIMS = (128, 128)
-VIDEO_FRAMES = 33
+# kde reads the current frame and its history
+VIDEO_FRAMES = 1 + KDE_HISTORY
 _STREAM_SCENE = 1
 _STREAM_NOISE = 2
 # uniform draws make_scene takes: two phases for each of 4 textures, six
@@ -26,19 +29,6 @@ _SCENE_DRAWS = 4 * 2 + 6 * 6 + 2 * 6
 def _grid(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     ys, xs = np.mgrid[0:height, 0:width]
     return xs.astype(np.float64), ys.astype(np.float64)
-
-
-def make_gradient(width: int, height: int) -> ImageGray:
-    xs, ys = _grid(width, height)
-    span = max(width + height - 2, 1)
-    return ImageGray.from_array((xs + ys) / span)
-
-
-def make_checkerboard(width: int, height: int, cell: int = 16,
-                      lo: float = 0.25, hi: float = 0.75) -> ImageGray:
-    xs, ys = _grid(width, height)
-    board = ((xs // cell + ys // cell) % 2).astype(np.float64)
-    return ImageGray.from_array(lo + (hi - lo) * board)
 
 
 def make_scene(width: int, height: int, seed: int = INPUT_SEED) -> ImageGray:
@@ -68,7 +58,7 @@ def make_scene(width: int, height: int, seed: int = INPUT_SEED) -> ImageGray:
         hh = (0.06 + 0.12 * draw()) * height
         amp = (0.15 + 0.15 * draw()) * (1 if draw() < 0.5 else -1)
         img = img + amp * _soft_rect(xs, ys, cx, cy, hw, hh, edge=2.0)
-    return ImageGray.from_array(np.clip(img, 0.02, 0.98))
+    return ImageGray(np.clip(img, 0.02, 0.98))
 
 
 def _smoothstep(u: np.ndarray) -> np.ndarray:
@@ -91,7 +81,7 @@ def salt_pepper(img: ImageGray, density: float = 0.05, seed: int = INPUT_SEED) -
     out = img.data.copy()
     out[u < density / 2] = 0.0
     out[(u >= density / 2) & (u < density)] = 1.0
-    return ImageGray.from_array(out)
+    return ImageGray(out)
 
 
 def _soft_disc(xs, ys, cx, cy, radius, edge: float) -> np.ndarray:
@@ -144,22 +134,18 @@ def make_video(width: int, height: int, frames: int = VIDEO_FRAMES,
         shade = _soft_disc(xs, ys, 0.7 * width - 1.2 * t, 0.75 * height - 0.5 * t,
                            r2, edge=3.5)
         frame = frame + (0.22 * faint - 0.22 * shade) * (1.0 - cover)
-        out.append(ImageGray.from_array(np.clip(frame, 0.0, 1.0)))
+        out.append(ImageGray(np.clip(frame, 0.0, 1.0)))
     return out
 
 
 def gen_test_inputs(kind: str, dims: tuple[int, int] = INPUT_DIMS,
-                    seed: int = INPUT_SEED):
-    """Dispatch on input kind; returns an ImageGray or a frame list."""
+                    seed: int = INPUT_SEED) -> list[ImageGray]:
+    """Frames of one input kind, oldest first; a still image is one frame."""
     width, height = dims
-    if kind == "gradient":
-        return make_gradient(width, height)
-    if kind == "checkerboard":
-        return make_checkerboard(width, height)
     if kind == "scene":
-        return make_scene(width, height, seed)
+        return [make_scene(width, height, seed)]
     if kind == "salt-pepper":
-        return salt_pepper(make_scene(width, height, seed), seed=seed)
+        return [salt_pepper(make_scene(width, height, seed), seed=seed)]
     if kind == "video":
         return make_video(width, height, seed=seed)
     raise ValueError(f"unknown input kind {kind!r}")

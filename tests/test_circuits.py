@@ -218,6 +218,14 @@ class TestBernstein:
         with pytest.raises(ValueError):
             BernsteinPoly(2, (0.0, 1.2, 0.5))
 
+    def test_coefficient_count_enforced(self):
+        with pytest.raises(ValueError, match=r"^coefficient count must be degree \+ 1$"):
+            BernsteinPoly(2, (0.5, 0.5))
+
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be at least 1$"):
+            fit_bernstein(lambda x: x, 0)
+
 
 @pytest.fixture(scope="module")
 def poly():
@@ -386,3 +394,8 @@ def test_stream_identities_overlap_only_at_kde_id_96():
         if len(ids) != len(set(ids)):
             shared[app, degree] = {i for i in ids if ids.count(i) > 1}
     assert shared == {(AppKind.KDE, d): {96} for d in range(1, MAX_BERNSTEIN_DEGREE + 1)}
+
+
+def test_window_offsets_lie_within_one_pixel():
+    # harness.resolve_inputs pads the current frame by one pixel for every window
+    assert {d for w in WIRING.values() for offset in w.window for d in offset} == {-1, 0, 1}

@@ -9,6 +9,7 @@ from stochmem import cli
 from stochmem.circuits import AppParams, fit_bernstein
 from stochmem.cli import main
 from stochmem.config import FIELD_BY_KEY, FIELDS, resolve_config
+from stochmem.harness import CSV_COLUMNS
 from stochmem.images import save_pgm
 from stochmem.memory import NoiseModel
 from stochmem.synth import gen_test_inputs
@@ -22,8 +23,14 @@ def test_run_writes_image_and_report(tmp_path, capsys):
     assert main(["run", "--app", "robert", "--design", "stochmem", "--length", "16",
                  "--out", str(out)] + TINY) == 0
     assert (out / "output.pgm").is_file()
-    assert (out / "report.csv").read_text().startswith("app,design,length,seed,")
-    assert capsys.readouterr().out.splitlines()[1].startswith("robert\tstochmem\t16\t3\t")
+    report = (out / "report.csv").read_text()
+    assert report.startswith(",".join(CSV_COLUMNS) + "\nrobert,stochmem,16,3,")
+    # stdout is the report.csv header and row, the row a sweep writes
+    assert capsys.readouterr().out == report + f"wrote {out / 'output.pgm'}\n"
+    csv = tmp_path / "sweep.csv"
+    assert main(["sweep", "--apps", "robert", "--designs", "stochmem", "--lengths", "16",
+                 "--seeds", "1", "--out", str(csv)] + TINY) == 0
+    assert csv.read_text() == report
 
 
 def test_sweep_writes_one_row_per_run(tmp_path):
@@ -37,7 +44,35 @@ def test_run_takes_app_and_design_from_the_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("app = frame\ndesign = conv-mtj\nlength = 16\n")
     assert main(["run", "--config", str(cfg)] + TINY) == 0
-    assert capsys.readouterr().out.splitlines()[1].startswith("frame\tconv-mtj\t16\t3\t")
+    assert capsys.readouterr().out.splitlines()[1].startswith("frame,conv-mtj,16,3,")
+
+
+def test_repeated_flags_keep_the_last_value(capsys):
+    assert main(["run", "--app", "gamma", "--design", "conv-mtj", "--length", "64",
+                 "--length", "16"] + TINY) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("gamma,conv-mtj,16,3,")
+
+
+@pytest.mark.parametrize("command,text,key,line", [
+    ("run", "length = 64\nlength = 16\n", "length", 2),
+    ("cost", "unit.asc.energy_pJ = 1\n# repriced\nunit.asc.energy_pJ = 2\n",
+     "unit.asc.energy_pJ", 3),
+], ids=("config", "costs"))
+def test_a_key_set_twice_in_a_file_exits_1(tmp_path, capsys, command, text, key, line):
+    path = tmp_path / "twice.txt"
+    path.write_text(text)
+    argv = {"run": ["run", "--app", "robert", "--design", "conv-mtj", "--config", str(path)]
+                   + TINY,
+            "cost": ["cost", "--costs", str(path)]}[command]
+    with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
+        assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {path}:{line}: {key} is already set on line 1\n")
+
+
+def test_run_with_an_unknown_design_exits_1(capsys):
+    assert main(["run", "--app", "robert", "--design", "foo"] + TINY) == 1
+    assert capsys.readouterr().err == ("error: --design: unknown design 'foo'; expected one of "
+                                       "['conv-lfsr', 'conv-mtj', 'stochmem']\n")
 
 
 def test_sweep_passes_the_config_file_jobs(tmp_path):
@@ -45,7 +80,8 @@ def test_sweep_passes_the_config_file_jobs(tmp_path):
     cfg.write_text("jobs = 2\n")
     with mock.patch.object(cli, "sweep", return_value=["header"]) as spy:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "s.csv")]) == 0
-    assert spy.call_args.kwargs["jobs"] == 2
+    # sweep runs on its template's workers
+    assert spy.call_args.args[0].jobs == 2 and "jobs" not in spy.call_args.kwargs
 
 
 def test_calibrate_noise_passes_the_config_file_template_and_jobs(tmp_path):
@@ -137,17 +173,21 @@ def test_fit_gamma_accepts_the_largest_degree_a_run_uses(capsys):
     assert capsys.readouterr().out.splitlines()[17].startswith("b16\t")
 
 
-def test_gen_inputs_writes_pgm_files(tmp_path):
+def test_gen_inputs_writes_pgm_files(tmp_path, capsys):
+    # the inputs the apps read: a still kind as one file, the video as a frame directory
     assert main(["gen-inputs", "--out", str(tmp_path), "--dims", "6x5"]) == 0
-    assert (tmp_path / "scene.pgm").is_file()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["salt-pepper.pgm", "scene.pgm", "video"]
     assert len(list((tmp_path / "video").glob("*.pgm"))) == 33
+    assert capsys.readouterr().out == (f"wrote {tmp_path / 'scene.pgm'} (1 frame)\n"
+                                       f"wrote {tmp_path / 'salt-pepper.pgm'} (1 frame)\n"
+                                       f"wrote {tmp_path / 'video'} (33 frames)\n")
 
 
 def test_gen_inputs_writes_the_inputs_of_an_input_seed(tmp_path):
     # the inputs a run with --input-seed reads can be exported
     for name, flags in (("seeded", ["--input-seed", "5"]), ("default", [])):
         assert main(["gen-inputs", "--out", str(tmp_path / name), "--dims", "6x5"] + flags) == 0
-    save_pgm(gen_test_inputs("scene", (6, 5), 5), tmp_path / "expected.pgm")
+    save_pgm(gen_test_inputs("scene", (6, 5), 5)[0], tmp_path / "expected.pgm")
     scene = (tmp_path / "seeded" / "scene.pgm").read_bytes()
     assert scene == (tmp_path / "expected.pgm").read_bytes()
     assert scene != (tmp_path / "default" / "scene.pgm").read_bytes()

@@ -108,6 +108,8 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
                                                r"unit costs .* write_energy_pJ is inf"),
     ("profile.kde.mem_area_analog_um2 = nan", r"costs.txt:2: profile.kde.mem_area_analog_um2: "
                                               r"profile counts .* mem_area_analog_um2 is nan"),
+    ("unit.asc = 1", r"costs.txt:2: unknown key 'unit.asc'"),
+    ("profile.kde.bogus = 1", r"costs.txt:2: unknown profile field 'bogus'"),
     ("unit.adc_10bit.write_energy_pJ = 1", r"costs.txt:2: adc_10bit charges no writes; "
                                            r"write_energy_pJ is a field of sram_cell and "
                                            r"analog_cell only"),
@@ -125,4 +127,11 @@ def test_read_pairs_skips_comments_and_blank_lines(tmp_path):
     assert list(read_pairs(path)) == [(f"{path}:3", "a", "1"), (f"{path}:4", "b", "x=y")]
     path.write_text("a 1\n")
     with pytest.raises(ValueError, match=f"{path}:1: expected key=value"):
+        list(read_pairs(path))
+
+
+def test_read_pairs_rejects_a_key_set_twice(tmp_path):
+    path = tmp_path / "pairs.txt"
+    path.write_text("length = 64\n# again\nseed = 1\nlength = 16\n")
+    with pytest.raises(ValueError, match=f"^{path}:4: length is already set on line 1$"):
         list(read_pairs(path))

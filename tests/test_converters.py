@@ -67,6 +67,10 @@ class TestDsc:
         with pytest.raises(ValueError):
             dsc_generate(1024, 10, 5)
 
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError, match="^stream length must be positive$"):
+            dsc_generate(5, 0, 5)
+
     def test_matches_stepwise_comparator(self):
         # raw 777 seeds state 777 % 1023 + 1; the values follow the cycle's ring
         ring = LfsrCycle.for_spec(LfsrSpec()).ring.tolist()
@@ -101,6 +105,10 @@ class TestAsc:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             asc_generate(1.01, 10, derive_state(1))
+
+    def test_zero_length_rejected(self):
+        with pytest.raises(ValueError, match="^stream length must be positive$"):
+            asc_generate(0.5, 0, derive_state(1))
 
 
 class TestSac:

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
-from stochmem import calibrate, harness, rng
+from stochmem import harness, rng
 from stochmem.bitstream import MAX_LENGTH
 from stochmem.circuits import (KDE_HISTORY, WIRING, AppKind, AppParams, fit_bernstein,
                                gamma_eval, golden_eval, stream_plan)
@@ -41,21 +41,13 @@ def test_config_rejects_nonpositive_jobs():
 
 
 @pytest.mark.parametrize("jobs", (0, -1))
-@pytest.mark.parametrize("entry", ("sweep", "measure_noise_gap", "calibrate_noise"))
-def test_entry_points_reject_nonpositive_jobs(entry, jobs):
-    tiny = ExperimentConfig(dims=(3, 2), length=8)
-    # the noise entry points take their workers from the template
-    calls = {
-        "sweep": lambda: sweep(tiny, lengths=(8,), n_seeds=1, jobs=jobs),
-        "measure_noise_gap": lambda: calibrate._median_inaccuracy(
-            replace(tiny, jobs=jobs), SystemDesign.STOCHMEM, 1),
-        "calibrate_noise": lambda: calibrate.calibrate_noise(0.19, replace(tiny, jobs=jobs),
-                                                             n_seeds=1),
-    }
-    # a run means the bad value was taken as a serial run
+def test_sweep_rejects_nonpositive_jobs(jobs):
+    # the other entry points take their workers from a config, which checks
+    # them (test_config_rejects_nonpositive_jobs); a run means the bad value
+    # was taken as a serial run
     with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
         with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
-            calls[entry]()
+            sweep(ExperimentConfig(dims=(3, 2), length=8), lengths=(8,), n_seeds=1, jobs=jobs)
 
 
 @pytest.mark.parametrize("dims", ((0, 5), (6, 0), (-1, 4)))
@@ -95,14 +87,21 @@ def test_sweep_checks_the_output_directory_before_the_first_run(tmp_path):
 
 def test_run_grids_give_the_same_results_on_two_workers():
     tiny = ExperimentConfig(dims=(3, 2), global_seed=5)
-    serial = sweep(tiny, lengths=(8, 65), n_seeds=2, jobs=1)
-    assert sweep(replace(tiny, jobs=2), lengths=(8, 65), n_seeds=2, jobs=2) == serial
+    serial = sweep(tiny, lengths=(8, 65), n_seeds=2)
+    assert sweep(replace(tiny, jobs=2), lengths=(8, 65), n_seeds=2) == serial
 
 
 def test_sweep_rejects_workers_other_than_the_template_jobs():
+    template = ExperimentConfig(dims=(3, 2), jobs=2)
+    # with no jobs given, the grid runs on the template's workers
+    with mock.patch.object(harness, "_map", side_effect=lambda fn, items, jobs:
+                           [fn(item) for item in items]) as spy:
+        lines = sweep(template, lengths=(8,), n_seeds=2)
+    grids = [c.args[2] for c in spy.call_args_list if c.args[0] is harness._sweep_one]
+    assert grids == [2] and len(lines) == 1 + 5 * 3 * 2
     with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
         with pytest.raises(ValueError, match="jobs=1 workers, but template.jobs is 2"):
-            sweep(ExperimentConfig(dims=(3, 2), jobs=2), lengths=(8,), n_seeds=2)
+            sweep(template, lengths=(8,), n_seeds=2, jobs=1)
 
 
 # ---------------------------------------------------------------------------
@@ -152,11 +151,11 @@ def test_frames_are_the_current_frame_then_the_ones_before_it(written_inputs, ap
 def test_kde_takes_the_last_frame_and_the_32_before_it(written_inputs, tmp_path):
     video = tmp_path / "video"
     shutil.copytree(written_inputs / "video", video)
-    shutil.copy(written_inputs / "gradient.pgm", video / "frame_33.pgm")
+    shutil.copy(written_inputs / "scene.pgm", video / "frame_33.pgm")
     frames = _video(video)
     assert len(frames) == 34
     planes = resolve_inputs(ExperimentConfig(app=AppKind.KDE, input_path=str(video)))
-    assert np.array_equal(planes[0], load_pgm(written_inputs / "gradient.pgm").data)
+    assert np.array_equal(planes[0], load_pgm(written_inputs / "scene.pgm").data)
     assert np.array_equal(planes, np.stack(frames[-1:] + frames[1:-1]))
 
 
@@ -175,7 +174,7 @@ def test_too_few_frames_fail_loudly(written_inputs, tmp_path, app, kept):
 def test_frames_of_another_size_fail_loudly(written_inputs, tmp_path, app, odd):
     video = tmp_path / "video"
     shutil.copytree(written_inputs / "video", video)
-    save_pgm(ImageGray.from_array(np.full((5, 6), 0.5)), video / odd)
+    save_pgm(ImageGray(np.full((5, 6), 0.5)), video / odd)
     with pytest.raises(ValueError, match=f"{video}: frame {odd} is 6x5, the current frame "
                                          f"frame_32.pgm is 7x5"):
         resolve_inputs(ExperimentConfig(app=app, input_path=str(video)))
@@ -248,16 +247,17 @@ def test_synthetic_input_settings_with_an_input_fail_loudly(written_inputs, key,
 
 def test_default_synthetic_input_is_128x128_at_the_input_seed():
     planes = resolve_inputs(ExperimentConfig(app=AppKind.GAMMA))
-    assert np.array_equal(planes[0], gen_test_inputs("scene", (128, 128), INPUT_SEED).data)
+    [scene] = gen_test_inputs("scene", (128, 128), INPUT_SEED)
+    assert np.array_equal(planes[0], scene.data)
 
 
 def test_synthetic_frames_are_made_once_per_input_kind():
+    # robert and gamma read the scene, frame and kde the video
     harness._synthetic.cache_clear()
-    with mock.patch.object(harness, "gen_test_inputs",
-                           wraps=harness.gen_test_inputs) as gen:
-        for app in AppKind:
-            resolve_inputs(ExperimentConfig(app=app, dims=(5, 4), input_seed=9))
-    assert sorted(c.args[0] for c in gen.call_args_list) == ["salt-pepper", "scene", "video"]
+    for app in AppKind:
+        resolve_inputs(ExperimentConfig(app=app, dims=(5, 4), input_seed=9))
+    info = harness._synthetic.cache_info()
+    assert (info.misses, info.hits) == (3, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +432,8 @@ WRITE_NOISE_ID, READ_NOISE_ID = 64, 96
 
 def _source_frames(app, dims, input_seed):
     """The synthetic frames an app reads, oldest first, from gen_test_inputs."""
-    if app in (AppKind.FRAME, AppKind.KDE):
-        return gen_test_inputs("video", dims, input_seed)
-    kind = "salt-pepper" if app is AppKind.MEDIAN else "scene"
-    return [gen_test_inputs(kind, dims, input_seed)]
+    kind = {AppKind.MEDIAN: "salt-pepper", AppKind.FRAME: "video", AppKind.KDE: "video"}
+    return gen_test_inputs(kind.get(app, "scene"), dims, input_seed)
 
 
 def _operands(app, frames, x, y):

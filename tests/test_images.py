@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,7 @@ class TestPgm:
         assert dst.read_bytes() == src.read_bytes()
 
     def test_byte_128_rounds_back(self, tmp_path):
-        img = ImageGray.from_array(np.array([[128 / 255]]))
+        img = ImageGray(np.array([[128 / 255]]))
         path = tmp_path / "x.pgm"
         save_pgm(img, path)
         assert load_pgm(path).data[0, 0] == pytest.approx(128 / 255)
@@ -59,26 +61,41 @@ class TestPgm:
         with pytest.raises(PgmFormatError, match="header"):
             load_pgm(path)
 
+    @pytest.mark.parametrize("blob,message", [
+        (b"P5 2 1", "malformed header: missing dimension or maxval"),
+        (b"P5 1 1 255", "malformed header: missing separator before payload"),
+        (b"P5 0 5 255\n", "malformed header: bad dimensions 0x5"),
+        (b"P2 3 1 255\n0 1\n", "truncated payload: expected 3 samples, got 2"),
+        (b"P2 2 1 255\n0 x\n", "malformed payload: non-numeric sample"),
+        (b"P2 2 1 255\n0 256\n", "malformed payload: sample out of range"),
+    ], ids=("no-maxval", "no-separator", "zero-width", "p2-short", "p2-non-numeric",
+            "p2-above-255"))
+    def test_malformed_file_names_its_defect(self, tmp_path, blob, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob)
+        with pytest.raises(PgmFormatError, match=f"^{message}$"):
+            load_pgm(path)
+
 
 class TestErrorMetric:
     def test_identical_images(self):
-        img = ImageGray.from_array(np.random.default_rng(1).random((8, 8)))
+        img = ImageGray(np.random.default_rng(1).random((8, 8)))
         assert error_metric(img, img) == 0.0
 
     def test_black_vs_white(self):
-        a = ImageGray.from_array(np.zeros((4, 4)))
-        b = ImageGray.from_array(np.ones((4, 4)))
+        a = ImageGray(np.zeros((4, 4)))
+        b = ImageGray(np.ones((4, 4)))
         assert error_metric(a, b) == 100.0
 
     def test_half_off_by_half(self):
         a = np.zeros((2, 2))
         b = np.zeros((2, 2))
         b[0, :] = 0.5
-        assert error_metric(ImageGray.from_array(a), ImageGray.from_array(b)) == 25.0
+        assert error_metric(ImageGray(a), ImageGray(b)) == 25.0
 
     def test_dimension_mismatch(self):
-        a = ImageGray.from_array(np.zeros((2, 2)))
-        b = ImageGray.from_array(np.zeros((3, 2)))
+        a = ImageGray(np.zeros((2, 2)))
+        b = ImageGray(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             error_metric(a, b)
 
@@ -86,8 +103,15 @@ class TestErrorMetric:
 class TestImageGray:
     def test_range_validation(self):
         with pytest.raises(ValueError):
-            ImageGray.from_array(np.array([[1.5]]))
+            ImageGray(np.array([[1.5]]))
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            ImageGray(2, 2, np.zeros((2, 3)))
+        for shape in ((3,), (2, 2, 1), (0, 4), (4, 0)):
+            with pytest.raises(ValueError, match=re.escape(f"image must be a nonempty 2-D "
+                                                           f"array, got shape {shape}")):
+                ImageGray(np.zeros(shape))
+
+    def test_width_and_height_are_the_data_shape(self):
+        img = ImageGray(np.zeros((2, 3)))
+        assert (img.width, img.height) == (3, 2)
+        assert not img.data.flags.writeable

@@ -3,8 +3,8 @@ import pytest
 
 from stochmem.circuits import AppKind, AppParams, golden_eval
 from stochmem.harness import ExperimentConfig, resolve_inputs
-from stochmem.images import save_pgm
-from stochmem.synth import gen_test_inputs, make_checkerboard, make_scene, make_video
+from stochmem.images import ImageGray, save_pgm
+from stochmem.synth import gen_test_inputs, make_scene, make_video
 
 
 def test_deterministic_generation():
@@ -19,8 +19,10 @@ def test_seed_changes_scene():
 
 
 def test_checkerboard_edges_only_on_boundaries(tmp_path):
+    ys, xs = np.mgrid[0:64, 0:64]
+    board = 0.25 + 0.5 * ((xs // 16 + ys // 16) % 2)
     path = tmp_path / "board.pgm"
-    save_pgm(make_checkerboard(64, 64, cell=16), path)
+    save_pgm(ImageGray(board), path)
     planes = resolve_inputs(ExperimentConfig(app=AppKind.ROBERT, input_path=str(path)))
     edges = golden_eval(AppKind.ROBERT, planes).data
     interior_mask = np.ones_like(edges, dtype=bool)
@@ -55,13 +57,17 @@ def test_video_frames_all_valid():
 
 
 def test_gen_test_inputs_dispatch():
-    assert gen_test_inputs("gradient", (16, 8)).width == 16
+    # every kind is a frame list; a still image is one frame
+    [scene] = gen_test_inputs("scene", (16, 8))
+    assert (scene.width, scene.height) == (16, 8)
+    assert len(gen_test_inputs("salt-pepper", (16, 8))) == 1
     assert len(gen_test_inputs("video", (16, 16))) == 33
-    with pytest.raises(ValueError):
-        gen_test_inputs("nope", (8, 8))
+    for kind in ("nope", "gradient", "checkerboard"):
+        with pytest.raises(ValueError, match=f"unknown input kind '{kind}'"):
+            gen_test_inputs(kind, (8, 8))
 
 
 def test_salt_pepper_density():
-    img = gen_test_inputs("salt-pepper", (128, 128))
+    [img] = gen_test_inputs("salt-pepper", (128, 128))
     extremes = ((img.data == 0.0) | (img.data == 1.0)).mean()
     assert 0.03 <= extremes <= 0.07
