@@ -16,7 +16,7 @@ import numpy as np
 
 from . import harness
 from .circuits import AppKind
-from .costs import AccessMultipliers, SystemDesign, default_profile, energy_report
+from .costs import AccessMultipliers, CostModel, SystemDesign, energy_report
 from .harness import ExperimentConfig
 from .memory import NoiseModel
 
@@ -76,7 +76,8 @@ def calibrate_access(target_mtj_reduction: float = 45.7,
     percent: of the points where stochmem < conv-mtj < conv-lfsr for every app,
     the nearest (first in product order on a tie); return it and its reductions."""
     def totals(mult: AccessMultipliers) -> np.ndarray:
-        return np.array([[energy_report(d, default_profile(a), length, multipliers=mult).total
+        model = CostModel(multipliers=mult)
+        return np.array([[energy_report(d, a, length, model.profiles[a].n_streams, model).total
                           for d in SystemDesign] for a in AppKind])
 
     base = totals(AccessMultipliers(0.0, 0.0, 0.0, 0.0))

@@ -4,16 +4,11 @@ Exit codes: 0 success, 1 domain error, 2 usage error.  No option may be
 abbreviated.  run prints the CSV header and row of its report.csv, the row a
 sweep writes; every other table on stdout is tab-separated.
 
-A command takes one flag per config.FIELDS key it reads, and no other; the
-FIELDS row and ExperimentConfig give each value its spelling, parse, default
-and check, whichever command reads it.  The keys each command reads (_READS):
-run all; sweep all but app, design and length (it takes --apps, --designs and
---lengths); calibrate seed, dims, input_seed, input, theta, delta,
-gamma_exponent, bernstein_degree and jobs (the noise fit sets app, design,
-length and the sigmas, and measures neither energy nor conv-lfsr); cost length;
-fit-gamma gamma_exponent and bernstein_degree; gen-inputs dims and input_seed;
-calibrate-access none.  run, sweep and calibrate also take --config, a file of
-keys they read; precedence, lowest first: defaults, the file, the flags.
+A command takes one flag per config.FIELDS key it reads (_READS), and no
+other; the FIELDS row and ExperimentConfig give each value its spelling,
+parse, default and check, whichever command reads it.  run, sweep and
+calibrate also take --config, a file of keys they read; precedence, lowest
+first: defaults, the file, the flags.
 """
 
 from __future__ import annotations
@@ -24,8 +19,8 @@ from pathlib import Path
 
 from .calibrate import GAP_TOL_PP, NOISE_FIT_SEEDS, calibrate_access, calibrate_noise
 from .circuits import WIRING, AppKind, fit_bernstein
-from .config import FIELD_BY_KEY, FIELDS, load_cost_config, parse_at, read_values, resolve_config
-from .costs import SystemDesign, area_report, default_profile, energy_report, share_breakdown
+from .config import FIELD_BY_KEY, FIELDS, parse_at, read_values, resolve_config
+from .costs import SystemDesign, area_report, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
                       distinct, report_csv_row, run_experiment, sweep)
 from .images import save_pgm
@@ -35,7 +30,7 @@ from .synth import INPUT_DIMS, INPUT_SEED, gen_test_inputs
 _READS = {
     "run": set(FIELD_BY_KEY),
     "sweep": set(FIELD_BY_KEY) - {"app", "design", "length"},
-    "cost": {"length"},
+    "cost": {"length", "costs"},
     "fit-gamma": {"gamma_exponent", "bernstein_degree"},
     "gen-inputs": {"dims", "input_seed"},
     "calibrate": {"seed", "dims", "input_seed", "input", "theta", "delta", "gamma_exponent",
@@ -99,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="runs per configuration (seed = base + index)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
-    p_cost.add_argument("--costs", help="unit/profile override file")
-
     add("fit-gamma", "fit the power function as a Bernstein polynomial")
 
-    p_gen = add("gen-inputs", "write the synthetic inputs the apps read as PGM files")
+    p_gen = add("gen-inputs", "write the synthetic inputs the apps read as PGM files",
+                description="The files hold the 8-bit rounding of the float64 frames a "
+                            "synthetic run reads, so a run with --input on them is not that run.")
     p_gen.add_argument("--out", required=True, help="output directory")
 
     p_cal = add("calibrate", "fit the noise sigma to the accuracy gap", config=True,
@@ -155,18 +150,17 @@ def _print_report(report, value_name: str) -> None:
 
 
 def _cmd_cost(args) -> int:
-    length = _config_from_args(args).length
-    costs, profiles = (load_cost_config(args.costs) if args.costs
-                       else (None, {a: default_profile(a) for a in AppKind}))
+    cfg = _config_from_args(args)
     designs = _parse_list(SystemDesign, args.designs, "designs")
     for app in _parse_list(AppKind, args.apps, "apps"):
-        profile = profiles[app]
         for design in designs:
             print(f"# area_um2 app={app.value} design={design.value}")
-            _print_report(area_report(design, profile, costs), "area_um2")
+            _print_report(area_report(design, app, cfg.costs), "area_um2")
             print(f"# energy_pJ_per_pixel app={app.value} design={design.value} "
-                  f"length={length}")
-            _print_report(energy_report(design, profile, length, costs=costs), "energy_pJ")
+                  f"length={cfg.length}")
+            # one stored operand per operand plane, as a run charges
+            _print_report(energy_report(design, app, cfg.length, WIRING[app].slots,
+                                        cfg.costs), "energy_pJ")
     return 0
 
 

@@ -4,10 +4,10 @@ FIELDS is the one table of ExperimentConfig fields; a row gives the file key
 and the parse function both sources use, and the key spells the flag.  A run
 config is built from the ExperimentConfig defaults, then the keys of the
 --config file, then the flags given; each step overrides the one before, and
-ExperimentConfig checks the result.  read_pairs reads every file: one key =
-value per line, each key at most once, '#' starts a comment, and errors name
-path:line.  What each app reads, and how its streams are wired, is
-circuits.WIRING, not config.
+ExperimentConfig checks the result; the costs value is a cost file, which
+load_costs reads.  read_pairs reads every file: one key = value per line, each
+key at most once, '#' starts a comment, and errors name path:line.  What each
+app reads, and how its streams are wired, is circuits.WIRING, not config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .circuits import AppKind
-from .costs import DEFAULT_UNIT_COSTS, AppProfile, SystemDesign, UnitCost, default_profile
+from .costs import CostModel, SystemDesign
 from .harness import ExperimentConfig
 from .synth import INPUT_DIMS
 
@@ -30,6 +30,54 @@ def parse_dims(spec: str) -> tuple[int, int]:
     except ValueError:
         raise ValueError(f"dims must be WxH, e.g. 128x128; got {spec!r}") from None
     return w, h
+
+
+_UNIT_FIELDS = {"area_um2": float, "energy_pJ": float, "write_energy_pJ": float}
+# the memory cells, the only units whose writes costs._units charges
+_WRITE_UNITS = ("sram_cell", "analog_cell")
+_PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": float,
+                   "mem_area_analog_um2": float}
+
+
+def load_costs(path) -> CostModel:
+    """The default CostModel with the overrides of a cost file: unit costs
+    (``unit.<name>.<field>``), profiles (``profile.<app>.<field>``) and access
+    multipliers (``mult.<event>``).  The fields are the keys of _UNIT_FIELDS
+    (write_energy_pJ only on _WRITE_UNITS) and _PROFILE_FIELDS, the events
+    those of AccessMultipliers; unlisted values keep their defaults."""
+    default = CostModel()
+    units, profiles, multipliers = dict(default.units), dict(default.profiles), default.multipliers
+    for where, key, value in read_pairs(path):
+        parts = key.split(".")
+        if (parts[0], len(parts)) not in (("unit", 3), ("profile", 3), ("mult", 2)):
+            raise ValueError(f"{where}: unknown key {key!r}")
+        if parts[0] == "mult":
+            event = parts[1]
+            if event not in multipliers.as_dict():
+                raise ValueError(f"{where}: unknown access multiplier {event!r}")
+            multipliers = parse_at(lambda v: replace(multipliers, **{event: float(v)}),
+                                   value, f"{where}: {key}")
+            continue
+        kind, name, fld = parts
+        if kind == "unit":
+            if name not in units:
+                raise ValueError(f"{where}: unknown unit {name!r}")
+            if fld not in _UNIT_FIELDS:
+                raise ValueError(f"{where}: unknown unit field {fld!r}")
+            if fld == "write_energy_pJ" and name not in _WRITE_UNITS:
+                raise ValueError(f"{where}: {name} charges no writes; write_energy_pJ is a "
+                                 f"field of {' and '.join(_WRITE_UNITS)} only")
+            units[name] = parse_at(
+                lambda v: replace(units[name], **{fld: _UNIT_FIELDS[fld](v)}),
+                value, f"{where}: {key}")
+        else:
+            app = parse_at(AppKind.from_name, name, where)
+            if fld not in _PROFILE_FIELDS:
+                raise ValueError(f"{where}: unknown profile field {fld!r}")
+            profiles[app] = parse_at(
+                lambda v: replace(profiles[app], **{fld: _PROFILE_FIELDS[fld](v)}),
+                value, f"{where}: {key}")
+    return CostModel(units, profiles, multipliers)
 
 
 @dataclass(frozen=True)
@@ -60,10 +108,8 @@ FIELDS = (
     Field("gamma_exponent", "params.gamma_exponent", float, "power-function exponent"),
     Field("bernstein_degree", "params.bernstein_degree", int,
           "degree of the gamma circuit's Bernstein polynomial"),
-    Field("mult_adc", "multipliers.adc", float, "ADC energy multiplier"),
-    Field("mult_write", "multipliers.write", float, "write energy multiplier"),
-    Field("mult_read", "multipliers.read", float, "read energy multiplier"),
-    Field("mult_dac", "multipliers.dac", float, "DAC energy multiplier"),
+    Field("costs", "costs", load_costs, "cost file of unit.<name>.<field>, "
+          "profile.<app>.<field> and mult.<event> overrides of the cost model"),
     Field("jobs", "jobs", int, "worker processes, at most one per CPU"),
 )
 FIELD_BY_KEY = {f.key: f for f in FIELDS}
@@ -116,43 +162,3 @@ def resolve_config(values: dict[str, object]) -> ExperimentConfig:
     for key, value in values.items():
         cfg = _with(cfg, FIELD_BY_KEY[key].attr, value)
     return cfg
-
-
-_UNIT_FIELDS = {"area_um2": float, "energy_pJ": float, "write_energy_pJ": float}
-# the memory cells, the only units whose writes costs._units charges
-_WRITE_UNITS = ("sram_cell", "analog_cell")
-_PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": float,
-                   "mem_area_analog_um2": float}
-
-
-def load_cost_config(path) -> tuple[dict[str, UnitCost], dict[AppKind, AppProfile]]:
-    """Overrides of DEFAULT_UNIT_COSTS (``unit.<name>.<field>``) and of the
-    default profiles (``profile.<app>.<field>``); the fields are the keys of
-    _UNIT_FIELDS (write_energy_pJ only on _WRITE_UNITS) and _PROFILE_FIELDS,
-    and unlisted ones keep their defaults."""
-    units = dict(DEFAULT_UNIT_COSTS)
-    profiles = {app: default_profile(app) for app in AppKind}
-    for where, key, value in read_pairs(path):
-        parts = key.split(".")
-        if len(parts) != 3 or parts[0] not in ("unit", "profile"):
-            raise ValueError(f"{where}: unknown key {key!r}")
-        kind, name, fld = parts
-        if kind == "unit":
-            if name not in units:
-                raise ValueError(f"{where}: unknown unit {name!r}")
-            if fld not in _UNIT_FIELDS:
-                raise ValueError(f"{where}: unknown unit field {fld!r}")
-            if fld == "write_energy_pJ" and name not in _WRITE_UNITS:
-                raise ValueError(f"{where}: {name} charges no writes; write_energy_pJ is a "
-                                 f"field of {' and '.join(_WRITE_UNITS)} only")
-            units[name] = parse_at(
-                lambda v: replace(units[name], **{fld: _UNIT_FIELDS[fld](v)}),
-                value, f"{where}: {key}")
-        else:
-            app = parse_at(AppKind.from_name, name, where)
-            if fld not in _PROFILE_FIELDS:
-                raise ValueError(f"{where}: unknown profile field {fld!r}")
-            profiles[app] = parse_at(
-                lambda v: replace(profiles[app], **{fld: _PROFILE_FIELDS[fld](v)}),
-                value, f"{where}: {key}")
-    return units, profiles

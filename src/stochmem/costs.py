@@ -4,17 +4,17 @@ Unit constants are 45 nm synthesis/measurement numbers treated as data:
 stochastic-rate units (LFSR, comparator, ASC, app logic)
 burn energy per cycle at 1 GHz, ADC/DAC per conversion, and memory cells
 per access (the analog cell with distinct read/write energies).  _units is
-the one inventory of each design's units and how each is charged; area_report
-and energy_report are its two columns.  Reports group the units into input
-layer (memory + ADC), conversion (DSC, DAC + ASC, or ASC), and stochastic
-logic.
+the one inventory of each design's units and how each is charged under a
+CostModel (unit costs, app profiles, access multipliers); area_report and
+energy_report are its two columns.  Reports group the units into input layer
+(memory + ADC), conversion (DSC, DAC + ASC, or ASC), and stochastic logic.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .circuits import AppKind
 
@@ -76,7 +76,7 @@ class SystemDesign(enum.Enum):
 class AppProfile:
     app: AppKind
     # stochastic input streams: comparators on conv-lfsr, ASCs otherwise; also
-    # the operand count energy_report charges when it is given none
+    # the operand count of a run's energy_default
     n_streams: int
     n_lfsr: int
     mem_area_digital_um2: float
@@ -103,10 +103,6 @@ _PROFILE_TABLE: dict[AppKind, AppProfile] = {p.app: p for p in (
 )}
 
 
-def default_profile(app: AppKind) -> AppProfile:
-    return _PROFILE_TABLE[app]
-
-
 @dataclass(frozen=True)
 class AccessMultipliers:
     """Global per-event amortization factors shared by every app.
@@ -128,6 +124,15 @@ class AccessMultipliers:
 
     def as_dict(self) -> dict[str, float]:
         return {"adc": self.adc, "write": self.write, "read": self.read, "dac": self.dac}
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Every priced value: unit costs by name, app profiles and access multipliers."""
+
+    units: dict[str, UnitCost] = field(default_factory=DEFAULT_UNIT_COSTS.copy)
+    profiles: dict[AppKind, AppProfile] = field(default_factory=_PROFILE_TABLE.copy)
+    multipliers: AccessMultipliers = AccessMultipliers()
 
 
 GROUP_INPUT = "input_layer"
@@ -159,16 +164,15 @@ def share_breakdown(report: CostReport) -> dict[str, float]:
     return {g: v / total for g, v in report.group_totals.items()}
 
 
-def _units(design: SystemDesign, profile: AppProfile, costs: dict[str, UnitCost] | None = None,
-           length: int = 0, n: int = 0, m: AccessMultipliers = AccessMultipliers()
+def _units(design: SystemDesign, app: AppKind, model: CostModel, length: int = 0, n: int = 0
            ) -> list[tuple[str, str, float, float]]:
     """(unit, group, area_um2, energy_pJ) of every unit of design, in report
     order: memory, adc (conv designs), then dsc, or dac (conv-mtj) and asc,
     then logic.  Energy is per pixel: per-cycle units run for `length` cycles,
     and each of n operands is written once and read once, and converted once
     by the ADC on the conv designs and by the DAC on conv-mtj, each event
-    scaled by its multiplier in m.  Area depends on neither length, n nor m."""
-    c = costs or DEFAULT_UNIT_COSTS
+    scaled by its model multiplier.  Area depends on neither length, n nor m."""
+    c, profile, m = model.units, model.profiles[app], model.multipliers
     conv = design is not SystemDesign.STOCHMEM
     cell = c["sram_cell" if conv else "analog_cell"]
     units = [("memory", GROUP_INPUT,
@@ -190,28 +194,24 @@ def _units(design: SystemDesign, profile: AppProfile, costs: dict[str, UnitCost]
         asc = c["asc"]
         units.append(("asc", GROUP_CONVERSION, asc.area_um2 * profile.n_streams,
                       asc.energy_pJ * profile.n_streams * length))
-    logic = c[f"logic_{profile.app.value}"]
+    logic = c[f"logic_{app.value}"]
     units.append(("logic", GROUP_LOGIC, logic.area_um2, logic.energy_pJ * length))
     return units
 
 
-def area_report(design: SystemDesign, profile: AppProfile,
-                costs: dict[str, UnitCost] | None = None) -> CostReport:
+def area_report(design: SystemDesign, app: AppKind, model: CostModel = CostModel()) -> CostReport:
     """Area in um^2 of every unit of design."""
-    return CostReport([(unit, group, area)
-                       for unit, group, area, _ in _units(design, profile, costs)])
+    return CostReport([(unit, group, area) for unit, group, area, _ in _units(design, app, model)])
 
 
-def energy_report(design: SystemDesign, profile: AppProfile, length: int,
-                  n_operands: int | None = None,
-                  multipliers: AccessMultipliers = AccessMultipliers(),
-                  costs: dict[str, UnitCost] | None = None) -> CostReport:
+def energy_report(design: SystemDesign, app: AppKind, length: int, n_operands: int,
+                  model: CostModel = CostModel()) -> CostReport:
     """Per-pixel energy in pJ of every unit of design, for streams of `length`
-    cycles and n_operands stored operands (default profile.n_streams)."""
-    n = profile.n_streams if n_operands is None else n_operands
-    _check_nonnegative_finite("stream length and operand count", length=length, n_operands=n)
+    cycles and n_operands stored operands."""
+    _check_nonnegative_finite("stream length and operand count", length=length,
+                              n_operands=n_operands)
     return CostReport([(unit, group, energy) for unit, group, _, energy
-                       in _units(design, profile, costs, length, n, multipliers)])
+                       in _units(design, app, model, length, n_operands)])
 
 
 # ---------------------------------------------------------------------------

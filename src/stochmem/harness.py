@@ -65,8 +65,7 @@ from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask,
 from .circuits import (READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE, AppKind, AppParams, StreamPlan,
                        golden_eval, stream_plan)
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
-from .costs import (AccessMultipliers, CostReport, SystemDesign, area_report, default_profile,
-                    energy_report, share_breakdown)
+from .costs import CostModel, CostReport, SystemDesign, area_report, energy_report, share_breakdown
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
@@ -106,7 +105,7 @@ class ExperimentConfig:
     global_seed: int = 1
     noise: NoiseModel = NoiseModel(DEFAULT_NOISE_SIGMA, DEFAULT_NOISE_SIGMA)
     params: AppParams = AppParams()
-    multipliers: AccessMultipliers = AccessMultipliers()
+    costs: CostModel = CostModel()
     # size and seed of the synthetic inputs, None for synth.INPUT_DIMS and
     # synth.INPUT_SEED; neither may be set with input_path
     dims: tuple[int, int] | None = None
@@ -382,15 +381,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     golden = golden_eval(cfg.app, planes, cfg.params)
     inaccuracy = error_metric(output, golden)
 
-    profile = default_profile(cfg.app)
     return ExperimentReport(
         cfg=cfg,
         inaccuracy_percent=inaccuracy,
         output=output,
-        area=area_report(cfg.design, profile),
-        energy=energy_report(cfg.design, profile, cfg.length, n_planes, cfg.multipliers),
-        energy_default=energy_report(cfg.design, profile, cfg.length,
-                                     multipliers=cfg.multipliers),
+        area=area_report(cfg.design, cfg.app, cfg.costs),
+        energy=energy_report(cfg.design, cfg.app, cfg.length, n_planes, cfg.costs),
+        energy_default=energy_report(cfg.design, cfg.app, cfg.length,
+                                     cfg.costs.profiles[cfg.app].n_streams, cfg.costs),
     )
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from stochmem import calibrate, harness
 from stochmem.circuits import AppKind
-from stochmem.costs import AccessMultipliers, SystemDesign, default_profile, energy_report
+from stochmem.costs import AccessMultipliers, CostModel, SystemDesign, energy_report
 from stochmem.harness import ExperimentConfig
 from stochmem.memory import NoiseModel
 
@@ -140,12 +140,12 @@ def test_access_fit_gives_the_pinned_multipliers_and_reductions(targets, multipl
 def test_access_fit_equals_the_per_point_search_it_replaces():
     # the loop over the grid in product order, each point's energies built
     # with the same operations as the broadcast
-    profiles = [default_profile(a) for a in AppKind]
     axes = ("adc", "write", "read", "dac")
 
     def totals(mult):
-        return np.array([[energy_report(d, p, 1024, multipliers=mult).total
-                          for d in SystemDesign] for p in profiles])
+        model = CostModel(multipliers=mult)
+        return np.array([[energy_report(d, a, 1024, model.profiles[a].n_streams, model).total
+                          for d in SystemDesign] for a in AppKind])
 
     base = totals(AccessMultipliers(0.0, 0.0, 0.0, 0.0))
     slopes = [totals(AccessMultipliers(**{a: float(a == ax) for a in axes})) - base

@@ -1,19 +1,23 @@
 """The command-line front end: every subcommand on tiny inputs, and the
 documented exit codes (0 success, 1 domain error, 2 usage error)."""
 
+import re
+import shlex
+from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from stochmem import cli
-from stochmem.circuits import AppParams, fit_bernstein
+from stochmem.circuits import AppKind, AppParams, fit_bernstein
 from stochmem.cli import main
 from stochmem.config import FIELD_BY_KEY, FIELDS, resolve_config
+from stochmem.costs import SystemDesign
 from stochmem.harness import CSV_COLUMNS
 from stochmem.images import save_pgm
 from stochmem.memory import NoiseModel
 from stochmem.synth import gen_test_inputs
-from test_config import SAMPLES
+from test_config import COST_FILES, SAMPLES
 
 TINY = ["--dims", "6x5", "--seed", "3"]
 
@@ -61,12 +65,15 @@ def test_repeated_flags_keep_the_last_value(capsys):
 def test_a_key_set_twice_in_a_file_exits_1(tmp_path, capsys, command, text, key, line):
     path = tmp_path / "twice.txt"
     path.write_text(text)
-    argv = {"run": ["run", "--app", "robert", "--design", "conv-mtj", "--config", str(path)]
-                   + TINY,
-            "cost": ["cost", "--costs", str(path)]}[command]
+    argv, where = {
+        "run": (["run", "--app", "robert", "--design", "conv-mtj", "--config", str(path)] + TINY,
+                ""),
+        # the cost file is the value of a flag, and the error names both
+        "cost": (["cost", "--costs", str(path)], "--costs: ")}[command]
     with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
         assert main(argv) == 1
-    assert capsys.readouterr() == ("", f"error: {path}:{line}: {key} is already set on line 1\n")
+    assert capsys.readouterr() == ("", f"error: {where}{path}:{line}: {key} is already set on "
+                                       f"line 1\n")
 
 
 def test_run_with_an_unknown_design_exits_1(capsys):
@@ -156,6 +163,68 @@ def test_cost_prints_area_and_energy_tables(capsys):
     assert "total\t\t502" in out
 
 
+def _csv_row(out: str) -> dict[str, str]:
+    header, row = out.splitlines()[:2]
+    return dict(zip(header.split(","), row.split(",")))
+
+
+@pytest.mark.parametrize("costs", (None, SAMPLES["costs"][0]), ids=("default", "dac_once"))
+@pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
+@pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
+def test_cost_and_run_print_one_price(app, design, costs, capsys):
+    """cost charges the operands a run stores, so one app, design, length and
+    cost file have one area and one energy."""
+    flags = ["--length", "1024"] + (["--costs", costs] if costs else [])
+    assert main(["run", "--app", app.value, "--design", design.value, "--dims", "2x2"]
+                + flags) == 0
+    row = _csv_row(capsys.readouterr().out)
+    assert main(["cost", "--apps", app.value, "--designs", design.value] + flags) == 0
+    totals = [float(line.split("\t")[2]) for line in capsys.readouterr().out.splitlines()
+              if line.startswith("total\t")]
+    # cost prints 6 significant digits
+    assert totals == [pytest.approx(float(row["area_um2"]), rel=1e-5),
+                      pytest.approx(float(row["energy_pJ_per_pixel"]), rel=1e-5)]
+
+
+def test_a_cost_file_prices_what_the_multiplier_flags_priced(tmp_path, capsys):
+    # mult.dac = 1, as a flag or a --config key, gives the energy the removed
+    # --mult-dac 1 gave
+    argv = ["run", "--app", "robert", "--design", "conv-mtj", "--dims", "8x8", "--length", "1024"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"costs = {SAMPLES['costs'][0]}\n")
+    for given in (["--costs", SAMPLES["costs"][0]], ["--config", str(cfg)]):
+        assert main(argv + given) == 0
+        assert _csv_row(capsys.readouterr().out)["energy_pJ_per_pixel"] == "918.1600"
+
+
+@pytest.mark.parametrize("line,message", [
+    ("mult.bogus = 1", "unknown access multiplier 'bogus'"),
+    ("mult.dac = -5", "mult.dac: access multipliers must be nonnegative and finite; dac is -5.0"),
+    ("mult.dac = nan", "mult.dac: access multipliers must be nonnegative and finite; dac is nan"),
+], ids=("bogus", "negative", "nan"))
+def test_a_bad_multiplier_in_a_cost_file_exits_1(tmp_path, capsys, line, message):
+    costs = tmp_path / "costs.txt"
+    costs.write_text(f"# repriced\n{line}\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"costs = {costs}\n")
+    with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
+        assert main(["run", "--app", "robert", "--design", "conv-mtj", "--config", str(cfg)]) == 1
+    assert capsys.readouterr() == ("", f"error: {cfg}:1: costs: {costs}:2: {message}\n")
+
+
+def test_the_readme_commands_parse():
+    """Every command line of the README's sh block parses, so a removed flag
+    cannot linger there, and the block shows every command."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [shlex.split(line) for line in block.splitlines() if "python -m stochmem.cli" in line]
+    commands = set()
+    for argv in lines:
+        args = cli.build_parser().parse_args(argv[argv.index("stochmem.cli") + 1:])
+        commands.add(args.command)
+    assert commands == set(cli._COMMANDS)
+
+
 def test_fit_gamma_prints_coefficients(capsys):
     assert main(["fit-gamma", "--bernstein-degree", "3"]) == 0
     out = capsys.readouterr().out
@@ -215,8 +284,8 @@ def test_calibrate_access_reproduces_paper_reductions(capsys):
 
 def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("length = 5\nmult_adc = 0.9\n")
-    options = ["--config", str(cfg), "--mult-dac", "0.3", "--runs", "0", "--tol", "-1"]
+    cfg.write_text(f"length = 5\ncosts = {SAMPLES['costs'][0]}\n")
+    options = ["--config", str(cfg), "--costs", SAMPLES["costs"][0], "--runs", "0", "--tol", "-1"]
     with pytest.raises(SystemExit) as exc:
         main(["calibrate-access"] + options)
     assert exc.value.code == 2
@@ -225,9 +294,11 @@ def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
                                               f"{' '.join(options)}\n")
 
 
-# every run flag, --config and calibrate's own options
-_NOT_ACCESS_OPTIONS = [["--mult-dac", "0.3"], ["--seed", "2"], ["--dims", "6x5"],
-                       ["--target-gap", "0.19"], ["--tol", "0.05"], ["--runs", "5"]]
+# every run flag, --config, and the other commands' own options
+_NOT_ACCESS_OPTIONS = [["--costs", SAMPLES["costs"][0]], ["--seed", "2"], ["--dims", "6x5"],
+                       ["--target-gap", "0.19"], ["--tol", "0.05"], ["--runs", "5"],
+                       ["--apps", "all"], ["--designs", "all"], ["--lengths", "8"],
+                       ["--seeds", "1"], ["--out", "unused"]]
 _NOT_ACCESS_OPTIONS += [[flag, "1"] for flag in [f.flag for f in FIELDS] + ["--config"]
                         if flag not in {argv[0] for argv in _NOT_ACCESS_OPTIONS}]
 
@@ -298,11 +369,14 @@ def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command, tmp_path
       "--write-sigma", "nan"], "noise sigmas must be nonnegative and finite; write_sigma is nan"),
     (["run", "--app", "gamma", "--design", "stochmem", "--dims", "8x8", "--length", "64",
       "--read-sigma", "inf"], "noise sigmas must be nonnegative and finite; read_sigma is inf"),
-    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-dac", "-5"],
+    (["run", "--app", "robert", "--design", "conv-mtj", "--costs",
+      str(COST_FILES / "dac_negative.txt")],
      "access multipliers must be nonnegative and finite; dac is -5.0"),
-    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-adc", "nan"],
+    (["run", "--app", "robert", "--design", "conv-mtj", "--costs",
+      str(COST_FILES / "adc_nan.txt")],
      "access multipliers must be nonnegative and finite; adc is nan"),
-    (["run", "--app", "robert", "--design", "conv-mtj", "--mult-read", "inf"],
+    (["run", "--app", "robert", "--design", "conv-mtj", "--costs",
+      str(COST_FILES / "read_inf.txt")],
      "access multipliers must be nonnegative and finite; read is inf"),
     (["run", "--app", "gamma", "--design", "conv-mtj", "--gamma-exponent", "nan"],
      "gamma_exponent must be nonnegative and finite, got nan"),
@@ -360,8 +434,8 @@ def test_cost_file_with_a_nan_unit_cost_exits_1(tmp_path, capsys):
     assert main(["cost", "--costs", str(costs)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        f"error: {costs}:1: unit.adc_10bit.energy_pJ: unit costs must be nonnegative and "
-        f"finite; energy_pJ is nan\n")
+        f"error: --costs: {costs}:1: unit.adc_10bit.energy_pJ: unit costs must be nonnegative "
+        f"and finite; energy_pJ is nan\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,12 +6,16 @@ ExperimentConfig must have a table row.
 """
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from stochmem import cli
-from stochmem.config import FIELD_BY_KEY, FIELDS, load_cost_config, read_pairs
+from stochmem.config import FIELD_BY_KEY, FIELDS, load_costs, read_pairs
+from stochmem.costs import CostModel
 from stochmem.harness import ExperimentConfig
+
+COST_FILES = Path(__file__).parent / "costs"
 
 # two values per key, both different from the default
 SAMPLES = {
@@ -20,8 +24,8 @@ SAMPLES = {
     "input": ("a.pgm", "b.pgm"),
     "write_sigma": ("0.01", "0.02"), "read_sigma": ("0.03", "0.04"),
     "theta": ("0.2", "0.3"), "delta": ("0.05", "0.15"), "gamma_exponent": ("0.5", "2.2"),
-    "bernstein_degree": ("3", "9"), "mult_adc": ("0.3", "0.4"),
-    "mult_write": ("0.5", "0.6"), "mult_read": ("0.7", "0.8"), "mult_dac": ("0.2", "0.9"),
+    "bernstein_degree": ("3", "9"),
+    "costs": (str(COST_FILES / "dac_once.txt"), str(COST_FILES / "dac_halved.txt")),
     "jobs": ("2", "3"),
 }
 
@@ -42,7 +46,8 @@ def _get(cfg, attr: str):
 def _leaves(obj, prefix=""):
     for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
+        # a cost model is one value, read from one cost file
+        if dataclasses.is_dataclass(value) and not isinstance(value, CostModel):
             yield from _leaves(value, f"{prefix}{f.name}.")
         else:
             yield prefix + f.name
@@ -113,12 +118,18 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
     ("unit.adc_10bit.write_energy_pJ = 1", r"costs.txt:2: adc_10bit charges no writes; "
                                            r"write_energy_pJ is a field of sram_cell and "
                                            r"analog_cell only"),
+    ("mult.bogus = 1", r"costs.txt:2: unknown access multiplier 'bogus'"),
+    ("mult.dac = -5", r"costs.txt:2: mult.dac: access multipliers must be nonnegative and "
+                      r"finite; dac is -5.0"),
+    ("mult.write = nan", r"costs.txt:2: mult.write: access multipliers .* write is nan"),
+    ("mult.read = 1x", r"costs.txt:2: mult.read: could not convert"),
+    ("mult.dac.x = 1", r"costs.txt:2: unknown key 'mult.dac.x'"),
 ])
 def test_cost_file_value_errors_name_the_line(tmp_path, line, message):
     path = tmp_path / "costs.txt"
     path.write_text(f"# overrides\n{line}\n")
     with pytest.raises(ValueError, match=message):
-        load_cost_config(path)
+        load_costs(path)
 
 
 def test_read_pairs_skips_comments_and_blank_lines(tmp_path):
