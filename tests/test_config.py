@@ -28,6 +28,10 @@ SAMPLES = {
     "costs": (str(COST_FILES / "dac_once.txt"), str(COST_FILES / "dac_halved.txt")),
     "jobs": ("2", "3"),
 }
+# the access multipliers, once the mult_<event> rows, are the mult.<event>
+# keys of a cost file: two values per event, both different from the default
+MULT_SAMPLES = {"adc": ("0.3", "0.6"), "write": ("0.3", "0.6"), "read": ("0.5", "2"),
+                "dac": ("1", "0.9")}
 
 
 def _config(tmp_path, keys: dict[str, str], argv: list[str]) -> ExperimentConfig:
@@ -53,9 +57,17 @@ def _leaves(obj, prefix=""):
             yield prefix + f.name
 
 
-@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.key)
-def test_file_key_and_flag_give_the_same_config(field, tmp_path):
+@pytest.mark.parametrize(
+    "field,event",
+    [pytest.param(f, None, id=f.key) for f in FIELDS]
+    + [pytest.param(FIELD_BY_KEY["costs"], e, id=f"mult_{e}") for e in MULT_SAMPLES])
+def test_file_key_and_flag_give_the_same_config(field, event, tmp_path):
     a, b = SAMPLES[field.key]
+    if event is not None:
+        paths = [tmp_path / f"{event}_{v}.txt" for v in MULT_SAMPLES[event]]
+        for path, v in zip(paths, MULT_SAMPLES[event]):
+            path.write_text(f"mult.{event} = {v}\n")
+        a, b = map(str, paths)
     from_file = _config(tmp_path, {field.key: a}, [])
     from_flag = _config(tmp_path, {}, [field.flag, a])
     both = _config(tmp_path, {field.key: b}, [field.flag, a])
@@ -63,6 +75,8 @@ def test_file_key_and_flag_give_the_same_config(field, tmp_path):
     assert _get(from_file, field.attr) == field.parse(a)
     assert _get(ExperimentConfig(), field.attr) != field.parse(a)
     assert _get(_config(tmp_path, {field.key: b}, []), field.attr) == field.parse(b)
+    if event is not None:
+        assert getattr(from_file.costs.multipliers, event) == float(MULT_SAMPLES[event][0])
 
 
 def test_every_config_leaf_has_one_row():
