@@ -36,13 +36,19 @@ def unpack_bits(words: np.ndarray, length: int) -> np.ndarray:
 
 
 def pack_bool_matrix(bits: np.ndarray) -> np.ndarray:
-    """Pack an (n, length) boolean matrix into (n, words) uint64 rows."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    if packed.shape[1] % 8 == 0:
-        return packed.view("<u8")
-    out = np.zeros((packed.shape[0], words_for(bits.shape[1])), dtype="<u8")
-    out.view(np.uint8)[:, :packed.shape[1]] = packed
-    return out
+    """Pack an (n, length) boolean matrix into (n, words) uint64 rows.
+
+    Rows of whole words end on word boundaries, so one flat packbits over the
+    matrix packs every row; narrower rows are first copied into zero-padded
+    ones.
+    """
+    n, length = bits.shape
+    words = words_for(length)
+    if length % _WORD_BITS:
+        padded = np.zeros((n, words * _WORD_BITS), dtype=bool)
+        padded[:, :length] = bits
+        bits = padded
+    return np.packbits(bits, axis=None, bitorder="little").view("<u8").reshape(n, words)
 
 
 def popcount_rows(words: np.ndarray) -> np.ndarray:

@@ -25,16 +25,19 @@ group (circuits.stream_plan), so results are bit-identical for any worker
 partition.
 
 A run is cut once, into blocks of contiguous row-major pixels (a block may
-start and end mid-row) holding at most _BLOCK_CELLS pixels x length stream
-cells, so memory per block is bounded for any image shape; only a single
-pixel whose length alone exceeds the budget forms a larger block.  The blocks
-are the tasks _map hands to the workers (_map is the one place that starts
-worker processes, for every run grid: a run's blocks, a sweep, a noise-fit
-grid).  Each task carries only its block's operand columns; the stream
-plan and the comparator table are built once per run.  The worker count is
-jobs capped at the CPU count (_workers); with several workers the block
-count is a multiple of it, so a small image still spreads over every
-worker.  Within a block every stream is generated packed, as (pixels,
+start and end mid-row) of at most _BLOCK_CELLS cells.  A pixel costs, per
+source, the 64 * words_for(length) cells of its packed stream words plus
+_VALUE_CELLS for the fixed 64-bit values it holds beside them, so memory per
+block is bounded for any image shape and any length from 1 to 2^24: short
+streams give more pixels per block, but never more than the values they
+hold allow.  Only a single pixel whose stream alone exceeds the budget forms
+a larger block.  The blocks are the tasks _map hands to the workers (_map is
+the one place that starts worker processes, for every run grid: a run's
+blocks, a sweep, a noise-fit grid).  Each task carries only its block's
+operand columns; the stream plan and the comparator table are built once per
+run.  The worker count is jobs capped at the CPU count (_workers); with
+several workers the block count is a multiple of it, so a small image still
+spreads over every worker.  Within a block every stream is generated packed, as (pixels,
 words_for(length)) uint64 rows in the bitstream layout, and stays packed
 through the circuit; bits past the length are always zero, so
 popcounts and XOR distances need no masking.  The ASC designs compare
@@ -79,9 +82,16 @@ DEFAULT_NOISE_SIGMA = 0.00625
 PAPER_LENGTHS = (128, 256, 512, 1024)
 DEFAULT_SEEDS = 20
 
-# stream cells (pixels x length) per pixel block; only a one-pixel block may
-# exceed it, when the length alone does
+# cells per pixel block, counted per source: a pixel costs one cell per bit of
+# its packed stream words, 64 * words_for(length), plus _VALUE_CELLS for the
+# 64-bit values it holds beside them.  Those are its level (an ADC code or a
+# probability), its threshold or conv-mtj's requantized level, its group's
+# generator states and, on stochmem, the noise states and Box-Muller draws of
+# its operand slot; four values bound them (tracemalloc of one kde block at
+# L=1, 33 sources: 3.4 values a source and pixel, the stream word included).
+# Only a one-pixel block may exceed the budget, when its stream alone does
 _BLOCK_CELLS = 2_000_000
+_VALUE_CELLS = 4 * 64
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
 # output stay in cache; long streams are tiled along the length too.  Tiles run
 # with numpy's ufunc buffer set to one tile row (rounded down to a multiple of
@@ -188,10 +198,10 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
 
 def _block_slices(n_pixels: int, length: int, jobs: int):
     """Contiguous (lo, hi) pixel ranges covering 0..n_pixels whose sizes differ
-    by at most one; a block of more than one pixel holds at most
-    _BLOCK_CELLS stream cells (pixels x length).  The block count is a
-    multiple of jobs unless it is n_pixels."""
-    per_block = max(1, _BLOCK_CELLS // length)
+    by at most one; a block of more than one pixel costs at most _BLOCK_CELLS
+    cells, at 64 * words_for(length) + _VALUE_CELLS per pixel.  The block
+    count is a multiple of jobs unless it is n_pixels."""
+    per_block = max(1, _BLOCK_CELLS // (64 * words_for(length) + _VALUE_CELLS))
     n_blocks = min(n_pixels, jobs * -(-n_pixels // (per_block * jobs)))
     bounds = [k * n_pixels // n_blocks for k in range(n_blocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -233,7 +243,9 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     exceeds _TILE_CELLS, one pixel's columns c0..c0+cols with cols a multiple
     of 64, drawn from states + c0 * GOLDEN (draw j of state s is
     mix64(s + (j + 1) * GOLDEN)).  The draw, mixer and compare buffers are
-    allocated once and reused by every tile and group.  Rows of at least
+    allocated once and reused by every tile and group.  The compare buffer's
+    rows are padded with zeros to whole words, so pack_bool_matrix packs a
+    tile in one flat pass.  Rows of at least
     _UNBUFFERED_MIN_ROW draws run with numpy's ufunc buffer set to the row
     length; the outputs do not depend on it.
     """
@@ -245,7 +257,8 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     rows = min(n, max(1, _TILE_CELLS // cols))
     draws = np.empty((rows, cols), dtype=np.uint64)
     tmp = np.empty_like(draws)
-    bits = np.empty(draws.shape, dtype=bool)
+    # the pad columns start zero: the compares write only the first w of a row
+    bits = np.zeros((rows, 64 * words_for(cols)), dtype=bool)
     # errstate scopes the buffer size, so it is restored however the loop ends
     with np.errstate():
         if cols >= _UNBUFFERED_MIN_ROW:
@@ -261,9 +274,14 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
                     tile = uniform_block_from_states(states[lo:lo + m] + offset, w,
                                                      into=draws[:m, :w], tmp=tmp[:m, :w])
                     words = slice(c0 // 64, c0 // 64 + words_for(w))
+                    padded = bits[:m, :64 * words_for(w)]
+                    if w < cols:
+                        # the last chunk of a split length: the full-width
+                        # chunks before it left their bits in its pad columns
+                        padded[:, w:] = False
                     for s in members:
-                        np.less(tile, thresholds[s][lo:lo + m], out=bits[:m, :w])
-                        streams[s, lo:lo + m, words] = pack_bool_matrix(bits[:m, :w])
+                        np.less(tile, thresholds[s][lo:lo + m], out=padded[:, :w])
+                        streams[s, lo:lo + m, words] = pack_bool_matrix(padded)
     # p >= 1 has no strict-compare threshold
     ones = np.full(words_for(length), ~np.uint64(0))
     ones[-1] = tail_mask(length)
@@ -329,7 +347,7 @@ def _evaluate_block(task: tuple) -> np.ndarray:
     conv-lfsr, else None."""
     cfg, plan, table, width, lo, hi, operands = task
     length = cfg.length
-    ys, xs = np.divmod(np.arange(lo, hi), width)
+    ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
 
     levels = _stream_levels(cfg, plan, operands, xs, ys)
     if cfg.design is SystemDesign.CONV_LFSR:

@@ -55,9 +55,11 @@ def derive_state(global_seed: int, x: int = 0, y: int = 0, stream_id: int = 0) -
 
 
 def derive_state_grid(global_seed: int, xs: np.ndarray, ys: np.ndarray, stream_id: int) -> np.ndarray:
-    """Vectorized derive_state over pixel coordinate arrays."""
+    """Vectorized derive_state over pixel coordinate arrays; uint64 ones are
+    read in place, others are converted."""
     h = np.full(xs.shape, global_seed & _MASK, dtype=np.uint64)
-    for f in (xs.astype(np.uint64), ys.astype(np.uint64), np.uint64(stream_id)):
+    for f in (xs.astype(np.uint64, copy=False), ys.astype(np.uint64, copy=False),
+              np.uint64(stream_id)):
         h += np.uint64(GOLDEN)
         h += f
         _mix64_inplace(h)

@@ -74,12 +74,13 @@ def test_outputs_do_not_depend_on_worker_count():
 
 @pytest.mark.parametrize("length", (63, 300))
 def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length):
-    # blocks of 8-9 (L=63) or 1-2 (L=300) pixels that split the 7-pixel rows, and
-    # one-pixel tiles that split the length axis into 64-bit chunks at L=300
+    # blocks of 8-9 (L=63, 64 + 256 cells a pixel) or 5 (L=300, 5 * 64 + 256)
+    # pixels that split the 7-pixel rows, and one-pixel tiles that split the
+    # length axis into 64-bit chunks at L=300
     monkeypatch.setattr(harness, "_TILE_CELLS", 100)
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
     blocks = harness._block_slices(35, length, 1)
-    assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {1, 2})
+    assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {5})
     assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
     widths = set()
     draw = harness.uniform_block_from_states

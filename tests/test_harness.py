@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
 from stochmem import harness, rng
-from stochmem.bitstream import MAX_LENGTH
+from stochmem.bitstream import MAX_LENGTH, words_for
 from stochmem.circuits import (KDE_HISTORY, WIRING, AppKind, AppParams, fit_bernstein,
                                gamma_eval, golden_eval, stream_plan)
 from stochmem.converters import (adc_quantize, asc_generate, dac_dequantize, dsc_generate,
@@ -267,19 +267,32 @@ def test_synthetic_frames_are_made_once_per_input_kind():
 @given(n_pixels=st.integers(1, 5000), length=st.integers(1, MAX_LENGTH),
        budget=st.integers(1, 4_000_000), jobs=st.integers(1, 8))
 def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budget, jobs):
+    # a pixel costs its stream bits in whole words plus the values held beside them
+    pixel_cells = 64 * words_for(length) + harness._VALUE_CELLS
     with mock.patch.object(harness, "_BLOCK_CELLS", budget):
         blocks = harness._block_slices(n_pixels, length, jobs)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_pixels
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    assert all(size * length <= budget for size in sizes if size > 1)
+    assert all(size * pixel_cells <= budget for size in sizes if size > 1)
     # every worker gets a block, and the workers get equal shares of them
     assert len(blocks) >= min(jobs, n_pixels)
     assert len(blocks) % jobs == 0 or len(blocks) == n_pixels
     if jobs == 1:
         # the fewest blocks the budget allows
-        assert len(blocks) == -(-n_pixels // max(1, budget // length))
+        assert len(blocks) == -(-n_pixels // max(1, budget // pixel_cells))
+
+
+@pytest.mark.parametrize("n_pixels,length,sizes", [
+    (160 * 160, 32, [5120] * 5),        # short streams: 320 cells a pixel
+    (160 * 160, 1, [5120] * 5),         # a length of 1 still fills a whole word
+    (512, 8192, [170, 171, 171]),       # long streams: 8448 cells a pixel
+    (32 * 32, 1024, [1024]),
+    (1, MAX_LENGTH, [1]),               # one pixel over the budget
+])
+def test_block_sizes_at_the_default_budget(n_pixels, length, sizes):
+    assert [hi - lo for lo, hi in harness._block_slices(n_pixels, length, 1)] == sizes
 
 
 def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
@@ -355,19 +368,36 @@ def test_no_pool_asks_for_more_workers_than_cpus(monkeypatch, entry):
     assert asked == [3]
 
 
+def _peak_bytes(cfg: ExperimentConfig) -> int:
+    """tracemalloc peak of one run whose synthetic inputs are already made."""
+    resolve_inputs(cfg)
+    tracemalloc.start()
+    try:
+        run_experiment(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_long_streams_keep_block_memory_bounded():
     # 64 pixels at L=262144 hold 8.4x the block budget; as one block (the whole
     # row) the run allocated 77.7 MB
     cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=1 << 18,
                            dims=(64, 1))
-    resolve_inputs(cfg)
-    tracemalloc.start()
-    try:
-        run_experiment(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 25e6
+    assert _peak_bytes(cfg) < 25e6
+
+
+@pytest.mark.parametrize("length", (1, 32))
+@pytest.mark.parametrize("design", (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM),
+                         ids=lambda d: d.value)
+def test_short_streams_keep_block_memory_bounded(design, length):
+    # kde's 33 operand planes at 200x200 take 10.6 MB.  A block of at most 6,250
+    # pixels (2M cells at 64 + 256 a pixel) holds 33 sources x 320 bits = 1.3 kB
+    # a pixel, 8.3 MB, and the stream tile buffers 1.1 MB: 20 MB in all.
+    # Counting only L cells a pixel put all 40,000 pixels in one block, which
+    # peaked at 44.9-45.3 MB
+    cfg = ExperimentConfig(app=AppKind.KDE, design=design, length=length, dims=(200, 200))
+    assert _peak_bytes(cfg) < 25e6
 
 
 # ---------------------------------------------------------------------------
