@@ -2,8 +2,8 @@
 
 from .circuits import AppKind, AppParams, BernsteinPoly, fit_bernstein, gamma_eval, golden_eval
 from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate, requantize
-from .costs import (AccessMultipliers, AppProfile, CostModel, CostReport, SystemDesign, UnitCost,
-                    area_report, energy_report, share_breakdown)
+from .costs import (AccessMultipliers, AppProfile, CellCost, CostModel, CostReport, SystemDesign,
+                    UnitCost, area_report, energy_report, share_breakdown)
 from .calibrate import calibrate_access, calibrate_noise
 from .harness import ExperimentConfig, ExperimentReport, run_experiment, sweep
 from .images import ImageGray, error_metric, load_pgm, save_pgm

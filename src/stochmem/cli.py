@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .calibrate import GAP_TOL_PP, NOISE_FIT_SEEDS, calibrate_access, calibrate_noise
 from .circuits import WIRING, AppKind, fit_bernstein
 from .config import FIELD_BY_KEY, FIELDS, parse_at, read_values, resolve_config
-from .costs import SystemDesign, area_report, energy_report, share_breakdown
+from .costs import GROUPS, SystemDesign, area_report, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
                       distinct, report_csv_row, run_experiment, sweep)
 from .images import save_pgm
@@ -109,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--target-gap", type=float, default=0.19,
                        help="accuracy gap target in percentage points")
     p_cal.add_argument("--tol", type=float, default=GAP_TOL_PP, help="gap tolerance")
-    p_cal.add_argument("--runs", type=int, default=NOISE_FIT_SEEDS,
-                       help="seeds per evaluation")
+    p_cal.add_argument("--seeds", type=int, default=NOISE_FIT_SEEDS,
+                       help="runs per evaluation (seed = base + index)")
 
     add("calibrate-access", "fit the access multipliers to the energy reductions")
     return ap
@@ -146,7 +147,7 @@ def _print_report(report, value_name: str) -> None:
         print(f"{unit}\t{group}\t{value:g}")
     shares = share_breakdown(report)
     print(f"total\t\t{report.total:g}")
-    print("shares\t" + "\t".join(f"{g}={shares[g]:.3f}" for g in ("input_layer", "conversion", "logic")))
+    print("shares\t" + "\t".join(f"{g}={shares[g]:.3f}" for g in GROUPS))
 
 
 def _cmd_cost(args) -> int:
@@ -197,7 +198,7 @@ def _cmd_gen_inputs(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     noise, gap = calibrate_noise(args.target_gap, _config_from_args(args), tol_pp=args.tol,
-                                 n_seeds=args.runs)
+                                 n_seeds=args.seeds)
     print(f"sigma\t{noise.write_sigma:.6f}")
     print(f"achieved_gap_pp\t{gap:.4f}")
     return 0
@@ -206,7 +207,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_calibrate_access(args) -> int:
     mult, red_ml, red_sm = calibrate_access()
     print("multiplier\tvalue")
-    for k, v in mult.as_dict().items():
+    for k, v in asdict(mult).items():
         print(f"{k}\t{v:g}")
     print(f"mtj_vs_lfsr_reduction_percent\t{red_ml:.2f}")
     print(f"stochmem_vs_mtj_reduction_percent\t{red_sm:.2f}")

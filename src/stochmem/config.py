@@ -4,8 +4,9 @@ FIELDS is the one table of ExperimentConfig fields; a row gives the file key
 and the parse function both sources use, and the key spells the flag.  A run
 config is built from the ExperimentConfig defaults, then the keys of the
 --config file, then the flags given; each step overrides the one before, and
-ExperimentConfig checks the result; the costs value is a cost file, which
-load_costs reads.  read_pairs reads every file: one key = value per line, each
+ExperimentConfig checks the result.  The costs value is a cost file, which
+load_costs reads against the cost records' own dataclass fields and types;
+_with sets both.  read_pairs reads every file: one key = value per line, each
 key at most once, '#' starts a comment, and errors name path:line.  What each
 app reads, and how its streams are wired, is circuits.WIRING, not config.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .circuits import AppKind
 from .costs import CostModel, SystemDesign
@@ -32,52 +34,33 @@ def parse_dims(spec: str) -> tuple[int, int]:
     return w, h
 
 
-_UNIT_FIELDS = {"area_um2": float, "energy_pJ": float, "write_energy_pJ": float}
-# the memory cells, the only units whose writes costs._units charges
-_WRITE_UNITS = ("sram_cell", "analog_cell")
-_PROFILE_FIELDS = {"n_streams": int, "n_lfsr": int, "mem_area_digital_um2": float,
-                   "mem_area_analog_um2": float}
-
-
 def load_costs(path) -> CostModel:
     """The default CostModel with the overrides of a cost file: unit costs
     (``unit.<name>.<field>``), profiles (``profile.<app>.<field>``) and access
-    multipliers (``mult.<event>``).  The fields are the keys of _UNIT_FIELDS
-    (write_energy_pJ only on _WRITE_UNITS) and _PROFILE_FIELDS, the events
-    those of AccessMultipliers; unlisted values keep their defaults."""
-    default = CostModel()
-    units, profiles, multipliers = dict(default.units), dict(default.profiles), default.multipliers
+    multipliers (``mult.<event>``).  A key names one record of the model and
+    one of that record's dataclass fields, and its value is parsed as the
+    field's declared type; unlisted values keep their defaults."""
+    model = CostModel()
     for where, key, value in read_pairs(path):
-        parts = key.split(".")
-        if (parts[0], len(parts)) not in (("unit", 3), ("profile", 3), ("mult", 2)):
-            raise ValueError(f"{where}: unknown key {key!r}")
-        if parts[0] == "mult":
-            event = parts[1]
-            if event not in multipliers.as_dict():
-                raise ValueError(f"{where}: unknown access multiplier {event!r}")
-            multipliers = parse_at(lambda v: replace(multipliers, **{event: float(v)}),
-                                   value, f"{where}: {key}")
-            continue
-        kind, name, fld = parts
-        if kind == "unit":
-            if name not in units:
-                raise ValueError(f"{where}: unknown unit {name!r}")
-            if fld not in _UNIT_FIELDS:
-                raise ValueError(f"{where}: unknown unit field {fld!r}")
-            if fld == "write_energy_pJ" and name not in _WRITE_UNITS:
-                raise ValueError(f"{where}: {name} charges no writes; write_energy_pJ is a "
-                                 f"field of {' and '.join(_WRITE_UNITS)} only")
-            units[name] = parse_at(
-                lambda v: replace(units[name], **{fld: _UNIT_FIELDS[fld](v)}),
-                value, f"{where}: {key}")
+        *head, name = key.split(".")
+        if head == ["mult"]:
+            what, at, record = "access multiplier", ("multipliers",), model.multipliers
+        elif len(head) == 2 and head[0] == "unit":
+            if head[1] not in model.units:
+                raise ValueError(f"{where}: unknown unit {head[1]!r}")
+            what, at, record = "unit field", ("units", head[1]), model.units[head[1]]
+        elif len(head) == 2 and head[0] == "profile":
+            app = parse_at(AppKind.from_name, head[1], where)
+            what, at, record = "profile field", ("profiles", app), model.profiles[app]
         else:
-            app = parse_at(AppKind.from_name, name, where)
-            if fld not in _PROFILE_FIELDS:
-                raise ValueError(f"{where}: unknown profile field {fld!r}")
-            profiles[app] = parse_at(
-                lambda v: replace(profiles[app], **{fld: _PROFILE_FIELDS[fld](v)}),
-                value, f"{where}: {key}")
-    return CostModel(units, profiles, multipliers)
+            raise ValueError(f"{where}: unknown key {key!r}")
+        types = get_type_hints(type(record))
+        if name not in types:
+            raise ValueError(f"{where}: unknown {what} {name!r}; {'.'.join(head)} has "
+                             f"fields {', '.join(types)}")
+        model = parse_at(lambda v: _with(model, (*at, name), types[name](v)), value,
+                         f"{where}: {key}")
+    return model
 
 
 @dataclass(frozen=True)
@@ -150,15 +133,19 @@ def read_values(path, reader: str = "run", keys=FIELD_BY_KEY) -> dict[str, objec
     return values
 
 
-def _with(obj, attr: str, value):
-    """obj with the dotted attribute attr set to value."""
-    head, _, rest = attr.partition(".")
-    return replace(obj, **{head: _with(getattr(obj, head), rest, value) if rest else value})
+def _with(obj, path, value):
+    """obj with the value at path set; each step is an attribute or a dict key."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, dict):
+        return {**obj, head: _with(obj[head], rest, value)}
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value)})
 
 
 def resolve_config(values: dict[str, object]) -> ExperimentConfig:
     """The defaults with ``values`` (parsed, by key) set."""
     cfg = ExperimentConfig()
     for key, value in values.items():
-        cfg = _with(cfg, FIELD_BY_KEY[key].attr, value)
+        cfg = _with(cfg, FIELD_BY_KEY[key].attr.split("."), value)
     return cfg

@@ -3,18 +3,20 @@
 Unit constants are 45 nm synthesis/measurement numbers treated as data:
 stochastic-rate units (LFSR, comparator, ASC, app logic)
 burn energy per cycle at 1 GHz, ADC/DAC per conversion, and memory cells
-per access (the analog cell with distinct read/write energies).  _units is
-the one inventory of each design's units and how each is charged under a
-CostModel (unit costs, app profiles, access multipliers); area_report and
-energy_report are its two columns.  Reports group the units into input layer
-(memory + ADC), conversion (DSC, DAC + ASC, or ASC), and stochastic logic.
+per access (a CellCost prices a read and a write separately).  Each record's
+dataclass fields are its whole schema: the value checks and config.load_costs
+read them, and nothing restates them.  _units is the one inventory of each
+design's units and how each is charged under a CostModel (unit costs, app
+profiles, access multipliers); area_report and energy_report are its two
+columns.  Reports group the units into input layer (memory + ADC), conversion
+(DSC, DAC + ASC, or ASC), and stochastic logic.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .circuits import AppKind
 
@@ -29,25 +31,25 @@ def _check_nonnegative_finite(what: str, **values: float) -> None:
 class UnitCost:
     area_um2: float
     energy_pJ: float      # per cycle, per conversion, or per read
-    # per-access units may charge writes differently from reads
-    write_energy_pJ: float | None = None
 
     def __post_init__(self):
-        _check_nonnegative_finite("unit costs", area_um2=self.area_um2, energy_pJ=self.energy_pJ,
-                                  write_energy_pJ=self.write_pJ)
+        _check_nonnegative_finite("unit costs", **asdict(self))
 
-    @property
-    def write_pJ(self) -> float:
-        return self.energy_pJ if self.write_energy_pJ is None else self.write_energy_pJ
+
+@dataclass(frozen=True)
+class CellCost(UnitCost):
+    """A memory cell: energy_pJ is charged per read, write_energy_pJ per write."""
+
+    write_energy_pJ: float
 
 
 DEFAULT_UNIT_COSTS: dict[str, UnitCost] = {
     "adc_10bit": UnitCost(50_000.0, 20.0),
-    "sram_cell": UnitCost(0.35, 10.0),
+    "sram_cell": CellCost(0.35, 10.0, 10.0),
     "lfsr_10bit": UnitCost(194.0, 0.355),
     "comparator_10bit": UnitCost(96.0, 0.041),
     "dac_8bit": UnitCost(16_000.0, 64.0),
-    "analog_cell": UnitCost(58.7, 10.0, write_energy_pJ=100.0),
+    "analog_cell": CellCost(58.7, 10.0, 100.0),
     "asc": UnitCost(15.0, 0.030),
     "logic_robert": UnitCost(339.0, 0.440),
     "logic_median": UnitCost(5382.0, 4.090),
@@ -74,7 +76,6 @@ class SystemDesign(enum.Enum):
 
 @dataclass(frozen=True)
 class AppProfile:
-    app: AppKind
     # stochastic input streams: comparators on conv-lfsr, ASCs otherwise; also
     # the operand count of a run's energy_default
     n_streams: int
@@ -83,24 +84,16 @@ class AppProfile:
     mem_area_analog_um2: float
 
     def __post_init__(self):
-        _check_nonnegative_finite(
-            "profile counts and areas", n_streams=self.n_streams, n_lfsr=self.n_lfsr,
-            mem_area_digital_um2=self.mem_area_digital_um2,
-            mem_area_analog_um2=self.mem_area_analog_um2)
+        _check_nonnegative_finite("profile counts and areas", **asdict(self))
 
 
-_PROFILE_TABLE: dict[AppKind, AppProfile] = {p.app: p for p in (
-    AppProfile(app=AppKind.ROBERT, n_streams=5, n_lfsr=5,
-               mem_area_digital_um2=21.0, mem_area_analog_um2=183.0),
-    AppProfile(app=AppKind.MEDIAN, n_streams=10, n_lfsr=10,
-               mem_area_digital_um2=38.0, mem_area_analog_um2=336.0),
-    AppProfile(app=AppKind.FRAME, n_streams=4, n_lfsr=2,
-               mem_area_digital_um2=17.0, mem_area_analog_um2=153.0),
-    AppProfile(app=AppKind.GAMMA, n_streams=8, n_lfsr=2,
-               mem_area_digital_um2=35.0, mem_area_analog_um2=306.0),
-    AppProfile(app=AppKind.KDE, n_streams=42, n_lfsr=11,
-               mem_area_digital_um2=122.0, mem_area_analog_um2=1071.0),
-)}
+_PROFILE_TABLE: dict[AppKind, AppProfile] = {
+    AppKind.ROBERT: AppProfile(5, 5, 21.0, 183.0),
+    AppKind.MEDIAN: AppProfile(10, 10, 38.0, 336.0),
+    AppKind.FRAME: AppProfile(4, 2, 17.0, 153.0),
+    AppKind.GAMMA: AppProfile(8, 2, 35.0, 306.0),
+    AppKind.KDE: AppProfile(42, 11, 122.0, 1071.0),
+}
 
 
 @dataclass(frozen=True)
@@ -120,10 +113,7 @@ class AccessMultipliers:
     dac: float = 0.45
 
     def __post_init__(self):
-        _check_nonnegative_finite("access multipliers", **self.as_dict())
-
-    def as_dict(self) -> dict[str, float]:
-        return {"adc": self.adc, "write": self.write, "read": self.read, "dac": self.dac}
+        _check_nonnegative_finite("access multipliers", **asdict(self))
 
 
 @dataclass(frozen=True)
@@ -177,7 +167,7 @@ def _units(design: SystemDesign, app: AppKind, model: CostModel, length: int = 0
     cell = c["sram_cell" if conv else "analog_cell"]
     units = [("memory", GROUP_INPUT,
               profile.mem_area_digital_um2 if conv else profile.mem_area_analog_um2,
-              cell.energy_pJ * (n * m.read) + cell.write_pJ * (n * m.write))]
+              cell.energy_pJ * (n * m.read) + cell.write_energy_pJ * (n * m.write))]
     if conv:
         adc = c["adc_10bit"]
         units.append(("adc", GROUP_INPUT, adc.area_um2, adc.energy_pJ * (n * m.adc)))

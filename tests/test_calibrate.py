@@ -5,7 +5,7 @@ import contextlib
 import itertools
 import re
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from unittest import mock
 
 import numpy as np
@@ -160,4 +160,4 @@ def test_access_fit_equals_the_per_point_search_it_replaces():
     for targets in ((45.7, 11.1), (30.0, 2.5), (55.5, 15.0), (62.0, 0.0), (20.0, 25.0)):
         best = min(points, key=lambda p: abs(p[1] - targets[0]) + abs(p[2] - targets[1]))
         mult, red_ml, red_sm = calibrate.calibrate_access(*targets)
-        assert (tuple(mult.as_dict().values()), red_ml, red_sm) == best
+        assert (astuple(mult), red_ml, red_sm) == best

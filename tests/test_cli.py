@@ -133,7 +133,7 @@ def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, lin
     cfg.write_text(f"dims = 6x5\n{line}\n")
     csv = tmp_path / "sweep.csv"
     argv = {"sweep": ["sweep", "--lengths", "8", "--seeds", "1", "--out", str(csv)],
-            "calibrate": ["calibrate", "--runs", "1"]}[command]
+            "calibrate": ["calibrate", "--seeds", "1"]}[command]
     with mock.patch("stochmem.harness.run_experiment", side_effect=AssertionError("ran")):
         assert main(argv + ["--config", str(cfg)]) == 1
     key = line.split(" =")[0]
@@ -146,7 +146,7 @@ def test_config_keys_a_command_sets_itself_exit_1(tmp_path, capsys, command, lin
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--runs", "0"], "n_seeds must be at least 1, got 0"),
+    (["--seeds", "0"], "n_seeds must be at least 1, got 0"),
     (["--tol", "-0.05"], "tolerance must be nonnegative"),
 ])
 def test_calibrate_noise_with_nothing_to_measure_exits_1(capsys, flags, message):
@@ -198,7 +198,7 @@ def test_a_cost_file_prices_what_the_multiplier_flags_priced(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line,message", [
-    ("mult.bogus = 1", "unknown access multiplier 'bogus'"),
+    ("mult.bogus = 1", "unknown access multiplier 'bogus'; mult has fields adc, write, read, dac"),
     ("mult.dac = -5", "mult.dac: access multipliers must be nonnegative and finite; dac is -5.0"),
     ("mult.dac = nan", "mult.dac: access multipliers must be nonnegative and finite; dac is nan"),
 ], ids=("bogus", "negative", "nan"))
@@ -262,6 +262,14 @@ def test_gen_inputs_writes_the_inputs_of_an_input_seed(tmp_path):
     assert scene != (tmp_path / "default" / "scene.pgm").read_bytes()
 
 
+def test_calibrate_takes_its_run_count_as_seeds_only(capsys):
+    # --seeds names the runs per configuration, as it does for sweep
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--runs", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("unrecognized arguments: --runs 1\n")
+
+
 def test_the_removed_free_run_knob_fails_loudly(tmp_path, capsys):
     base = ["run", "--app", "robert", "--design", "conv-lfsr", "--length", "8"] + TINY
     cfg = tmp_path / "run.cfg"
@@ -285,7 +293,7 @@ def test_calibrate_access_reproduces_paper_reductions(capsys):
 def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"length = 5\ncosts = {SAMPLES['costs'][0]}\n")
-    options = ["--config", str(cfg), "--costs", SAMPLES["costs"][0], "--runs", "0", "--tol", "-1"]
+    options = ["--config", str(cfg), "--costs", SAMPLES["costs"][0], "--seeds", "0", "--tol", "-1"]
     with pytest.raises(SystemExit) as exc:
         main(["calibrate-access"] + options)
     assert exc.value.code == 2
@@ -296,7 +304,7 @@ def test_calibrate_access_rejects_the_run_options_it_ignores(tmp_path, capsys):
 
 # every run flag, --config, and the other commands' own options
 _NOT_ACCESS_OPTIONS = [["--costs", SAMPLES["costs"][0]], ["--seed", "2"], ["--dims", "6x5"],
-                       ["--target-gap", "0.19"], ["--tol", "0.05"], ["--runs", "5"],
+                       ["--target-gap", "0.19"], ["--tol", "0.05"], ["--seeds", "5"],
                        ["--apps", "all"], ["--designs", "all"], ["--lengths", "8"],
                        ["--seeds", "1"], ["--out", "unused"]]
 _NOT_ACCESS_OPTIONS += [[flag, "1"] for flag in [f.flag for f in FIELDS] + ["--config"]

@@ -129,9 +129,8 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
                                               r"profile counts .* mem_area_analog_um2 is nan"),
     ("unit.asc = 1", r"costs.txt:2: unknown key 'unit.asc'"),
     ("profile.kde.bogus = 1", r"costs.txt:2: unknown profile field 'bogus'"),
-    ("unit.adc_10bit.write_energy_pJ = 1", r"costs.txt:2: adc_10bit charges no writes; "
-                                           r"write_energy_pJ is a field of sram_cell and "
-                                           r"analog_cell only"),
+    ("unit.adc_10bit.write_energy_pJ = 1", r"costs.txt:2: unknown unit field 'write_energy_pJ'; "
+                                           r"unit.adc_10bit has fields area_um2, energy_pJ$"),
     ("mult.bogus = 1", r"costs.txt:2: unknown access multiplier 'bogus'"),
     ("mult.dac = -5", r"costs.txt:2: mult.dac: access multipliers must be nonnegative and "
                       r"finite; dac is -5.0"),

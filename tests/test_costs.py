@@ -1,12 +1,14 @@
-from dataclasses import replace
+from collections import Counter
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stochmem.circuits import AppKind
+from stochmem.circuits import WIRING, AppKind
+from stochmem.cli import main
 from stochmem.config import load_costs
-from stochmem.costs import (AccessMultipliers, CostModel, SystemDesign, UnitCost,
+from stochmem.costs import (AccessMultipliers, CellCost, CostModel, SystemDesign, UnitCost,
                             aggregate_reduction, area_report, average_shares, energy_report,
                             share_breakdown)
 from stochmem.harness import ExperimentConfig, run_experiment
@@ -224,7 +226,7 @@ def test_cost_config_overrides(tmp_path):
     model = load_costs(cfg)
     assert model.units["adc_10bit"].area_um2 == 40000
     assert model.units["adc_10bit"].energy_pJ == 20  # untouched fields keep defaults
-    assert model.units["analog_cell"].write_pJ == 90
+    assert model.units["analog_cell"].write_energy_pJ == 90
     assert model.profiles[AppKind.ROBERT].n_streams == 6
     assert model.multipliers == AccessMultipliers(read=0.5)
     report = area_report(SystemDesign.CONV_LFSR, AppKind.ROBERT, model)
@@ -273,5 +275,76 @@ def test_unit_cost_validation():
 def test_access_multipliers_must_be_nonnegative_and_finite(field, value):
     with pytest.raises(ValueError, match=f"access multipliers .*; {field} is {value}"):
         AccessMultipliers(**{field: value})
-    assert AccessMultipliers(0, 0, 0, 0).as_dict() == dict.fromkeys(("adc", "write", "read",
-                                                                     "dac"), 0)
+    assert asdict(AccessMultipliers(0, 0, 0, 0)) == dict.fromkeys(
+        ("adc", "write", "read", "dac"), 0)
+
+
+def _priced_values(model: CostModel) -> dict[str, object]:
+    """Every value of model by its cost-file key, read from each record's fields."""
+    values = {f"mult.{k}": v for k, v in asdict(model.multipliers).items()}
+    for name, unit in model.units.items():
+        values.update({f"unit.{name}.{k}": v for k, v in asdict(unit).items()})
+    for app, profile in model.profiles.items():
+        values.update({f"profile.{app.value}.{k}": v for k, v in asdict(profile).items()})
+    return values
+
+
+def test_cost_file_keys_are_the_declared_fields(tmp_path):
+    default = _priced_values(CostModel())
+    assert len(default) == 50
+    assert Counter(key.split(".")[0] for key in default) == {"unit": 26, "profile": 20, "mult": 4}
+    path = tmp_path / "costs.txt"
+    for key, value in default.items():
+        # value + 1 keeps the field's type, and repr tells an int count from a float
+        path.write_text(f"{key} = {value + 1}\n")
+        got = _priced_values(load_costs(path))
+        assert {k: repr(v) for k, v in got.items()} == {
+            k: repr(v) for k, v in {**default, key: value + 1}.items()}, key
+
+
+def test_a_cell_read_energy_leaves_its_write_energy(tmp_path, capsys):
+    # a cell's read and write energies are separate keys: frame stores 2 operands
+    # on conv-mtj, each read once and written 0.15 times, so 2 * (20 + 10 * 0.15)
+    path = tmp_path / "costs.txt"
+    path.write_text("unit.sram_cell.energy_pJ = 20\n")
+    assert load_costs(path).units["sram_cell"] == CellCost(0.35, 20.0, 10.0)
+    assert main(["cost", "--apps", "frame", "--designs", "conv-mtj", "--costs", str(path)]) == 0
+    assert "\nmemory\tinput_layer\t43\n" in capsys.readouterr().out
+
+
+def _scaled(tmp_path, names, k: float) -> CostModel:
+    """The default model with every value of the fields ``names`` times k, read
+    from a cost file."""
+    path = tmp_path / "scaled.txt"
+    path.write_text("".join(f"{key} = {value * k!r}\n" for key, value
+                            in _priced_values(CostModel()).items()
+                            if key.rsplit(".", 1)[1] in names))
+    return load_costs(path)
+
+
+def _cuts(reports) -> tuple[float, ...]:
+    """The mtj-vs-lfsr and stochmem-vs-mtj cuts of per-design report lists."""
+    lfsr, mtj, stoch = (reports[d] for d in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ,
+                                             SystemDesign.STOCHMEM))
+    return aggregate_reduction(mtj, lfsr), aggregate_reduction(stoch, mtj)
+
+
+# Basis: each unit's energy is one priced energy (energy_pJ or write_energy_pJ)
+# times counts, the length and access multipliers, and its area one priced area
+# (area_um2 or mem_area_*) times counts.  So every total is linear and
+# homogeneous in those values: scaling them all by k scales each total by k,
+# leaves each per-app ratio, and so each cut, where it was, up to rounding.
+@pytest.mark.parametrize("names,report", [
+    (("energy_pJ", "write_energy_pJ"),
+     lambda d, a, m: energy_report(d, a, 1024, WIRING[a].slots, m)),
+    (("energy_pJ", "write_energy_pJ"),
+     lambda d, a, m: energy_report(d, a, 1024, m.profiles[a].n_streams, m)),
+    (("area_um2", "mem_area_digital_um2", "mem_area_analog_um2"), area_report),
+], ids=("energy-at-slots", "energy-at-n_streams", "area"))
+def test_cuts_do_not_depend_on_the_unit_of_energy_or_area(tmp_path, names, report):
+    base, times = ({d: [report(d, a, model) for a in APPS] for d in SystemDesign}
+                   for model in (CostModel(), _scaled(tmp_path, names, 1.37)))
+    for d in SystemDesign:
+        assert [r.total for r in times[d]] == pytest.approx([1.37 * r.total for r in base[d]],
+                                                            rel=1e-12)
+    assert _cuts(times) == pytest.approx(_cuts(base), abs=1e-12)
