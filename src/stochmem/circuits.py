@@ -7,10 +7,11 @@ are independent scalar oracles.
 Correlation is part of each circuit's contract: streams fed to XOR (absolute
 difference) or to the AND/OR compare-exchange network (min/max) must share
 one generator, while mux selects and the power-function input replicas must
-be independent.  golden_eval gives each circuit's exact floating-point output,
-its maximum-possible accuracy, over the operand planes the streams encode.
+be independent.
 
-WIRING is the one table of each app's synthetic input kind and operand slots;
+WIRING holds one row per app: its synthetic input kind, operand slots, packed
+circuit and golden form (golden_eval: the exact floating-point output, its
+maximum-possible accuracy, over the operand planes the streams encode).
 stream_plan gives its stream sources and their generator groups, and operand
 slot s has memory-noise ids WRITE_NOISE_BASE + s and READ_NOISE_BASE + s.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -266,21 +268,14 @@ def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams(
     if len(planes) != WIRING[app].slots:
         raise ValueError(f"{app.value} reads {WIRING[app].slots} operand planes, "
                          f"got {len(planes)}")
-    if app is AppKind.ROBERT:
-        p00, p01, p10, p11 = planes
-        out = 0.5 * (np.abs(p00 - p11) + np.abs(p01 - p10))
-    elif app is AppKind.MEDIAN:
-        out = np.median(planes, axis=0)
-    elif app is AppKind.FRAME:
-        out = (np.abs(planes[0] - planes[1]) > params.theta).astype(np.float64)
-    elif app is AppKind.GAMMA:
-        out = planes[0] ** params.gamma_exponent
-    else:
-        matches = np.zeros_like(planes[0])
-        for hist in planes[1:]:
-            matches += np.abs(planes[0] - hist) <= params.delta
-        out = (matches / KDE_HISTORY < params.theta).astype(np.float64)
-    return ImageGray(out)
+    return ImageGray(WIRING[app].golden(planes, params))
+
+
+def _kde_golden(planes: np.ndarray, params: AppParams) -> np.ndarray:
+    matches = np.zeros_like(planes[0])
+    for hist in planes[1:]:
+        matches += np.abs(planes[0] - hist) <= params.delta
+    return (matches / KDE_HISTORY < params.theta).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +284,15 @@ def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams(
 
 @dataclass(frozen=True)
 class Wiring:
-    """An app's synthetic input kind and its operand slots: (dy, dx) window
-    offsets into the current frame, else the current frame and the frames - 1
-    before it, oldest first."""
+    """One app: its synthetic input kind; logic(streams, params, length), the
+    per-pixel output of the packed (source, pixel, words) streams that
+    stream_plan wires, which looks its circuits up in this module when called;
+    golden(planes, params), the exact output over its operand planes; and its
+    operand slots: (dy, dx) window offsets into the current frame, else the
+    current frame and the frames - 1 before it, oldest first."""
     synthetic: str
+    logic: Callable[[np.ndarray, AppParams, int], np.ndarray]
+    golden: Callable[[np.ndarray, AppParams], np.ndarray]
     window: tuple[tuple[int, int], ...] = ()
     frames: int = 1
 
@@ -302,12 +302,24 @@ class Wiring:
 
 
 WIRING = {
-    AppKind.ROBERT: Wiring("scene", window=((0, 0), (0, 1), (1, 0), (1, 1))),
-    AppKind.MEDIAN: Wiring("salt-pepper",
-                           window=tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))),
-    AppKind.FRAME: Wiring("video", frames=2),
-    AppKind.GAMMA: Wiring("scene"),
-    AppKind.KDE: Wiring("video", frames=1 + KDE_HISTORY),
+    AppKind.ROBERT: Wiring(
+        "scene", lambda s, p, length: popcount_rows(robert_batch(*s)) / length,
+        lambda x, p: 0.5 * (np.abs(x[0] - x[3]) + np.abs(x[1] - x[2])),
+        window=((0, 0), (0, 1), (1, 0), (1, 1))),
+    AppKind.MEDIAN: Wiring(
+        "salt-pepper", lambda s, p, length: popcount_rows(median_batch(s)) / length,
+        lambda x, p: np.median(x, axis=0),
+        window=tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))),
+    AppKind.FRAME: Wiring(
+        "video", lambda s, p, length: frame_batch(s[0], s[1], p.theta, length),
+        lambda x, p: (np.abs(x[0] - x[1]) > p.theta).astype(np.float64), frames=2),
+    AppKind.GAMMA: Wiring(
+        "scene", lambda s, p, length: gamma_batch_counts(s[:p.bernstein_degree],
+                                                         s[p.bernstein_degree:]) / length,
+        lambda x, p: x[0] ** p.gamma_exponent),
+    AppKind.KDE: Wiring(
+        "video", lambda s, p, length: kde_batch(s[0], s[1:], p.delta, p.theta, length),
+        _kde_golden, frames=1 + KDE_HISTORY),
 }
 
 # stream groups: operands occupy 0..7 and gamma replica k group k, so the

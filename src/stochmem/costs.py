@@ -124,6 +124,23 @@ class CostModel:
     profiles: dict[AppKind, AppProfile] = field(default_factory=_PROFILE_TABLE.copy)
     multipliers: AccessMultipliers = AccessMultipliers()
 
+    def __post_init__(self):
+        # _units reads every default unit and prices both cells' writes, so a
+        # missing unit or a plain UnitCost as a cell would fail only when priced
+        for name, default in DEFAULT_UNIT_COSTS.items():
+            if not isinstance(self.units.get(name), type(default)):
+                raise ValueError(f"unit {name} must be a {type(default).__name__}, "
+                                 f"got {self.units.get(name)!r}")
+        if len(self.units) != len(DEFAULT_UNIT_COSTS):
+            unknown = sorted(self.units.keys() - DEFAULT_UNIT_COSTS.keys())
+            raise ValueError(f"unknown units {unknown}")
+        for app in AppKind:
+            if not isinstance(self.profiles.get(app), AppProfile):
+                raise ValueError(f"the profile of {app.value} must be an AppProfile, "
+                                 f"got {self.profiles.get(app)!r}")
+        if len(self.profiles) != len(AppKind):
+            raise ValueError(f"profiles are keyed by app, got {list(self.profiles)}")
+
 
 GROUP_INPUT = "input_layer"
 GROUP_CONVERSION = "conversion"

@@ -5,7 +5,7 @@ circuits.WIRING row's input kind (synth.gen_test_inputs), or PGM files.
 resolve_inputs turns them into its operand planes (slot, y, x), one plane per
 operand slot of that row.  For each pixel the harness stores the operand
 values through the design's memory path, regenerates stochastic streams from
-the values read back, and evaluates the application circuit:
+the values read back, and evaluates the row's packed circuit (its logic):
 
 * conv-lfsr: 10-bit ADC, ideal SRAM, LFSR+comparator stream generation;
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
@@ -14,8 +14,8 @@ the values read back, and evaluates the application circuit:
 The SRAM returns the ADC codes it stores, so the conv designs use the codes
 directly and only stochmem calls the memory model.  Constant sources (the
 Roberts mux select, the gamma coefficients) skip the memory but pass through
-the same converters.  The golden output is circuits.golden_eval over the same
-planes.  The run's energy charges each operand plane as one stored operand
+the same converters.  The golden output is the row's golden form (golden_eval).
+The run's energy charges each operand plane as one stored operand
 (costs.energy_report with n_operands the plane count).  A report carries its
 config; report_csv_row, its one text form, is what run prints and sweep writes.
 
@@ -63,7 +63,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits
+# popcount_rows is unused here, but bench/spans.py patches it (ROADMAP item 14)
 from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
 from .circuits import (READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE, AppKind, AppParams, StreamPlan,
                        golden_eval, stream_plan)
@@ -346,7 +346,6 @@ def _evaluate_block(task: tuple) -> np.ndarray:
     their (slot, pixel) operand columns, and the run's _comparator_table for
     conv-lfsr, else None."""
     cfg, plan, table, width, lo, hi, operands = task
-    length = cfg.length
     ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
 
     levels = _stream_levels(cfg, plan, operands, xs, ys)
@@ -355,18 +354,7 @@ def _evaluate_block(task: tuple) -> np.ndarray:
     else:
         streams = _asc_streams(cfg, plan, levels, xs, ys)
 
-    app = cfg.app
-    if app is AppKind.ROBERT:
-        return popcount_rows(circuits.robert_batch(*streams)) / length
-    if app is AppKind.MEDIAN:
-        return popcount_rows(circuits.median_batch(streams)) / length
-    if app is AppKind.FRAME:
-        return circuits.frame_batch(streams[0], streams[1], cfg.params.theta, length)
-    if app is AppKind.GAMMA:
-        deg = cfg.params.bernstein_degree
-        return circuits.gamma_batch_counts(streams[:deg], streams[deg:]) / length
-    return circuits.kde_batch(streams[0], streams[1:], cfg.params.delta, cfg.params.theta,
-                              length)
+    return WIRING[cfg.app].logic(streams, cfg.params, cfg.length)
 
 
 def _workers(jobs: int) -> int:

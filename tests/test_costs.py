@@ -8,9 +8,9 @@ import pytest
 from stochmem.circuits import WIRING, AppKind
 from stochmem.cli import main
 from stochmem.config import load_costs
-from stochmem.costs import (AccessMultipliers, CellCost, CostModel, SystemDesign, UnitCost,
-                            aggregate_reduction, area_report, average_shares, energy_report,
-                            share_breakdown)
+from stochmem.costs import (DEFAULT_UNIT_COSTS, AccessMultipliers, CellCost, CostModel,
+                            SystemDesign, UnitCost, aggregate_reduction, area_report,
+                            average_shares, energy_report, share_breakdown)
 from stochmem.harness import ExperimentConfig, run_experiment
 
 APPS = list(AppKind)
@@ -263,6 +263,21 @@ def test_cost_config_has_no_energy_mode_knob(tmp_path):
     cfg.write_text("unit.sram_cell.energy_mode = per_cycle\n")
     with pytest.raises(ValueError, match="energy_mode"):
         load_costs(cfg)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"units": {k: v for k, v in DEFAULT_UNIT_COSTS.items() if k != "asc"}},
+     "unit asc must be a UnitCost, got None"),
+    ({"units": {**DEFAULT_UNIT_COSTS, "sram_cell": UnitCost(0.35, 10.0)}},
+     "unit sram_cell must be a CellCost"),
+    ({"units": {**DEFAULT_UNIT_COSTS, "dram_cell": CellCost(1.0, 1.0, 1.0)}},
+     r"unknown units \['dram_cell'\]"),
+    ({"profiles": {}}, "the profile of robert must be an AppProfile, got None"),
+], ids=("no-asc", "sram-not-a-cell", "unknown-unit", "no-profiles"))
+def test_cost_model_rejects_what_it_cannot_price(kwargs, match):
+    # each would otherwise fail only when priced, with a KeyError or AttributeError
+    with pytest.raises(ValueError, match=match):
+        CostModel(**kwargs)
 
 
 def test_unit_cost_validation():

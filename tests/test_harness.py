@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bit_reference import frame_flags, kde_flags, median_bits, robert_bits
+from lfsr_oracle import PERIOD, lfsr_output
 from stochmem import harness, rng
 from stochmem.bitstream import MAX_LENGTH, words_for
 from stochmem.circuits import (KDE_HISTORY, WIRING, AppKind, AppParams, fit_bernstein,
@@ -611,3 +612,31 @@ def test_scalar_composition_does_not_share_the_engine_threshold():
     assert not np.array_equal(got, expected)
     assert np.array_equal(run_experiment(cfg).output.data, expected)
 
+
+
+SHARED_GROUP_APPS = (AppKind.MEDIAN, AppKind.FRAME, AppKind.KDE)
+
+
+@pytest.mark.parametrize("length", (1, 63, 64, 65, 300, 1022, 1023, 1024, 2047, 3000))
+@pytest.mark.parametrize("seed", (1, 9))
+@pytest.mark.parametrize("app", SHARED_GROUP_APPS, ids=lambda a: a.value)
+def test_conv_lfsr_outputs_equal_window_counts(app, seed, length):
+    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_LFSR, length=length, dims=(48, 48),
+                           global_seed=seed)
+    got = run_experiment(cfg).output.data
+    assert np.array_equal(got, lfsr_output(app, resolve_inputs(cfg), seed, length, cfg.params))
+    if app is not AppKind.MEDIAN:
+        # a constant flag image would match a wrong count as well
+        assert set(np.unique(got)) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("periods", (1, 2, 3))
+@pytest.mark.parametrize("seed", (1, 5))
+@pytest.mark.parametrize("app", SHARED_GROUP_APPS, ids=lambda a: a.value)
+def test_whole_lfsr_periods_give_the_golden_form_of_the_adc_levels(app, seed, periods):
+    # a whole period carries exactly each code's ones, so the ADC is the only error
+    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_LFSR, length=periods * PERIOD,
+                           dims=(48, 48), global_seed=seed)
+    levels = adc_quantize(resolve_inputs(cfg)) / PERIOD
+    assert np.array_equal(run_experiment(cfg).output.data,
+                          golden_eval(app, levels, cfg.params).data)
