@@ -12,7 +12,7 @@ be independent.
 WIRING holds one row per app: its synthetic input kind, operand slots, packed
 circuit and golden form (golden_eval: the exact floating-point output, its
 maximum-possible accuracy, over the operand planes the streams encode).
-stream_plan gives its stream sources and their generator groups, and operand
+stream_plan gives its sources (slots, then constants) and generator groups;
 slot s has memory-noise ids WRITE_NOISE_BASE + s and READ_NOISE_BASE + s.
 """
 
@@ -332,9 +332,10 @@ READ_NOISE_BASE = 96
 
 @dataclass(frozen=True)
 class StreamPlan:
-    # a source is ("op", slot), the operand plane at index slot, or ("const",
-    # value); sources that must be correlated share a group
-    sources: tuple
+    # the sources are the operand planes at slots, then the constants, in
+    # that order; sources that must be correlated share a group
+    slots: tuple[int, ...]
+    consts: tuple[float, ...]
     groups: tuple[int, ...]
 
 
@@ -342,16 +343,14 @@ class StreamPlan:
 def stream_plan(app: AppKind, params: AppParams) -> StreamPlan:
     if app is AppKind.ROBERT:
         # cross pairs (p00, p11) and (p01, p10) are correlated; select is not
-        return StreamPlan((("op", 0), ("op", 1), ("op", 2), ("op", 3), ("const", 0.5)),
-                          (0, 1, 1, 0, GROUP_SELECT))
+        return StreamPlan((0, 1, 2, 3), (0.5,), (0, 1, 1, 0, GROUP_SELECT))
     if app is AppKind.GAMMA:
         # the x replicas must be mutually independent; the coefficient
         # streams may share one generator because each cycle samples
         # exactly one of them
         deg = params.bernstein_degree
         poly, _ = fit_bernstein(lambda x: x ** params.gamma_exponent, deg)
-        return StreamPlan((("op", 0),) * deg + tuple(("const", c) for c in poly.coeffs),
-                          tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
+        return StreamPlan((0,) * deg, poly.coeffs, tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
     # median, frame and kde compare operands with each other: one generator
     n = WIRING[app].slots
-    return StreamPlan(tuple(("op", j) for j in range(n)), (0,) * n)
+    return StreamPlan(tuple(range(n)), (), (0,) * n)

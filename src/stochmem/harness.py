@@ -11,10 +11,12 @@ the values read back, and evaluates the row's packed circuit (its logic):
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
 * stochmem:  analog memory with read/write discrepancy, Bernoulli sampling.
 
-The SRAM returns the ADC codes it stores, so the conv designs use the codes
-directly and only stochmem calls the memory model.  Constant sources (the
-Roberts mux select, the gamma coefficients) skip the memory but pass through
-the same converters.  The golden output is the row's golden form (golden_eval).
+A block runs the stages of its design in turn: memory, once per operand slot
+(the SRAM reads back the ADC codes it stores, so only stochmem calls the
+memory model); converters, once per slot and per constant; sources, the
+stream plan's slots then its constants (the Roberts mux select, the gamma
+coefficients), which skip the memory; generator; logic.  The golden output
+is the row's golden form (golden_eval).
 The run's energy charges each operand plane as one stored operand
 (costs.energy_report with n_operands the plane count).  A report carries its
 config; report_csv_row, its one text form, is what run prints and sweep writes.
@@ -33,20 +35,19 @@ streams give more pixels per block, but never more than the values they
 hold allow.  Only a single pixel whose stream alone exceeds the budget forms
 a larger block.  The blocks are the tasks _map hands to the workers (_map is
 the one place that starts worker processes, for every run grid: a run's
-blocks, a sweep, a noise-fit grid).  Each task carries only its block's
-operand columns; the stream plan and the comparator table are built once per
-run.  The worker count is jobs capped at the CPU count (_workers); with
-several workers the block count is a multiple of it, so a small image still
-spreads over every worker.  Within a block every stream is generated packed, as (pixels,
-words_for(length)) uint64 rows in the bitstream layout, and stays packed
-through the circuit; bits past the length are always zero, so
-popcounts and XOR distances need no masking.  The ASC designs compare
-SplitMix64 draws, made in tiles of at most _TILE_CELLS cells in reused
-buffers and shared between the sources of one group, against each source's
-threshold.  The draw add and the compare each broadcast a per-pixel column
-across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop sets
-numpy's ufunc buffer to the row length (inside np.errstate, which restores it
-on exit), so numpy iterates those rows in place rather than through its
+blocks, a sweep, a noise-fit grid).  A task is the run's config and its block's
+pixels: their range and operand columns.  The worker count is jobs capped at
+the CPU count (_workers); with several workers the block count is a multiple
+of it, so a small image still spreads over every worker.  Within a block every
+stream is generated packed, as (pixels, words_for(length)) uint64 rows in the
+bitstream layout, and stays packed through the circuit; bits past the length
+are always zero, so popcounts and XOR distances need no masking.  The ASC
+designs compare SplitMix64 draws, made in tiles of at most _TILE_CELLS cells
+in reused buffers and shared between the sources of one group, against each
+source's threshold.  The draw add and the compare each broadcast a per-pixel
+column across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop
+sets numpy's ufunc buffer to the row length (inside np.errstate, which restores
+it on exit), so numpy iterates those rows in place rather than through its
 buffers.  Shorter rows keep numpy's default, which is faster for them.
 conv-lfsr reads each 64-bit word as a window into a table of packed
 comparator outputs over one LFSR period.  Neither tile nor block size nor
@@ -207,29 +208,34 @@ def _block_slices(n_pixels: int, length: int, jobs: int):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+def _convert(design: SystemDesign, values):
+    """Generator input of stored values: the ADC code (conv-lfsr), the DAC's
+    requantized level (conv-mtj) or the analog value itself (stochmem)."""
+    if design is SystemDesign.STOCHMEM:
+        return values
+    code = adc_quantize(values)
+    return dac_dequantize(requantize(code)) if design is SystemDesign.CONV_MTJ else code
+
+
 def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray,
                   xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
-    """Per-source generator input: a comparator code (conv-lfsr) or a
+    """Per-source generator input, a comparator code (conv-lfsr) or a
     probability (ASC designs), from the (slot, pixel) operand rows of the
-    pixels at xs, ys.  Operands go through the ADC (conv designs) and the
-    design's memory; conv-mtj then requantizes once, in the DAC."""
-    conv = cfg.design is not SystemDesign.STOCHMEM
-    read = []
+    pixels at xs, ys.  Each slot passes the design's memory once: stochmem's
+    analog memory, or the conv designs' ideal SRAM, which reads back the ADC
+    codes written to it.  Each slot's values and each constant then pass the
+    converters once (_convert), and a source references its slot's array."""
+    levels = []
     for slot, values in enumerate(operands):
-        if conv:
-            # the SRAM is ideal: it reads back the ADC codes written to it
-            read.append(adc_quantize(values))
-        else:
+        if cfg.design is SystemDesign.STOCHMEM:
             w_states = derive_state_grid(cfg.global_seed, xs, ys, WRITE_NOISE_BASE + slot)
             r_states = derive_state_grid(cfg.global_seed, xs, ys, READ_NOISE_BASE + slot)
             stored = mem_write_block(cfg.noise, values, w_states)
-            read.append(mem_read_block(cfg.noise, stored, r_states))
+            values = mem_read_block(cfg.noise, stored, r_states)
+        levels.append(_convert(cfg.design, values))
     # constants skip the memory but not the converters
-    levels = [read[val] if kind == "op" else np.full(xs.size, adc_quantize(val) if conv else val)
-              for kind, val in plan.sources]
-    if cfg.design is SystemDesign.CONV_MTJ:
-        levels = [dac_dequantize(requantize(code)) for code in levels]
-    return levels
+    return ([levels[slot] for slot in plan.slots]
+            + [np.full(xs.size, _convert(cfg.design, c)) for c in plan.consts])
 
 
 def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
@@ -251,7 +257,7 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     """
     length = cfg.length
     n = xs.size
-    streams = np.empty((len(plan.sources), n, words_for(length)), dtype=np.uint64)
+    streams = np.empty((len(levels), n, words_for(length)), dtype=np.uint64)
     thresholds = [bernoulli_threshold_u64(p)[:, None] for p in levels]
     cols = length if length <= _TILE_CELLS else max(64, _TILE_CELLS // 64 * 64)
     rows = min(n, max(1, _TILE_CELLS // cols))
@@ -290,9 +296,20 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     return streams
 
 
-def _comparator_table() -> np.ndarray:
-    """Packed comparator outputs of the conv-lfsr generator: row c holds bit k
-    set iff ring[k mod period] <= c, for k over one period plus 128 values."""
+def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
+                 xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
+    ring[(start_i + j) mod period] <= code_s,i, where the LFSR at pixel i
+    starts at state derive_state(global seed, x_i, y_i, group) mod period + 1
+    for the source's group.
+
+    Row c of the comparator table holds bit k set iff ring[k mod period] <= c,
+    for k over one period plus 128 values.  Word w of a stream is the
+    unaligned 64-bit window of the row at the source's code, at bit offset
+    (start + 64 w) mod period; the 128 extra values keep every window inside
+    its row.
+    """
+    length = cfg.length
     # the comparator is as wide as the ADC code
     cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
     period = cycle.spec.period
@@ -302,27 +319,10 @@ def _comparator_table() -> np.ndarray:
     table = np.zeros((period + 1, words_for(ring.size)), dtype=np.uint64)
     np.bitwise_or.at(table, (ring, k >> 6), np.uint64(1) << (k & 63).astype(np.uint64))
     np.bitwise_or.accumulate(table, axis=0, out=table)
-    return table
-
-
-def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
-                 table: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
-    ring[(start_i + j) mod period] <= code_s,i, where the LFSR at pixel i
-    starts at state derive_state(global seed, x_i, y_i, group) mod period + 1
-    for the source's group.
-
-    Word w of a stream is the unaligned 64-bit window of the _comparator_table
-    row at the source's code, at bit offset (start + 64 w) mod period; the
-    table's 128 extra values keep every window inside its row.
-    """
-    length = cfg.length
-    cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
-    period = cycle.spec.period
     row_words = table.shape[1]
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
-    streams = np.empty((len(plan.sources), xs.size, words_for(length)), dtype=np.uint64)
+    streams = np.empty((len(levels), xs.size, words_for(length)), dtype=np.uint64)
     windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for s, (group, level) in enumerate(zip(plan.groups, levels)):
         if group not in windows:
@@ -341,20 +341,15 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
 
 
 def _evaluate_block(task: tuple) -> np.ndarray:
-    """Output of one pixel block.  task is (cfg, plan, table, width, lo, hi,
-    operands): the flat row-major pixels lo..hi of a width-pixel-wide image,
-    their (slot, pixel) operand columns, and the run's _comparator_table for
-    conv-lfsr, else None."""
-    cfg, plan, table, width, lo, hi, operands = task
+    """Output of one pixel block.  task is (cfg, width, lo, hi, operands): the
+    flat row-major pixels lo..hi of a width-pixel-wide image and their (slot,
+    pixel) operand columns."""
+    cfg, width, lo, hi, operands = task
     ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
-
+    plan = stream_plan(cfg.app, cfg.params)
     levels = _stream_levels(cfg, plan, operands, xs, ys)
-    if cfg.design is SystemDesign.CONV_LFSR:
-        streams = _dsc_streams(cfg, plan, levels, table, xs, ys)
-    else:
-        streams = _asc_streams(cfg, plan, levels, xs, ys)
-
-    return WIRING[cfg.app].logic(streams, cfg.params, cfg.length)
+    generate = _dsc_streams if cfg.design is SystemDesign.CONV_LFSR else _asc_streams
+    return WIRING[cfg.app].logic(generate(cfg, plan, levels, xs, ys), cfg.params, cfg.length)
 
 
 def _workers(jobs: int) -> int:
@@ -376,10 +371,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     planes = resolve_inputs(cfg)
     n_planes, height, width = planes.shape
 
-    plan = stream_plan(cfg.app, cfg.params)
-    table = _comparator_table() if cfg.design is SystemDesign.CONV_LFSR else None
     operands = planes.reshape(n_planes, -1)
-    tasks = [(cfg, plan, table, width, lo, hi, operands[:, lo:hi])
+    tasks = [(cfg, width, lo, hi, operands[:, lo:hi])
              for lo, hi in _block_slices(height * width, cfg.length, _workers(cfg.jobs))]
     pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
 

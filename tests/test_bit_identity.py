@@ -4,6 +4,9 @@
 gamma, at 7x5 pixels and seed 4, the SHA-256 of the output
 image bytes and the repr of ``inaccuracy_percent``; also gamma on both ASC
 designs at 2x1 pixels and a length whose stream tiles split the length axis.
+The synthetic video is still at 7x5, so frame and kde give all-zero images
+there; their ``-crop`` cases read a 6x5 crop of the 128x128 video
+(video_crop.py), and each of those holds both 0 and 1.
 The same outputs must come back for any worker count, stream tile size and
 pixel block size.
 Regenerate the fixture only when outputs are meant to change:
@@ -15,15 +18,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stochmem import harness
 from stochmem.circuits import AppKind, AppParams
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
+from video_crop import write_video_crop
 
 FIXTURE = Path(__file__).with_name("bit_identity.json")
 LENGTHS = (1, 63, 65, 300, 1024)
@@ -31,13 +37,16 @@ LONG_LENGTH = 70_001   # more than harness._TILE_CELLS draws per stream
 SEED = 4
 
 
-def _cases(length: int) -> dict[str, ExperimentConfig]:
+def _cases(length: int, crop: Path) -> dict[str, ExperimentConfig]:
     base = ExperimentConfig(length=length, dims=(7, 5), global_seed=SEED, input_seed=SEED)
     cases = {f"{a.value}/{d.value}/{length}": replace(base, app=a, design=d)
              for a in AppKind for d in SystemDesign}
     for d in SystemDesign:
         cases[f"gamma-degree9/{d.value}/{length}"] = replace(
             base, app=AppKind.GAMMA, design=d, params=AppParams(bernstein_degree=9))
+        for a in (AppKind.FRAME, AppKind.KDE):
+            cases[f"{a.value}-crop/{d.value}/{length}"] = ExperimentConfig(
+                app=a, design=d, length=length, global_seed=SEED, input_path=str(crop))
     return cases
 
 
@@ -48,35 +57,40 @@ def _long_cases() -> dict[str, ExperimentConfig]:
             for d in (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)}
 
 
-def _outcome(cfg: ExperimentConfig) -> list[str]:
-    r = harness.run_experiment(cfg)
+def _outcome(r: harness.ExperimentReport) -> list[str]:
     return [hashlib.sha256(r.output.data.tobytes()).hexdigest(), repr(r.inaccuracy_percent)]
 
 
 def _check(cases: dict[str, ExperimentConfig], **overrides) -> None:
     expected = json.loads(FIXTURE.read_text())
-    got = {key: _outcome(replace(cfg, **overrides)) for key, cfg in cases.items()}
+    reports = {key: harness.run_experiment(replace(cfg, **overrides))
+               for key, cfg in cases.items()}
+    got = {key: _outcome(r) for key, r in reports.items()}
     assert got == {key: expected[key] for key in cases}
+    # a constant flag image would not show a change to its app's engine
+    for key, r in reports.items():
+        if "-crop/" in key:
+            assert set(np.unique(r.output.data)) == {0.0, 1.0}, key
 
 
 @pytest.mark.parametrize("length", LENGTHS)
-def test_outputs_match_fixture(length):
-    _check(_cases(length))
+def test_outputs_match_fixture(length, video_crop):
+    _check(_cases(length, video_crop))
 
 
 def test_long_outputs_match_fixture():
     _check(_long_cases())
 
 
-def test_outputs_do_not_depend_on_worker_count():
-    _check(_cases(65), jobs=2)
+def test_outputs_do_not_depend_on_worker_count(video_crop):
+    _check(_cases(65, video_crop), jobs=2)
 
 
 @pytest.mark.parametrize("length", (63, 300))
-def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length):
+def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, video_crop):
     # blocks of 8-9 (L=63, 64 + 256 cells a pixel) or 5 (L=300, 5 * 64 + 256)
-    # pixels that split the 7-pixel rows, and one-pixel tiles that split the
-    # length axis into 64-bit chunks at L=300
+    # pixels that split the 7-pixel rows (and the crop's 6-pixel rows), and
+    # one-pixel tiles that split the length axis into 64-bit chunks at L=300
     monkeypatch.setattr(harness, "_TILE_CELLS", 100)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
     blocks = harness._block_slices(35, length, 1)
@@ -90,13 +104,15 @@ def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length):
         return draw(states, count, **buffers)
 
     monkeypatch.setattr(harness, "uniform_block_from_states", recording_draw)
-    _check(_cases(length))
+    _check(_cases(length, video_crop))
     assert widths == ({63} if length == 63 else {64, 300 - 4 * 64})
 
 
 if __name__ == "__main__":
-    record = {}
-    for length in LENGTHS:
-        record.update({key: _outcome(cfg) for key, cfg in _cases(length).items()})
-    record.update({key: _outcome(cfg) for key, cfg in _long_cases().items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        crop = write_video_crop(Path(tmp))
+        cases = _long_cases()
+        for length in LENGTHS:
+            cases.update(_cases(length, crop))
+        record = {key: _outcome(harness.run_experiment(cfg)) for key, cfg in cases.items()}
     FIXTURE.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

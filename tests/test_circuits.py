@@ -381,10 +381,10 @@ def test_stream_identities_overlap_only_at_kde_id_96():
     shared = {}
     for app, degree in itertools.product(AppKind, range(1, MAX_BERNSTEIN_DEGREE + 1)):
         plan = stream_plan(app, AppParams(bernstein_degree=degree))
-        assert len(plan.groups) == len(plan.sources)
+        assert len(plan.groups) == len(plan.slots) + len(plan.consts)
         assert all(0 <= g < WRITE_NOISE_BASE for g in plan.groups)
         slots = WIRING[app].slots
-        streamed = {value for kind, value in plan.sources if kind == "op"}
+        streamed = set(plan.slots)
         noise = []
         for base in (WRITE_NOISE_BASE, READ_NOISE_BASE):
             ids = {base + slot for slot in streamed}

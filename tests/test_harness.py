@@ -194,8 +194,26 @@ def test_a_single_image_for_a_video_app_fails_loudly(written_inputs, app):
 def test_stream_plan_reads_every_operand_plane(app, degree):
     cfg = ExperimentConfig(app=app, dims=(4, 3), params=AppParams(bernstein_degree=degree))
     plan = stream_plan(app, cfg.params)
-    slots = {val for kind, val in plan.sources if kind == "op"}
-    assert sorted(slots) == list(range(len(resolve_inputs(cfg))))
+    assert sorted(set(plan.slots)) == list(range(len(resolve_inputs(cfg))))
+
+
+def test_each_stored_value_is_converted_once(monkeypatch):
+    # gamma at degree 6 streams its one operand slot 6 times beside 7 coefficient
+    # constants, so a conv-mtj block requantizes 1 + 7 values, not one per
+    # source (13)
+    calls = []
+    convert = harness.requantize
+
+    def counting(codes):
+        calls.append(codes)
+        return convert(codes)
+
+    monkeypatch.setattr(harness, "requantize", counting)
+    cfg = ExperimentConfig(app=AppKind.GAMMA, design=SystemDesign.CONV_MTJ, length=64,
+                           dims=(3, 2), params=AppParams(bernstein_degree=6))
+    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
+    run_experiment(cfg)
+    assert len(calls) == 8
 
 
 def test_gamma_degree_is_bounded_by_the_coefficient_stream_group():
@@ -327,11 +345,11 @@ def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     assert run_experiment(cfg).output.data.tobytes() == serial.tobytes()
     [(fn, tasks, jobs)] = calls
     assert fn is harness._evaluate_block and jobs == 3
-    assert [(lo, hi) for *_, lo, hi, _ in tasks] == harness._block_slices(35, 300, 3)
-    # the comparator table is built once per run and shared by every block
-    assert len({id(table) for _, _, table, *_ in tasks}) == 1 and tasks[0][2] is not None
+    # a task is (cfg, width, lo, hi, operands): the run's config and its pixels
+    assert all(task[:2] == (cfg, 7) for task in tasks)
+    assert [(lo, hi) for _, _, lo, hi, _ in tasks] == harness._block_slices(35, 300, 3)
     operands = resolve_inputs(cfg).reshape(9, 35)
-    for *_, lo, hi, block in tasks:
+    for _, _, lo, hi, block in tasks:
         assert block.shape == (9, hi - lo)
         assert np.array_equal(block, operands[:, lo:hi])
 
@@ -461,10 +479,15 @@ WIDTH, HEIGHT = 6, 5
 WRITE_NOISE_ID, READ_NOISE_ID = 64, 96
 
 
-def _source_frames(app, dims, input_seed):
-    """The synthetic frames an app reads, oldest first, from gen_test_inputs."""
-    kind = {AppKind.MEDIAN: "salt-pepper", AppKind.FRAME: "video", AppKind.KDE: "video"}
-    return gen_test_inputs(kind.get(app, "scene"), dims, input_seed)
+def _differential_input(app, crop):
+    """(input config fields, frames oldest first) of an app: the video apps read
+    the crop of the 128x128 synthetic video (video_crop.py), on which their
+    outputs hold both 0 and 1, the others their WIDTH x HEIGHT synthetic frames."""
+    if app in (AppKind.FRAME, AppKind.KDE):
+        return {"input_path": str(crop)}, [load_pgm(p) for p in sorted(crop.glob("*.pgm"))]
+    kind = "salt-pepper" if app is AppKind.MEDIAN else "scene"
+    return ({"dims": (WIDTH, HEIGHT), "input_seed": SEED},
+            gen_test_inputs(kind, (WIDTH, HEIGHT), SEED))
 
 
 def _operands(app, frames, x, y):
@@ -506,11 +529,11 @@ def _golden_pixel(app, params, ops):
                                     AppParams(theta=0.3, delta=0.02, gamma_exponent=2.2)),
                          ids=("default", "other"))
 @pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
-def test_golden_matches_a_per_pixel_oracle(app, params):
-    cfg = ExperimentConfig(app=app, dims=(7, 5), input_seed=SEED, params=params)
-    frames = _source_frames(app, cfg.dims, SEED)
+def test_golden_matches_a_per_pixel_oracle(app, params, video_crop):
+    fields, frames = _differential_input(app, video_crop)
+    cfg = ExperimentConfig(app=app, params=params, **fields)
     expected = np.array([[_golden_pixel(app, params, _operands(app, frames, x, y))
-                          for x in range(7)] for y in range(5)])
+                          for x in range(WIDTH)] for y in range(HEIGHT)])
     got = golden_eval(app, resolve_inputs(cfg), params).data
     if app is AppKind.GAMMA:
         # numpy's vectorized pow may round one ulp away from the scalar libm pow
@@ -583,23 +606,27 @@ def _reference_pixel(cfg, frames, x, y):
 
 @pytest.mark.parametrize("design", list(SystemDesign), ids=lambda d: d.value)
 @pytest.mark.parametrize("app", list(AppKind), ids=lambda a: a.value)
-def test_harness_matches_scalar_composition(app, design):
-    cfg = ExperimentConfig(app=app, design=design, length=LENGTH, dims=(WIDTH, HEIGHT),
-                           global_seed=SEED, input_seed=SEED)
-    assert np.array_equal(run_experiment(cfg).output.data, _scalar_composition(cfg))
+def test_harness_matches_scalar_composition(app, design, video_crop):
+    fields, frames = _differential_input(app, video_crop)
+    cfg = ExperimentConfig(app=app, design=design, length=LENGTH, global_seed=SEED, **fields)
+    got = run_experiment(cfg).output.data
+    assert np.array_equal(got, _scalar_composition(cfg, frames))
+    if app in (AppKind.FRAME, AppKind.KDE):
+        # a constant flag image would match a wrong engine as well
+        assert set(np.unique(got)) == {0.0, 1.0}
 
 
-def _scalar_composition(cfg):
-    frames = _source_frames(cfg.app, cfg.dims, SEED)
+def _scalar_composition(cfg, frames):
     return np.array([[_reference_pixel(cfg, frames, x, y) for x in range(WIDTH)]
                      for y in range(HEIGHT)])
 
 
-def test_scalar_composition_does_not_share_the_engine_threshold():
+def test_scalar_composition_does_not_share_the_engine_threshold(video_crop):
     # the ASC oracle states its own threshold, int(p * 2^64), so an engine
     # threshold scaled by 1 - 2^-12 must break the differential test
+    fields, frames = _differential_input(AppKind.ROBERT, video_crop)
     cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ, length=LENGTH,
-                           dims=(WIDTH, HEIGHT), global_seed=SEED, input_seed=SEED)
+                           global_seed=SEED, **fields)
     exact = rng.bernoulli_threshold_u64
 
     def scaled(p):
@@ -608,7 +635,7 @@ def test_scalar_composition_does_not_share_the_engine_threshold():
     with mock.patch.object(rng, "bernoulli_threshold_u64", scaled), \
             mock.patch.object(harness, "bernoulli_threshold_u64", scaled):
         got = run_experiment(cfg).output.data
-        expected = _scalar_composition(cfg)
+        expected = _scalar_composition(cfg, frames)
     assert not np.array_equal(got, expected)
     assert np.array_equal(run_experiment(cfg).output.data, expected)
 
