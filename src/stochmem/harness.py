@@ -11,12 +11,12 @@ the values read back, and evaluates the row's packed circuit (its logic):
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
 * stochmem:  analog memory with read/write discrepancy, Bernoulli sampling.
 
-A block runs the stages of its design in turn: memory, once per operand slot
-(the SRAM reads back the ADC codes it stores, so only stochmem calls the
-memory model); converters, once per slot and per constant; sources, the
-stream plan's slots then its constants (the Roberts mux select, the gamma
-coefficients), which skip the memory; generator; logic.  The golden output
-is the row's golden form (golden_eval).
+A block runs the stages of its design in turn: memory, over chunks of
+operand slots of at most _TILE_CELLS cells (the SRAM reads back the ADC codes
+it stores, so only stochmem calls the memory model); converters, once per
+chunk and per constant; sources, the stream plan's slots then its constants
+(the Roberts mux select, the gamma coefficients), which skip the memory;
+generator; logic.  The golden output is the row's golden form (golden_eval).
 The run's energy charges each operand plane as one stored operand
 (costs.energy_report with n_operands the plane count).  A report carries its
 config; report_csv_row, its one text form, is what run prints and sweep writes.
@@ -73,7 +73,9 @@ from .costs import CostModel, CostReport, SystemDesign, area_report, energy_repo
 from .images import ImageGray, error_metric, load_pgm
 from .lfsr import LfsrCycle, LfsrSpec
 from .memory import NoiseModel, mem_read_block, mem_write_block
-from .rng import GOLDEN, bernoulli_threshold_u64, derive_state_grid, uniform_block_from_states
+# derive_state_grid is unused here, but bench/spans.py patches it (ROADMAP item 14)
+from .rng import (GOLDEN, bernoulli_threshold_u64, derive_state_grid, pixel_states, stream_states,
+                  uniform_block_from_states)
 from .synth import INPUT_DIMS, INPUT_SEED, gen_test_inputs
 
 # Read/write discrepancy fitted to the published accuracy gap at length 1024
@@ -86,10 +88,10 @@ DEFAULT_SEEDS = 20
 # cells per pixel block, counted per source: a pixel costs one cell per bit of
 # its packed stream words, 64 * words_for(length), plus _VALUE_CELLS for the
 # 64-bit values it holds beside them.  Those are its level (an ADC code or a
-# probability), its threshold or conv-mtj's requantized level, its group's
-# generator states and, on stochmem, the noise states and Box-Muller draws of
-# its operand slot; four values bound them (tracemalloc of one kde block at
-# L=1, 33 sources: 3.4 values a source and pixel, the stream word included).
+# probability), its threshold or conv-mtj's requantized level and its group's
+# generator states (the memory path's noise works in chunks of _TILE_CELLS
+# cells); four values bound them (tracemalloc of one kde block of 6,250 pixels
+# at L=1, 33 sources: 3.5 values a source and pixel, the stream word included).
 # Only a one-pixel block may exceed the budget, when its stream alone does
 _BLOCK_CELLS = 2_000_000
 _VALUE_CELLS = 4 * 64
@@ -218,28 +220,30 @@ def _convert(design: SystemDesign, values):
 
 
 def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray,
-                  xs: np.ndarray, ys: np.ndarray) -> list[np.ndarray]:
+                   pixels: np.ndarray) -> list[np.ndarray]:
     """Per-source generator input, a comparator code (conv-lfsr) or a
-    probability (ASC designs), from the (slot, pixel) operand rows of the
-    pixels at xs, ys.  Each slot passes the design's memory once: stochmem's
-    analog memory, or the conv designs' ideal SRAM, which reads back the ADC
-    codes written to it.  Each slot's values and each constant then pass the
-    converters once (_convert), and a source references its slot's array."""
+    probability (ASC designs), from the (slot, pixel) operand rows at the
+    pixel_states pixels.  Chunks of slots of at most _TILE_CELLS cells pass
+    the memory (only stochmem models it) and then the converters (_convert)
+    once each, as constants do; a source references its slot's row."""
+    n = pixels.size
+    rows = max(1, _TILE_CELLS // n)
     levels = []
-    for slot, values in enumerate(operands):
+    for lo in range(0, len(operands), rows):
+        values = operands[lo:lo + rows]
         if cfg.design is SystemDesign.STOCHMEM:
-            w_states = derive_state_grid(cfg.global_seed, xs, ys, WRITE_NOISE_BASE + slot)
-            r_states = derive_state_grid(cfg.global_seed, xs, ys, READ_NOISE_BASE + slot)
-            stored = mem_write_block(cfg.noise, values, w_states)
-            values = mem_read_block(cfg.noise, stored, r_states)
-        levels.append(_convert(cfg.design, values))
+            ids = np.arange(lo, lo + len(values))[:, None]
+            stored = mem_write_block(cfg.noise, values,
+                                     stream_states(pixels, WRITE_NOISE_BASE + ids))
+            values = mem_read_block(cfg.noise, stored, stream_states(pixels, READ_NOISE_BASE + ids))
+        levels.extend(_convert(cfg.design, values))
     # constants skip the memory but not the converters
     return ([levels[slot] for slot in plan.slots]
-            + [np.full(xs.size, _convert(cfg.design, c)) for c in plan.consts])
+            + [np.full(n, _convert(cfg.design, c)) for c in plan.consts])
 
 
 def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
-                 xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+                 pixels: np.ndarray) -> np.ndarray:
     """Bernoulli streams of the ASC designs: bit j of source s at pixel i is
     draw j of its group's SplitMix64 sequence at pixel i compared against the
     source's threshold.
@@ -256,7 +260,7 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     length; the outputs do not depend on it.
     """
     length = cfg.length
-    n = xs.size
+    n = pixels.size
     streams = np.empty((len(levels), n, words_for(length)), dtype=np.uint64)
     thresholds = [bernoulli_threshold_u64(p)[:, None] for p in levels]
     cols = length if length <= _TILE_CELLS else max(64, _TILE_CELLS // 64 * 64)
@@ -271,7 +275,7 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
             np.setbufsize(cols // 16 * 16)
         for group in dict.fromkeys(plan.groups):
             members = [s for s, g in enumerate(plan.groups) if g == group]
-            states = derive_state_grid(cfg.global_seed, xs, ys, group)
+            states = stream_states(pixels, group)
             for lo in range(0, n, rows):
                 m = min(rows, n - lo)
                 for c0 in range(0, length, cols):
@@ -297,7 +301,7 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
 
 
 def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
-                 xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+                 pixels: np.ndarray) -> np.ndarray:
     """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
     ring[(start_i + j) mod period] <= code_s,i, where the LFSR at pixel i
     starts at state derive_state(global seed, x_i, y_i, group) mod period + 1
@@ -322,11 +326,11 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     row_words = table.shape[1]
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
-    streams = np.empty((len(levels), xs.size, words_for(length)), dtype=np.uint64)
+    streams = np.empty((len(levels), pixels.size, words_for(length)), dtype=np.uint64)
     windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for s, (group, level) in enumerate(zip(plan.groups, levels)):
         if group not in windows:
-            states = derive_state_grid(cfg.global_seed, xs, ys, group)
+            states = stream_states(pixels, group)
             seeds = (states % np.uint64(period)).astype(np.int64) + 1
             start = cycle.position[seeds].astype(np.int64)
             offsets = (start[:, None] + word_starts) % period
@@ -346,15 +350,16 @@ def _evaluate_block(task: tuple) -> np.ndarray:
     pixel) operand columns."""
     cfg, width, lo, hi, operands = task
     ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
+    pixels = pixel_states(cfg.global_seed, xs, ys)
     plan = stream_plan(cfg.app, cfg.params)
-    levels = _stream_levels(cfg, plan, operands, xs, ys)
+    levels = _stream_levels(cfg, plan, operands, pixels)
     generate = _dsc_streams if cfg.design is SystemDesign.CONV_LFSR else _asc_streams
-    return WIRING[cfg.app].logic(generate(cfg, plan, levels, xs, ys), cfg.params, cfg.length)
+    return WIRING[cfg.app].logic(generate(cfg, plan, levels, pixels), cfg.params, cfg.length)
 
 
 def _workers(jobs: int) -> int:
     """Worker processes for ``jobs``: at most one per CPU."""
-    return min(jobs, os.cpu_count() or 1)
+    return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
 def _map(fn, items: list, jobs: int) -> list:

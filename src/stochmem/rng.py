@@ -4,11 +4,12 @@ Every random source is addressed by one 64-bit SplitMix64 state, derived from
 (global seed, pixel x, pixel y, stream id) by the SplitMix64 finalizer, so
 per-(pixel, stream) sources are reproducible across runs and independent of
 execution order.  Draw j of state s is mix64(s + (j + 1) * GOLDEN).  The
-engine reads states in arrays (derive_state_grid, uniform_block_from_states,
-gauss_from_states, bernoulli_threshold_u64); derive_state, uniforms and the
-scalar gauss address one state each, for the inputs and the scalar oracles.
-The scalar derive_state and gauss go through the scalar mix64 and so share
-no array arithmetic with the engine's grid derivation and noise draws.
+engine reads states in arrays: the (seed, x, y) prefixes of a block's pixels
+(pixel_states) take each stream id or id column last (stream_states), and
+uniform_block_from_states, gauss_from_states and bernoulli_threshold_u64 draw
+from them.  derive_state, uniforms and the scalar gauss address one state
+each, for the inputs and the scalar oracles; they go through the scalar mix64
+and so share no array arithmetic with the engine.
 """
 
 from __future__ import annotations
@@ -54,16 +55,26 @@ def derive_state(global_seed: int, x: int = 0, y: int = 0, stream_id: int = 0) -
     return h
 
 
-def derive_state_grid(global_seed: int, xs: np.ndarray, ys: np.ndarray, stream_id: int) -> np.ndarray:
-    """Vectorized derive_state over pixel coordinate arrays; uint64 ones are
-    read in place, others are converted."""
+def pixel_states(global_seed: int, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The (seed, x, y) prefix of derive_state over pixel coordinate arrays."""
     h = np.full(xs.shape, global_seed & _MASK, dtype=np.uint64)
-    for f in (xs.astype(np.uint64, copy=False), ys.astype(np.uint64, copy=False),
-              np.uint64(stream_id)):
+    for f in (xs, ys):
         h += np.uint64(GOLDEN)
-        h += f
+        h += f.astype(np.uint64, copy=False)
         _mix64_inplace(h)
     return h
+
+
+def stream_states(pixels: np.ndarray, stream_id) -> np.ndarray:
+    """States of stream_id at pixel_states prefixes; an id column (k, 1) gives k rows."""
+    h = pixels + np.asarray(stream_id, dtype=np.uint64)
+    h += np.uint64(GOLDEN)
+    return _mix64_inplace(h)
+
+
+def derive_state_grid(global_seed: int, xs: np.ndarray, ys: np.ndarray, stream_id: int) -> np.ndarray:
+    """Vectorized derive_state over pixel coordinate arrays."""
+    return stream_states(pixel_states(global_seed, xs, ys), stream_id)
 
 
 def uniforms(state: int, count: int) -> np.ndarray:
@@ -74,9 +85,9 @@ def uniforms(state: int, count: int) -> np.ndarray:
 
 def gauss(state: int, sigma: float) -> float:
     """One N(0, sigma) draw from state's first two draws, by Box-Muller."""
-    a = mix64(state + GOLDEN)
-    b = mix64(state + 2 * GOLDEN)
-    return float(_boxmuller(np.uint64(a), np.uint64(b))) * sigma
+    u1 = ((mix64(state + GOLDEN) >> 11) + 1) * _TWO53_INV  # (0, 1]
+    u2 = (mix64(state + 2 * GOLDEN) >> 11) * _TWO53_INV  # [0, 1)
+    return float(np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)) * sigma
 
 
 _MAX_THRESHOLD = np.nextafter(2.0**64, 0.0)  # largest double below 2^64
@@ -92,12 +103,6 @@ def bernoulli_threshold_u64(p) -> np.ndarray:
     p = np.asarray(p, dtype=np.float64)
     scaled = np.clip(p, 0.0, 1.0) * 2.0**64
     return np.minimum(scaled, _MAX_THRESHOLD).astype(np.uint64)
-
-
-def _boxmuller(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    u1 = ((a >> np.uint64(11)) + np.uint64(1)) * _TWO53_INV  # (0, 1]
-    u2 = (b >> np.uint64(11)) * _TWO53_INV  # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
 
 
 def uniform_block_from_states(states: np.ndarray, count: int, into: np.ndarray | None = None,
@@ -121,4 +126,14 @@ def gauss_from_states(states: np.ndarray, sigma: float) -> np.ndarray:
     a = states + np.uint64(GOLDEN)
     b = a + np.uint64(GOLDEN)
     tmp = np.empty_like(a)
-    return _boxmuller(_mix64_inplace(a, tmp), _mix64_inplace(b, tmp)) * sigma
+    _mix64_inplace(a, tmp)
+    _mix64_inplace(b, tmp)
+    a >>= np.uint64(11)
+    a += np.uint64(1)
+    b >>= np.uint64(11)
+    u1 = np.multiply(a, _TWO53_INV, out=tmp.view(np.float64))
+    u2 = np.multiply(b, _TWO53_INV, out=a.view(np.float64))
+    np.sqrt(np.multiply(-2.0, np.log(u1, out=u1), out=u1), out=u1)
+    u1 *= np.cos(np.multiply(2.0 * np.pi, u2, out=u2), out=u2)
+    u1 *= sigma
+    return u1

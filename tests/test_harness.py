@@ -239,18 +239,32 @@ def test_generator_identities_of_a_block_are_disjoint(app, degree, design, reque
     if (app, design) == (AppKind.KDE, SystemDesign.STOCHMEM):
         request.applymarker(_SHARED_NOISE_ID)
     ids = []
-    derive = harness.derive_state_grid
+    states = harness.stream_states
 
-    def recording_derive(global_seed, xs, ys, stream_id):
-        ids.append(stream_id)
-        return derive(global_seed, xs, ys, stream_id)
+    def recording_states(pixels, stream_id):
+        # an id column names one stream per row
+        ids.extend(np.ravel(stream_id).tolist())
+        return states(pixels, stream_id)
 
     cfg = ExperimentConfig(app=app, design=design, length=64, dims=(3, 2),
                            params=AppParams(bernstein_degree=degree))
     assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
-    with mock.patch.object(harness, "derive_state_grid", recording_derive):
+    with mock.patch.object(harness, "stream_states", recording_states):
         run_experiment(cfg)
     assert ids and len(ids) == len(set(ids))
+
+
+def test_a_stochmem_block_derives_its_pixel_prefixes_and_passes_the_memory_once(monkeypatch):
+    # kde's 33 operand slots at 3x2 pixels fit one chunk of the memory path
+    calls = []
+    for name in ("pixel_states", "mem_write_block", "mem_read_block"):
+        fn = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
+    cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.STOCHMEM, length=64, dims=(3, 2))
+    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
+    run_experiment(cfg)
+    assert calls == ["pixel_states", "mem_write_block", "mem_read_block"]
 
 
 @pytest.mark.parametrize("key,value,verb", (("dims", (64, 64), "sizes"), ("input_seed", 5, "seeds")),
@@ -312,6 +326,11 @@ def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budge
 ])
 def test_block_sizes_at_the_default_budget(n_pixels, length, sizes):
     assert [hi - lo for lo, hi in harness._block_slices(n_pixels, length, 1)] == sizes
+
+
+def test_one_job_asks_for_no_cpu_count(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", mock.Mock(side_effect=AssertionError("asked")))
+    assert harness._workers(1) == 1
 
 
 def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
@@ -417,6 +436,16 @@ def test_short_streams_keep_block_memory_bounded(design, length):
     # peaked at 44.9-45.3 MB
     cfg = ExperimentConfig(app=AppKind.KDE, design=design, length=length, dims=(200, 200))
     assert _peak_bytes(cfg) < 25e6
+
+
+@pytest.mark.parametrize("length", (1, 32))
+def test_the_memory_path_keeps_a_stochmem_block_as_small_as_a_conv_mtj_block(length):
+    # the memory path runs over slot chunks of at most _TILE_CELLS cells; over
+    # all 33 slots of a block at once, kde stochmem peaked at 18.6 MB against
+    # conv-mtj's 16.1 MB at L=1
+    cfg = ExperimentConfig(app=AppKind.KDE, length=length, dims=(200, 200))
+    stochmem = _peak_bytes(replace(cfg, design=SystemDesign.STOCHMEM))
+    assert stochmem <= 1.05 * _peak_bytes(replace(cfg, design=SystemDesign.CONV_MTJ))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from stochmem.circuits import AppKind, stream_plan
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
 from stochmem.memory import NoiseModel, mem_read, mem_read_block, mem_write, mem_write_block
-from stochmem.rng import derive_state, derive_state_grid
+from stochmem.rng import derive_state, derive_state_grid, pixel_states
 
 
 def _state(k=0):
@@ -20,7 +20,7 @@ def test_digital_roundtrip_exact_at_word_width():
     plan = stream_plan(cfg.app, cfg.params)
     operands = np.stack([values, values[::-1]])
     xs, ys = np.arange(4), np.zeros(4, dtype=np.int64)
-    levels = harness._stream_levels(cfg, plan, operands, xs, ys)
+    levels = harness._stream_levels(cfg, plan, operands, pixel_states(cfg.global_seed, xs, ys))
     assert [lv.tolist() for lv in levels] == [[0, 307, 512, 1023], [1023, 512, 307, 0]]
 
 
@@ -41,6 +41,10 @@ def test_value_domain_error():
         mem_write(NoiseModel(), 1.5, _state())
     with pytest.raises(ValueError):
         mem_write_block(NoiseModel(), np.array([0.5, -0.1]), np.zeros(2, dtype=np.uint64))
+    # (slot, pixel) rows, as the harness writes them
+    with pytest.raises(ValueError):
+        mem_write_block(NoiseModel(), np.array([[0.5, 0.2], [1.5, 0.3]]),
+                        np.zeros((2, 2), dtype=np.uint64))
 
 
 @pytest.mark.parametrize("value", (-0.1, float("nan"), float("inf")))
@@ -92,10 +96,11 @@ def test_block_ops_match_scalar_ops():
     noise = NoiseModel(0.02, 0.015)
     xs = np.arange(16, dtype=np.uint64)
     zeros = np.zeros(16, dtype=np.uint64)
-    w_states = derive_state_grid(21, xs, zeros, 1)
-    r_states = derive_state_grid(21, xs, zeros, 2)
-    values = np.linspace(0.05, 0.95, 16)
+    # (slot, pixel) rows, as the harness writes them
+    w_states = derive_state_grid(21, xs, zeros, 1).reshape(2, 8)
+    r_states = derive_state_grid(21, xs, zeros, 2).reshape(2, 8)
+    values = np.linspace(0.05, 0.95, 16).reshape(2, 8)
     got_block = mem_read_block(noise, mem_write_block(noise, values, w_states), r_states)
-    got_scalar = [mem_read(noise, mem_write(noise, values[i], int(w_states[i])), int(r_states[i]))
-                  for i in range(16)]
+    got_scalar = [[mem_read(noise, mem_write(noise, v, int(w)), int(r))
+                   for v, w, r in zip(*rows)] for rows in zip(values, w_states, r_states)]
     assert np.allclose(got_block, got_scalar, rtol=0, atol=0)

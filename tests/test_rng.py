@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from stochmem.converters import asc_generate
 from stochmem.rng import (GOLDEN, _mix64_inplace, bernoulli_threshold_u64, derive_state,
-                          derive_state_grid, gauss, gauss_from_states, mix64,
-                          uniform_block_from_states, uniforms)
+                          derive_state_grid, gauss, gauss_from_states, mix64, pixel_states,
+                          stream_states, uniform_block_from_states, uniforms)
 
 _MASK = (1 << 64) - 1
 
@@ -76,6 +76,25 @@ def test_grid_matches_scalar_derivation():
     assert grid.tolist() == scalar
 
 
+_PIXELS = st.lists(st.tuples(st.integers(0, 2**32), st.integers(0, 2**32)), min_size=1,
+                   max_size=6)
+
+
+@given(seed=st.integers(0, _MASK), pixels=_PIXELS,
+       ids=st.lists(st.integers(0, 127), min_size=1, max_size=4))
+@example(seed=0, pixels=[(0, 0), (2**32, 2**32)], ids=[0, 127])
+@example(seed=_MASK, pixels=[(2**32, 0), (0, 2**32)], ids=[127, 64])
+def test_stream_states_of_pixel_states_match_scalar_derivation(seed, pixels, ids):
+    xs = np.array([x for x, _ in pixels], dtype=np.uint64)
+    ys = np.array([y for _, y in pixels], dtype=np.uint64)
+    prefixes = pixel_states(seed, xs, ys)
+    expected = [[derive_state(seed, x, y, i) for x, y in pixels] for i in ids]
+    # an id column gives one row of states per id; an int id gives one row
+    assert stream_states(prefixes, np.array(ids)[:, None]).tolist() == expected
+    assert [stream_states(prefixes, i).tolist() for i in ids] == expected
+    assert derive_state_grid(seed, xs, ys, ids[0]).tolist() == expected[0]
+
+
 def test_uniform_block_matches_scalar_stream():
     state = derive_state(5, 1, 2, 3)
     assert _draws(state, 64) == _splitmix_reference(state, 64)
@@ -106,11 +125,14 @@ def test_mix64_scalar_vs_array():
 
 
 def test_gauss_from_states_matches_sources():
-    states = derive_state_grid(3, np.arange(6, dtype=np.uint64),
-                               np.zeros(6, dtype=np.uint64), 9)
-    vec = gauss_from_states(states, 0.5)
-    singles = [gauss(int(s), 0.5) for s in states]
-    assert np.allclose(vec, singles, rtol=0, atol=0)
+    # (slot, pixel) rows, as the memory path draws them
+    prefixes = pixel_states(3, np.arange(6, dtype=np.uint64), np.zeros(6, dtype=np.uint64))
+    states = stream_states(prefixes, np.arange(64, 67)[:, None])
+    for sigma in (0.0, 0.00625, 0.5):
+        vec = gauss_from_states(states, sigma)
+        singles = [[gauss(int(s), sigma) for s in row] for row in states]
+        assert vec.shape == (3, 6)
+        assert np.allclose(vec, singles, rtol=0, atol=0)
 
 
 def test_gauss_moments():
