@@ -30,7 +30,7 @@ _ADC_TOP = (1 << ADC_BITS) - 1
 _DAC_TOP = (1 << DAC_BITS) - 1
 
 
-def _check_range(x, top, what: str) -> None:
+def check_range(x, top, what: str) -> None:
     lo, hi = np.min(x), np.max(x)
     if not (lo >= 0 and hi <= top):  # also rejects NaN
         got = x if np.ndim(x) == 0 else f"values in [{lo}, {hi}]"
@@ -44,20 +44,20 @@ def _unwrap(a: np.ndarray):
 
 def adc_quantize(x):
     """Round-half-up ADC_BITS quantization of full-scale analog values."""
-    _check_range(x, 1, "ADC input")
+    check_range(x, 1, "ADC input")
     return _unwrap(np.floor(np.asarray(x, dtype=np.float64) * _ADC_TOP + 0.5)
                    .astype(np.int64))
 
 
 def dac_dequantize(code):
     """Full-scale value of DAC_BITS codes."""
-    _check_range(code, _DAC_TOP, f"{DAC_BITS}-bit DAC code")
+    check_range(code, _DAC_TOP, f"{DAC_BITS}-bit DAC code")
     return _unwrap(np.asarray(code) / _DAC_TOP)
 
 
 def requantize(code):
     """ADC codes re-expressed at the DAC width (round-half-up)."""
-    _check_range(code, _ADC_TOP, f"{ADC_BITS}-bit code")
+    check_range(code, _ADC_TOP, f"{ADC_BITS}-bit code")
     return _unwrap(np.floor(np.asarray(code) / _ADC_TOP * _DAC_TOP + 0.5)
                    .astype(np.int64))
 
@@ -76,7 +76,7 @@ def asc_generate(p: float, length: int, state: int) -> np.ndarray:
     """Bernoulli sampling stream: bit j is one iff draw j of state is below
     int(p * 2^64), so the ones count is Binomial(length, p), and all ones at
     p = 1."""
-    _check_range(p, 1, "ASC input")
+    check_range(p, 1, "ASC input")
     if length < 1:
         raise ValueError("stream length must be positive")
     draws = uniform_block_from_states(np.array([state], dtype=np.uint64), length)[0]

@@ -12,8 +12,8 @@ the values read back, and evaluates the row's packed circuit (its logic):
 * stochmem:  analog memory with read/write discrepancy, Bernoulli sampling.
 
 A block runs the stages of its design in turn: memory, over chunks of
-operand slots of at most _TILE_CELLS cells (the SRAM reads back the ADC codes
-it stores, so only stochmem calls the memory model); converters, once per
+operand slots of at most _TILE_CELLS // 4 cells (the SRAM reads back the ADC
+codes it stores, so only stochmem calls the memory model); converters, once per
 chunk and per constant; sources, the stream plan's slots then its constants
 (the Roberts mux select, the gamma coefficients), which skip the memory;
 generator; logic.  The golden output is the row's golden form (golden_eval).
@@ -27,37 +27,39 @@ group (circuits.stream_plan), so results are bit-identical for any worker
 partition.
 
 A run is cut once, into blocks of contiguous row-major pixels (a block may
-start and end mid-row) of at most _BLOCK_CELLS cells.  A pixel costs, per
-source, the 64 * words_for(length) cells of its packed stream words plus
-_VALUE_CELLS for the fixed 64-bit values it holds beside them, so memory per
-block is bounded for any image shape and any length from 1 to 2^24: short
-streams give more pixels per block, but never more than the values they
-hold allow.  Only a single pixel whose stream alone exceeds the budget forms
-a larger block.  The blocks are the tasks _map hands to the workers (_map is
-the one place that starts worker processes, for every run grid: a run's
-blocks, a sweep, a noise-fit grid).  A task is the run's config and its block's
-pixels: their range and operand columns.  The worker count is jobs capped at
-the CPU count (_workers); with several workers the block count is a multiple
-of it, so a small image still spreads over every worker.  Within a block every
-stream is generated packed, as (pixels, words_for(length)) uint64 rows in the
-bitstream layout, and stays packed through the circuit; bits past the length
-are always zero, so popcounts and XOR distances need no masking.  The ASC
-designs compare SplitMix64 draws, made in tiles of at most _TILE_CELLS cells
-in reused buffers and shared between the sources of one group, against each
-source's threshold.  The draw add and the compare each broadcast a per-pixel
-column across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop
-sets numpy's ufunc buffer to the row length (inside np.errstate, which restores
-it on exit), so numpy iterates those rows in place rather than through its
-buffers.  Shorter rows keep numpy's default, which is faster for them.
-conv-lfsr reads each 64-bit word as a window into a table of packed
-comparator outputs over one LFSR period.  Neither tile nor block size nor
-buffer size nor worker count changes any output bit.
+start and end mid-row) of at most _BLOCK_CELLS cells over all of its sources.
+A pixel costs, for each source of the stream plan, the 64 * words_for(length)
+cells of its packed stream words plus _VALUE_CELLS for the fixed 64-bit values
+it holds beside them, so one budget bounds the memory of a block of any app,
+for any image shape and any length from 1 to 2^24: short streams and apps of
+few sources give more pixels per block, but never more than the streams and
+values they hold allow.  Only a single pixel whose streams alone exceed the
+budget forms a larger block.  The blocks are the tasks _map hands to the
+workers (_map is the one place that starts worker processes, for every run
+grid: a run's blocks, a sweep, a noise-fit grid; it imports the process pool
+only then, so a one-worker run loads no multiprocessing).  A task is the run's
+config and its block's pixels: their range and operand columns.  The worker
+count is jobs capped at the CPU count (_workers); with several workers the
+block count is a multiple of it, so a small image still spreads over every
+worker.  Within a block every stream is generated packed, as (pixels,
+words_for(length)) uint64 rows in the bitstream layout, and stays packed
+through the circuit; bits past the length are always zero, so popcounts and XOR
+distances need no masking.  The ASC designs compare SplitMix64 draws, made in
+tiles of at most _TILE_CELLS cells in reused buffers and shared between the
+sources of one group, against each source's threshold.  The draw add and the
+compare each broadcast a per-pixel column across a tile row; from
+_UNBUFFERED_MIN_ROW draws per row the tile loop sets numpy's ufunc buffer to
+the row length (inside np.errstate, which restores it on exit), so numpy
+iterates those rows in place rather than through its buffers.  Shorter rows
+keep numpy's default, which is faster for them.  conv-lfsr reads each 64-bit
+word as a window into a table of packed comparator outputs over one LFSR
+period.  Neither tile nor block size nor buffer size nor worker count changes
+any output bit.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -85,15 +87,22 @@ DEFAULT_NOISE_SIGMA = 0.00625
 PAPER_LENGTHS = (128, 256, 512, 1024)
 DEFAULT_SEEDS = 20
 
-# cells per pixel block, counted per source: a pixel costs one cell per bit of
-# its packed stream words, 64 * words_for(length), plus _VALUE_CELLS for the
-# 64-bit values it holds beside them.  Those are its level (an ADC code or a
-# probability), its threshold or conv-mtj's requantized level and its group's
-# generator states (the memory path's noise works in chunks of _TILE_CELLS
-# cells); four values bound them (tracemalloc of one kde block of 6,250 pixels
-# at L=1, 33 sources: 3.5 values a source and pixel, the stream word included).
-# Only a one-pixel block may exceed the budget, when its stream alone does
-_BLOCK_CELLS = 2_000_000
+# cells per pixel block over all of its sources: a pixel costs, per source, one
+# cell per bit of its packed stream words, 64 * words_for(length), plus
+# _VALUE_CELLS for the 64-bit values it holds beside them.  Those are its level
+# (an ADC code or a probability), its threshold or conv-mtj's requantized level
+# and its group's generator states (the memory path's noise works in chunks of
+# _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one kde block
+# of 2,857 pixels at L=1, 33 sources: 3.5 values a source and pixel, the stream
+# word included).  Only a one-pixel block may exceed the budget, when its
+# streams alone do.  scripts/block_budget_table.py (numpy 2.4.6, 2-vCPU x86-64
+# host), best of 9 over each workload's 15 runs: short-stream 505 ms at 24M
+# cells, 487 at 32M, 448 at 40M; wide-long 696, 703 and 729 ms, peaking at
+# 7.0, 7.0 and 10.6 MB.  In fresh processes 24M made a wide-long and a
+# length-sweep repetition fault 9,200 and 7,100 pages (glibc trims the heap
+# that blocks free once it outgrows twice its largest freed mapping), 32M
+# 1,700 and 0
+_BLOCK_CELLS = 32_000_000
 _VALUE_CELLS = 4 * 64
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
 # output stay in cache; long streams are tiled along the length too.  Tiles run
@@ -199,12 +208,12 @@ def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
 # pixel-block pipeline
 
 
-def _block_slices(n_pixels: int, length: int, jobs: int):
+def _block_slices(n_pixels: int, length: int, sources: int, jobs: int):
     """Contiguous (lo, hi) pixel ranges covering 0..n_pixels whose sizes differ
     by at most one; a block of more than one pixel costs at most _BLOCK_CELLS
-    cells, at 64 * words_for(length) + _VALUE_CELLS per pixel.  The block
-    count is a multiple of jobs unless it is n_pixels."""
-    per_block = max(1, _BLOCK_CELLS // (64 * words_for(length) + _VALUE_CELLS))
+    cells, at 64 * words_for(length) + _VALUE_CELLS per pixel and source.  The
+    block count is a multiple of jobs unless it is n_pixels."""
+    per_block = max(1, _BLOCK_CELLS // (sources * (64 * words_for(length) + _VALUE_CELLS)))
     n_blocks = min(n_pixels, jobs * -(-n_pixels // (per_block * jobs)))
     bounds = [k * n_pixels // n_blocks for k in range(n_blocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -223,11 +232,13 @@ def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray
                    pixels: np.ndarray) -> list[np.ndarray]:
     """Per-source generator input, a comparator code (conv-lfsr) or a
     probability (ASC designs), from the (slot, pixel) operand rows at the
-    pixel_states pixels.  Chunks of slots of at most _TILE_CELLS cells pass
-    the memory (only stochmem models it) and then the converters (_convert)
-    once each, as constants do; a source references its slot's row."""
+    pixel_states pixels.  Chunks of slots of at most _TILE_CELLS // 4 cells
+    pass the memory (only stochmem models it) and then the converters (_convert)
+    once each, as constants do; a source references its slot's row.  A quarter
+    tile keeps the memory path's noise arrays from raising a stochmem block's
+    peak above a conv-mtj block's."""
     n = pixels.size
-    rows = max(1, _TILE_CELLS // n)
+    rows = max(1, _TILE_CELLS // 4 // n)
     levels = []
     for lo in range(0, len(operands), rows):
         values = operands[lo:lo + rows]
@@ -311,7 +322,8 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     for k over one period plus 128 values.  Word w of a stream is the
     unaligned 64-bit window of the row at the source's code, at bit offset
     (start + 64 w) mod period; the 128 extra values keep every window inside
-    its row.
+    its row.  The windows of one group are held at a time, and each source's
+    words are gathered and shifted in buffers reused by every source.
     """
     length = cfg.length
     # the comparator is as wide as the ADC code
@@ -327,19 +339,27 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
     streams = np.empty((len(levels), pixels.size, words_for(length)), dtype=np.uint64)
-    windows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for s, (group, level) in enumerate(zip(plan.groups, levels)):
-        if group not in windows:
-            states = stream_states(pixels, group)
-            seeds = (states % np.uint64(period)).astype(np.int64) + 1
-            start = cycle.position[seeds].astype(np.int64)
-            offsets = (start[:, None] + word_starts) % period
-            windows[group] = (offsets >> 6, (offsets & 63).astype(np.uint64))
-        word, shift = windows[group]
-        idx = level[:, None] * row_words + word
+    idx = np.empty(streams.shape[1:], dtype=np.int64)
+    low, high = np.empty_like(streams[0]), np.empty_like(streams[0])
+    for group in dict.fromkeys(plan.groups):
+        states = stream_states(pixels, group)
+        seeds = (states % np.uint64(period)).astype(np.int64) + 1
+        start = cycle.position[seeds].astype(np.int64)
+        word = (start[:, None] + word_starts) % period
+        shift = (word & 63).astype(np.uint64)
+        word >>= 6
         # the split left shift is 64 - shift for shift 1..63 and drops the
         # high word at shift 0, where a single shift by 64 is undefined
-        streams[s] = (table[idx] >> shift) | (table[idx + 1] << (63 - shift) << 1)
+        high_shift = np.uint64(63) - shift
+        for s in (s for s, g in enumerate(plan.groups) if g == group):
+            # every index lies inside the table, so "wrap" only skips the
+            # bounds check
+            np.add(word, levels[s][:, None] * row_words, out=idx)
+            np.right_shift(np.take(table, idx, out=low, mode="wrap"), shift, out=low)
+            idx += 1
+            np.left_shift(np.take(table, idx, out=high, mode="wrap"), high_shift, out=high)
+            high <<= np.uint64(1)
+            np.bitwise_or(low, high, out=streams[s])
     streams[:, :, -1] &= np.uint64(tail_mask(length))
     return streams
 
@@ -367,6 +387,8 @@ def _map(fn, items: list, jobs: int) -> list:
     workers = min(_workers(jobs), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    # imported here, so a one-worker run loads neither it nor multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -377,8 +399,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     n_planes, height, width = planes.shape
 
     operands = planes.reshape(n_planes, -1)
+    sources = len(stream_plan(cfg.app, cfg.params).groups)
     tasks = [(cfg, width, lo, hi, operands[:, lo:hi])
-             for lo, hi in _block_slices(height * width, cfg.length, _workers(cfg.jobs))]
+             for lo, hi in _block_slices(height * width, cfg.length, sources, _workers(cfg.jobs))]
     pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
 
     output = ImageGray(pixels.reshape(height, width))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .converters import check_range
 from .rng import gauss, gauss_from_states
 
 
@@ -37,8 +38,7 @@ class NoiseModel:
 def mem_write(noise: NoiseModel, value: float, state: int) -> float:
     """Store one value with the write noise of generator state; returns the
     cell content."""
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"stored value must lie in [0, 1], got {value}")
+    check_range(value, 1, "stored value")
     return float(np.clip(value + gauss(state, noise.write_sigma), 0.0, 1.0))
 
 
@@ -57,8 +57,7 @@ def _noisy_block(values: np.ndarray, noise_states: np.ndarray, sigma: float) -> 
 def mem_write_block(noise: NoiseModel, values: np.ndarray,
                     noise_states: np.ndarray) -> np.ndarray:
     """Vectorized mem_write; noise_states supplies one derived generator state per cell."""
-    if np.any(values < 0.0) or np.any(values > 1.0):
-        raise ValueError("stored values must lie in [0, 1]")
+    check_range(values, 1, "stored value")
     return _noisy_block(values, noise_states, noise.write_sigma)
 
 

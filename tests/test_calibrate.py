@@ -1,6 +1,7 @@
 """The two calibration fits: the noise sigma against the accuracy gap, and the
 access multipliers against the published energy reductions."""
 
+import concurrent.futures
 import contextlib
 import itertools
 import re
@@ -72,8 +73,8 @@ def test_noise_fit_on_two_workers_equals_the_serial_fit_with_one_pool_per_grid()
     serial, runs = _calibrate_counting_designs(0.5, template, 3)
     assert serial == (NoiseModel(0.015625, 0.015625), 0.49574127488368197)
     evaluations = runs[SystemDesign.STOCHMEM] // 15
-    with mock.patch.object(harness, "ProcessPoolExecutor",
-                           wraps=harness.ProcessPoolExecutor) as pools:
+    with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                    wraps=concurrent.futures.ProcessPoolExecutor) as pools:
         assert calibrate.calibrate_noise(0.5, replace(template, jobs=2), n_seeds=3) == serial
     # the conv-mtj baseline, then one per gap evaluation
     assert pools.call_count == evaluations + 1

@@ -1,9 +1,14 @@
+import concurrent.futures
 import contextlib
 import io
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,6 +32,12 @@ from stochmem.images import ImageGray, load_pgm, save_pgm
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import derive_state
 from stochmem.synth import INPUT_SEED, gen_test_inputs
+
+
+def _blocks(cfg: ExperimentConfig, n_pixels: int, jobs: int = 1) -> list[tuple[int, int]]:
+    """The pixel blocks of an n_pixels run of cfg's app and length."""
+    sources = len(stream_plan(cfg.app, cfg.params).groups)
+    return harness._block_slices(n_pixels, cfg.length, sources, jobs)
 
 
 @pytest.mark.parametrize("length", (0, MAX_LENGTH + 1))
@@ -211,7 +222,7 @@ def test_each_stored_value_is_converted_once(monkeypatch):
     monkeypatch.setattr(harness, "requantize", counting)
     cfg = ExperimentConfig(app=AppKind.GAMMA, design=SystemDesign.CONV_MTJ, length=64,
                            dims=(3, 2), params=AppParams(bernstein_degree=6))
-    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
+    assert _blocks(cfg, 6) == [(0, 6)]
     run_experiment(cfg)
     assert len(calls) == 8
 
@@ -248,7 +259,7 @@ def test_generator_identities_of_a_block_are_disjoint(app, degree, design, reque
 
     cfg = ExperimentConfig(app=app, design=design, length=64, dims=(3, 2),
                            params=AppParams(bernstein_degree=degree))
-    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
+    assert _blocks(cfg, 6) == [(0, 6)]
     with mock.patch.object(harness, "stream_states", recording_states):
         run_experiment(cfg)
     assert ids and len(ids) == len(set(ids))
@@ -262,7 +273,7 @@ def test_a_stochmem_block_derives_its_pixel_prefixes_and_passes_the_memory_once(
         monkeypatch.setattr(harness, name,
                             lambda *a, _name=name, _fn=fn: calls.append(_name) or _fn(*a))
     cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.STOCHMEM, length=64, dims=(3, 2))
-    assert harness._block_slices(6, cfg.length, 1) == [(0, 6)]
+    assert _blocks(cfg, 6) == [(0, 6)]
     run_experiment(cfg)
     assert calls == ["pixel_states", "mem_write_block", "mem_read_block"]
 
@@ -298,12 +309,15 @@ def test_synthetic_frames_are_made_once_per_input_kind():
 
 
 @given(n_pixels=st.integers(1, 5000), length=st.integers(1, MAX_LENGTH),
-       budget=st.integers(1, 4_000_000), jobs=st.integers(1, 8))
-def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budget, jobs):
-    # a pixel costs its stream bits in whole words plus the values held beside them
-    pixel_cells = 64 * words_for(length) + harness._VALUE_CELLS
+       sources=st.integers(1, 33), budget=st.integers(1, 4 * harness._BLOCK_CELLS),
+       jobs=st.integers(1, 8))
+def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, sources, budget,
+                                                         jobs):
+    # a pixel costs, per source, its stream bits in whole words plus the values
+    # held beside them
+    pixel_cells = sources * (64 * words_for(length) + harness._VALUE_CELLS)
     with mock.patch.object(harness, "_BLOCK_CELLS", budget):
-        blocks = harness._block_slices(n_pixels, length, jobs)
+        blocks = harness._block_slices(n_pixels, length, sources, jobs)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_pixels
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
@@ -317,15 +331,26 @@ def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, budge
         assert len(blocks) == -(-n_pixels // max(1, budget // pixel_cells))
 
 
+_SHORT_SIZES = {AppKind.ROBERT: [12800] * 2, AppKind.MEDIAN: [8533, 8533, 8534],
+                AppKind.FRAME: [25600], AppKind.GAMMA: [6400] * 4,
+                AppKind.KDE: [2844, 2844] + [2845, 2844] * 3 + [2845]}
+
+
 @pytest.mark.parametrize("n_pixels,length,sizes", [
-    (160 * 160, 32, [5120] * 5),        # short streams: 320 cells a pixel
-    (160 * 160, 1, [5120] * 5),         # a length of 1 still fills a whole word
-    (512, 8192, [170, 171, 171]),       # long streams: 8448 cells a pixel
-    (32 * 32, 1024, [1024]),
-    (1, MAX_LENGTH, [1]),               # one pixel over the budget
+    # short streams: 320 cells a pixel and source, times 5, 9, 2, 13 and 33 sources
+    (160 * 160, 32, _SHORT_SIZES),
+    (160 * 160, 1, _SHORT_SIZES),       # a length of 1 still fills a whole word
+    # long streams: 8448 cells a pixel and source
+    (512, 8192, {AppKind.ROBERT: [512], AppKind.MEDIAN: [256, 256], AppKind.FRAME: [512],
+                 AppKind.GAMMA: [256, 256], AppKind.KDE: [102, 102, 103, 102, 103]}),
+    (32 * 32, 1024, {**{app: [1024] for app in AppKind}, AppKind.KDE: [512, 512]}),
+    (1, MAX_LENGTH, {app: [1] for app in AppKind}),     # one pixel over the budget
 ])
 def test_block_sizes_at_the_default_budget(n_pixels, length, sizes):
-    assert [hi - lo for lo, hi in harness._block_slices(n_pixels, length, 1)] == sizes
+    got = {app: [hi - lo for lo, hi in _blocks(ExperimentConfig(app=app, length=length),
+                                               n_pixels)]
+           for app in AppKind}
+    assert got == sizes
 
 
 def test_one_job_asks_for_no_cpu_count(monkeypatch):
@@ -339,8 +364,8 @@ def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
                            dims=(3, 2))
     serial = run_experiment(cfg).output.data
     with mock.patch.object(harness.os, "cpu_count", return_value=2), \
-            mock.patch.object(harness, "ProcessPoolExecutor",
-                           wraps=harness.ProcessPoolExecutor) as pools:
+            mock.patch("concurrent.futures.ProcessPoolExecutor",
+                       wraps=concurrent.futures.ProcessPoolExecutor) as pools:
         parallel = run_experiment(replace(cfg, jobs=2)).output.data
     assert pools.call_count == 1 and pools.call_args.kwargs == {"max_workers": 2}
     assert parallel.tobytes() == serial.tobytes()
@@ -366,7 +391,7 @@ def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     assert fn is harness._evaluate_block and jobs == 3
     # a task is (cfg, width, lo, hi, operands): the run's config and its pixels
     assert all(task[:2] == (cfg, 7) for task in tasks)
-    assert [(lo, hi) for _, _, lo, hi, _ in tasks] == harness._block_slices(35, 300, 3)
+    assert [(lo, hi) for _, _, lo, hi, _ in tasks] == _blocks(cfg, 35, 3)
     operands = resolve_inputs(cfg).reshape(9, 35)
     for _, _, lo, hi, block in tasks:
         assert block.shape == (9, hi - lo)
@@ -392,7 +417,7 @@ def test_no_pool_asks_for_more_workers_than_cpus(monkeypatch, entry):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ, length=16,
                            dims=(8, 8), jobs=10**6)
@@ -418,34 +443,67 @@ def _peak_bytes(cfg: ExperimentConfig) -> int:
 
 
 def test_long_streams_keep_block_memory_bounded():
-    # 64 pixels at L=262144 hold 8.4x the block budget; as one block (the whole
-    # row) the run allocated 77.7 MB
+    # 64 pixels at L=262144 hold 17x the block budget over kde's 33 sources; as
+    # one block (the whole row) the run allocated 77.7 MB
     cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=1 << 18,
                            dims=(64, 1))
     assert _peak_bytes(cfg) < 25e6
+
+
+def test_one_budget_bounds_the_blocks_of_every_app():
+    # 512x1 at L=8192 on conv-mtj.  Budgeted per source, kde's 33 sources made
+    # blocks of 170 pixels and peaked at 7.27 MB, 2x the 9-source median; over
+    # all sources the largest peak is gamma's 6.06 MB (13 sources, 256 pixels)
+    peaks = {app: _peak_bytes(ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ,
+                                               length=8192, dims=(512, 1)))
+             for app in AppKind}
+    assert max(peaks.values()) < 7e6, peaks
 
 
 @pytest.mark.parametrize("length", (1, 32))
 @pytest.mark.parametrize("design", (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM),
                          ids=lambda d: d.value)
 def test_short_streams_keep_block_memory_bounded(design, length):
-    # kde's 33 operand planes at 200x200 take 10.6 MB.  A block of at most 6,250
-    # pixels (2M cells at 64 + 256 a pixel) holds 33 sources x 320 bits = 1.3 kB
-    # a pixel, 8.3 MB, and the stream tile buffers 1.1 MB: 20 MB in all.
-    # Counting only L cells a pixel put all 40,000 pixels in one block, which
-    # peaked at 44.9-45.3 MB
+    # kde's 33 operand planes at 200x200 take 10.6 MB.  A block of at most 3,030
+    # pixels (32M cells at 33 sources x (64 + 256) a pixel) holds 4 MB of
+    # streams and values; the runs peaked at 13.5 MB (L=1) and 14.6 MB (L=32,
+    # with the 1.1 MB stream tile buffers).  Counting only L cells a pixel put
+    # all 40,000 pixels in one block, which peaked at 44.9-45.3 MB
     cfg = ExperimentConfig(app=AppKind.KDE, design=design, length=length, dims=(200, 200))
-    assert _peak_bytes(cfg) < 25e6
+    assert _peak_bytes(cfg) < 16.5e6
 
 
 @pytest.mark.parametrize("length", (1, 32))
 def test_the_memory_path_keeps_a_stochmem_block_as_small_as_a_conv_mtj_block(length):
-    # the memory path runs over slot chunks of at most _TILE_CELLS cells; over
-    # all 33 slots of a block at once, kde stochmem peaked at 18.6 MB against
-    # conv-mtj's 16.1 MB at L=1
+    # the memory path runs over slot chunks of at most _TILE_CELLS // 4 cells;
+    # over all 33 slots of a block at once, kde stochmem peaked at 18.6 MB
+    # against conv-mtj's 16.1 MB at L=1, and over chunks of _TILE_CELLS cells in
+    # the blocks of a 24M-cell budget at 13.6 MB against 12.9 MB
     cfg = ExperimentConfig(app=AppKind.KDE, length=length, dims=(200, 200))
     stochmem = _peak_bytes(replace(cfg, design=SystemDesign.STOCHMEM))
     assert stochmem <= 1.05 * _peak_bytes(replace(cfg, design=SystemDesign.CONV_MTJ))
+
+
+def test_a_one_worker_run_imports_no_process_pool_and_no_masked_arrays():
+    # concurrent.futures.process loads multiprocessing and np.median loads
+    # numpy.ma: 2.3 MB of resident memory that a one-worker run never uses
+    code = "\n".join((
+        "import sys",
+        "from stochmem.circuits import AppKind",
+        "from stochmem.costs import SystemDesign",
+        "from stochmem.harness import ExperimentConfig, run_experiment",
+        "for app in AppKind:",
+        "    for design in SystemDesign:",
+        "        run_experiment(ExperimentConfig(app=app, design=design, length=64, dims=(4, 3)))",
+        "print(sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))",
+    ))
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

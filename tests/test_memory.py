@@ -47,6 +47,15 @@ def test_value_domain_error():
                         np.zeros((2, 2), dtype=np.uint64))
 
 
+def test_both_write_forms_reject_nan():
+    # NaN compares false both ways, so a check of values < 0 or values > 1 let it in
+    values = np.array([np.nan, 0.5])
+    with pytest.raises(ValueError, match=r"stored value must lie in \[0, 1\], got nan"):
+        mem_write(NoiseModel(), values[0], _state())
+    with pytest.raises(ValueError, match=r"stored value must lie in \[0, 1\], got values in"):
+        mem_write_block(NoiseModel(), values, np.zeros(2, dtype=np.uint64))
+
+
 @pytest.mark.parametrize("value", (-0.1, float("nan"), float("inf")))
 @pytest.mark.parametrize("field", ("write_sigma", "read_sigma"))
 def test_noise_sigmas_must_be_nonnegative_and_finite(field, value):

@@ -1,8 +1,9 @@
 """Every script under scripts/ compiles and imports against the package, so a
 deleted or renamed package name cannot break one silently.  Importing runs no
 script: each guards its entry point with ``if __name__ == "__main__"``.  The
-tile buffer table also runs once, at one repeat, so its code is exercised; the
-A/B verdict is checked on fixed samples, without running the benchmark."""
+tile buffer and block budget tables also run once, at one repeat, so their
+code is exercised; the A/B verdict is checked on fixed samples, without
+running the benchmark."""
 
 import importlib.util
 import os
@@ -12,12 +13,15 @@ from pathlib import Path
 
 import pytest
 
+from stochmem.circuits import AppKind
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 
 def test_scripts_are_found():
-    assert {"ab_pairs.py", "tile_buffer_table.py"} <= {p.name for p in SCRIPTS}
+    assert {"ab_pairs.py", "block_budget_table.py", "tile_buffer_table.py"} <= \
+        {p.name for p in SCRIPTS}
 
 
 def _load(path: Path):
@@ -33,16 +37,30 @@ def test_script_imports_without_running(path):
     assert callable(_load(path).main)
 
 
-def test_tile_buffer_table_prints_one_row_per_row_length():
-    path = ROOT / "scripts" / "tile_buffer_table.py"
+def _run_script(name: str, *args: str) -> list[str]:
+    """Stdout lines of scripts/name run with args against the package in src/."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, str(path), "--repeats", "1"], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=ROOT,
+                          env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_tile_buffer_table_prints_one_row_per_row_length():
+    lines = _run_script("tile_buffer_table.py", "--repeats", "1")
     # a title line, a header line, then one row per row length
-    lines = done.stdout.splitlines()
-    assert [int(line.split()[0]) for line in lines[2:]] == list(_load(path).ROW_LENGTHS)
+    rows = _load(ROOT / "scripts" / "tile_buffer_table.py").ROW_LENGTHS
+    assert [int(line.split()[0]) for line in lines[2:]] == list(rows)
+
+
+def test_block_budget_table_prints_one_row_per_shape_and_app():
+    lines = _run_script("block_budget_table.py", "--repeats", "1", "--budgets", "32e6")
+    # a title line, a header line, then one row per (workload, length) and app
+    shapes = _load(ROOT / "scripts" / "block_budget_table.py").SHAPES
+    assert [line.split()[:3] for line in lines[2:]] == [
+        [workload, str(length), app.value] for workload, _, length in shapes for app in AppKind]
+    assert {line.split()[4] for line in lines[2:]} == {"32"}
 
 
 # median 1.0, quartiles 0.98 and 1.02: a parent IQR of 0.04
