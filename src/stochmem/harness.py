@@ -34,20 +34,23 @@ it holds beside them, so one budget bounds the memory of a block of any app,
 for any image shape and any length from 1 to 2^24: short streams and apps of
 few sources give more pixels per block, but never more than the streams and
 values they hold allow.  Only a single pixel whose streams alone exceed the
-budget forms a larger block.  The blocks are the tasks _map hands to the
-workers (_map is the one place that starts worker processes, for every run
-grid: a run's blocks, a sweep, a noise-fit grid; it imports the process pool
-only then, so a one-worker run loads no multiprocessing).  A task is the run's
-config and its block's pixels: their range and operand columns.  The worker
-count is jobs capped at the CPU count (_workers); with several workers the
-block count is a multiple of it, so a small image still spreads over every
-worker.  Within a block every stream is generated packed, as (pixels,
-words_for(length)) uint64 rows in the bitstream layout, and stays packed
-through the circuit; bits past the length are always zero, so popcounts and XOR
-distances need no masking.  The ASC designs compare SplitMix64 draws, made in
-tiles of at most _TILE_CELLS cells in reused buffers and shared between the
-sources of one group, against each source's threshold.  The draw add and the
-compare each broadcast a per-pixel column across a tile row; from
+budget forms a larger block.  The budget does not count conv-lfsr's gather
+temporaries (a group's word and shift windows and one source's gathered words,
+about six arrays of one source's stream words), so a conv-lfsr block of an app
+of few sources peaks above its conv-mtj block.  The blocks are the tasks _map
+hands to the workers (_map is the one place that starts worker processes, for
+every run grid: a run's blocks, a sweep, a noise-fit grid; it imports the
+process pool only then, so a one-worker run loads no multiprocessing).  A task
+is the run's config and its block's pixels: their range and operand columns.
+The worker count is jobs capped at the CPU count (_workers); with several
+workers the block count is a multiple of it, so a small image still spreads
+over every worker.  Within a block every stream is generated packed, as
+(pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
+packed through the circuit; bits past the length are always zero, so popcounts
+and XOR distances need no masking.  The ASC designs compare SplitMix64 draws,
+made in tiles of at most _TILE_CELLS cells in reused buffers and shared
+between the sources of one group, against each source's threshold.  The draw
+add and the compare each broadcast a per-pixel column across a tile row; from
 _UNBUFFERED_MIN_ROW draws per row the tile loop sets numpy's ufunc buffer to
 the row length (inside np.errstate, which restores it on exit), so numpy
 iterates those rows in place rather than through its buffers.  Shorter rows
@@ -96,12 +99,12 @@ DEFAULT_SEEDS = 20
 # of 2,857 pixels at L=1, 33 sources: 3.5 values a source and pixel, the stream
 # word included).  Only a one-pixel block may exceed the budget, when its
 # streams alone do.  scripts/block_budget_table.py (numpy 2.4.6, 2-vCPU x86-64
-# host), best of 9 over each workload's 15 runs: short-stream 505 ms at 24M
-# cells, 487 at 32M, 448 at 40M; wide-long 696, 703 and 729 ms, peaking at
-# 7.0, 7.0 and 10.6 MB.  In fresh processes 24M made a wide-long and a
-# length-sweep repetition fault 9,200 and 7,100 pages (glibc trims the heap
-# that blocks free once it outgrows twice its largest freed mapping), 32M
-# 1,700 and 0
+# host), best of 9 over each workload's 15 runs: short-stream 382 ms at 24M
+# cells, 369 at 32M, 364 at 40M; wide-long 579, 572 and 572 ms, peaking at
+# 6.0, 6.1 and 10.6 MB.  In fresh processes 24M made each warm wide-long and
+# length-sweep repetition fault 9,000 and 6,000 pages (glibc trims the heap
+# that blocks free once it outgrows twice its largest freed mapping), 32M at
+# most 38 and 6
 _BLOCK_CELLS = 32_000_000
 _VALUE_CELLS = 4 * 64
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
@@ -322,8 +325,7 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     for k over one period plus 128 values.  Word w of a stream is the
     unaligned 64-bit window of the row at the source's code, at bit offset
     (start + 64 w) mod period; the 128 extra values keep every window inside
-    its row.  The windows of one group are held at a time, and each source's
-    words are gathered and shifted in buffers reused by every source.
+    its row.  The windows of one group are held at a time.
     """
     length = cfg.length
     # the comparator is as wide as the ADC code
@@ -339,8 +341,6 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     table = table.ravel()
     word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
     streams = np.empty((len(levels), pixels.size, words_for(length)), dtype=np.uint64)
-    idx = np.empty(streams.shape[1:], dtype=np.int64)
-    low, high = np.empty_like(streams[0]), np.empty_like(streams[0])
     for group in dict.fromkeys(plan.groups):
         states = stream_states(pixels, group)
         seeds = (states % np.uint64(period)).astype(np.int64) + 1
@@ -348,18 +348,11 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
         word = (start[:, None] + word_starts) % period
         shift = (word & 63).astype(np.uint64)
         word >>= 6
-        # the split left shift is 64 - shift for shift 1..63 and drops the
-        # high word at shift 0, where a single shift by 64 is undefined
-        high_shift = np.uint64(63) - shift
         for s in (s for s, g in enumerate(plan.groups) if g == group):
-            # every index lies inside the table, so "wrap" only skips the
-            # bounds check
-            np.add(word, levels[s][:, None] * row_words, out=idx)
-            np.right_shift(np.take(table, idx, out=low, mode="wrap"), shift, out=low)
-            idx += 1
-            np.left_shift(np.take(table, idx, out=high, mode="wrap"), high_shift, out=high)
-            high <<= np.uint64(1)
-            np.bitwise_or(low, high, out=streams[s])
+            idx = levels[s][:, None] * row_words + word
+            # the split left shift is 64 - shift for shift 1..63 and drops the
+            # high word at shift 0, where a single shift by 64 is undefined
+            streams[s] = (table[idx] >> shift) | (table[idx + 1] << (63 - shift) << 1)
     streams[:, :, -1] &= np.uint64(tail_mask(length))
     return streams
 

@@ -88,16 +88,25 @@ def test_outputs_do_not_depend_on_worker_count(video_crop):
 
 @pytest.mark.parametrize("length", (63, 300))
 def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, video_crop):
-    # kde blocks of 8-9 (L=63, 33 sources x (64 + 256) cells a pixel) or 5
-    # (L=300, 33 x (5 * 64 + 256)) pixels that split the 7-pixel rows (and the
-    # crop's 6-pixel rows), fewer and larger blocks for the apps of fewer
-    # sources, and one-pixel tiles that split the length axis into 64-bit
-    # chunks at L=300
+    # blocks of 8-9 (L=63, 64 + 256 cells a pixel) or 5 (L=300, 5 * 64 + 256)
+    # pixels that split the 7-pixel rows (and the crop's 6-pixel rows), and
+    # one-pixel tiles that split the length axis into 64-bit chunks at L=300.
+    # The blocks are sized as for one source, so that every app, whatever its
+    # source count, runs in these blocks
     monkeypatch.setattr(harness, "_TILE_CELLS", 100)
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 33 * 3000)
-    blocks = harness._block_slices(35, length, 33, 1)
+    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
+    slices = harness._block_slices
+    blocks = slices(35, length, 1, 1)
     assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {5})
     assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
+    counts = []
+
+    def one_source_slices(n_pixels, stream_length, sources, jobs):
+        got = slices(n_pixels, stream_length, 1, jobs)
+        counts.append(len(got))
+        return got
+
+    monkeypatch.setattr(harness, "_block_slices", one_source_slices)
     widths = set()
     draw = harness.uniform_block_from_states
 
@@ -107,6 +116,7 @@ def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, video_
 
     monkeypatch.setattr(harness, "uniform_block_from_states", recording_draw)
     _check(_cases(length, video_crop))
+    assert counts and min(counts) > 1
     assert widths == ({63} if length == 63 else {64, 300 - 4 * 64})
 
 
