@@ -11,7 +11,8 @@ be independent.
 
 WIRING holds one row per app: its synthetic input kind, operand slots, packed
 circuit and golden form (golden_eval: the exact floating-point output, its
-maximum-possible accuracy, over the operand planes the streams encode).
+maximum-possible accuracy, over the operand values the streams encode; the
+harness passes a pixel block's operand columns as one image row).
 stream_plan gives its sources (slots, then constants) and generator groups;
 slot s has memory-noise ids WRITE_NOISE_BASE + s and READ_NOISE_BASE + s.
 """
@@ -308,8 +309,9 @@ WIRING = {
         window=((0, 0), (0, 1), (1, 0), (1, 1))),
     AppKind.MEDIAN: Wiring(
         "salt-pepper", lambda s, p, length: popcount_rows(median_batch(s)) / length,
-        # element 4 of the nine sorted values; np.median would import numpy.ma
-        lambda x, p: np.partition(x, 4, axis=0)[4],
+        # element 4 of the nine sorted values, copied out of the partitioned
+        # nine so that they can be freed; np.median would import numpy.ma
+        lambda x, p: np.partition(x, 4, axis=0)[4].copy(),
         window=tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))),
     AppKind.FRAME: Wiring(
         "video", lambda s, p, length: frame_batch(s[0], s[1], p.theta, length),

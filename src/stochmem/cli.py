@@ -159,7 +159,7 @@ def _cmd_cost(args) -> int:
             _print_report(area_report(design, app, cfg.costs), "area_um2")
             print(f"# energy_pJ_per_pixel app={app.value} design={design.value} "
                   f"length={cfg.length}")
-            # one stored operand per operand plane, as a run charges
+            # one stored operand per operand slot, as a run charges
             _print_report(energy_report(design, app, cfg.length, WIRING[app].slots,
                                         cfg.costs), "energy_pJ")
     return 0

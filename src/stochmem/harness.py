@@ -1,11 +1,12 @@
 """End-to-end experiment runner.
 
 A run's input is a list of frames, oldest first: the synthetic frames of its
-circuits.WIRING row's input kind (synth.gen_test_inputs), or PGM files.
-resolve_inputs turns them into its operand planes (slot, y, x), one plane per
-operand slot of that row.  For each pixel the harness stores the operand
-values through the design's memory path, regenerates stochastic streams from
-the values read back, and evaluates the row's packed circuit (its logic):
+circuits.WIRING row's input kind (synth.gen_test_inputs), or PGM files;
+resolve_inputs gives them.  operand_columns gathers the (slot, pixel) operand
+values of a range of pixels from them, one row per operand slot of that
+WIRING row.  For each pixel the harness stores the operand values through the
+design's memory path, regenerates stochastic streams from the values read
+back, and evaluates the row's packed circuit (its logic):
 
 * conv-lfsr: 10-bit ADC, ideal SRAM, LFSR+comparator stream generation;
 * conv-mtj:  10-bit ADC, ideal SRAM, 8-bit DAC, Bernoulli sampling;
@@ -16,10 +17,12 @@ operand slots of at most _TILE_CELLS // 4 cells (the SRAM reads back the ADC
 codes it stores, so only stochmem calls the memory model); converters, once per
 chunk and per constant; sources, the stream plan's slots then its constants
 (the Roberts mux select, the gamma coefficients), which skip the memory;
-generator; logic.  The golden output is the row's golden form (golden_eval).
-The run's energy charges each operand plane as one stored operand
-(costs.energy_report with n_operands the plane count).  A report carries its
-config; report_csv_row, its one text form, is what run prints and sweep writes.
+generator; logic.  It also gives its golden output, the row's golden form
+(golden_eval) of its operand columns; the run joins the blocks' outputs and
+goldens into two images and scores them once.  The run's energy charges each
+operand slot as one stored operand (costs.energy_report with n_operands the
+slot count).  A report carries its config; report_csv_row, its one text form,
+is what run prints and sweep writes.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -34,17 +37,14 @@ it holds beside them, so one budget bounds the memory of a block of any app,
 for any image shape and any length from 1 to 2^24: short streams and apps of
 few sources give more pixels per block, but never more than the streams and
 values they hold allow.  Only a single pixel whose streams alone exceed the
-budget forms a larger block.  The budget does not count conv-lfsr's gather
-temporaries (a group's word and shift windows and one source's gathered words,
-about six arrays of one source's stream words), so a conv-lfsr block of an app
-of few sources peaks above its conv-mtj block.  The blocks are the tasks _map
-hands to the workers (_map is the one place that starts worker processes, for
-every run grid: a run's blocks, a sweep, a noise-fit grid; it imports the
-process pool only then, so a one-worker run loads no multiprocessing).  A task
-is the run's config and its block's pixels: their range and operand columns.
-The worker count is jobs capped at the CPU count (_workers); with several
-workers the block count is a multiple of it, so a small image still spreads
-over every worker.  Within a block every stream is generated packed, as
+budget forms a larger block.  The blocks are the tasks _map hands to the
+workers (_map is the one place that starts worker processes, for every run
+grid: a run's blocks, a sweep, a noise-fit grid; it imports the process pool
+only then, so a one-worker run loads no multiprocessing).  A task is the run's
+config and its block's pixels: their range and operand columns.  The worker
+count is jobs capped at the CPU count (_workers); with several workers the
+block count is a multiple of it, so a small image still spreads over every
+worker.  Within a block every stream is generated packed, as
 (pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
 packed through the circuit; bits past the length are always zero, so popcounts
 and XOR distances need no masking.  The ASC designs compare SplitMix64 draws,
@@ -58,6 +58,15 @@ keep numpy's default, which is faster for them.  conv-lfsr reads each 64-bit
 word as a window into a table of packed comparator outputs over one LFSR
 period.  Neither tile nor block size nor buffer size nor worker count changes
 any output bit.
+
+A one-worker run gathers a block's operand columns only when the block runs,
+so beside its frames it holds one block (its columns, streams and values
+within the budget, and the tile buffers) and the outputs and goldens of the
+blocks run so far: its memory is its frames plus one block's budget and two
+images, for any image size.  A pool takes every task at once
+(ProcessPoolExecutor.map submits them all), so a run on several workers holds
+the operand columns of all of its blocks, pixels times operand slots values,
+while they wait.
 """
 
 from __future__ import annotations
@@ -92,16 +101,17 @@ DEFAULT_SEEDS = 20
 
 # cells per pixel block over all of its sources: a pixel costs, per source, one
 # cell per bit of its packed stream words, 64 * words_for(length), plus
-# _VALUE_CELLS for the 64-bit values it holds beside them.  Those are its level
-# (an ADC code or a probability), its threshold or conv-mtj's requantized level
-# and its group's generator states (the memory path's noise works in chunks of
-# _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one kde block
-# of 2,857 pixels at L=1, 33 sources: 3.5 values a source and pixel, the stream
-# word included).  Only a one-pixel block may exceed the budget, when its
-# streams alone do.  scripts/block_budget_table.py (numpy 2.4.6, 2-vCPU x86-64
-# host), best of 9 over each workload's 15 runs: short-stream 382 ms at 24M
-# cells, 369 at 32M, 364 at 40M; wide-long 579, 572 and 572 ms, peaking at
-# 6.0, 6.1 and 10.6 MB.  In fresh processes 24M made each warm wide-long and
+# _VALUE_CELLS for the 64-bit values it holds beside them.  Those are its
+# operand value (its slot's operand column), its level (an ADC code or a
+# probability), its threshold or conv-mtj's requantized level and its group's
+# generator states (the memory path's noise and conv-lfsr's gathers work in
+# chunks of _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one
+# kde block of 2,857 pixels at L=1, 33 sources: 4.5 values a source and pixel on
+# conv-mtj, the stream word and tile buffers included).  Only a one-pixel block
+# may exceed the budget, when its streams alone do.  scripts/block_budget_table.py
+# (numpy 2.4.6, 2-vCPU x86-64 host), best of 9 over each workload's 15 runs:
+# short-stream 382 ms at 24M cells, 369 at 32M, 364 at 40M; wide-long 579, 572
+# and 572 ms, peaking at 6.0, 6.1 and 10.6 MB.  In fresh processes 24M made each warm wide-long and
 # length-sweep repetition fault 9,000 and 6,000 pages (glibc trims the heap
 # that blocks free once it outgrows twice its largest freed mapping), 32M at
 # most 38 and 6
@@ -161,7 +171,7 @@ class ExperimentReport:
     inaccuracy_percent: float
     output: ImageGray
     area: CostReport
-    energy: CostReport           # one stored operand per operand plane
+    energy: CostReport           # one stored operand per operand slot
     energy_default: CostReport   # the profile's n_streams stored operands
 
 
@@ -173,38 +183,54 @@ class ExperimentReport:
 _synthetic = lru_cache(maxsize=16)(gen_test_inputs)
 
 
-def resolve_inputs(cfg: ExperimentConfig) -> np.ndarray:
-    """Operand planes (slot, y, x) of cfg's app, the values its streams encode.
+def resolve_inputs(cfg: ExperimentConfig) -> list[ImageGray]:
+    """The run's frames, oldest first: the last is the current frame and the
+    ones before it are the previous frame (frame) or the history (kde).
 
-    The frames are cfg.input_path, a PGM image as one frame or a directory of
-    PGM frames in name order, else the synthetic set; the last frame is the
-    current one and the ones before it are the previous frame (frame) or the
-    history (kde).  Neighbourhoods are clamped to the image edge.
+    They are the last WIRING[cfg.app].frames of cfg.input_path, a PGM image as
+    one frame or a directory of PGM frames in name order, which must all be the
+    current frame's size; else of the cached synthetic set.
     """
     wiring = WIRING[cfg.app]
     need = wiring.frames
     if cfg.input_path is None:
         frames = _synthetic(wiring.synthetic, cfg.dims or INPUT_DIMS,
                             INPUT_SEED if cfg.input_seed is None else cfg.input_seed)
-    else:
-        path = Path(cfg.input_path)
-        paths = sorted(path.glob("*.pgm")) if path.is_dir() else [path]
-        if len(paths) < need:
-            raise ValueError(f"{cfg.input_path}: {cfg.app.value} needs at least {need} frames, "
-                             f"found {len(paths)}")
-        frames = [load_pgm(p) for p in paths[-need:]]
-        for p, frame in zip(paths[-need:], frames):
-            if frame.data.shape != frames[-1].data.shape:
-                raise ValueError(f"{cfg.input_path}: frame {p.name} is {frame.width}x"
-                                 f"{frame.height}, the current frame {paths[-1].name} is "
-                                 f"{frames[-1].width}x{frames[-1].height}")
-    img = frames[-1].data
-    if wiring.window:
-        # window offsets lie in -1..1, so one edge pixel of padding clamps them all
-        h, w = img.shape
-        pad = np.pad(img, 1, mode="edge")
-        return np.stack([pad[1 + dy:1 + dy + h, 1 + dx:1 + dx + w] for dy, dx in wiring.window])
-    return np.stack([img] + [f.data for f in frames[-need:-1]])
+        return frames[-need:]
+    path = Path(cfg.input_path)
+    paths = sorted(path.glob("*.pgm")) if path.is_dir() else [path]
+    if len(paths) < need:
+        raise ValueError(f"{cfg.input_path}: {cfg.app.value} needs at least {need} frames, "
+                         f"found {len(paths)}")
+    frames = [load_pgm(p) for p in paths[-need:]]
+    for p, frame in zip(paths[-need:], frames):
+        if frame.data.shape != frames[-1].data.shape:
+            raise ValueError(f"{cfg.input_path}: frame {p.name} is {frame.width}x"
+                             f"{frame.height}, the current frame {paths[-1].name} is "
+                             f"{frames[-1].width}x{frames[-1].height}")
+    return frames
+
+
+def operand_columns(app: AppKind, frames: list[ImageGray], lo: int, hi: int) -> np.ndarray:
+    """(slot, pixel) operand values of app, the values its streams encode, at
+    the flat row-major pixels lo..hi of frames (resolve_inputs).  A window
+    app's slot k is the current frame at window offset k, clamped to the image
+    edge; else slot 0 is the current frame and slot k the k-th of the frames
+    before it, oldest first."""
+    wiring = WIRING[app]
+    columns = np.empty((wiring.slots, hi - lo))
+    if not wiring.window:
+        for column, frame in zip(columns, frames[-1:] + frames[-wiring.frames:-1]):
+            column[:] = frame.data.reshape(-1)[lo:hi]
+        return columns
+    current = frames[-1].data
+    height, width = current.shape
+    ys, xs = np.divmod(np.arange(lo, hi), width)
+    rows = {dy: np.clip(ys + dy, 0, height - 1) * width for dy in {dy for dy, _ in wiring.window}}
+    cols = {dx: np.clip(xs + dx, 0, width - 1) for dx in {dx for _, dx in wiring.window}}
+    for column, (dy, dx) in zip(columns, wiring.window):
+        np.take(current, rows[dy] + cols[dx], out=column)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +351,9 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     for k over one period plus 128 values.  Word w of a stream is the
     unaligned 64-bit window of the row at the source's code, at bit offset
     (start + 64 w) mod period; the 128 extra values keep every window inside
-    its row.  The windows of one group are held at a time.
+    its row.  The windows and gathers run over chunks of at most
+    _TILE_CELLS // 4 stream words (whole pixels, or one pixel's words in
+    pieces), so their temporaries stay as small as the memory path's.
     """
     length = cfg.length
     # the comparator is as wide as the ADC code
@@ -339,35 +367,47 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     np.bitwise_or.accumulate(table, axis=0, out=table)
     row_words = table.shape[1]
     table = table.ravel()
-    word_starts = 64 * np.arange(words_for(length), dtype=np.int64)
-    streams = np.empty((len(levels), pixels.size, words_for(length)), dtype=np.uint64)
+    n_words = words_for(length)
+    word_starts = 64 * np.arange(n_words, dtype=np.int64)
+    cols = min(n_words, _TILE_CELLS // 4)
+    rows = max(1, _TILE_CELLS // 4 // cols)
+    n = pixels.size
+    streams = np.empty((len(levels), n, n_words), dtype=np.uint64)
     for group in dict.fromkeys(plan.groups):
+        members = [s for s, g in enumerate(plan.groups) if g == group]
         states = stream_states(pixels, group)
         seeds = (states % np.uint64(period)).astype(np.int64) + 1
         start = cycle.position[seeds].astype(np.int64)
-        word = (start[:, None] + word_starts) % period
-        shift = (word & 63).astype(np.uint64)
-        word >>= 6
-        for s in (s for s, g in enumerate(plan.groups) if g == group):
-            idx = levels[s][:, None] * row_words + word
-            # the split left shift is 64 - shift for shift 1..63 and drops the
-            # high word at shift 0, where a single shift by 64 is undefined
-            streams[s] = (table[idx] >> shift) | (table[idx + 1] << (63 - shift) << 1)
+        for lo in range(0, n, rows):
+            for c0 in range(0, n_words, cols):
+                words = slice(c0, c0 + cols)
+                word = (start[lo:lo + rows, None] + word_starts[words]) % period
+                shift = (word & 63).astype(np.uint64)
+                word >>= 6
+                for s in members:
+                    idx = levels[s][lo:lo + rows, None] * row_words + word
+                    # the split left shift is 64 - shift for shift 1..63 and
+                    # drops the high word at shift 0, where a single shift by 64
+                    # is undefined
+                    streams[s, lo:lo + rows, words] = ((table[idx] >> shift)
+                                                       | (table[idx + 1] << (63 - shift) << 1))
     streams[:, :, -1] &= np.uint64(tail_mask(length))
     return streams
 
 
-def _evaluate_block(task: tuple) -> np.ndarray:
-    """Output of one pixel block.  task is (cfg, width, lo, hi, operands): the
-    flat row-major pixels lo..hi of a width-pixel-wide image and their (slot,
-    pixel) operand columns."""
+def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Output and golden of one pixel block.  task is (cfg, width, lo, hi,
+    operands): the flat row-major pixels lo..hi of a width-pixel-wide image and
+    their operand_columns."""
     cfg, width, lo, hi, operands = task
     ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
     pixels = pixel_states(cfg.global_seed, xs, ys)
     plan = stream_plan(cfg.app, cfg.params)
     levels = _stream_levels(cfg, plan, operands, pixels)
     generate = _dsc_streams if cfg.design is SystemDesign.CONV_LFSR else _asc_streams
-    return WIRING[cfg.app].logic(generate(cfg, plan, levels, pixels), cfg.params, cfg.length)
+    output = WIRING[cfg.app].logic(generate(cfg, plan, levels, pixels), cfg.params, cfg.length)
+    # the columns as one image row of hi - lo pixels
+    return output, golden_eval(cfg.app, operands[:, None], cfg.params).data[0]
 
 
 def _workers(jobs: int) -> int:
@@ -375,9 +415,14 @@ def _workers(jobs: int) -> int:
     return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
-def _map(fn, items: list, jobs: int) -> list:
-    """[fn(item) for item in items], over up to _workers(jobs) processes."""
-    workers = min(_workers(jobs), len(items))
+def _map(fn, items, jobs: int) -> list:
+    """[fn(item) for item in items], over up to _workers(jobs) processes.  On
+    one worker an item is taken from items only when fn runs on it, so items
+    may be a generator that builds each; a pool takes them all at once."""
+    workers = _workers(jobs)
+    if workers > 1:
+        items = list(items)
+        workers = min(workers, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     # imported here, so a one-worker run loads neither it nor multiprocessing
@@ -388,17 +433,15 @@ def _map(fn, items: list, jobs: int) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
-    planes = resolve_inputs(cfg)
-    n_planes, height, width = planes.shape
-
-    operands = planes.reshape(n_planes, -1)
+    frames = resolve_inputs(cfg)
+    height, width = frames[-1].data.shape
     sources = len(stream_plan(cfg.app, cfg.params).groups)
-    tasks = [(cfg, width, lo, hi, operands[:, lo:hi])
-             for lo, hi in _block_slices(height * width, cfg.length, sources, _workers(cfg.jobs))]
-    pixels = np.concatenate(_map(_evaluate_block, tasks, cfg.jobs))
-
-    output = ImageGray(pixels.reshape(height, width))
-    golden = golden_eval(cfg.app, planes, cfg.params)
+    blocks = _block_slices(height * width, cfg.length, sources, _workers(cfg.jobs))
+    tasks = ((cfg, width, lo, hi, operand_columns(cfg.app, frames, lo, hi)) for lo, hi in blocks)
+    # the blocks' outputs, then their goldens, as images; the block results
+    # are freed once both are made
+    output, golden = (ImageGray(np.concatenate(parts).reshape(height, width))
+                      for parts in zip(*_map(_evaluate_block, tasks, cfg.jobs)))
     inaccuracy = error_metric(output, golden)
 
     return ExperimentReport(
@@ -406,7 +449,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         inaccuracy_percent=inaccuracy,
         output=output,
         area=area_report(cfg.design, cfg.app, cfg.costs),
-        energy=energy_report(cfg.design, cfg.app, cfg.length, n_planes, cfg.costs),
+        energy=energy_report(cfg.design, cfg.app, cfg.length, WIRING[cfg.app].slots,
+                             cfg.costs),
         energy_default=energy_report(cfg.design, cfg.app, cfg.length,
                                      cfg.costs.profiles[cfg.app].n_streams, cfg.costs),
     )

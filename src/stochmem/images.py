@@ -26,8 +26,9 @@ class ImageGray:
         data = np.ascontiguousarray(self.data, dtype=np.float64)
         if data.ndim != 2 or data.size == 0:
             raise ValueError(f"image must be a nonempty 2-D array, got shape {data.shape}")
-        if np.any(data < 0.0) or np.any(data > 1.0):
-            raise ValueError("pixel values must lie in [0, 1]")
+        lo, hi = data.min(), data.max()
+        if not (lo >= 0.0 and hi <= 1.0):  # also rejects NaN
+            raise ValueError(f"pixel values must lie in [0, 1], got values in [{lo}, {hi}]")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 

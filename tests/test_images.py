@@ -105,6 +105,14 @@ class TestImageGray:
         with pytest.raises(ValueError):
             ImageGray(np.array([[1.5]]))
 
+    def test_nan_pixels_are_rejected(self):
+        # NaN compares false both ways, so a test of data < 0 or data > 1 let it
+        # through and error_metric then returned nan
+        for data in ([[np.nan, 0.5]], [[0.25], [np.nan]]):
+            with pytest.raises(ValueError, match=re.escape("pixel values must lie in [0, 1], "
+                                                           "got values in [nan, nan]")):
+                ImageGray(np.array(data))
+
     def test_shape_validation(self):
         for shape in ((3,), (2, 2, 1), (0, 4), (4, 0)):
             with pytest.raises(ValueError, match=re.escape(f"image must be a nonempty 2-D "

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stochmem.circuits import AppKind, AppParams, golden_eval
-from stochmem.harness import ExperimentConfig, resolve_inputs
+from stochmem.harness import ExperimentConfig, operand_columns, resolve_inputs
 from stochmem.images import ImageGray, save_pgm
 from stochmem.synth import gen_test_inputs, make_scene, make_video
 
@@ -23,7 +23,8 @@ def test_checkerboard_edges_only_on_boundaries(tmp_path):
     board = 0.25 + 0.5 * ((xs // 16 + ys // 16) % 2)
     path = tmp_path / "board.pgm"
     save_pgm(ImageGray(board), path)
-    planes = resolve_inputs(ExperimentConfig(app=AppKind.ROBERT, input_path=str(path)))
+    frames = resolve_inputs(ExperimentConfig(app=AppKind.ROBERT, input_path=str(path)))
+    planes = operand_columns(AppKind.ROBERT, frames, 0, 64 * 64).reshape(4, 64, 64)
     edges = golden_eval(AppKind.ROBERT, planes).data
     interior_mask = np.ones_like(edges, dtype=bool)
     for b in range(16, 64, 16):
