@@ -9,10 +9,21 @@ bool arrays instead; pack_bool_matrix packs them and unpack_bits reads back.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 MAX_LENGTH = 1 << 24
 _WORD_BITS = 64
+
+
+def integer(name: str, value) -> int:
+    """value as an int: a ValueError naming ``name`` unless it is integral, an
+    int or a numpy integer, not a float however whole."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_length(length: int) -> None:

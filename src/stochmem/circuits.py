@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import popcount_rows
+from .bitstream import integer, popcount_rows
 from .images import ImageGray
 
 KDE_HISTORY = 32
@@ -69,6 +69,8 @@ class AppParams:
         if not 0 <= self.gamma_exponent < math.inf:
             raise ValueError(f"gamma_exponent must be nonnegative and finite, "
                              f"got {self.gamma_exponent}")
+        object.__setattr__(self, "bernstein_degree",
+                           integer("bernstein_degree", self.bernstein_degree))
         if not 1 <= self.bernstein_degree <= MAX_BERNSTEIN_DEGREE:
             raise ValueError(f"bernstein_degree must be at most {MAX_BERNSTEIN_DEGREE} (gamma "
                              f"replica streams) and at least 1, got {self.bernstein_degree}")

@@ -41,7 +41,8 @@ budget forms a larger block.  The blocks are the tasks _map hands to the
 workers (_map is the one place that starts worker processes, for every run
 grid: a run's blocks, a sweep, a noise-fit grid; it imports the process pool
 only then, so a one-worker run loads no multiprocessing).  A task is the run's
-config and its block's pixels: their range and operand columns.  The worker
+config and its block's pixel range, and holds no array: the block takes the
+run's frames (_run_frames) and gathers its own operand columns.  The worker
 count is jobs capped at the CPU count (_workers); with several workers the
 block count is a multiple of it, so a small image still spreads over every
 worker.  Within a block every stream is generated packed, as
@@ -59,14 +60,12 @@ word as a window into a table of packed comparator outputs over one LFSR
 period.  Neither tile nor block size nor buffer size nor worker count changes
 any output bit.
 
-A one-worker run gathers a block's operand columns only when the block runs,
-so beside its frames it holds one block (its columns, streams and values
-within the budget, and the tile buffers) and the outputs and goldens of the
-blocks run so far: its memory is its frames plus one block's budget and two
-images, for any image size.  A pool takes every task at once
-(ProcessPoolExecutor.map submits them all), so a run on several workers holds
-the operand columns of all of its blocks, pixels times operand slots values,
-while they wait.
+run_experiment resolves the frames once and holds them for its blocks; a
+worker process that did not inherit them (a spawn or forkserver worker)
+resolves them once itself.  So on any worker count a run holds its frames,
+one block per worker (its columns, streams and values within the budget, and
+the tile buffers) and two images, the outputs and goldens of the blocks run
+so far, for any image size.
 """
 
 from __future__ import annotations
@@ -79,7 +78,8 @@ from pathlib import Path
 import numpy as np
 
 # popcount_rows is unused here, but bench/spans.py patches it (ROADMAP item 14)
-from .bitstream import check_length, pack_bool_matrix, popcount_rows, tail_mask, words_for
+from .bitstream import (check_length, integer, pack_bool_matrix, popcount_rows, tail_mask,
+                        words_for)
 from .circuits import (READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE, AppKind, AppParams, StreamPlan,
                        golden_eval, stream_plan)
 from .converters import ADC_BITS, adc_quantize, dac_dequantize, requantize
@@ -149,6 +149,12 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
+        # integral values are held as ints, so numpy integers run as ints do
+        for name in ("length", "global_seed", "input_seed", "jobs"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, integer(name, getattr(self, name)))
+        if self.dims is not None:
+            object.__setattr__(self, "dims", tuple(integer("dims", v) for v in self.dims))
         check_length(self.length)
         _check_jobs(self.jobs)
         if self.dims is not None and (len(self.dims) != 2 or min(self.dims) < 1):
@@ -161,7 +167,7 @@ class ExperimentConfig:
 
 
 def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
+    if integer("jobs", jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
 
 
@@ -395,12 +401,31 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     return streams
 
 
+# the config fields that choose a run's frames, and the frames of the last
+# run this process resolved
+_held_frames: tuple = (None, None)
+
+
+def _run_frames(cfg: ExperimentConfig, fresh: bool = False) -> list[ImageGray]:
+    """resolve_inputs(cfg), held for the blocks of cfg's run.  run_experiment
+    asks for them fresh, so a file changed since the last run is read again;
+    its blocks get the held frames, which a forked worker inherits, and a
+    worker that has none (a spawn or forkserver worker) resolves them once."""
+    global _held_frames
+    key = (cfg.app, cfg.dims, cfg.input_seed, cfg.input_path)
+    if fresh or _held_frames[0] != key:
+        _held_frames = (key, resolve_inputs(cfg))
+    return _held_frames[1]
+
+
 def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Output and golden of one pixel block.  task is (cfg, width, lo, hi,
-    operands): the flat row-major pixels lo..hi of a width-pixel-wide image and
-    their operand_columns."""
-    cfg, width, lo, hi, operands = task
-    ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(width))
+    """Output and golden of one pixel block.  task is (cfg, lo, hi): the flat
+    row-major pixels lo..hi of cfg's run, whose operand_columns the block
+    gathers from the run's frames."""
+    cfg, lo, hi = task
+    frames = _run_frames(cfg)
+    operands = operand_columns(cfg.app, frames, lo, hi)
+    ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(frames[-1].width))
     pixels = pixel_states(cfg.global_seed, xs, ys)
     plan = stream_plan(cfg.app, cfg.params)
     levels = _stream_levels(cfg, plan, operands, pixels)
@@ -415,14 +440,9 @@ def _workers(jobs: int) -> int:
     return 1 if jobs == 1 else min(jobs, os.cpu_count() or 1)
 
 
-def _map(fn, items, jobs: int) -> list:
-    """[fn(item) for item in items], over up to _workers(jobs) processes.  On
-    one worker an item is taken from items only when fn runs on it, so items
-    may be a generator that builds each; a pool takes them all at once."""
-    workers = _workers(jobs)
-    if workers > 1:
-        items = list(items)
-        workers = min(workers, len(items))
+def _map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], over up to _workers(jobs) processes."""
+    workers = min(_workers(jobs), len(items))
     if workers <= 1:
         return [fn(item) for item in items]
     # imported here, so a one-worker run loads neither it nor multiprocessing
@@ -433,11 +453,10 @@ def _map(fn, items, jobs: int) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
-    frames = resolve_inputs(cfg)
-    height, width = frames[-1].data.shape
+    height, width = _run_frames(cfg, fresh=True)[-1].data.shape
     sources = len(stream_plan(cfg.app, cfg.params).groups)
     blocks = _block_slices(height * width, cfg.length, sources, _workers(cfg.jobs))
-    tasks = ((cfg, width, lo, hi, operand_columns(cfg.app, frames, lo, hi)) for lo, hi in blocks)
+    tasks = [(cfg, lo, hi) for lo, hi in blocks]
     # the blocks' outputs, then their goldens, as images; the block results
     # are freed once both are made
     output, golden = (ImageGray(np.concatenate(parts).reshape(height, width))

@@ -1,0 +1,77 @@
+"""Runs on the ASC designs against their expected inaccuracy (asc_oracle.py)."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from asc_oracle import bit_probabilities, expected_inaccuracy
+from stochmem import harness
+from stochmem.circuits import GROUP_SELECT, AppKind, stream_plan
+from stochmem.costs import SystemDesign
+from stochmem.harness import ExperimentConfig, run_experiment
+from stochmem.images import ImageGray, save_pgm
+
+ASC_DESIGNS = (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)
+APPS = (AppKind.ROBERT, AppKind.MEDIAN, AppKind.FRAME, AppKind.GAMMA)
+
+# A run's inaccuracy is the mean of its pixels' errors, which are independent
+# and bounded.  Whatever their distribution, Chebyshev's inequality bounds
+# P(|z| > 4) by 1/16; for the near-normal mean of many pixels it is 6.3e-5,
+# 2e-3 over the 32 runs below.  Each run is fixed by its seed, so the test
+# cannot flake; a circuit whose streams are not Bernoulli(q) with the oracle's
+# q moves z by the bias over the SD (test_an_independent_robert_cross_pair_
+# fails_the_z_test).  Seeds 1000003 apart at 16x16 gave z of mean -0.12 to
+# 0.20 and SD 0.80 to 1.02 over 40 seeds, for median and robert at L=63, 300.
+Z_BOUND = 4
+
+
+def _config(app: AppKind, design: SystemDesign, length: int, video_crop) -> ExperimentConfig:
+    # the synthetic video is still at small dims, so frame reads the cropped
+    # one, where its output varies (video_crop.py)
+    inputs = {"input_path": str(video_crop)} if app is AppKind.FRAME else {"dims": (16, 16)}
+    return ExperimentConfig(app=app, design=design, length=length, **inputs)
+
+
+def _z(cfg: ExperimentConfig) -> float:
+    mean, sd = expected_inaccuracy(cfg)
+    assert sd > 0
+    return (run_experiment(cfg).inaccuracy_percent - mean) / sd
+
+
+@pytest.mark.parametrize("length", (1, 63, 65, 300))
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+@pytest.mark.parametrize("app", APPS, ids=lambda a: a.value)
+def test_asc_runs_match_their_expected_inaccuracy(app, design, length, video_crop):
+    assert abs(_z(_config(app, design, length, video_crop))) <= Z_BOUND
+
+
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+def test_an_independent_robert_cross_pair_fails_the_z_test(design, monkeypatch, video_crop):
+    # p00 and p11 in groups 0 and 2: their XOR has probability a + d - 2ad,
+    # not the |a - d| of one shared generator
+    def split_pair(app, params):
+        return replace(stream_plan(app, params), groups=(0, 1, 1, 2, GROUP_SELECT))
+
+    cfg = _config(AppKind.ROBERT, design, 65, video_crop)
+    assert abs(_z(cfg)) <= Z_BOUND
+    monkeypatch.setattr(harness, "stream_plan", split_pair)
+    assert abs(_z(cfg)) > Z_BOUND
+
+
+# gamma's streamed coefficients are not all 0 or 1 (0.094 to 1.0 after the
+# DAC), so its bits are uncertain at any input
+@pytest.mark.parametrize("level", (0.0, 1.0))
+@pytest.mark.parametrize("app", (AppKind.ROBERT, AppKind.MEDIAN, AppKind.FRAME),
+                         ids=lambda a: a.value)
+def test_levels_at_zero_or_one_give_sd_zero(app, level, tmp_path):
+    # conv-mtj converts a black or white input exactly, so every output bit is
+    # certain and the run gives the oracle's mean
+    for k in range(2):
+        save_pgm(ImageGray(np.full((3, 4), level)), tmp_path / f"frame_{k}.pgm")
+    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ, length=65,
+                           input_path=str(tmp_path))
+    assert set(np.unique(bit_probabilities(cfg)[0])) <= {0.0, 1.0}
+    mean, sd = expected_inaccuracy(cfg)
+    assert sd == 0
+    assert run_experiment(cfg).inaccuracy_percent == pytest.approx(mean, abs=1e-12)

@@ -76,6 +76,35 @@ def test_config_rejects_nonpositive_dims(dims):
         ExperimentConfig(dims=dims)
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda: ExperimentConfig(length=64.0), "length"),
+    (lambda: ExperimentConfig(jobs=1.5), "jobs"),
+    (lambda: ExperimentConfig(global_seed=1.5), "global_seed"),
+    (lambda: ExperimentConfig(input_seed=2.0), "input_seed"),
+    (lambda: ExperimentConfig(dims=(8.5, 8)), "dims"),
+    (lambda: ExperimentConfig(dims=(8, 8.0)), "dims"),
+    (lambda: AppParams(bernstein_degree=6.0), "bernstein_degree"),
+], ids=("length", "jobs", "global_seed", "input_seed", "width", "height", "bernstein_degree"))
+def test_integer_settings_that_are_not_integral_fail_loudly(make, field):
+    # dims=(8.5, 8) ran a 9-pixel-wide image; length=64.0 and jobs=1.5 raised
+    # numpy TypeErrors, and global_seed=1.5 an unsupported operand TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+        make()
+
+
+def test_numpy_integer_settings_run_as_ints():
+    as_ints = ExperimentConfig(app=AppKind.GAMMA, length=64, global_seed=3, input_seed=2,
+                               dims=(4, 3), params=AppParams(bernstein_degree=4))
+    cfg = ExperimentConfig(app=AppKind.GAMMA, length=np.int64(64), global_seed=np.int64(3),
+                           input_seed=np.uint16(2), dims=(np.int32(4), 3), jobs=np.int8(1),
+                           params=AppParams(bernstein_degree=np.int64(4)))
+    assert all(type(v) is int for v in (cfg.length, cfg.global_seed, cfg.input_seed, *cfg.dims,
+                                         cfg.jobs, cfg.params.bernstein_degree))
+    assert cfg == as_ints
+    assert run_experiment(cfg).output.data.tobytes() == \
+        run_experiment(as_ints).output.data.tobytes()
+
+
 def test_config_file_dims_fail_loudly(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("dims = 7x5\n")
@@ -335,16 +364,19 @@ def test_operand_columns_of_any_cut_are_the_padded_planes(written_inputs, app, s
 def test_a_one_worker_run_gathers_each_blocks_columns_when_the_block_runs(monkeypatch):
     # 9 sources x (64 + 256) cells a pixel at L=16: blocks of 8 pixels
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 9 * 320 * 8)
-    events = []
+    events, gathered = [], []
     gather, evaluate = harness.operand_columns, harness._evaluate_block
 
     def recording_gather(app, frames, lo, hi):
         events.append(("columns", lo))
-        return gather(app, frames, lo, hi)
+        gathered.append((lo, hi, gather(app, frames, lo, hi)))
+        return gathered[-1][2]
 
     def recording_evaluate(task):
-        events.append(("block", task[2]))
-        return evaluate(task)
+        events.append(("start", task[1]))
+        out = evaluate(task)
+        events.append(("end", task[1]))
+        return out
 
     monkeypatch.setattr(harness, "operand_columns", recording_gather)
     monkeypatch.setattr(harness, "_evaluate_block", recording_evaluate)
@@ -353,7 +385,41 @@ def test_a_one_worker_run_gathers_each_blocks_columns_when_the_block_runs(monkey
     run_experiment(cfg)
     blocks = _blocks(cfg, 35)
     assert len(blocks) == 5
-    assert events == [(event, lo) for lo, _ in blocks for event in ("columns", "block")]
+    # each block gathers its own columns while it runs, and no earlier
+    assert events == [(event, lo) for lo, _ in blocks for event in ("start", "columns", "end")]
+    operands = _planes(cfg).reshape(9, 35)
+    assert all(np.array_equal(columns, operands[:, lo:hi]) for lo, hi, columns in gathered)
+
+
+def test_a_pgm_run_on_two_workers_gives_the_serial_bytes(video_crop, monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=65,
+                           input_path=str(video_crop))
+    serial = run_experiment(cfg).output.data
+    assert set(np.unique(serial)) == {0.0, 1.0}
+    with mock.patch("concurrent.futures.ProcessPoolExecutor",
+                    wraps=concurrent.futures.ProcessPoolExecutor) as pools:
+        parallel = run_experiment(replace(cfg, jobs=2)).output.data
+    assert pools.call_count == 1
+    assert parallel.tobytes() == serial.tobytes()
+
+
+def test_a_pgm_rewritten_between_two_runs_is_read_afresh(written_inputs, tmp_path):
+    path, flipped = tmp_path / "scene.pgm", tmp_path / "flipped.pgm"
+    shutil.copy(written_inputs / "scene.pgm", path)
+    scene = load_pgm(path)
+    save_pgm(ImageGray(scene.data[::-1].copy()), flipped)
+    cfg = ExperimentConfig(app=AppKind.ROBERT, design=SystemDesign.CONV_MTJ, length=64,
+                           input_path=str(path))
+    first = run_experiment(cfg).output.data
+    before = path.stat()
+    shutil.copyfile(flipped, path)
+    # the same size and times, so no file stamp tells the two apart
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    second = run_experiment(cfg).output.data
+    expected = run_experiment(replace(cfg, input_path=str(flipped))).output.data
+    assert second.tobytes() == expected.tobytes() != first.tobytes()
 
 
 def test_default_synthetic_input_is_128x128_at_the_input_seed():
@@ -438,7 +504,7 @@ def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
     assert parallel.tobytes() == serial.tobytes()
 
 
-def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
+def test_each_block_task_is_its_config_and_pixel_range(monkeypatch):
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
     # three CPUs, so jobs=3 runs on three workers
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
@@ -449,7 +515,6 @@ def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     map_ = harness._map
 
     def recording_map(fn, items, jobs):
-        items = list(items)
         calls.append((fn, items, jobs))
         return map_(fn, items, 1)
 
@@ -457,13 +522,11 @@ def test_each_block_task_carries_only_its_operand_columns(monkeypatch):
     assert run_experiment(cfg).output.data.tobytes() == serial.tobytes()
     [(fn, tasks, jobs)] = calls
     assert fn is harness._evaluate_block and jobs == 3
-    # a task is (cfg, width, lo, hi, operands): the run's config and its pixels
-    assert all(task[:2] == (cfg, 7) for task in tasks)
-    assert [(lo, hi) for _, _, lo, hi, _ in tasks] == _blocks(cfg, 35, 3)
-    operands = _planes(cfg).reshape(9, 35)
-    for _, _, lo, hi, block in tasks:
-        assert block.shape == (9, hi - lo)
-        assert np.array_equal(block, operands[:, lo:hi])
+    # a task is (cfg, lo, hi), listed before the map; the block gathers its
+    # operand columns itself, so no task holds an array
+    assert isinstance(tasks, list)
+    assert tasks == [(cfg, lo, hi) for lo, hi in _blocks(cfg, 35, 3)]
+    assert not any(isinstance(part, np.ndarray) for task in tasks for part in task)
 
 
 @pytest.mark.parametrize("entry", ("run_experiment", "sweep"))
@@ -547,20 +610,44 @@ def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
     assert peaks[SystemDesign.CONV_LFSR] <= peaks[SystemDesign.CONV_MTJ] + 16_384, peaks
 
 
+def _frames_block_and_images_bound(side: int) -> float:
+    """Bytes a run at side x side holds beside its cached frames: one block's
+    streams and values at one bit a cell (_BLOCK_CELLS / 8 bytes), the ASC tile
+    buffers (draws and mixer temporary at 8 bytes a cell, compare bits at 2
+    bytes a cell at L=32), and at most four float64 images: the outputs and
+    goldens of the blocks run so far, the two images made of them, and
+    error_metric's two temporaries."""
+    image = side * side * 8
+    return harness._BLOCK_CELLS / 8 + harness._TILE_CELLS * (8 + 8 + 2) + 4 * image
+
+
 @pytest.mark.parametrize("app", (AppKind.KDE, AppKind.MEDIAN), ids=lambda a: a.value)
 def test_a_run_holds_its_frames_one_block_and_a_few_images(app):
-    # Beside its cached frames, a run holds one block at a time: its streams
-    # and values at one bit a cell (_BLOCK_CELLS / 8 bytes), and the ASC tile
-    # buffers (draws and mixer temporary at 8 bytes a cell, compare bits at 2
-    # bytes a cell at L=32); and at most four float64 images: the outputs and
-    # goldens of the blocks run so far, the two images made of them, and
-    # error_metric's two temporaries.  Whole-image operand planes added 33
-    # images for kde (9.7 MB at 192x192), which peaked at 13.7 MB; median at
-    # 6.50 MB; now 4.99 and 4.73 MB
+    # Whole-image operand planes added 33 images for kde (9.7 MB at 192x192),
+    # which peaked at 13.7 MB; median at 6.50 MB; now 4.99 and 4.73 MB
     cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ, length=32, dims=(192, 192))
-    image = 192 * 192 * 8
-    bound = harness._BLOCK_CELLS / 8 + harness._TILE_CELLS * (8 + 8 + 2) + 4 * image
-    assert _peak_bytes(cfg) < bound
+    assert _peak_bytes(cfg) < _frames_block_and_images_bound(192)
+
+
+def test_a_run_on_two_workers_holds_no_more_than_a_one_worker_run(monkeypatch):
+    # The parent of a pool holds the frames, the tasks and the blocks' results;
+    # the blocks run in the workers.  Tasks that carried their block's operand
+    # columns held all of them while they waited, 33 values a pixel for kde:
+    # the parent peaked at 12.28 MB, against 1.74 MB with (cfg, lo, hi) tasks
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+    cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=32,
+                           dims=(192, 192))
+    serial = run_experiment(cfg).output.data
+    # seven blocks a worker, so tasks wait for a worker
+    assert len(_blocks(cfg, 192 * 192, 2)) == 14
+    tracemalloc.start()
+    try:
+        parallel = run_experiment(replace(cfg, jobs=2)).output.data
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _frames_block_and_images_bound(192)
+    assert parallel.tobytes() == serial.tobytes()
 
 
 @pytest.mark.parametrize("length", (1, 32))
@@ -587,6 +674,17 @@ def test_the_memory_path_keeps_a_stochmem_block_as_small_as_a_conv_mtj_block(len
     assert stochmem <= 1.05 * _peak_bytes(replace(cfg, design=SystemDesign.CONV_MTJ))
 
 
+def _python(code: str, *args: str) -> str:
+    """stdout of code run by a fresh interpreter that imports this package."""
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def test_a_one_worker_run_imports_no_process_pool_and_no_masked_arrays():
     # concurrent.futures.process loads multiprocessing and np.median loads
     # numpy.ma: 2.3 MB of resident memory that a one-worker run never uses
@@ -600,13 +698,30 @@ def test_a_one_worker_run_imports_no_process_pool_and_no_masked_arrays():
         "        run_experiment(ExperimentConfig(app=app, design=design, length=64, dims=(4, 3)))",
         "print(sorted({'multiprocessing', 'numpy.ma'} & set(sys.modules)))",
     ))
-    src = str(Path(harness.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert _python(code).strip() == "[]"
+
+
+def test_spawned_workers_resolve_the_frames_and_give_the_serial_bytes(video_crop):
+    # Forked workers inherit the frames run_experiment holds; spawned ones (and
+    # forkserver ones, Python 3.14's default on Linux) start without them and
+    # resolve them from the config, here synthetic frames and PGM files
+    code = "\n".join((
+        "import multiprocessing, sys",
+        "from dataclasses import replace",
+        "from unittest import mock",
+        "from stochmem import harness",
+        "from stochmem.circuits import AppKind",
+        "from stochmem.costs import SystemDesign",
+        "multiprocessing.set_start_method('spawn')",
+        "for inputs in ({'dims': (6, 5)}, {'input_path': sys.argv[1]}):",
+        "    cfg = harness.ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ,",
+        "                                   length=65, **inputs)",
+        "    serial = harness.run_experiment(cfg).output.data.tobytes()",
+        "    with mock.patch.object(harness.os, 'cpu_count', return_value=2):",
+        "        pooled = harness.run_experiment(replace(cfg, jobs=2)).output.data.tobytes()",
+        "    print(multiprocessing.get_start_method(), pooled == serial)",
+    ))
+    assert _python(code, str(video_crop)).splitlines() == ["spawn True"] * 2
 
 
 # ---------------------------------------------------------------------------
