@@ -1,6 +1,6 @@
 """Bit-accurate stochastic-computing simulator and hardware cost model."""
 
-from .circuits import AppKind, AppParams, BernsteinPoly, fit_bernstein, gamma_eval, golden_eval
+from .circuits import AppKind, AppParams, fit_bernstein, gamma_eval, golden_eval
 from .converters import adc_quantize, asc_generate, dac_dequantize, dsc_generate, requantize
 from .costs import (AccessMultipliers, AppProfile, CellCost, CostModel, CostReport, SystemDesign,
                     UnitCost, area_report, energy_report, share_breakdown)

@@ -11,8 +11,9 @@ be independent.
 
 WIRING holds one row per app: its synthetic input kind, operand slots, packed
 circuit and golden form (golden_eval: the exact floating-point output, its
-maximum-possible accuracy, over the operand values the streams encode; the
-harness passes a pixel block's operand columns as one image row).
+maximum-possible accuracy, over the operand values the streams encode, as an
+array of the operands' trailing shape; the harness passes a pixel block's
+(slot, pixel) operand columns).
 stream_plan gives its sources (slots, then constants) and generator groups;
 slot s has memory-noise ids WRITE_NOISE_BASE + s and READ_NOISE_BASE + s.
 """
@@ -28,7 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .bitstream import integer, popcount_rows
-from .images import ImageGray
 
 KDE_HISTORY = 32
 
@@ -141,29 +141,15 @@ def bernstein_basis(x, degree: int) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class BernsteinPoly:
-    degree: int
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-        if any(not -1e-9 <= c <= 1 + 1e-9 for c in self.coeffs):
-            raise ValueError("coefficients must lie in [0, 1] to be generable as probabilities")
-        object.__setattr__(self, "coeffs", tuple(float(np.clip(c, 0.0, 1.0)) for c in self.coeffs))
-
-    def __call__(self, x):
-        return bernstein_basis(x, self.degree) @ np.asarray(self.coeffs)
-
-
-def fit_bernstein(target, degree: int, grid_points: int = 1001) -> tuple[BernsteinPoly, float]:
-    """Least-squares coefficients on a uniform grid, bounded to [0, 1], by the
-    active-set method of Lawson & Hanson ("Solving least squares problems",
-    1974); returns the polynomial and its max fit error."""
+def fit_bernstein(target, degree: int) -> tuple[tuple[float, ...], float]:
+    """Least-squares Bernstein coefficients of target on 1001 uniform points of
+    [0, 1], bounded to [0, 1] so that each is generable as a probability, by
+    the active-set method of Lawson & Hanson ("Solving least squares
+    problems", 1974); returns the degree + 1 coefficients and the max fit
+    error."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    grid = np.linspace(0.0, 1.0, grid_points)
+    grid = np.linspace(0.0, 1.0, 1001)
     y = np.asarray([target(float(x)) for x in grid], dtype=np.float64)
     if np.any(y < -1e-9) or np.any(y > 1 + 1e-9):
         raise ValueError("target escapes [0, 1]; not generable as a probability")
@@ -200,7 +186,7 @@ def fit_bernstein(target, degree: int, grid_points: int = 1001) -> tuple[Bernste
         coeffs = goal
     coeffs = np.clip(coeffs, 0.0, 1.0)
     max_err = float(np.abs(basis @ coeffs - y).max())
-    return BernsteinPoly(degree, tuple(coeffs)), max_err
+    return tuple(coeffs.tolist()), max_err
 
 
 def gamma_eval(x_bits, coeff_bits) -> np.ndarray:
@@ -265,19 +251,20 @@ def kde_batch(cur: np.ndarray, history, delta: float, theta: float, length: int)
 # ---------------------------------------------------------------------------
 # golden (maximum-possible-accuracy) output
 
-def golden_eval(app: AppKind, planes: np.ndarray, params: AppParams = AppParams()) -> ImageGray:
-    """Exact expected-output image of one application over its operand planes
-    (slot, y, x), the values its streams encode."""
-    if len(planes) != WIRING[app].slots:
-        raise ValueError(f"{app.value} reads {WIRING[app].slots} operand planes, "
-                         f"got {len(planes)}")
-    return ImageGray(WIRING[app].golden(planes, params))
+def golden_eval(app: AppKind, operands: np.ndarray, params: AppParams = AppParams()) -> np.ndarray:
+    """Exact expected output of one application over its operand values
+    (slot, ...), the values its streams encode: an array of the operands'
+    trailing shape, such as (pixel,) columns or (y, x) planes."""
+    if len(operands) != WIRING[app].slots:
+        raise ValueError(f"{app.value} reads {WIRING[app].slots} operand slots, "
+                         f"got {len(operands)}")
+    return WIRING[app].golden(operands, params)
 
 
-def _kde_golden(planes: np.ndarray, params: AppParams) -> np.ndarray:
-    matches = np.zeros_like(planes[0])
-    for hist in planes[1:]:
-        matches += np.abs(planes[0] - hist) <= params.delta
+def _kde_golden(operands: np.ndarray, params: AppParams) -> np.ndarray:
+    matches = np.zeros_like(operands[0])
+    for hist in operands[1:]:
+        matches += np.abs(operands[0] - hist) <= params.delta
     return (matches / KDE_HISTORY < params.theta).astype(np.float64)
 
 
@@ -290,9 +277,10 @@ class Wiring:
     """One app: its synthetic input kind; logic(streams, params, length), the
     per-pixel output of the packed (source, pixel, words) streams that
     stream_plan wires, which looks its circuits up in this module when called;
-    golden(planes, params), the exact output over its operand planes; and its
-    operand slots: (dy, dx) window offsets into the current frame, else the
-    current frame and the frames - 1 before it, oldest first."""
+    golden(operands, params), the exact output over its (slot, ...) operand
+    values; and its operand slots: (dy, dx) window offsets into the current
+    frame, else the current frame and the frames - 1 before it, oldest
+    first."""
     synthetic: str
     logic: Callable[[np.ndarray, AppParams, int], np.ndarray]
     golden: Callable[[np.ndarray, AppParams], np.ndarray]
@@ -337,7 +325,7 @@ READ_NOISE_BASE = 96
 
 @dataclass(frozen=True)
 class StreamPlan:
-    # the sources are the operand planes at slots, then the constants, in
+    # the sources are the operands of slots, then the constants, in
     # that order; sources that must be correlated share a group
     slots: tuple[int, ...]
     consts: tuple[float, ...]
@@ -354,8 +342,8 @@ def stream_plan(app: AppKind, params: AppParams) -> StreamPlan:
         # streams may share one generator because each cycle samples
         # exactly one of them
         deg = params.bernstein_degree
-        poly, _ = fit_bernstein(lambda x: x ** params.gamma_exponent, deg)
-        return StreamPlan((0,) * deg, poly.coeffs, tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
+        coeffs, _ = fit_bernstein(lambda x: x ** params.gamma_exponent, deg)
+        return StreamPlan((0,) * deg, coeffs, tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
     # median, frame and kde compare operands with each other: one generator
     n = WIRING[app].slots
     return StreamPlan(tuple(range(n)), (), (0,) * n)

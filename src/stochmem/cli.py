@@ -167,10 +167,10 @@ def _cmd_cost(args) -> int:
 
 def _cmd_fit_gamma(args) -> int:
     params = _config_from_args(args).params
-    poly, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent,
-                                  params.bernstein_degree)
+    coeffs, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent,
+                                    params.bernstein_degree)
     print("coefficient\tvalue")
-    for k, c in enumerate(poly.coeffs):
+    for k, c in enumerate(coeffs):
         print(f"b{k}\t{c:.6f}")
     print(f"max_fit_error\t{max_err:.6f}")
     return 0

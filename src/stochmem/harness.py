@@ -17,11 +17,11 @@ operand slots of at most _TILE_CELLS // 4 cells (the SRAM reads back the ADC
 codes it stores, so only stochmem calls the memory model); converters, once per
 chunk and per constant; sources, the stream plan's slots then its constants
 (the Roberts mux select, the gamma coefficients), which skip the memory;
-generator; logic.  It also gives its golden output, the row's golden form
-(golden_eval) of its operand columns; the run joins the blocks' outputs and
-goldens into two images and scores them once.  The run's energy charges each
-operand slot as one stored operand (costs.energy_report with n_operands the
-slot count).  A report carries its config; report_csv_row, its one text form,
+generator; logic.  It also gives its golden output, the array that the row's
+golden form (golden_eval) gives over its operand columns; the run joins the
+blocks' outputs and goldens into two images and scores them once.  The run's
+energy charges each operand slot as one stored operand (costs.energy_report
+with n_operands the slot count).  A report carries its config; report_csv_row, its one text form,
 is what run prints and sweep writes.
 
 Streams that a circuit requires to be correlated share one generator
@@ -47,18 +47,19 @@ count is jobs capped at the CPU count (_workers); with several workers the
 block count is a multiple of it, so a small image still spreads over every
 worker.  Within a block every stream is generated packed, as
 (pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
-packed through the circuit; bits past the length are always zero, so popcounts
-and XOR distances need no masking.  The ASC designs compare SplitMix64 draws,
-made in tiles of at most _TILE_CELLS cells in reused buffers and shared
-between the sources of one group, against each source's threshold.  The draw
-add and the compare each broadcast a per-pixel column across a tile row; from
-_UNBUFFERED_MIN_ROW draws per row the tile loop sets numpy's ufunc buffer to
-the row length (inside np.errstate, which restores it on exit), so numpy
-iterates those rows in place rather than through its buffers.  Shorter rows
-keep numpy's default, which is faster for them.  conv-lfsr reads each 64-bit
-word as a window into a table of packed comparator outputs over one LFSR
-period.  Neither tile nor block size nor buffer size nor worker count changes
-any output bit.
+packed through the circuit.  The block clears every stream's bits past the
+length once, before the logic, so popcounts and XOR distances need no masking
+and the generators need not keep the tails zero.  The ASC designs compare
+SplitMix64 draws, made in tiles of at most _TILE_CELLS cells in reused buffers
+and shared between the sources of one group, against each source's
+threshold.  The draw add and the compare each broadcast a per-pixel column
+across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop sets
+numpy's ufunc buffer to the row length (inside np.errstate, which restores it
+on exit), so numpy iterates those rows in place rather than through its
+buffers.  Shorter rows keep numpy's default, which is faster for them.
+conv-lfsr reads each 64-bit word as a window into a table of packed
+comparator outputs over one LFSR period.  Neither tile nor block size nor
+buffer size nor worker count changes any output bit.
 
 run_experiment resolves the frames once and holds them for its blocks; a
 worker process that did not inherit them (a spawn or forkserver worker)
@@ -300,10 +301,10 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     of 64, drawn from states + c0 * GOLDEN (draw j of state s is
     mix64(s + (j + 1) * GOLDEN)).  The draw, mixer and compare buffers are
     allocated once and reused by every tile and group.  The compare buffer's
-    rows are padded with zeros to whole words, so pack_bool_matrix packs a
-    tile in one flat pass.  Rows of at least
-    _UNBUFFERED_MIN_ROW draws run with numpy's ufunc buffer set to the row
-    length; the outputs do not depend on it.
+    rows are padded to whole words, so pack_bool_matrix packs a tile in one
+    flat pass; the pad bits land past the length, which the block clears.
+    Rows of at least _UNBUFFERED_MIN_ROW draws run with numpy's ufunc buffer
+    set to the row length; the outputs do not depend on it.
     """
     length = cfg.length
     n = pixels.size
@@ -313,7 +314,6 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     rows = min(n, max(1, _TILE_CELLS // cols))
     draws = np.empty((rows, cols), dtype=np.uint64)
     tmp = np.empty_like(draws)
-    # the pad columns start zero: the compares write only the first w of a row
     bits = np.zeros((rows, 64 * words_for(cols)), dtype=bool)
     # errstate scopes the buffer size, so it is restored however the loop ends
     with np.errstate():
@@ -331,18 +331,12 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
                                                      into=draws[:m, :w], tmp=tmp[:m, :w])
                     words = slice(c0 // 64, c0 // 64 + words_for(w))
                     padded = bits[:m, :64 * words_for(w)]
-                    if w < cols:
-                        # the last chunk of a split length: the full-width
-                        # chunks before it left their bits in its pad columns
-                        padded[:, w:] = False
                     for s in members:
                         np.less(tile, thresholds[s][lo:lo + m], out=padded[:, :w])
                         streams[s, lo:lo + m, words] = pack_bool_matrix(padded)
     # p >= 1 has no strict-compare threshold
-    ones = np.full(words_for(length), ~np.uint64(0))
-    ones[-1] = tail_mask(length)
     for stream, p in zip(streams, levels):
-        stream[p >= 1.0] = ones
+        stream[p >= 1.0] = ~np.uint64(0)
     return streams
 
 
@@ -397,7 +391,6 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
                     # is undefined
                     streams[s, lo:lo + rows, words] = ((table[idx] >> shift)
                                                        | (table[idx + 1] << (63 - shift) << 1))
-    streams[:, :, -1] &= np.uint64(tail_mask(length))
     return streams
 
 
@@ -430,9 +423,10 @@ def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
     plan = stream_plan(cfg.app, cfg.params)
     levels = _stream_levels(cfg, plan, operands, pixels)
     generate = _dsc_streams if cfg.design is SystemDesign.CONV_LFSR else _asc_streams
-    output = WIRING[cfg.app].logic(generate(cfg, plan, levels, pixels), cfg.params, cfg.length)
-    # the columns as one image row of hi - lo pixels
-    return output, golden_eval(cfg.app, operands[:, None], cfg.params).data[0]
+    streams = generate(cfg, plan, levels, pixels)
+    streams[:, :, -1] &= tail_mask(cfg.length)
+    output = WIRING[cfg.app].logic(streams, cfg.params, cfg.length)
+    return output, golden_eval(cfg.app, operands, cfg.params)
 
 
 def _workers(jobs: int) -> int:

@@ -22,9 +22,16 @@ gamma) or the indicator K > theta L (frame); its error is its distance to the
 golden output, and the pixels' generators are independent.  So the run's
 inaccuracy, 100 times the mean error, has its mean and SD from binomial pmfs
 (the binomial error model of stochastic streams: Alaghi & Hayes, "Survey of
-stochastic computing", ACM TECS 2013).  kde, whose 33 streams share one
-uniform, needs a multinomial over the cells between its sorted levels and is
-not covered.
+stochastic computing", ACM TECS 2013).
+
+kde's 33 streams share one uniform u per cycle, and a stream at level p is one
+iff u < p (p >= 1: always, so its level is the whole range).  The levels and
+0 and 1 cut [0, 1] into at most 34 cells, and the counts of the L draws in
+the cells are Multinomial(L, cell widths); the XOR distance of the current
+stream to history stream k is the count between their two levels.
+kde_expected samples those counts, for every pixel at once, and scores each
+sample with kde_batch's rule; at L = 1 kde_exact sums over the cell of the
+one draw instead.
 
 The levels and goldens come from the package (resolve_inputs,
 operand_columns, stream_plan, pixel_states, _stream_levels, golden_eval), so
@@ -36,7 +43,7 @@ keep the images small.
 import numpy as np
 from scipy.stats import binom
 
-from stochmem.circuits import AppKind, golden_eval, stream_plan
+from stochmem.circuits import KDE_HISTORY, AppKind, golden_eval, stream_plan
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig, _stream_levels, operand_columns, resolve_inputs
 from stochmem.rng import pixel_states
@@ -65,11 +72,10 @@ _BIT_PROBABILITY = {AppKind.ROBERT: _robert, AppKind.MEDIAN: _median, AppKind.FR
                     AppKind.GAMMA: _gamma}
 
 
-def bit_probabilities(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(q, golden) at each flat row-major pixel of cfg's run: the probability
-    of a one in its output stream (frame: in its XOR stream), and its golden
-    output."""
-    if cfg.design is SystemDesign.CONV_LFSR or cfg.app not in _BIT_PROBABILITY:
+def _levels_and_golden(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(source, pixel) stream levels and the golden output at each flat
+    row-major pixel of cfg's run on an ASC design."""
+    if cfg.design is SystemDesign.CONV_LFSR:
         raise ValueError(f"no closed form for {cfg.app.value} on {cfg.design.value}")
     frames = resolve_inputs(cfg)
     height, width = frames[-1].data.shape
@@ -77,12 +83,88 @@ def bit_probabilities(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     ys, xs = np.divmod(np.arange(height * width, dtype=np.uint64), np.uint64(width))
     levels = _stream_levels(cfg, stream_plan(cfg.app, cfg.params), operands,
                             pixel_states(cfg.global_seed, xs, ys))
-    golden = golden_eval(cfg.app, operands[:, None], cfg.params).data[0]
-    return _BIT_PROBABILITY[cfg.app](np.asarray(levels), cfg.params), golden
+    return np.asarray(levels), golden_eval(cfg.app, operands, cfg.params)
+
+
+def bit_probabilities(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(q, golden) at each flat row-major pixel of cfg's run: the probability
+    of a one in its output stream (frame: in its XOR stream), and its golden
+    output."""
+    if cfg.app not in _BIT_PROBABILITY:
+        raise ValueError(f"no closed form for {cfg.app.value} on {cfg.design.value}")
+    levels, golden = _levels_and_golden(cfg)
+    return _BIT_PROBABILITY[cfg.app](levels, cfg.params), golden
+
+
+def _kde_cells(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(widths, ranks): the (pixel, cell) widths of the cells that 0, 1 and
+    the (source, pixel) levels cut [0, 1] into, and the (pixel, source) index
+    of each level among the cell bounds, so that the draws below a level are
+    the counts of the cells before its index."""
+    levels = np.clip(levels.T, 0.0, 1.0)
+    n, sources = levels.shape
+    bounds = np.concatenate([np.zeros((n, 1)), levels, np.ones((n, 1))], axis=1)
+    order = np.argsort(bounds, axis=1, kind="stable")
+    ranks = np.empty_like(order)
+    np.put_along_axis(ranks, order, np.arange(sources + 2), axis=1)
+    widths = np.diff(np.take_along_axis(bounds, order, axis=1), axis=1)
+    return widths, ranks[:, 1:-1]
+
+
+def _kde_errors(counts: np.ndarray, ranks: np.ndarray, golden: np.ndarray,
+                params, length: int) -> np.ndarray:
+    """(..., pixel) errors of kde outputs whose draws fall in the cells with
+    (..., pixel, cell) counts, by kde_batch's rule."""
+    below = np.concatenate([np.zeros(counts.shape[:-1] + (1,), dtype=counts.dtype),
+                            np.cumsum(counts, axis=-1)], axis=-1)
+    # the draws below each source's level, (..., pixel, source)
+    ones = np.take_along_axis(below, np.broadcast_to(ranks, counts.shape[:-2] + ranks.shape),
+                              axis=-1)
+    distances = np.abs(ones[..., 1:] - ones[..., :1])
+    matches = (distances <= params.delta * length).sum(axis=-1)
+    return np.abs((matches / KDE_HISTORY < params.theta) - golden)
+
+
+def kde_exact(cfg: ExperimentConfig) -> tuple[float, float]:
+    """Mean and SD of a kde run's inaccuracy_percent at L = 1: the one draw
+    falls in cell c with probability its width, and that cell decides every
+    pixel's output."""
+    if cfg.app is not AppKind.KDE or cfg.length != 1:
+        raise ValueError("the exact form is kde's at length 1")
+    levels, golden = _levels_and_golden(cfg)
+    widths, ranks = _kde_cells(levels)
+    cells = widths.shape[1]
+    # err[c, i]: pixel i's error when its draw is in cell c
+    err = _kde_errors(np.broadcast_to(np.eye(cells, dtype=np.int64)[:, None],
+                                      (cells,) + widths.shape), ranks, golden, cfg.params, 1)
+    mean = (widths.T * err).sum(axis=0)
+    var = np.maximum((widths.T * err**2).sum(axis=0) - mean**2, 0.0)
+    return 100 * float(mean.mean()), 100 * float(np.sqrt(var.sum())) / golden.size
+
+
+def kde_samples(cfg: ExperimentConfig, samples: int = 4000, seed: int = 0) -> np.ndarray:
+    """inaccuracy_percent of ``samples`` kde runs whose cell counts are drawn
+    from their multinomials with a fixed-seed generator, given cfg's levels."""
+    if cfg.app is not AppKind.KDE:
+        raise ValueError(f"no multinomial form for {cfg.app.value}")
+    levels, golden = _levels_and_golden(cfg)
+    widths, ranks = _kde_cells(levels)
+    gen = np.random.default_rng(seed)
+    chunk = max(1, 1_000_000 // widths.size)
+    runs = []
+    for lo in range(0, samples, chunk):
+        size = (min(chunk, samples - lo), len(widths))
+        counts = gen.multinomial(cfg.length, widths, size=size)
+        runs.append(100 * _kde_errors(counts, ranks, golden, cfg.params, cfg.length).mean(axis=-1))
+    return np.concatenate(runs)
 
 
 def expected_inaccuracy(cfg: ExperimentConfig) -> tuple[float, float]:
-    """Mean and SD of cfg's inaccuracy_percent over its streams' draws."""
+    """Mean and SD of cfg's inaccuracy_percent over its streams' draws; for
+    kde, of its kde_samples."""
+    if cfg.app is AppKind.KDE:
+        runs = kde_samples(cfg)
+        return float(runs.mean()), float(runs.std())
     q, golden = bit_probabilities(cfg)
     length = cfg.length
     k = np.arange(length + 1)

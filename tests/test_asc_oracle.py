@@ -5,31 +5,34 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asc_oracle import bit_probabilities, expected_inaccuracy
+from asc_oracle import bit_probabilities, expected_inaccuracy, kde_exact, kde_samples
 from stochmem import harness
-from stochmem.circuits import GROUP_SELECT, AppKind, stream_plan
+from stochmem.circuits import GROUP_SELECT, KDE_HISTORY, AppKind, stream_plan
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig, run_experiment
 from stochmem.images import ImageGray, save_pgm
 
 ASC_DESIGNS = (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)
-APPS = (AppKind.ROBERT, AppKind.MEDIAN, AppKind.FRAME, AppKind.GAMMA)
+APPS = (AppKind.ROBERT, AppKind.MEDIAN, AppKind.FRAME, AppKind.GAMMA, AppKind.KDE)
 
 # A run's inaccuracy is the mean of its pixels' errors, which are independent
 # and bounded.  Whatever their distribution, Chebyshev's inequality bounds
 # P(|z| > 4) by 1/16; for the near-normal mean of many pixels it is 6.3e-5,
-# 2e-3 over the 32 runs below.  Each run is fixed by its seed, so the test
-# cannot flake; a circuit whose streams are not Bernoulli(q) with the oracle's
-# q moves z by the bias over the SD (test_an_independent_robert_cross_pair_
-# fails_the_z_test).  Seeds 1000003 apart at 16x16 gave z of mean -0.12 to
-# 0.20 and SD 0.80 to 1.02 over 40 seeds, for median and robert at L=63, 300.
+# 2.5e-3 over the 40 runs below.  Each run is fixed by its seed, and kde's
+# multinomial samples by theirs, so the test cannot flake; a circuit whose
+# streams are not Bernoulli(q) with the oracle's q moves z by the bias over
+# the SD (test_an_independent_robert_cross_pair_fails_the_z_test).  Seeds
+# 1000003 apart at 16x16 gave z of mean -0.12 to 0.20 and SD 0.80 to 1.02 over
+# 40 seeds, for median and robert at L=63, 300; kde on the crop gave |z| <= 1.5
+# at seeds 1, 2, 3, 1000004 and 2000007.
 Z_BOUND = 4
 
 
 def _config(app: AppKind, design: SystemDesign, length: int, video_crop) -> ExperimentConfig:
-    # the synthetic video is still at small dims, so frame reads the cropped
-    # one, where its output varies (video_crop.py)
-    inputs = {"input_path": str(video_crop)} if app is AppKind.FRAME else {"dims": (16, 16)}
+    # the synthetic video is still at small dims, so frame and kde read the
+    # cropped one, where their outputs vary (video_crop.py)
+    video = app in (AppKind.FRAME, AppKind.KDE)
+    inputs = {"input_path": str(video_crop)} if video else {"dims": (16, 16)}
     return ExperimentConfig(app=app, design=design, length=length, **inputs)
 
 
@@ -44,6 +47,34 @@ def _z(cfg: ExperimentConfig) -> float:
 @pytest.mark.parametrize("app", APPS, ids=lambda a: a.value)
 def test_asc_runs_match_their_expected_inaccuracy(app, design, length, video_crop):
     assert abs(_z(_config(app, design, length, video_crop))) <= Z_BOUND
+
+
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+def test_kde_samples_match_the_exact_form_at_length_one(design, video_crop):
+    # at L=1 the cell of the one draw decides each pixel's output, so the
+    # sampled mean must meet the exact one within its Monte-Carlo error
+    cfg = _config(AppKind.KDE, design, 1, video_crop)
+    mean, sd = kde_exact(cfg)
+    runs = kde_samples(cfg)
+    assert sd > 0
+    assert abs(runs.mean() - mean) <= 4 * runs.std() / np.sqrt(runs.size)
+    assert runs.std() == pytest.approx(sd, rel=0.1)
+
+
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+def test_a_history_apart_from_the_current_frame_fails_the_kde_z_test(design, monkeypatch,
+                                                                     video_crop):
+    # history streams in a group of their own: each XOR distance is then
+    # Binomial(L, a + b - 2ab), not the count between the two levels.  At L=1
+    # the bias hides in the spread of one draw (z about 1 to 1.5); at L=300 it
+    # does not
+    def history_apart(app, params):
+        return replace(stream_plan(app, params), groups=(0,) + (1,) * KDE_HISTORY)
+
+    cfg = _config(AppKind.KDE, design, 300, video_crop)
+    assert abs(_z(cfg)) <= Z_BOUND
+    monkeypatch.setattr(harness, "stream_plan", history_apart)
+    assert abs(_z(cfg)) > Z_BOUND
 
 
 @pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)

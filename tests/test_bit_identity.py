@@ -2,8 +2,9 @@
 
 ``bit_identity.json`` holds, for every app x design pair plus a degree-9
 gamma, at 7x5 pixels and seed 4, the SHA-256 of the output
-image bytes and the repr of ``inaccuracy_percent``; also gamma on both ASC
-designs at 2x1 pixels and a length whose stream tiles split the length axis.
+image bytes and the repr of ``inaccuracy_percent``; also gamma, robert and
+median on both ASC designs at 2x1 pixels and a length whose stream tiles
+split the length axis, so the last tile of a stream is a short one.
 The synthetic video is still at 7x5, so frame and kde give all-zero images
 there; their ``-crop`` cases read a 6x5 crop of the 128x128 video
 (video_crop.py), and each of those holds both 0 and 1.
@@ -51,9 +52,10 @@ def _cases(length: int, crop: Path) -> dict[str, ExperimentConfig]:
 
 
 def _long_cases() -> dict[str, ExperimentConfig]:
-    base = ExperimentConfig(app=AppKind.GAMMA, length=LONG_LENGTH, dims=(2, 1),
-                            global_seed=SEED, input_seed=SEED)
-    return {f"gamma/{d.value}/{LONG_LENGTH}": replace(base, design=d)
+    # gamma, an XOR circuit (robert) and the compare-exchange network (median)
+    base = ExperimentConfig(length=LONG_LENGTH, dims=(2, 1), global_seed=SEED, input_seed=SEED)
+    return {f"{a.value}/{d.value}/{LONG_LENGTH}": replace(base, app=a, design=d)
+            for a in (AppKind.GAMMA, AppKind.ROBERT, AppKind.MEDIAN)
             for d in (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)}
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from stochmem.bitstream import pack_bool_matrix, popcount_rows
 from stochmem.circuits import (MAX_BERNSTEIN_DEGREE, READ_NOISE_BASE, WIRING, WRITE_NOISE_BASE,
-                               AppKind, AppParams, BernsteinPoly, MEDIAN9_PAIRS,
+                               AppKind, AppParams, MEDIAN9_PAIRS,
                                bernstein_basis, fit_bernstein, frame_batch, gamma_eval,
                                golden_eval, kde_batch, median9_reference, median_batch,
                                robert_batch, stream_plan)
@@ -179,48 +179,55 @@ class TestFrameDiff:
         assert abs(measured - p_pred) <= 0.2 * p_pred
 
 
+def _bernstein(coeffs, x):
+    """The Bernstein polynomial of coeffs at x."""
+    return bernstein_basis(x, len(coeffs) - 1) @ np.asarray(coeffs)
+
+
 class TestBernstein:
     def test_linear_target_exact(self):
-        poly, err = fit_bernstein(lambda x: x, 6)
-        assert np.allclose(poly.coeffs, [k / 6 for k in range(7)], atol=1e-9)
+        coeffs, err = fit_bernstein(lambda x: x, 6)
+        assert np.allclose(coeffs, [k / 6 for k in range(7)], atol=1e-9)
         assert err < 1e-9
 
     def test_constant_target(self):
-        poly, err = fit_bernstein(lambda x: 0.37, 6)
-        assert np.allclose(poly.coeffs, [0.37] * 7, atol=1e-9)
+        coeffs, err = fit_bernstein(lambda x: 0.37, 6)
+        assert np.allclose(coeffs, [0.37] * 7, atol=1e-9)
 
     @pytest.mark.parametrize("degree", range(1, 17))
     def test_power_fit_matches_bounded_least_squares_oracle(self, degree):
         from scipy.optimize import lsq_linear
-        poly, err = fit_bernstein(lambda x: x ** 0.45, degree)
+        coeffs, err = fit_bernstein(lambda x: x ** 0.45, degree)
         grid = np.linspace(0, 1, 1001)
         basis = bernstein_basis(grid, degree)
         oracle = lsq_linear(basis, grid ** 0.45, bounds=(0, 1))
         rss = lambda c: float(((basis @ np.asarray(c) - grid ** 0.45) ** 2).sum())
-        assert rss(poly.coeffs) <= rss(oracle.x) * (1 + 1e-6)
+        assert rss(coeffs) <= rss(oracle.x) * (1 + 1e-6)
         if degree == 6:
-            assert np.allclose(poly.coeffs, oracle.x, atol=1e-6)
+            assert np.allclose(coeffs, oracle.x, atol=1e-6)
             oracle_err = np.abs(basis @ oracle.x - grid ** 0.45).max()
             assert err == pytest.approx(oracle_err, abs=1e-9)
 
     def test_power_fit_error_away_from_origin(self):
         # the x**0.45 slope is unbounded at 0; off the singular corner the
         # degree-6 fit is tight
-        poly, _ = fit_bernstein(lambda x: x ** 0.45, 6)
+        coeffs, _ = fit_bernstein(lambda x: x ** 0.45, 6)
         grid = np.linspace(0.05, 1, 500)
-        assert np.abs(poly(grid) - grid ** 0.45).max() <= 0.02
+        assert np.abs(_bernstein(coeffs, grid) - grid ** 0.45).max() <= 0.02
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError):
             fit_bernstein(lambda x: 1.5 * x, 3)
 
-    def test_coefficient_bounds_enforced(self):
-        with pytest.raises(ValueError):
-            BernsteinPoly(2, (0.0, 1.2, 0.5))
-
-    def test_coefficient_count_enforced(self):
-        with pytest.raises(ValueError, match=r"^coefficient count must be degree \+ 1$"):
-            BernsteinPoly(2, (0.5, 0.5))
+    @pytest.mark.parametrize("target", (lambda x: x ** 0.45, lambda x: 0.5 + 0.5 * np.sin(9 * x),
+                                        lambda x: float(x > 0.5)), ids=("power", "sine", "step"))
+    @pytest.mark.parametrize("degree", (1, 6, MAX_BERNSTEIN_DEGREE))
+    def test_fit_gives_degree_plus_one_float_coefficients_in_the_unit_interval(self, target,
+                                                                                degree):
+        # a stream encodes each coefficient as a probability
+        coeffs, _ = fit_bernstein(target, degree)
+        assert isinstance(coeffs, tuple) and len(coeffs) == degree + 1
+        assert all(type(c) is float and 0.0 <= c <= 1.0 for c in coeffs)
 
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="^degree must be at least 1$"):
@@ -228,41 +235,41 @@ class TestBernstein:
 
 
 @pytest.fixture(scope="module")
-def poly():
-    poly, _ = fit_bernstein(lambda x: x ** 0.45, 6)
-    return poly
+def coeffs():
+    coeffs, _ = fit_bernstein(lambda x: x ** 0.45, 6)
+    return coeffs
 
 
 class TestGamma:
 
-    def _run(self, x, poly, length=1024, seed=5):
+    def _run(self, x, coeffs, length=1024, seed=5):
         xs = [asc_generate(x, length, derive_state(seed, 0, 0, g))
               for g in range(6)]
         cs = [asc_generate(c, length, derive_state(seed, 0, 0, 16 + k))
-              for k, c in enumerate(poly.coeffs)]
+              for k, c in enumerate(coeffs)]
         return gamma_eval(xs, cs).mean()
 
-    def test_zero_input(self, poly):
-        est = self._run(0.0, poly)
-        assert est == pytest.approx(poly.coeffs[0], abs=4 * np.sqrt(0.25 / 1024))
+    def test_zero_input(self, coeffs):
+        est = self._run(0.0, coeffs)
+        assert est == pytest.approx(coeffs[0], abs=4 * np.sqrt(0.25 / 1024))
 
-    def test_one_input(self, poly):
-        est = self._run(1.0, poly)
-        assert est == pytest.approx(poly.coeffs[6], abs=4 * np.sqrt(0.25 / 1024))
+    def test_one_input(self, coeffs):
+        est = self._run(1.0, coeffs)
+        assert est == pytest.approx(coeffs[6], abs=4 * np.sqrt(0.25 / 1024))
 
-    def test_half_input_near_power_value(self, poly):
+    def test_half_input_near_power_value(self, coeffs):
         length = 1024
-        est = self._run(0.5, poly, length)
-        fit_err = abs(poly(0.5) - 0.5 ** 0.45)
+        est = self._run(0.5, coeffs, length)
+        fit_err = abs(_bernstein(coeffs, 0.5) - 0.5 ** 0.45)
         assert abs(est - 0.5 ** 0.45) <= fit_err + 4 / np.sqrt(length)
 
-    def test_expectation_matches_polynomial_on_grid(self, poly):
+    def test_expectation_matches_polynomial_on_grid(self, coeffs):
         length = 4096
         for x in np.linspace(0, 1, 11):
-            ests = [self._run(float(x), poly, length, seed=s) for s in range(5)]
-            assert abs(np.mean(ests) - poly(x)) <= 4 * np.sqrt(0.25 / (5 * length))
+            ests = [self._run(float(x), coeffs, length, seed=s) for s in range(5)]
+            assert abs(np.mean(ests) - _bernstein(coeffs, x)) <= 4 * np.sqrt(0.25 / (5 * length))
 
-    def test_stream_count_validation(self, poly):
+    def test_stream_count_validation(self):
         xs = [asc_generate(0.5, 64, derive_state(1, 0, 0, g))
               for g in range(6)]
         with pytest.raises(ValueError):
@@ -315,12 +322,12 @@ class TestKde:
 class TestGolden:
     def test_robert_flat_image_zero(self):
         planes = np.full((4, 16, 16), 0.4)
-        assert golden_eval(AppKind.ROBERT, planes).data.max() == 0.0
+        assert golden_eval(AppKind.ROBERT, planes).max() == 0.0
 
     def test_gamma_power_values(self):
         planes = np.array([[[0.25]]])
         out = golden_eval(AppKind.GAMMA, planes, AppParams(gamma_exponent=0.45))
-        assert out.data[0, 0] == pytest.approx(0.25 ** 0.45)
+        assert out[0, 0] == pytest.approx(0.25 ** 0.45)
         assert 0.25 ** 0.45 == pytest.approx(0.5359, abs=1e-4)
 
     def test_median_order_statistic(self):
@@ -328,25 +335,25 @@ class TestGolden:
                            [0.2, 0.2, 0.9],
                            [0.9, 0.9, 0.9]])
         out = golden_eval(AppKind.MEDIAN, window.reshape(9, 1, 1))
-        assert out.data[0, 0] == 0.2
+        assert out[0, 0] == 0.2
 
     def test_frame_threshold(self):
         planes = np.array([[[0.9, 0.5]],
                            [[0.4, 0.45]]])
         out = golden_eval(AppKind.FRAME, planes, AppParams(theta=0.1))
-        assert out.data.tolist() == [[1.0, 0.0]]
+        assert out.tolist() == [[1.0, 0.0]]
 
     def test_kde_density(self):
         planes = np.array([0.9] + [0.1] * 32).reshape(33, 1, 1)
         out = golden_eval(AppKind.KDE, planes, AppParams(delta=0.1, theta=0.5))
-        assert out.data[0, 0] == 1.0
+        assert out[0, 0] == 1.0
 
     def test_dispatcher_validates(self):
         # one plane short of what each app reads
         for app, count in ((AppKind.ROBERT, 3), (AppKind.MEDIAN, 8), (AppKind.FRAME, 1),
                            (AppKind.GAMMA, 0), (AppKind.KDE, 32)):
             with pytest.raises(ValueError, match=f"{app.value} reads {count + 1} operand "
-                                                 f"planes, got {count}"):
+                                                 f"slots, got {count}"):
                 golden_eval(app, np.full((count, 4, 4), 0.5), AppParams())
 
 

@@ -232,9 +232,9 @@ def test_fit_gamma_prints_coefficients(capsys):
     # with no flags, the fit a run makes at the default parameters
     assert main(["fit-gamma"]) == 0
     params = AppParams()
-    poly, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent, params.bernstein_degree)
+    coeffs, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent, params.bernstein_degree)
     assert capsys.readouterr().out.splitlines()[1:] == (
-        [f"b{k}\t{c:.6f}" for k, c in enumerate(poly.coeffs)] + [f"max_fit_error\t{max_err:.6f}"])
+        [f"b{k}\t{c:.6f}" for k, c in enumerate(coeffs)] + [f"max_fit_error\t{max_err:.6f}"])
 
 
 def test_fit_gamma_accepts_the_largest_degree_a_run_uses(capsys):

@@ -30,6 +30,7 @@ from stochmem.config import read_values, resolve_config
 from stochmem.harness import (ExperimentConfig, operand_columns, resolve_inputs,
                               run_experiment, sweep)
 from stochmem.images import ImageGray, load_pgm, save_pgm
+from stochmem.lfsr import LfsrCycle
 from stochmem.memory import mem_read, mem_write
 from stochmem.rng import derive_state
 from stochmem.synth import INPUT_SEED, gen_test_inputs
@@ -839,7 +840,7 @@ def test_golden_matches_a_per_pixel_oracle(app, params, video_crop):
     cfg = ExperimentConfig(app=app, params=params, **fields)
     expected = np.array([[_golden_pixel(app, params, _operands(app, frames, x, y))
                           for x in range(WIDTH)] for y in range(HEIGHT)])
-    got = golden_eval(app, _planes(cfg), params).data
+    got = golden_eval(app, _planes(cfg), params)
     if app is AppKind.GAMMA:
         # numpy's vectorized pow may round one ulp away from the scalar libm pow
         np.testing.assert_allclose(got, expected, rtol=2 * np.finfo(float).eps, atol=0)
@@ -858,8 +859,8 @@ def _wiring(app, params):
         return [("op", 0), ("op", 1)], [0, 0]
     if app is AppKind.GAMMA:
         deg = params.bernstein_degree
-        poly, _ = fit_bernstein(lambda v: v ** params.gamma_exponent, deg)
-        return ([("op", 0)] * deg + [("const", c) for c in poly.coeffs],
+        coeffs, _ = fit_bernstein(lambda v: v ** params.gamma_exponent, deg)
+        return ([("op", 0)] * deg + [("const", c) for c in coeffs],
                 list(range(deg)) + [16] * (deg + 1))
     return [("op", j) for j in range(1 + KDE_HISTORY)], [0] * (1 + KDE_HISTORY)
 
@@ -962,6 +963,23 @@ def test_conv_lfsr_outputs_equal_window_counts(app, seed, length):
         assert set(np.unique(got)) == {0.0, 1.0}
 
 
+@pytest.mark.parametrize("length", (1, 63, 65, 300, 1023, 1024, 2046, 2100))
+def test_a_late_lfsr_start_fails_the_window_oracle(monkeypatch, length):
+    # every pixel's LFSR starts one ring position late in the engine only; a
+    # whole number of periods carries each code's ones from any start, so only
+    # those lengths still match
+    def late_cycle(spec):
+        cycle = LfsrCycle(spec)
+        cycle.position = (cycle.position + 1) % spec.period
+        return cycle
+
+    monkeypatch.setattr(harness, "LfsrCycle", mock.Mock(for_spec=late_cycle))
+    cfg = ExperimentConfig(app=AppKind.MEDIAN, design=SystemDesign.CONV_LFSR, length=length,
+                           dims=(48, 48), global_seed=1)
+    expected = lfsr_output(cfg.app, _planes(cfg), 1, length, cfg.params)
+    assert np.array_equal(run_experiment(cfg).output.data, expected) == (length % PERIOD == 0)
+
+
 @pytest.mark.parametrize("periods", (1, 2, 3))
 @pytest.mark.parametrize("seed", (1, 5))
 @pytest.mark.parametrize("app", SHARED_GROUP_APPS, ids=lambda a: a.value)
@@ -971,4 +989,4 @@ def test_whole_lfsr_periods_give_the_golden_form_of_the_adc_levels(app, seed, pe
                            dims=(48, 48), global_seed=seed)
     levels = adc_quantize(_planes(cfg)) / PERIOD
     assert np.array_equal(run_experiment(cfg).output.data,
-                          golden_eval(app, levels, cfg.params).data)
+                          golden_eval(app, levels, cfg.params))
