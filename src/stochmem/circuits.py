@@ -31,6 +31,8 @@ import numpy as np
 from .bitstream import integer, popcount_rows
 
 KDE_HISTORY = 32
+# history rows kde_batch compares at once; it divides KDE_HISTORY
+_KDE_CHUNK = 8
 
 
 class AppKind(enum.Enum):
@@ -99,18 +101,26 @@ MEDIAN9_PAIRS = (
     (4, 2),
 )
 MEDIAN9_OUT = 4
+# stream words per chunk of the median network, so that its working streams
+# hold a chunk of the operands, not a second copy of them
+_MEDIAN_CHUNK = 4096
 
 
 def median_batch(regs: list[np.ndarray]) -> np.ndarray:
-    """Median of nine mutually correlated operands (AND=min, OR=max)."""
-    regs = list(regs)
+    """Median of nine mutually correlated operands (AND=min, OR=max), over
+    chunks of _MEDIAN_CHUNK of their words."""
     if len(regs) != 9:
         raise ValueError(f"median filter takes 9 streams, got {len(regs)}")
-    for i, j in MEDIAN9_PAIRS:
-        lo = regs[i] & regs[j]
-        regs[j] = regs[i] | regs[j]
-        regs[i] = lo
-    return regs[MEDIAN9_OUT]
+    flat = [np.reshape(r, -1) for r in regs]
+    out = np.empty_like(flat[0])
+    for c in range(0, out.size, _MEDIAN_CHUNK):
+        part = [r[c:c + _MEDIAN_CHUNK] for r in flat]
+        for i, j in MEDIAN9_PAIRS:
+            lo = part[i] & part[j]
+            part[j] = part[i] | part[j]
+            part[i] = lo
+        out[c:c + _MEDIAN_CHUNK] = part[MEDIAN9_OUT]
+    return out.reshape(np.shape(regs[0]))
 
 
 def median9_reference(values) -> float:
@@ -238,13 +248,18 @@ def kde_batch(cur: np.ndarray, history, delta: float, theta: float, length: int)
     length, is below theta.  history is a sequence of packed stream matrices.
 
     cur must be correlated with every history stream so XOR measures the
-    pairwise distance.
+    pairwise distance.  The distances are taken _KDE_CHUNK history rows at a
+    time in one reused XOR buffer: a few numpy calls a chunk, not a row, and
+    no second copy of the history.
     """
     if len(history) != KDE_HISTORY:
         raise ValueError(f"history must hold {KDE_HISTORY} streams, got {len(history)}")
-    matches = np.zeros(cur.shape[0], dtype=np.int32)
-    for hist in history:
-        matches += popcount_rows(cur ^ hist) <= delta * length
+    matches = np.zeros(cur.shape[0], dtype=np.int64)
+    xor = np.empty((_KDE_CHUNK,) + cur.shape, dtype=cur.dtype)
+    for k in range(0, KDE_HISTORY, _KDE_CHUNK):
+        np.bitwise_xor(history[k:k + _KDE_CHUNK], cur, out=xor)
+        distances = np.bitwise_count(xor).sum(axis=-1, dtype=np.int64)
+        matches += (distances <= delta * length).sum(axis=0)
     return ((matches / KDE_HISTORY) < theta).astype(np.float64)
 
 

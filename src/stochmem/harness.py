@@ -45,28 +45,37 @@ config and its block's pixel range, and holds no array: the block takes the
 run's frames (_run_frames) and gathers its own operand columns.  The worker
 count is jobs capped at the CPU count (_workers); with several workers the
 block count is a multiple of it, so a small image still spreads over every
-worker.  Within a block every stream is generated packed, as
+worker.  A block makes its values once: its operand columns, golden, pixel
+prefix states, stream levels and the generator inputs made of them (the ASC
+thresholds and rows at p >= 1, or conv-lfsr's codes and comparator table).
+It then makes and uses its streams one window at a time (_window_slices),
+contiguous pixels of at most _WINDOW_CELLS stream cells over all of its
+sources, in one stream array it reuses for every window: it generates the
+window's streams, clears their bits past the length, and runs the logic on
+them.  Windows along the word axis would need circuits whose counts add up
+over pieces of a stream, so a single pixel over the budget is a window of its
+own.  Within a window every stream is generated packed, as
 (pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
-packed through the circuit.  The block clears every stream's bits past the
-length once, before the logic, so popcounts and XOR distances need no masking
-and the generators need not keep the tails zero.  The ASC designs compare
-SplitMix64 draws, made in tiles of at most _TILE_CELLS cells in reused buffers
-and shared between the sources of one group, against each source's
-threshold.  The draw add and the compare each broadcast a per-pixel column
-across a tile row; from _UNBUFFERED_MIN_ROW draws per row the tile loop sets
-numpy's ufunc buffer to the row length (inside np.errstate, which restores it
-on exit), so numpy iterates those rows in place rather than through its
-buffers.  Shorter rows keep numpy's default, which is faster for them.
+packed through the circuit; as the tails are cleared before the logic,
+popcounts and XOR distances need no masking and the generators need not keep
+the tails zero.  The ASC designs compare SplitMix64 draws, made in tiles of
+at most _TILE_CELLS cells in buffers reused within a window and shared
+between the sources of one group, against each source's threshold.  The
+draw add and the compare each broadcast a per-pixel column across a tile row;
+from _UNBUFFERED_MIN_ROW draws per row the tile loop sets numpy's ufunc buffer
+to the row length (inside np.errstate, which restores it on exit), so numpy
+iterates those rows in place rather than through its buffers.  Shorter rows
+keep numpy's default, which is faster for them.
 conv-lfsr reads each 64-bit word as a window into a table of packed
-comparator outputs over one LFSR period.  Neither tile nor block size nor
-buffer size nor worker count changes any output bit.
+comparator outputs over one LFSR period.  Neither tile nor block nor window
+size nor buffer size nor worker count changes any output bit.
 
 run_experiment resolves the frames once and holds them for its blocks; a
 worker process that did not inherit them (a spawn or forkserver worker)
 resolves them once itself.  So on any worker count a run holds its frames,
-one block per worker (its columns, streams and values within the budget, and
-the tile buffers) and two images, the outputs and goldens of the blocks run
-so far, for any image size.
+one block's values and one window of its streams per worker (within the
+block budget), the tile buffers and two images, the outputs and goldens of
+the blocks run so far, for any image size.
 """
 
 from __future__ import annotations
@@ -131,6 +140,16 @@ _TILE_CELLS = 65_536
 # 32 draws, 0.76 -> 0.89 at 128, 0.72 -> 0.45 at 256; draw add 1.20 -> 2.22 at
 # 32, 0.96 -> 0.68 at 128, 0.96 -> 0.38 at 256
 _UNBUFFERED_MIN_ROW = 256
+# stream cells per window of a block, over all of its sources: a pixel costs
+# 64 * words_for(length) cells a source, so a window holds at most 1 MB of
+# streams.  A block holds its values whole, but makes and uses its streams
+# one window at a time (_window_slices).  scripts/block_budget_table.py
+# --windows (numpy 2.4.6, 2-vCPU x86-64 host), best of 5 over each workload's
+# 15 runs, at 4M, 8M, 16M and 32M cells: wide-long 705, 654, 638 and 625 ms,
+# peaking at 1.79, 2.28, 3.58 and 6.05 MB; grid-L1024 195, 187, 187 and 186
+# ms, peaking at 1.73, 2.27, 3.23 and 3.50 MB; short-stream 422, 406, 407 and
+# 406 ms (one window a block from 8M), peaking at 3.53 MB
+_WINDOW_CELLS = 8_000_000
 
 
 @dataclass(frozen=True)
@@ -289,29 +308,56 @@ def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray
             + [np.full(n, _convert(cfg.design, c)) for c in plan.consts])
 
 
-def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
-                 pixels: np.ndarray) -> np.ndarray:
-    """Bernoulli streams of the ASC designs: bit j of source s at pixel i is
-    draw j of its group's SplitMix64 sequence at pixel i compared against the
-    source's threshold.
-
-    Draws are made in tiles of at most _TILE_CELLS cells, shared by every
-    source of the group: whole streams of several pixels, or, when the length
-    exceeds _TILE_CELLS, one pixel's columns c0..c0+cols with cols a multiple
-    of 64, drawn from states + c0 * GOLDEN (draw j of state s is
-    mix64(s + (j + 1) * GOLDEN)).  The draw, mixer and compare buffers are
-    allocated once and reused by every tile and group.  The compare buffer's
-    rows are padded to whole words, so pack_bool_matrix packs a tile in one
-    flat pass; the pad bits land past the length, which the block clears.
-    Rows of at least _UNBUFFERED_MIN_ROW draws run with numpy's ufunc buffer
-    set to the row length; the outputs do not depend on it.
-    """
-    length = cfg.length
-    n = pixels.size
-    streams = np.empty((len(levels), n, words_for(length)), dtype=np.uint64)
-    thresholds = [bernoulli_threshold_u64(p)[:, None] for p in levels]
+def _tile_shape(length: int) -> tuple[int, int]:
+    """(rows, cols) of the ASC draw tiles of streams of length: whole streams
+    of several pixels, or, when the length exceeds _TILE_CELLS, one pixel's
+    columns in pieces of a multiple of 64."""
     cols = length if length <= _TILE_CELLS else max(64, _TILE_CELLS // 64 * 64)
-    rows = min(n, max(1, _TILE_CELLS // cols))
+    return max(1, _TILE_CELLS // cols), cols
+
+
+def _window_slices(n_pixels: int, length: int, sources: int) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) windows covering a block's pixels 0..n_pixels, in
+    which it makes and uses its streams: at most _WINDOW_CELLS stream cells,
+    64 * words_for(length) a pixel and source.  A block that fits is one
+    window; else a window is a whole number of the ASC tiles' pixel rows when
+    the budget holds one, so that window edges add no partial tiles.  Only a
+    single pixel whose streams alone exceed the budget forms a larger
+    window."""
+    size = max(1, _WINDOW_CELLS // (sources * 64 * words_for(length)))
+    rows = _tile_shape(length)[0]
+    if size < n_pixels and size >= rows:
+        size -= size % rows
+    return [(lo, min(lo + size, n_pixels)) for lo in range(0, n_pixels, size)]
+
+
+def _asc_inputs(levels: list[np.ndarray]) -> tuple:
+    """A block's inputs to _asc_streams: each source's (pixel, 1) thresholds
+    and its pixels at p >= 1, which have no strict-compare threshold."""
+    return [bernoulli_threshold_u64(p)[:, None] for p in levels], [p >= 1.0 for p in levels]
+
+
+def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, inputs: tuple, pixels: np.ndarray,
+                 lo: int, hi: int, streams: np.ndarray) -> None:
+    """Bernoulli streams of the ASC designs at the block's pixels lo..hi,
+    written into the (source, hi - lo, words) streams: bit j of source s at
+    pixel i is draw j of its group's SplitMix64 sequence at pixel i compared
+    against the source's threshold (inputs, from _asc_inputs).
+
+    Draws are made in the tiles of _tile_shape, shared by every source of the
+    group; a tile of one pixel's columns c0..c0+cols is drawn from states +
+    c0 * GOLDEN (draw j of state s is mix64(s + (j + 1) * GOLDEN)).  The draw,
+    mixer and compare buffers are allocated once per window and reused by
+    every tile and group; the window's logic runs without them.  The compare
+    buffer's rows are padded to whole words, so pack_bool_matrix packs a tile
+    in one flat pass; the pad bits land past the length, which the block
+    clears.  Rows of at least _UNBUFFERED_MIN_ROW draws run with numpy's ufunc
+    buffer set to the row length; the outputs do not depend on it.
+    """
+    thresholds, full = inputs
+    length = cfg.length
+    rows, cols = _tile_shape(length)
+    rows = min(rows, hi - lo)
     draws = np.empty((rows, cols), dtype=np.uint64)
     tmp = np.empty_like(draws)
     bits = np.zeros((rows, 64 * words_for(cols)), dtype=bool)
@@ -321,41 +367,30 @@ def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
             np.setbufsize(cols // 16 * 16)
         for group in dict.fromkeys(plan.groups):
             members = [s for s, g in enumerate(plan.groups) if g == group]
-            states = stream_states(pixels, group)
-            for lo in range(0, n, rows):
-                m = min(rows, n - lo)
+            states = stream_states(pixels[lo:hi], group)
+            for r0 in range(0, hi - lo, rows):
+                m = min(rows, hi - lo - r0)
                 for c0 in range(0, length, cols):
                     w = min(cols, length - c0)
                     offset = np.uint64(c0 * GOLDEN % (1 << 64))
-                    tile = uniform_block_from_states(states[lo:lo + m] + offset, w,
+                    tile = uniform_block_from_states(states[r0:r0 + m] + offset, w,
                                                      into=draws[:m, :w], tmp=tmp[:m, :w])
                     words = slice(c0 // 64, c0 // 64 + words_for(w))
                     padded = bits[:m, :64 * words_for(w)]
                     for s in members:
-                        np.less(tile, thresholds[s][lo:lo + m], out=padded[:, :w])
-                        streams[s, lo:lo + m, words] = pack_bool_matrix(padded)
-    # p >= 1 has no strict-compare threshold
-    for stream, p in zip(streams, levels):
-        stream[p >= 1.0] = ~np.uint64(0)
-    return streams
+                        np.less(tile, thresholds[s][lo + r0:lo + r0 + m], out=padded[:, :w])
+                        streams[s, r0:r0 + m, words] = pack_bool_matrix(padded)
+    for stream, ones in zip(streams, full):
+        stream[ones[lo:hi]] = ~np.uint64(0)
 
 
-def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
-                 pixels: np.ndarray) -> np.ndarray:
-    """LFSR+comparator streams of conv-lfsr: bit j of source s at pixel i is
-    ring[(start_i + j) mod period] <= code_s,i, where the LFSR at pixel i
-    starts at state derive_state(global seed, x_i, y_i, group) mod period + 1
-    for the source's group.
+def _dsc_inputs(levels: list[np.ndarray]) -> tuple:
+    """A block's inputs to _dsc_streams: each source's comparator codes, the
+    LFSR cycle and its comparator table, flat, with its row length in words.
 
-    Row c of the comparator table holds bit k set iff ring[k mod period] <= c,
-    for k over one period plus 128 values.  Word w of a stream is the
-    unaligned 64-bit window of the row at the source's code, at bit offset
-    (start + 64 w) mod period; the 128 extra values keep every window inside
-    its row.  The windows and gathers run over chunks of at most
-    _TILE_CELLS // 4 stream words (whole pixels, or one pixel's words in
-    pieces), so their temporaries stay as small as the memory path's.
-    """
-    length = cfg.length
+    Row c of the table holds bit k set iff ring[k mod period] <= c, for k over
+    one period plus 128 values; the 128 extra values keep every 64-bit window
+    of _dsc_streams inside its row."""
     # the comparator is as wide as the ADC code
     cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
     period = cycle.spec.period
@@ -365,33 +400,48 @@ def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarra
     table = np.zeros((period + 1, words_for(ring.size)), dtype=np.uint64)
     np.bitwise_or.at(table, (ring, k >> 6), np.uint64(1) << (k & 63).astype(np.uint64))
     np.bitwise_or.accumulate(table, axis=0, out=table)
-    row_words = table.shape[1]
-    table = table.ravel()
-    n_words = words_for(length)
+    return levels, cycle, table.ravel(), table.shape[1]
+
+
+def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, inputs: tuple, pixels: np.ndarray,
+                 lo: int, hi: int, streams: np.ndarray) -> None:
+    """LFSR+comparator streams of conv-lfsr at the block's pixels lo..hi,
+    written into the (source, hi - lo, words) streams: bit j of source s at
+    pixel i is ring[(start_i + j) mod period] <= code_s,i, where the LFSR at
+    pixel i starts at state derive_state(global seed, x_i, y_i, group) mod
+    period + 1 for the source's group.
+
+    Word w of a stream is the unaligned 64-bit window of the comparator
+    table's row at the source's code (inputs, from _dsc_inputs), at bit offset
+    (start + 64 w) mod period.  The windows and gathers run over chunks of at
+    most _TILE_CELLS // 4 stream words (whole pixels, or one pixel's words in
+    pieces), so their temporaries stay as small as the memory path's.
+    """
+    codes, cycle, table, row_words = inputs
+    period = cycle.spec.period
+    n_words = words_for(cfg.length)
     word_starts = 64 * np.arange(n_words, dtype=np.int64)
     cols = min(n_words, _TILE_CELLS // 4)
     rows = max(1, _TILE_CELLS // 4 // cols)
-    n = pixels.size
-    streams = np.empty((len(levels), n, n_words), dtype=np.uint64)
     for group in dict.fromkeys(plan.groups):
         members = [s for s, g in enumerate(plan.groups) if g == group]
-        states = stream_states(pixels, group)
+        states = stream_states(pixels[lo:hi], group)
         seeds = (states % np.uint64(period)).astype(np.int64) + 1
         start = cycle.position[seeds].astype(np.int64)
-        for lo in range(0, n, rows):
+        for r0 in range(0, hi - lo, rows):
+            m = min(rows, hi - lo - r0)
             for c0 in range(0, n_words, cols):
                 words = slice(c0, c0 + cols)
-                word = (start[lo:lo + rows, None] + word_starts[words]) % period
+                word = (start[r0:r0 + m, None] + word_starts[words]) % period
                 shift = (word & 63).astype(np.uint64)
                 word >>= 6
                 for s in members:
-                    idx = levels[s][lo:lo + rows, None] * row_words + word
+                    idx = codes[s][lo + r0:lo + r0 + m, None] * row_words + word
                     # the split left shift is 64 - shift for shift 1..63 and
                     # drops the high word at shift 0, where a single shift by 64
                     # is undefined
-                    streams[s, lo:lo + rows, words] = ((table[idx] >> shift)
-                                                       | (table[idx + 1] << (63 - shift) << 1))
-    return streams
+                    streams[s, r0:r0 + m, words] = ((table[idx] >> shift)
+                                                    | (table[idx + 1] << (63 - shift) << 1))
 
 
 # the config fields that choose a run's frames, and the frames of the last
@@ -414,19 +464,34 @@ def _run_frames(cfg: ExperimentConfig, fresh: bool = False) -> list[ImageGray]:
 def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Output and golden of one pixel block.  task is (cfg, lo, hi): the flat
     row-major pixels lo..hi of cfg's run, whose operand_columns the block
-    gathers from the run's frames."""
+    gathers from the run's frames.  The block turns its operands into its
+    golden and its generator inputs once, then makes and uses its streams
+    one window (_window_slices) at a time, in one reused stream array."""
     cfg, lo, hi = task
     frames = _run_frames(cfg)
     operands = operand_columns(cfg.app, frames, lo, hi)
+    golden = golden_eval(cfg.app, operands, cfg.params)
     ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(frames[-1].width))
     pixels = pixel_states(cfg.global_seed, xs, ys)
     plan = stream_plan(cfg.app, cfg.params)
-    levels = _stream_levels(cfg, plan, operands, pixels)
-    generate = _dsc_streams if cfg.design is SystemDesign.CONV_LFSR else _asc_streams
-    streams = generate(cfg, plan, levels, pixels)
-    streams[:, :, -1] &= tail_mask(cfg.length)
-    output = WIRING[cfg.app].logic(streams, cfg.params, cfg.length)
-    return output, golden_eval(cfg.app, operands, cfg.params)
+    n, sources, words = hi - lo, len(plan.groups), words_for(cfg.length)
+    windows = _window_slices(n, cfg.length, sources)
+    window = windows[0][1]   # the first window is the largest
+    prepare, generate = ((_dsc_inputs, _dsc_streams) if cfg.design is SystemDesign.CONV_LFSR
+                         else (_asc_inputs, _asc_streams))
+    inputs = prepare(_stream_levels(cfg, plan, operands, pixels))
+    del operands
+    cells = np.empty(sources * window * words, dtype=np.uint64)
+    output = np.empty(n)
+    for a, b in windows:
+        streams = cells[:sources * (b - a) * words].reshape(sources, b - a, words)
+        generate(cfg, plan, inputs, pixels, a, b, streams)
+        if b == n:
+            # the last window's logic needs no thresholds or codes
+            inputs = None
+        streams[:, :, -1] &= tail_mask(cfg.length)
+        output[a:b] = WIRING[cfg.app].logic(streams, cfg.params, cfg.length)
+    return output, golden
 
 
 def _workers(jobs: int) -> int:

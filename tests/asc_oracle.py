@@ -29,9 +29,21 @@ iff u < p (p >= 1: always, so its level is the whole range).  The levels and
 0 and 1 cut [0, 1] into at most 34 cells, and the counts of the L draws in
 the cells are Multinomial(L, cell widths); the XOR distance of the current
 stream to history stream k is the count between their two levels.
-kde_expected samples those counts, for every pixel at once, and scores each
+kde_samples samples those counts, for every pixel at once, and scores each
 sample with kde_batch's rule; at L = 1 kde_exact sums over the cell of the
-one draw instead.
+one draw instead.  kde_exact_counts is exact at any L: the history levels at
+or above the current level p0 lie at nested distances a_1 <= a_2 <= ... above
+it, those below at b_1 <= b_2 <= ... below it, and history k matches iff the
+draws between its level and p0 number at most D = floor(delta L).  So the
+matches above are at least j iff the X_j draws in [p0, p0 + a_j) are at most
+D, and below at least i iff the Y_i draws in [p0 - b_i, p0) are; (X_j, Y_i)
+are two cells of a Multinomial(L, (a_j, b_i, 1 - a_j - b_i)), so
+
+    P(above >= j, below >= i) = sum_{x <= D} Binom(x; L, a_j)
+                                * BinomCDF(D; L - x, b_i / (1 - a_j)),
+
+and differencing over j and i gives the joint law of the two match counts,
+whose sum kde_batch's rule scores.
 
 The levels and goldens come from the package (resolve_inputs,
 operand_columns, stream_plan, pixel_states, _stream_levels, golden_eval), so
@@ -39,6 +51,8 @@ the operand wiring and the memory path stay in one place; the closed forms
 above replace the streams and circuits.  Every pixel is evaluated at once, so
 keep the images small.
 """
+
+import math
 
 import numpy as np
 from scipy.stats import binom
@@ -142,6 +156,39 @@ def kde_exact(cfg: ExperimentConfig) -> tuple[float, float]:
     return 100 * float(mean.mean()), 100 * float(np.sqrt(var.sum())) / golden.size
 
 
+def kde_exact_counts(cfg: ExperimentConfig) -> tuple[float, float]:
+    """Mean and SD of a kde run's inaccuracy_percent at any L, from the joint
+    law of each pixel's match counts above and below its current level."""
+    if cfg.app is not AppKind.KDE:
+        raise ValueError(f"no multinomial form for {cfg.app.value}")
+    levels, golden = _levels_and_golden(cfg)
+    levels = np.clip(levels, 0.0, 1.0)
+    length, n = cfg.length, levels.shape[1]
+    cap = math.floor(cfg.params.delta * length)
+    offsets = levels[1:].T - levels[0][:, None]
+    # (pixel, KDE_HISTORY + 1) nested distances, 0 first; rows past a pixel's
+    # count of levels on that side are masked
+    above = np.sort(np.where(offsets >= 0, offsets, np.inf), axis=1)
+    below = np.sort(np.where(offsets < 0, -offsets, np.inf), axis=1)
+    above, below = (np.concatenate([np.zeros((n, 1)), d], axis=1) for d in (above, below))
+    valid = np.isfinite(above)[:, :, None] & np.isfinite(below)[:, None, :]
+    a = np.where(np.isfinite(above), above, 0.0)[:, :, None, None]
+    b = np.where(np.isfinite(below), below, 0.0)[:, None, :, None]
+    x = np.arange(cap + 1)
+    rest = np.clip(np.divide(b, 1.0 - a, out=np.zeros(np.broadcast_shapes(a.shape, b.shape)),
+                             where=a < 1.0), 0.0, 1.0)
+    at_least = np.where(valid, (binom.pmf(x, length, a) * binom.cdf(cap, length - x, rest))
+                        .sum(axis=-1), 0.0)
+    # P(above = j, below = i), by differencing the survival law over j and i
+    padded = np.pad(at_least, ((0, 0), (0, 1), (0, 1)))
+    joint = padded[:, :-1, :-1] - padded[:, 1:, :-1] - padded[:, :-1, 1:] + padded[:, 1:, 1:]
+    matches = np.add.outer(np.arange(KDE_HISTORY + 1), np.arange(KDE_HISTORY + 1))
+    flagged = (joint * (matches / KDE_HISTORY < cfg.params.theta)).sum(axis=(1, 2))
+    mean = np.where(golden == 1.0, 1.0 - flagged, flagged)
+    var = np.maximum(mean - mean**2, 0.0)
+    return 100 * float(mean.mean()), 100 * float(np.sqrt(var.sum())) / n
+
+
 def kde_samples(cfg: ExperimentConfig, samples: int = 4000, seed: int = 0) -> np.ndarray:
     """inaccuracy_percent of ``samples`` kde runs whose cell counts are drawn
     from their multinomials with a fixed-seed generator, given cfg's levels."""
@@ -160,11 +207,9 @@ def kde_samples(cfg: ExperimentConfig, samples: int = 4000, seed: int = 0) -> np
 
 
 def expected_inaccuracy(cfg: ExperimentConfig) -> tuple[float, float]:
-    """Mean and SD of cfg's inaccuracy_percent over its streams' draws; for
-    kde, of its kde_samples."""
+    """Mean and SD of cfg's inaccuracy_percent over its streams' draws."""
     if cfg.app is AppKind.KDE:
-        runs = kde_samples(cfg)
-        return float(runs.mean()), float(runs.std())
+        return kde_exact_counts(cfg)
     q, golden = bit_probabilities(cfg)
     length = cfg.length
     k = np.arange(length + 1)

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from asc_oracle import bit_probabilities, expected_inaccuracy, kde_exact, kde_samples
+from asc_oracle import (bit_probabilities, expected_inaccuracy, kde_exact, kde_exact_counts,
+                        kde_samples)
 from stochmem import harness
 from stochmem.circuits import GROUP_SELECT, KDE_HISTORY, AppKind, stream_plan
 from stochmem.costs import SystemDesign
@@ -19,12 +20,13 @@ APPS = (AppKind.ROBERT, AppKind.MEDIAN, AppKind.FRAME, AppKind.GAMMA, AppKind.KD
 # and bounded.  Whatever their distribution, Chebyshev's inequality bounds
 # P(|z| > 4) by 1/16; for the near-normal mean of many pixels it is 6.3e-5,
 # 2.5e-3 over the 40 runs below.  Each run is fixed by its seed, and kde's
-# multinomial samples by theirs, so the test cannot flake; a circuit whose
-# streams are not Bernoulli(q) with the oracle's q moves z by the bias over
-# the SD (test_an_independent_robert_cross_pair_fails_the_z_test).  Seeds
-# 1000003 apart at 16x16 gave z of mean -0.12 to 0.20 and SD 0.80 to 1.02 over
-# 40 seeds, for median and robert at L=63, 300; kde on the crop gave |z| <= 1.5
-# at seeds 1, 2, 3, 1000004 and 2000007.
+# mean and SD are exact (kde_exact_counts), as are the other apps', so the
+# test cannot flake; a circuit whose streams are not Bernoulli(q) with the
+# oracle's q moves z by the bias over the SD
+# (test_an_independent_robert_cross_pair_fails_the_z_test).  Seeds 1000003
+# apart at 16x16 gave z of mean -0.12 to 0.20 and SD 0.80 to 1.02 over 40
+# seeds, for median and robert at L=63, 300; kde on the crop gave |z| <= 1.51
+# at seeds 1, 2, 3, 1000004 and 2000007, L=1, 63, 65 and 300.
 Z_BOUND = 4
 
 
@@ -59,6 +61,22 @@ def test_kde_samples_match_the_exact_form_at_length_one(design, video_crop):
     assert sd > 0
     assert abs(runs.mean() - mean) <= 4 * runs.std() / np.sqrt(runs.size)
     assert runs.std() == pytest.approx(sd, rel=0.1)
+
+
+@pytest.mark.parametrize("length", (1, 63, 300))
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+def test_exact_kde_counts_match_their_samples(design, length, video_crop):
+    # the joint law of the match counts above and below the current level,
+    # against 4000 multinomial samples of the cell counts; the samples'
+    # means sat within 1.8 Monte-Carlo standard errors of it at L = 1 to 1024
+    cfg = _config(AppKind.KDE, design, length, video_crop)
+    mean, sd = kde_exact_counts(cfg)
+    runs = kde_samples(cfg)
+    assert sd > 0
+    assert abs(runs.mean() - mean) <= 4 * runs.std() / np.sqrt(runs.size)
+    assert runs.std() == pytest.approx(sd, rel=0.1)
+    if length == 1:
+        assert (mean, sd) == pytest.approx(kde_exact(cfg), rel=1e-12)
 
 
 @pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)

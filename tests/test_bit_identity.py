@@ -8,8 +8,8 @@ split the length axis, so the last tile of a stream is a short one.
 The synthetic video is still at 7x5, so frame and kde give all-zero images
 there; their ``-crop`` cases read a 6x5 crop of the 128x128 video
 (video_crop.py), and each of those holds both 0 and 1.
-The same outputs must come back for any worker count, stream tile size and
-pixel block size.
+The same outputs must come back for any worker count, stream tile size,
+pixel block size and stream window size.
 Regenerate the fixture only when outputs are meant to change:
 
     PYTHONPATH=src python tests/test_bit_identity.py
@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from stochmem import harness
+from stochmem.bitstream import words_for
 from stochmem.circuits import AppKind, AppParams
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig
@@ -88,27 +89,51 @@ def test_outputs_do_not_depend_on_worker_count(video_crop):
     _check(_cases(65, video_crop), jobs=2)
 
 
-@pytest.mark.parametrize("length", (63, 300))
-def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, video_crop):
-    # blocks of 8-9 (L=63, 64 + 256 cells a pixel) or 5 (L=300, 5 * 64 + 256)
-    # pixels that split the 7-pixel rows (and the crop's 6-pixel rows), and
-    # one-pixel tiles that split the length axis into 64-bit chunks at L=300.
-    # The blocks are sized as for one source, so that every app, whatever its
-    # source count, runs in these blocks
-    monkeypatch.setattr(harness, "_TILE_CELLS", 100)
+# window budgets of one source: one pixel's streams, or one and a half rows of
+# the ASC tiles, which round down to one tile row
+_WINDOWS = ("pixel", "tile-row")
+
+
+@pytest.mark.parametrize("length,window", [pytest.param(63, None, id="63"),
+                                           pytest.param(300, None, id="300")] + [
+    pytest.param(length, window, id=f"{length}-{window}")
+    for window in _WINDOWS for length in (1, 63, 65, 300)])
+def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, window, video_crop):
+    # blocks of 8-9 (L=1, 63: 64 + 256 cells a pixel), 7 (L=65) or 5 (L=300,
+    # 5 * 64 + 256) pixels that split the 7-pixel rows (and the crop's 6-pixel
+    # rows), and one-pixel tiles that split the length axis into 64-bit chunks
+    # at L=300.  The blocks and windows are sized as for one source, so that
+    # every app, whatever its source count, runs in them.  With a window
+    # budget every block is cut into windows of one pixel, or of one row of
+    # two-pixel tiles (four at L=1, where conv-lfsr's chunks of
+    # _TILE_CELLS // 4 words need at least one)
+    monkeypatch.setattr(harness, "_TILE_CELLS", max(4, 2 * length) if window == "tile-row"
+                        else 100)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
+    size = {None: None, "pixel": 1, "tile-row": harness._tile_shape(length)[0]}[window]
+    if window is not None:
+        budget = size if window == "pixel" else 3 * size // 2
+        monkeypatch.setattr(harness, "_WINDOW_CELLS", budget * 64 * words_for(length))
     slices = harness._block_slices
     blocks = slices(35, length, 1, 1)
-    assert {hi - lo for lo, hi in blocks} == ({8, 9} if length == 63 else {5})
-    assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
-    counts = []
+    assert {hi - lo for lo, hi in blocks} == {1: {8, 9}, 63: {8, 9}, 65: {7}, 300: {5}}[length]
+    if window is None:
+        assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
+    counts, cuts = [], []
+    windows = harness._window_slices
 
     def one_source_slices(n_pixels, stream_length, sources, jobs):
         got = slices(n_pixels, stream_length, 1, jobs)
         counts.append(len(got))
         return got
 
+    def one_source_windows(n_pixels, stream_length, sources):
+        got = windows(n_pixels, stream_length, 1)
+        cuts.append(got)
+        return got
+
     monkeypatch.setattr(harness, "_block_slices", one_source_slices)
+    monkeypatch.setattr(harness, "_window_slices", one_source_windows)
     widths = set()
     draw = harness.uniform_block_from_states
 
@@ -119,7 +144,14 @@ def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, video_
     monkeypatch.setattr(harness, "uniform_block_from_states", recording_draw)
     _check(_cases(length, video_crop))
     assert counts and min(counts) > 1
-    assert widths == ({63} if length == 63 else {64, 300 - 4 * 64})
+    if window is None:
+        assert widths == ({63} if length == 63 else {64, 300 - 4 * 64})
+        return
+    # every block of every run is cut into more than one window, each of one
+    # pixel or one tile row but the last
+    assert cuts and min(len(cut) for cut in cuts) > 1
+    assert all(hi - lo == size for cut in cuts for lo, hi in cut[:-1])
+    assert all(0 < hi - lo <= size for cut in cuts for lo, hi in cut[-1:])
 
 
 if __name__ == "__main__":

@@ -586,12 +586,16 @@ def test_long_streams_keep_block_memory_bounded():
 def test_one_budget_bounds_the_blocks_of_every_app(design):
     # 512x1 at L=8192.  Budgeted per source, kde's 33 sources made blocks of
     # 170 pixels and peaked at 7.27 MB on conv-mtj and 7.54 MB on conv-lfsr,
-    # 2x the 9-source median; over all sources the largest peak is gamma's
-    # 6.06-6.07 MB (13 sources, 256 pixels) on every design
+    # 2x the 9-source median; over all sources, with each block's streams
+    # made whole, the largest peak was gamma's 6.06-6.07 MB (13 sources, 256
+    # pixels) on every design.  Made one window of at most _WINDOW_CELLS
+    # stream cells at a time, the largest are robert's and frame's 2.28 MB on
+    # the ASC designs (a window and the tile buffers) and frame's 2.11 MB on
+    # conv-lfsr
     peaks = {app: _peak_bytes(ExperimentConfig(app=app, design=design, length=8192,
                                                dims=(512, 1)))
              for app in AppKind}
-    assert max(peaks.values()) < 7e6, peaks
+    assert max(peaks.values()) < 3.0e6, peaks
 
 
 @pytest.mark.parametrize("app", AppKind, ids=lambda a: a.value)
@@ -599,9 +603,10 @@ def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
     # 512x1 at L=8192.  conv-lfsr's word windows and gathers run over chunks of
     # _TILE_CELLS // 4 words; over one group's whole block they peaked above the
     # budget, robert at 6.00 MB against conv-mtj's 4.25 MB and frame at 4.40
-    # against 2.34 MB.  Now both designs of robert, median and gamma peak in
-    # the logic of the same streams, where Python's own objects make them differ
-    # by up to 0.5 KB either way, hence the 16 KB
+    # against 2.34 MB.  With the streams made one window at a time, conv-lfsr
+    # holds its 147 KB comparator table through each window but the last, and
+    # peaks 0.17-0.82 MB below conv-mtj, whose tile buffers are larger than its
+    # gathers; the 16 KB allows for Python's own objects
     peaks = {}
     for design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ):
         cfg = ExperimentConfig(app=app, design=design, length=8192, dims=(512, 1))
@@ -613,11 +618,12 @@ def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
 
 def _frames_block_and_images_bound(side: int) -> float:
     """Bytes a run at side x side holds beside its cached frames: one block's
-    streams and values at one bit a cell (_BLOCK_CELLS / 8 bytes), the ASC tile
-    buffers (draws and mixer temporary at 8 bytes a cell, compare bits at 2
-    bytes a cell at L=32), and at most four float64 images: the outputs and
-    goldens of the blocks run so far, the two images made of them, and
-    error_metric's two temporaries."""
+    values and one window of its streams, at one bit a cell within the
+    block's budget (_BLOCK_CELLS / 8 bytes), the ASC tile buffers (draws and
+    mixer temporary at 8 bytes a cell, compare bits at 2 bytes a cell at
+    L=32), and at most four float64 images: the outputs and goldens of the
+    blocks run so far, the two images made of them, and error_metric's two
+    temporaries."""
     image = side * side * 8
     return harness._BLOCK_CELLS / 8 + harness._TILE_CELLS * (8 + 8 + 2) + 4 * image
 

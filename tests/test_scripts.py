@@ -63,6 +63,17 @@ def test_block_budget_table_prints_one_row_per_shape_and_app():
     assert {line.split()[4] for line in lines[2:]} == {"32"}
 
 
+def test_block_budget_table_with_windows_prints_one_row_per_shape_and_app():
+    lines = _run_script("block_budget_table.py", "--repeats", "1", "--windows", "8e6")
+    shapes = _load(ROOT / "scripts" / "block_budget_table.py").SHAPES
+    assert "window budgets" in lines[0] and "windows" in lines[1].split()
+    assert [line.split()[:3] for line in lines[2:]] == [
+        [workload, str(length), app.value] for workload, _, length in shapes for app in AppKind]
+    # window MB is at most the 1 MB budget, bar a pixel over it
+    assert {line.split()[4] for line in lines[2:]} == {"8"}
+    assert all(float(line.split()[6]) <= 1.0 for line in lines[2:])
+
+
 # median 1.0, quartiles 0.98 and 1.02: a parent IQR of 0.04
 _PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
 # median 1.5, IQR 1.0: wider than a 0.25 bound
