@@ -10,7 +10,7 @@ the stream and a full-period run carries exactly ``code`` ones.
 dsc_generate and asc_generate are the scalar generator oracles; each returns
 one stream as a 1-D bool array of ``length`` bits from one 64-bit generator
 state.  dsc_generate walks the LFSR step by step (lfsr.lfsr_values), not
-through the engine's ring and comparator table.  asc_generate states the
+through the engine's ring windows and tiles.  asc_generate states the
 stochastic number generator's compare, bit = 1 iff draw < p * 2^64, with one
 exact integer threshold, so it is independent of the engine's
 bernoulli_threshold_u64 and of its tiles, packing and p >= 1 fix-up; it

@@ -46,29 +46,31 @@ run's frames (_run_frames) and gathers its own operand columns.  The worker
 count is jobs capped at the CPU count (_workers); with several workers the
 block count is a multiple of it, so a small image still spreads over every
 worker.  A block makes its values once: its operand columns, golden, pixel
-prefix states, stream levels and the generator inputs made of them (the ASC
-thresholds and rows at p >= 1, or conv-lfsr's codes and comparator table).
-It then makes and uses its streams one window at a time (_window_slices),
-contiguous pixels of at most _WINDOW_CELLS stream cells over all of its
-sources, in one stream array it reuses for every window: it generates the
-window's streams, clears their bits past the length, and runs the logic on
-them.  Windows along the word axis would need circuits whose counts add up
-over pieces of a stream, so a single pixel over the budget is a window of its
-own.  Within a window every stream is generated packed, as
-(pixels, words_for(length)) uint64 rows in the bitstream layout, and stays
-packed through the circuit; as the tails are cleared before the logic,
-popcounts and XOR distances need no masking and the generators need not keep
-the tails zero.  The ASC designs compare SplitMix64 draws, made in tiles of
-at most _TILE_CELLS cells in buffers reused within a window and shared
-between the sources of one group, against each source's threshold.  The
-draw add and the compare each broadcast a per-pixel column across a tile row;
-from _UNBUFFERED_MIN_ROW draws per row the tile loop sets numpy's ufunc buffer
+prefix states, stream levels and the generator inputs made of them (each
+group's generator positions, and a threshold, and on the ASC designs the
+rows at p >= 1, per distinct level array).  It then makes and uses its
+streams one window at a time (_window_slices), contiguous pixels of at most
+_WINDOW_CELLS stream cells over all of its sources, in one stream array it
+reuses for every window: it generates the window's streams, clears their
+bits past the length, and runs the logic on them.  Windows along the word
+axis would need circuits whose counts add up over pieces of a stream, so a
+single pixel over the budget is a window of its own.  Within a window every
+stream is generated packed, as (pixels, words_for(length)) uint64 rows in
+the bitstream layout, and stays packed through the circuit; as the tails are
+cleared before the logic, popcounts and XOR distances need no masking and
+the generator need not keep the tails zero.  One tile loop is every design's stochastic number
+generator: per generator group and tile of at most _TILE_CELLS cells it
+makes the group's per-cycle values, which every source of the group
+compares against its own threshold.  The values are SplitMix64 draws on the
+ASC designs, made in buffers reused within a window, and on conv-lfsr the
+LFSR's ring values from each pixel's start, rows of a window view over one
+period of the ring and a tile row after it.  The draw add and the compare
+each broadcast a per-pixel column across a tile row; from
+_UNBUFFERED_MIN_ROW values per row the tile loop sets numpy's ufunc buffer
 to the row length (inside np.errstate, which restores it on exit), so numpy
 iterates those rows in place rather than through its buffers.  Shorter rows
-keep numpy's default, which is faster for them.
-conv-lfsr reads each 64-bit word as a window into a table of packed
-comparator outputs over one LFSR period.  Neither tile nor block nor window
-size nor buffer size nor worker count changes any output bit.
+keep numpy's default, which is faster for them.  Neither tile nor block nor
+window size nor buffer size nor worker count changes any output bit.
 
 run_experiment resolves the frames once and holds them for its blocks; a
 worker process that did not inherit them (a spawn or forkserver worker)
@@ -86,6 +88,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # popcount_rows is unused here, but bench/spans.py patches it (ROADMAP item 14)
 from .bitstream import (check_length, integer, pack_bool_matrix, popcount_rows, tail_mask,
@@ -114,17 +117,18 @@ DEFAULT_SEEDS = 20
 # _VALUE_CELLS for the 64-bit values it holds beside them.  Those are its
 # operand value (its slot's operand column), its level (an ADC code or a
 # probability), its threshold or conv-mtj's requantized level and its group's
-# generator states (the memory path's noise and conv-lfsr's gathers work in
-# chunks of _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one
+# generator positions (the memory path's noise works in chunks of
+# _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one
 # kde block of 2,857 pixels at L=1, 33 sources: 4.5 values a source and pixel on
 # conv-mtj, the stream word and tile buffers included).  Only a one-pixel block
 # may exceed the budget, when its streams alone do.  scripts/block_budget_table.py
 # (numpy 2.4.6, 2-vCPU x86-64 host), best of 9 over each workload's 15 runs:
-# short-stream 382 ms at 24M cells, 369 at 32M, 364 at 40M; wide-long 579, 572
-# and 572 ms, peaking at 6.0, 6.1 and 10.6 MB.  In fresh processes 24M made each warm wide-long and
-# length-sweep repetition fault 9,000 and 6,000 pages (glibc trims the heap
-# that blocks free once it outgrows twice its largest freed mapping), 32M at
-# most 38 and 6
+# short-stream 442 ms at 24M cells, 445 at 32M, 453 at 40M, peaking at 3.45,
+# 3.45 and 4.11 MB; wide-long 638, 637 and 628 ms, peaking at 2.29 MB at each,
+# as its streams are made one window at a time.  In fresh processes 24M made
+# each warm wide-long and length-sweep repetition fault 9,000 and 6,000 pages
+# (glibc trims the heap that blocks free once it outgrows twice its largest
+# freed mapping), 32M at most 38 and 6
 _BLOCK_CELLS = 32_000_000
 _VALUE_CELLS = 4 * 64
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
@@ -134,11 +138,14 @@ _VALUE_CELLS = 4 * 64
 # shorter than the default 8192-element buffer goes through the buffered
 # iterator at about twice the cost of iterating the row in place
 _TILE_CELLS = 65_536
-# fewest draws per tile row that run with the row-sized buffer; shorter rows
+# fewest values per tile row that run with the row-sized buffer; shorter rows
 # are faster with numpy's default.  scripts/tile_buffer_table.py (numpy 2.4.6,
-# 2-vCPU x86-64 host), ns/cell default -> row-sized: compare 0.95 -> 2.39 at
-# 32 draws, 0.76 -> 0.89 at 128, 0.72 -> 0.45 at 256; draw add 1.20 -> 2.22 at
-# 32, 0.96 -> 0.68 at 128, 0.96 -> 0.38 at 256
+# 2-vCPU x86-64 host), ns/cell default -> row-sized: compare 0.91 -> 2.30 at
+# 32 draws, 0.75 -> 0.77 at 128, 0.76 -> 0.56 at 256; draw add 1.29 -> 1.89 at
+# 32, 1.02 -> 0.62 at 128, 0.94 -> 0.45 at 256.  conv-lfsr's uint16 ring
+# compare pays the rule at 256 and 512 values, 0.19 -> 0.33 and 0.18 -> 0.22,
+# and gains from 1024, 0.18 -> 0.16; below 256 it keeps the default (0.30 ->
+# 1.90 at 32)
 _UNBUFFERED_MIN_ROW = 256
 # stream cells per window of a block, over all of its sources: a pixel costs
 # 64 * words_for(length) cells a source, so a window holds at most 1 MB of
@@ -331,117 +338,97 @@ def _window_slices(n_pixels: int, length: int, sources: int) -> list[tuple[int, 
     return [(lo, min(lo + size, n_pixels)) for lo in range(0, n_pixels, size)]
 
 
-def _asc_inputs(levels: list[np.ndarray]) -> tuple:
-    """A block's inputs to _asc_streams: each source's (pixel, 1) thresholds
-    and its pixels at p >= 1, which have no strict-compare threshold."""
-    return [bernoulli_threshold_u64(p)[:, None] for p in levels], [p >= 1.0 for p in levels]
+def _generator_inputs(cfg: ExperimentConfig, plan: StreamPlan, levels: list[np.ndarray],
+                      pixels: np.ndarray) -> tuple:
+    """A block's inputs to _window_streams, made once: its groups, each its
+    generator positions at the block's pixels and its member sources; each
+    source's (pixel, 1) threshold and, on the ASC designs, its pixels at
+    p >= 1; and conv-lfsr's ring windows (None on the ASC designs).
+
+    A group's positions are its SplitMix64 states, or on conv-lfsr the ring
+    positions where each pixel's LFSR starts, at state derive_state(global
+    seed, x, y, group) mod period + 1.  A source's bit is its group's value
+    below its threshold: bernoulli_threshold_u64(p) against the draws, with
+    the pixels at p >= 1, which have no strict-compare threshold, set after;
+    or the ADC code + 1 against the ring values (bit = value <= code), which
+    the top code already sets on every cycle.  Sources that read one level
+    array (gamma's replicas of slot 0) share its threshold and mask.  The ring
+    windows have one row per ring position r: the cols values of the LFSR
+    sequence from r, read from one period of it and the cols - 1 values
+    after."""
+    groups = {g: stream_states(pixels, g) for g in dict.fromkeys(plan.groups)}
+    ring = None
+    if cfg.design is SystemDesign.CONV_LFSR:
+        # the comparator is as wide as the ADC code
+        cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
+        period = cycle.spec.period
+        cols = _tile_shape(cfg.length)[1]
+        ring = sliding_window_view(
+            cycle.sequence_block(np.zeros(1, dtype=np.int64), period + cols - 1)[0], cols)
+        groups = {g: cycle.position[(s % np.uint64(period)).astype(np.int64) + 1]
+                  .astype(np.int64) for g, s in groups.items()}
+    made = {}
+    for p in levels:
+        if id(p) not in made:
+            made[id(p)] = (((p + 1).astype(np.uint16)[:, None], None) if ring is not None
+                           else (bernoulli_threshold_u64(p)[:, None], p >= 1.0))
+    thresholds, full = zip(*(made[id(p)] for p in levels))
+    members = [(positions, [s for s, h in enumerate(plan.groups) if h == g])
+               for g, positions in groups.items()]
+    return members, thresholds, full, ring
 
 
-def _asc_streams(cfg: ExperimentConfig, plan: StreamPlan, inputs: tuple, pixels: np.ndarray,
-                 lo: int, hi: int, streams: np.ndarray) -> None:
-    """Bernoulli streams of the ASC designs at the block's pixels lo..hi,
-    written into the (source, hi - lo, words) streams: bit j of source s at
-    pixel i is draw j of its group's SplitMix64 sequence at pixel i compared
-    against the source's threshold (inputs, from _asc_inputs).
+def _window_streams(cfg: ExperimentConfig, inputs: tuple, lo: int, hi: int,
+                    streams: np.ndarray) -> None:
+    """Streams of every design at the block's pixels lo..hi, written into the
+    (source, hi - lo, words) streams: bit j of source s at pixel i is value j
+    of its group's generator at pixel i below the source's threshold (inputs,
+    from _generator_inputs).
 
-    Draws are made in the tiles of _tile_shape, shared by every source of the
-    group; a tile of one pixel's columns c0..c0+cols is drawn from states +
-    c0 * GOLDEN (draw j of state s is mix64(s + (j + 1) * GOLDEN)).  The draw,
-    mixer and compare buffers are allocated once per window and reused by
-    every tile and group; the window's logic runs without them.  The compare
-    buffer's rows are padded to whole words, so pack_bool_matrix packs a tile
-    in one flat pass; the pad bits land past the length, which the block
-    clears.  Rows of at least _UNBUFFERED_MIN_ROW draws run with numpy's ufunc
-    buffer set to the row length; the outputs do not depend on it.
+    A group's values are made once per tile of _tile_shape and compared by
+    each of its sources.  On the ASC designs they are SplitMix64 draws; a tile
+    of one pixel's columns c0..c0+cols is drawn from states + c0 * GOLDEN
+    (draw j of state s is mix64(s + (j + 1) * GOLDEN)).  On conv-lfsr they
+    are the uint16 rows of the ring windows at (start + c0) mod period.  The
+    draw, mixer and compare buffers are allocated once per window and reused
+    by every tile and group; the window's logic runs without them.  The
+    compare buffer's rows are padded to whole words, so pack_bool_matrix packs
+    a tile in one flat pass; the pad bits land past the length, which the
+    block clears.  Rows of at least _UNBUFFERED_MIN_ROW values run with
+    numpy's ufunc buffer set to the row length; the outputs do not depend on
+    it.
     """
-    thresholds, full = inputs
+    members, thresholds, full, ring = inputs
     length = cfg.length
     rows, cols = _tile_shape(length)
     rows = min(rows, hi - lo)
-    draws = np.empty((rows, cols), dtype=np.uint64)
-    tmp = np.empty_like(draws)
+    if ring is None:
+        draws = np.empty((rows, cols), dtype=np.uint64)
+        tmp = np.empty_like(draws)
     bits = np.zeros((rows, 64 * words_for(cols)), dtype=bool)
     # errstate scopes the buffer size, so it is restored however the loop ends
     with np.errstate():
         if cols >= _UNBUFFERED_MIN_ROW:
             np.setbufsize(cols // 16 * 16)
-        for group in dict.fromkeys(plan.groups):
-            members = [s for s, g in enumerate(plan.groups) if g == group]
-            states = stream_states(pixels[lo:hi], group)
+        for positions, sources in members:
             for r0 in range(0, hi - lo, rows):
                 m = min(rows, hi - lo - r0)
+                at = positions[lo + r0:lo + r0 + m]
                 for c0 in range(0, length, cols):
                     w = min(cols, length - c0)
-                    offset = np.uint64(c0 * GOLDEN % (1 << 64))
-                    tile = uniform_block_from_states(states[r0:r0 + m] + offset, w,
-                                                     into=draws[:m, :w], tmp=tmp[:m, :w])
+                    if ring is None:
+                        tile = uniform_block_from_states(at + np.uint64(c0 * GOLDEN % (1 << 64)),
+                                                         w, into=draws[:m, :w], tmp=tmp[:m, :w])
+                    else:
+                        tile = ring[(at + c0) % len(ring), :w]
                     words = slice(c0 // 64, c0 // 64 + words_for(w))
                     padded = bits[:m, :64 * words_for(w)]
-                    for s in members:
+                    for s in sources:
                         np.less(tile, thresholds[s][lo + r0:lo + r0 + m], out=padded[:, :w])
                         streams[s, r0:r0 + m, words] = pack_bool_matrix(padded)
     for stream, ones in zip(streams, full):
-        stream[ones[lo:hi]] = ~np.uint64(0)
-
-
-def _dsc_inputs(levels: list[np.ndarray]) -> tuple:
-    """A block's inputs to _dsc_streams: each source's comparator codes, the
-    LFSR cycle and its comparator table, flat, with its row length in words.
-
-    Row c of the table holds bit k set iff ring[k mod period] <= c, for k over
-    one period plus 128 values; the 128 extra values keep every 64-bit window
-    of _dsc_streams inside its row."""
-    # the comparator is as wide as the ADC code
-    cycle = LfsrCycle.for_spec(LfsrSpec(width=ADC_BITS))
-    period = cycle.spec.period
-    ring = cycle.sequence_block(np.zeros(1, dtype=np.int64), period + 128)[0]
-    k = np.arange(ring.size)
-    # set bit k in row ring[k], then OR each row into the next
-    table = np.zeros((period + 1, words_for(ring.size)), dtype=np.uint64)
-    np.bitwise_or.at(table, (ring, k >> 6), np.uint64(1) << (k & 63).astype(np.uint64))
-    np.bitwise_or.accumulate(table, axis=0, out=table)
-    return levels, cycle, table.ravel(), table.shape[1]
-
-
-def _dsc_streams(cfg: ExperimentConfig, plan: StreamPlan, inputs: tuple, pixels: np.ndarray,
-                 lo: int, hi: int, streams: np.ndarray) -> None:
-    """LFSR+comparator streams of conv-lfsr at the block's pixels lo..hi,
-    written into the (source, hi - lo, words) streams: bit j of source s at
-    pixel i is ring[(start_i + j) mod period] <= code_s,i, where the LFSR at
-    pixel i starts at state derive_state(global seed, x_i, y_i, group) mod
-    period + 1 for the source's group.
-
-    Word w of a stream is the unaligned 64-bit window of the comparator
-    table's row at the source's code (inputs, from _dsc_inputs), at bit offset
-    (start + 64 w) mod period.  The windows and gathers run over chunks of at
-    most _TILE_CELLS // 4 stream words (whole pixels, or one pixel's words in
-    pieces), so their temporaries stay as small as the memory path's.
-    """
-    codes, cycle, table, row_words = inputs
-    period = cycle.spec.period
-    n_words = words_for(cfg.length)
-    word_starts = 64 * np.arange(n_words, dtype=np.int64)
-    cols = min(n_words, _TILE_CELLS // 4)
-    rows = max(1, _TILE_CELLS // 4 // cols)
-    for group in dict.fromkeys(plan.groups):
-        members = [s for s, g in enumerate(plan.groups) if g == group]
-        states = stream_states(pixels[lo:hi], group)
-        seeds = (states % np.uint64(period)).astype(np.int64) + 1
-        start = cycle.position[seeds].astype(np.int64)
-        for r0 in range(0, hi - lo, rows):
-            m = min(rows, hi - lo - r0)
-            for c0 in range(0, n_words, cols):
-                words = slice(c0, c0 + cols)
-                word = (start[r0:r0 + m, None] + word_starts[words]) % period
-                shift = (word & 63).astype(np.uint64)
-                word >>= 6
-                for s in members:
-                    idx = codes[s][lo + r0:lo + r0 + m, None] * row_words + word
-                    # the split left shift is 64 - shift for shift 1..63 and
-                    # drops the high word at shift 0, where a single shift by 64
-                    # is undefined
-                    streams[s, r0:r0 + m, words] = ((table[idx] >> shift)
-                                                    | (table[idx + 1] << (63 - shift) << 1))
+        if ones is not None:
+            stream[ones[lo:hi]] = ~np.uint64(0)
 
 
 # the config fields that choose a run's frames, and the frames of the last
@@ -477,17 +464,15 @@ def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
     n, sources, words = hi - lo, len(plan.groups), words_for(cfg.length)
     windows = _window_slices(n, cfg.length, sources)
     window = windows[0][1]   # the first window is the largest
-    prepare, generate = ((_dsc_inputs, _dsc_streams) if cfg.design is SystemDesign.CONV_LFSR
-                         else (_asc_inputs, _asc_streams))
-    inputs = prepare(_stream_levels(cfg, plan, operands, pixels))
+    inputs = _generator_inputs(cfg, plan, _stream_levels(cfg, plan, operands, pixels), pixels)
     del operands
     cells = np.empty(sources * window * words, dtype=np.uint64)
     output = np.empty(n)
     for a, b in windows:
         streams = cells[:sources * (b - a) * words].reshape(sources, b - a, words)
-        generate(cfg, plan, inputs, pixels, a, b, streams)
+        _window_streams(cfg, inputs, a, b, streams)
         if b == n:
-            # the last window's logic needs no thresholds or codes
+            # the last window's logic needs no thresholds or generator positions
             inputs = None
         streams[:, :, -1] &= tail_mask(cfg.length)
         output[a:b] = WIRING[cfg.app].logic(streams, cfg.params, cfg.length)

@@ -97,7 +97,7 @@ def bernoulli_threshold_u64(p) -> np.ndarray:
     """Map p in [0, 1) to the u64 threshold with P[u < threshold] = p (within 2^-64).
 
     p >= 1.0 is not representable as a strict compare; callers must force
-    those bits to one, as harness._asc_streams does.  The scalar oracle
+    those bits to one, as harness._window_streams does.  The scalar oracle
     converters.asc_generate states the threshold as int(p * 2.0**64) itself.
     """
     p = np.asarray(p, dtype=np.float64)

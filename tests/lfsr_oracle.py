@@ -11,7 +11,7 @@ No stream is built.
 
 The ring is walked with lfsr.lfsr_values, and each pixel's start comes from
 the scalar rng.derive_state, so the oracle shares no code with the engine's
-comparator table or stream windows.
+ring windows, tile loop or packing.
 """
 
 from functools import cache

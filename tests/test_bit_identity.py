@@ -3,8 +3,8 @@
 ``bit_identity.json`` holds, for every app x design pair plus a degree-9
 gamma, at 7x5 pixels and seed 4, the SHA-256 of the output
 image bytes and the repr of ``inaccuracy_percent``; also gamma, robert and
-median on both ASC designs at 2x1 pixels and a length whose stream tiles
-split the length axis, so the last tile of a stream is a short one.
+median on every design at 2x1 pixels and a length whose stream tiles split
+the length axis, so the last tile of a stream is a short one.
 The synthetic video is still at 7x5, so frame and kde give all-zero images
 there; their ``-crop`` cases read a 6x5 crop of the 128x128 video
 (video_crop.py), and each of those holds both 0 and 1.
@@ -56,8 +56,7 @@ def _long_cases() -> dict[str, ExperimentConfig]:
     # gamma, an XOR circuit (robert) and the compare-exchange network (median)
     base = ExperimentConfig(length=LONG_LENGTH, dims=(2, 1), global_seed=SEED, input_seed=SEED)
     return {f"{a.value}/{d.value}/{LONG_LENGTH}": replace(base, app=a, design=d)
-            for a in (AppKind.GAMMA, AppKind.ROBERT, AppKind.MEDIAN)
-            for d in (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM)}
+            for a in (AppKind.GAMMA, AppKind.ROBERT, AppKind.MEDIAN) for d in SystemDesign}
 
 
 def _outcome(r: harness.ExperimentReport) -> list[str]:
@@ -105,10 +104,8 @@ def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, window
     # at L=300.  The blocks and windows are sized as for one source, so that
     # every app, whatever its source count, runs in them.  With a window
     # budget every block is cut into windows of one pixel, or of one row of
-    # two-pixel tiles (four at L=1, where conv-lfsr's chunks of
-    # _TILE_CELLS // 4 words need at least one)
-    monkeypatch.setattr(harness, "_TILE_CELLS", max(4, 2 * length) if window == "tile-row"
-                        else 100)
+    # two-pixel tiles
+    monkeypatch.setattr(harness, "_TILE_CELLS", 2 * length if window == "tile-row" else 100)
     monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
     size = {None: None, "pixel": 1, "tile-row": harness._tile_shape(length)[0]}[window]
     if window is not None:

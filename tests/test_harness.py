@@ -303,6 +303,20 @@ def test_generator_identities_of_a_block_are_disjoint(app, degree, design, reque
     assert ids and len(ids) == len(set(ids))
 
 
+def test_a_block_makes_one_threshold_per_distinct_level_array(monkeypatch):
+    # gamma's bernstein_degree replicas all read slot 0's level, so a degree-6
+    # block thresholds that level and the 7 coefficients, not its 13 sources
+    levels = []
+    threshold = harness.bernoulli_threshold_u64
+    monkeypatch.setattr(harness, "bernoulli_threshold_u64",
+                        lambda p: levels.append(p) or threshold(p))
+    cfg = ExperimentConfig(app=AppKind.GAMMA, design=SystemDesign.CONV_MTJ, length=64,
+                           dims=(3, 2))
+    assert cfg.params.bernstein_degree == 6 and _blocks(cfg, 6) == [(0, 6)]
+    run_experiment(cfg)
+    assert len(levels) == 8
+
+
 def test_a_stochmem_block_derives_its_pixel_prefixes_and_passes_the_memory_once(monkeypatch):
     # kde's 33 operand slots at 3x2 pixels fit one chunk of the memory path
     calls = []
@@ -465,6 +479,33 @@ def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, sourc
         assert len(blocks) == -(-n_pixels // max(1, budget // pixel_cells))
 
 
+@given(n_pixels=st.integers(1, 2000),
+       length=st.one_of(st.integers(1, 300), st.integers(1, MAX_LENGTH)),
+       sources=st.integers(1, 33), budget_pixels=st.integers(0, 600),
+       spare=st.integers(0, 1 << 40),
+       tile_cells=st.one_of(st.integers(1, 3000), st.integers(1, 4 * harness._TILE_CELLS)))
+def test_window_slices_cover_a_block_within_the_budget(n_pixels, length, sources, budget_pixels,
+                                                       spare, tile_cells):
+    # a pixel's window cells are its stream bits in whole words, per source;
+    # the budget holds budget_pixels pixels and a part of one more
+    pixel_cells = sources * 64 * words_for(length)
+    budget = max(1, budget_pixels * pixel_cells + spare % pixel_cells)
+    with mock.patch.object(harness, "_WINDOW_CELLS", budget), \
+            mock.patch.object(harness, "_TILE_CELLS", tile_cells):
+        windows = harness._window_slices(n_pixels, length, sources)
+        rows = harness._tile_shape(length)[0]
+    assert windows[0][0] == 0 and windows[-1][1] == n_pixels
+    assert all(hi == lo for (_, hi), (lo, _) in zip(windows, windows[1:]))
+    sizes = [hi - lo for lo, hi in windows]
+    assert min(sizes) >= 1
+    assert all(size * pixel_cells <= budget for size in sizes if size > 1)
+    if budget // pixel_cells >= rows:
+        # window edges add no partial tiles
+        assert all(size % rows == 0 for size in sizes[:-1])
+    # _evaluate_block sizes its stream array from the first window
+    assert sizes[0] == max(sizes)
+
+
 _SHORT_SIZES = {AppKind.ROBERT: [12800] * 2, AppKind.MEDIAN: [8533, 8533, 8534],
                 AppKind.FRAME: [25600], AppKind.GAMMA: [6400] * 4,
                 AppKind.KDE: [2844, 2844] + [2845, 2844] * 3 + [2845]}
@@ -576,10 +617,18 @@ def _peak_bytes(cfg: ExperimentConfig) -> int:
 
 def test_long_streams_keep_block_memory_bounded():
     # 64 pixels at L=262144 hold 17x the block budget over kde's 33 sources; as
-    # one block (the whole row) the run allocated 77.7 MB
-    cfg = ExperimentConfig(app=AppKind.KDE, design=SystemDesign.CONV_MTJ, length=1 << 18,
-                           dims=(64, 1))
-    assert _peak_bytes(cfg) < 25e6
+    # one block (the whole row) the run allocated 77.7 MB.  A block of 3
+    # pixels is cut into one-pixel windows of 1.08 MB of streams, which the
+    # tile buffers join: draws, mixer temporary and the draw steps at 8 bytes
+    # a cell (twice for the steps, whose product numpy may not make in place)
+    # and compare bits at 1.  Peaks: conv-lfsr 1.60 MB (no draw buffers),
+    # conv-mtj and stochmem 2.75 MB
+    length = 1 << 18
+    window = len(stream_plan(AppKind.KDE, AppParams()).groups) * 8 * words_for(length)
+    peaks = {design: _peak_bytes(ExperimentConfig(app=AppKind.KDE, design=design, length=length,
+                                                  dims=(64, 1)))
+             for design in SystemDesign}
+    assert max(peaks.values()) < window + harness._TILE_CELLS * (8 + 8 + 2 * 8 + 1), peaks
 
 
 @pytest.mark.parametrize("design", SystemDesign, ids=lambda d: d.value)
@@ -600,13 +649,10 @@ def test_one_budget_bounds_the_blocks_of_every_app(design):
 
 @pytest.mark.parametrize("app", AppKind, ids=lambda a: a.value)
 def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
-    # 512x1 at L=8192.  conv-lfsr's word windows and gathers run over chunks of
-    # _TILE_CELLS // 4 words; over one group's whole block they peaked above the
-    # budget, robert at 6.00 MB against conv-mtj's 4.25 MB and frame at 4.40
-    # against 2.34 MB.  With the streams made one window at a time, conv-lfsr
-    # holds its 147 KB comparator table through each window but the last, and
-    # peaks 0.17-0.82 MB below conv-mtj, whose tile buffers are larger than its
-    # gathers; the 16 KB allows for Python's own objects
+    # 512x1 at L=8192.  Both designs run the one tile loop, and a conv-lfsr
+    # tile is a (pixel, cols) uint16 gather of ring values where a conv-mtj
+    # tile needs uint64 draw, mixer and draw step buffers, so conv-lfsr peaks
+    # 0.46-0.92 MB below conv-mtj; the 16 KB allows for Python's own objects
     peaks = {}
     for design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ):
         cfg = ExperimentConfig(app=app, design=design, length=8192, dims=(512, 1))

@@ -52,6 +52,12 @@ def test_tile_buffer_table_prints_one_row_per_row_length():
     # a title line, a header line, then one row per row length
     rows = _load(ROOT / "scripts" / "tile_buffer_table.py").ROW_LENGTHS
     assert [int(line.split()[0]) for line in lines[2:]] == list(rows)
+    # ns per cell of the draw compare, the draw add and the uint16 ring
+    # compare, each with the default and the row-sized buffer, then of the two
+    # packs
+    assert lines[1].split().count("row-sized") == 3 and "ring" in lines[1].split()
+    assert all(len(line.split()) == 2 + 8 and min(map(float, line.split()[2:])) > 0
+               for line in lines[2:])
 
 
 def test_block_budget_table_prints_one_row_per_shape_and_app():
