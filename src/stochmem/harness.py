@@ -30,31 +30,30 @@ group (circuits.stream_plan), so results are bit-identical for any worker
 partition.
 
 A run is cut once, into blocks of contiguous row-major pixels (a block may
-start and end mid-row) of at most _BLOCK_CELLS cells over all of its sources.
-A pixel costs, for each source of the stream plan, the 64 * words_for(length)
-cells of its packed stream words plus _VALUE_CELLS for the fixed 64-bit values
-it holds beside them, so one budget bounds the memory of a block of any app,
-for any image shape and any length from 1 to 2^24: short streams and apps of
-few sources give more pixels per block, but never more than the streams and
-values they hold allow.  Only a single pixel whose streams alone exceed the
-budget forms a larger block.  The blocks are the tasks _map hands to the
-workers (_map is the one place that starts worker processes, for every run
-grid: a run's blocks, a sweep, a noise-fit grid; it imports the process pool
-only then, so a one-worker run loads no multiprocessing).  A task is the run's
-config and its block's pixel range, and holds no array: the block takes the
-run's frames (_run_frames) and gathers its own operand columns.  The worker
-count is jobs capped at the CPU count (_workers); with several workers the
-block count is a multiple of it, so a small image still spreads over every
-worker.  A block makes its values once: its operand columns, golden, pixel
-prefix states, stream levels and the generator inputs made of them (each
-group's generator positions, and a threshold, and on the ASC designs the
-rows at p >= 1, per distinct level array).  It then makes and uses its
-streams one window at a time (_window_slices), contiguous pixels of at most
-_WINDOW_CELLS stream cells over all of its sources, in one stream array it
-reuses for every window: it generates the window's streams, clears their
-bits past the length, and runs the logic on them.  Windows along the word
-axis would need circuits whose counts add up over pieces of a stream, so a
-single pixel over the budget is a window of its own.  Within a window every
+start and end mid-row) of at most _BLOCK_PAIRS (source, pixel) pairs over all
+the sources of its stream plan.  A block holds a few 64-bit values a pair for
+as long as it runs and makes its streams one window at a time, so the block
+budget counts its values and the window budget alone bounds its streams: for
+any image shape and any length from 1 to 2^24 a block holds at most the
+values of _BLOCK_PAIRS pairs and one window, and its cut does not depend on
+the length.  The blocks are the tasks _map hands to the workers (_map is the
+one place that starts worker processes, for every run grid: a run's blocks, a
+sweep, a noise-fit grid; it imports the process pool only then, so a
+one-worker run loads no multiprocessing).  A task is the run's config and its
+block's pixel range, and holds no array: the block takes the run's frames
+(_run_frames) and gathers its own operand columns.  The worker count is jobs
+capped at the CPU count (_workers); with several workers the block count is a
+multiple of it, so a small image still spreads over every worker.  A block
+makes its values once: its operand columns, golden, pixel prefix states,
+stream levels and the generator inputs made of them (each group's generator
+positions, and a threshold, and on the ASC designs the rows at p >= 1, per
+distinct level array).  It then makes and uses its streams one window at a
+time (_window_slices), contiguous pixels of at most _WINDOW_CELLS stream
+cells over all of its sources, in one stream array it reuses for every
+window: it generates the window's streams, clears their bits past the
+length, and runs the logic on them.  Windows along the word axis would need
+circuits whose counts add up over pieces of a stream, so a single pixel over
+the budget is a window of its own.  Within a window every
 stream is generated packed, as (pixels, words_for(length)) uint64 rows in
 the bitstream layout, and stays packed through the circuit; as the tails are
 cleared before the logic, popcounts and XOR distances need no masking and
@@ -76,8 +75,8 @@ run_experiment resolves the frames once and holds them for its blocks; a
 worker process that did not inherit them (a spawn or forkserver worker)
 resolves them once itself.  So on any worker count a run holds its frames,
 one block's values and one window of its streams per worker (within the
-block budget), the tile buffers and two images, the outputs and goldens of
-the blocks run so far, for any image size.
+block and window budgets), the tile buffers and two images, the outputs and
+goldens of the blocks run so far, for any image size.
 """
 
 from __future__ import annotations
@@ -112,25 +111,25 @@ DEFAULT_NOISE_SIGMA = 0.00625
 PAPER_LENGTHS = (128, 256, 512, 1024)
 DEFAULT_SEEDS = 20
 
-# cells per pixel block over all of its sources: a pixel costs, per source, one
-# cell per bit of its packed stream words, 64 * words_for(length), plus
-# _VALUE_CELLS for the 64-bit values it holds beside them.  Those are its
-# operand value (its slot's operand column), its level (an ADC code or a
-# probability), its threshold or conv-mtj's requantized level and its group's
-# generator positions (the memory path's noise works in chunks of
-# _TILE_CELLS // 4 cells); four values bound them (tracemalloc of one
-# kde block of 2,857 pixels at L=1, 33 sources: 4.5 values a source and pixel on
-# conv-mtj, the stream word and tile buffers included).  Only a one-pixel block
-# may exceed the budget, when its streams alone do.  scripts/block_budget_table.py
-# (numpy 2.4.6, 2-vCPU x86-64 host), best of 9 over each workload's 15 runs:
-# short-stream 442 ms at 24M cells, 445 at 32M, 453 at 40M, peaking at 3.45,
-# 3.45 and 4.11 MB; wide-long 638, 637 and 628 ms, peaking at 2.29 MB at each,
-# as its streams are made one window at a time.  In fresh processes 24M made
-# each warm wide-long and length-sweep repetition fault 9,000 and 6,000 pages
-# (glibc trims the heap that blocks free once it outgrows twice its largest
-# freed mapping), 32M at most 38 and 6
-_BLOCK_CELLS = 32_000_000
-_VALUE_CELLS = 4 * 64
+# (source, pixel) pairs per pixel block, over all of its sources.  A block holds
+# a few 64-bit values a pair: its operand value (its slot's operand column),
+# its level (an ADC code or a probability), its threshold or conv-mtj's
+# requantized level and its group's generator positions (the memory path's
+# noise works in chunks of _TILE_CELLS // 4 cells); four values bound them
+# (tracemalloc of one kde block of 2,857 pixels at L=1, 33 sources: 4.5 values
+# a pair on conv-mtj, the stream word and tile buffers included).  Its streams
+# are bounded by _WINDOW_CELLS, not here.  At L <= 64 this cuts as a budget of 32M cells at
+# 64 stream and 4 * 64 value cells a pair did.  scripts/block_budget_table.py
+# (numpy 2.4.6, 2-vCPU x86-64 host), best of 9 over each workload's runs (15,
+# or 60 over length-sweep's four lengths), at 50k, 75k, 100k and 125k pairs:
+# short-stream 446, 435, 425 and 430 ms, peaking at 2.88, 3.45, 3.45 and 4.11
+# MB; grid-L1024, length-sweep and wide-long are one block a run at each,
+# 196-200, 240-244 and 678-683 ms, peaking at 2.31, 2.19 and 2.30 MB.  With
+# --faults, the median of 7 warm repetitions in fresh processes faulted 1,
+# 8,736, 2,095 and 3,886 pages on short-stream (glibc trims the heap that
+# blocks free once it outgrows twice its largest freed mapping), and 2,704,
+# 2,605 and 3,696 on the others at each
+_BLOCK_PAIRS = 100_000
 # uniform draws per stream tile, so a tile, its mixer temporary and its compare
 # output stay in cache; long streams are tiled along the length too.  Tiles run
 # with numpy's ufunc buffer set to one tile row (rounded down to a multiple of
@@ -270,12 +269,11 @@ def operand_columns(app: AppKind, frames: list[ImageGray], lo: int, hi: int) -> 
 # pixel-block pipeline
 
 
-def _block_slices(n_pixels: int, length: int, sources: int, jobs: int):
+def _block_slices(n_pixels: int, sources: int, jobs: int):
     """Contiguous (lo, hi) pixel ranges covering 0..n_pixels whose sizes differ
-    by at most one; a block of more than one pixel costs at most _BLOCK_CELLS
-    cells, at 64 * words_for(length) + _VALUE_CELLS per pixel and source.  The
+    by at most one; a block holds at most _BLOCK_PAIRS // sources pixels.  The
     block count is a multiple of jobs unless it is n_pixels."""
-    per_block = max(1, _BLOCK_CELLS // (sources * (64 * words_for(length) + _VALUE_CELLS)))
+    per_block = _BLOCK_PAIRS // sources
     n_blocks = min(n_pixels, jobs * -(-n_pixels // (per_block * jobs)))
     bounds = [k * n_pixels // n_blocks for k in range(n_blocks + 1)]
     return list(zip(bounds[:-1], bounds[1:]))
@@ -499,7 +497,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Execute one (app, design, length, seed) run and score it."""
     height, width = _run_frames(cfg, fresh=True)[-1].data.shape
     sources = len(stream_plan(cfg.app, cfg.params).groups)
-    blocks = _block_slices(height * width, cfg.length, sources, _workers(cfg.jobs))
+    blocks = _block_slices(height * width, sources, _workers(cfg.jobs))
     tasks = [(cfg, lo, hi) for lo, hi in blocks]
     # the blocks' outputs, then their goldens, as images; the block results
     # are freed once both are made

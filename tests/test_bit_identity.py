@@ -98,29 +98,27 @@ _WINDOWS = ("pixel", "tile-row")
     pytest.param(length, window, id=f"{length}-{window}")
     for window in _WINDOWS for length in (1, 63, 65, 300)])
 def test_outputs_do_not_depend_on_tile_or_block_size(monkeypatch, length, window, video_crop):
-    # blocks of 8-9 (L=1, 63: 64 + 256 cells a pixel), 7 (L=65) or 5 (L=300,
-    # 5 * 64 + 256) pixels that split the 7-pixel rows (and the crop's 6-pixel
-    # rows), and one-pixel tiles that split the length axis into 64-bit chunks
-    # at L=300.  The blocks and windows are sized as for one source, so that
-    # every app, whatever its source count, runs in them.  With a window
-    # budget every block is cut into windows of one pixel, or of one row of
-    # two-pixel tiles
+    # blocks of 8-9 pixels at every length, which split the 7-pixel rows (and
+    # the crop's 6-pixel rows), and one-pixel tiles that split the length axis
+    # into 64-bit chunks at L=300.  The blocks and windows are sized as for
+    # one source, so that every app, whatever its source count, runs in them.
+    # With a window budget every block is cut into windows of one pixel, or of
+    # one row of two-pixel tiles
     monkeypatch.setattr(harness, "_TILE_CELLS", 2 * length if window == "tile-row" else 100)
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 3000)
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 9)
     size = {None: None, "pixel": 1, "tile-row": harness._tile_shape(length)[0]}[window]
     if window is not None:
         budget = size if window == "pixel" else 3 * size // 2
         monkeypatch.setattr(harness, "_WINDOW_CELLS", budget * 64 * words_for(length))
     slices = harness._block_slices
-    blocks = slices(35, length, 1, 1)
-    assert {hi - lo for lo, hi in blocks} == {1: {8, 9}, 63: {8, 9}, 65: {7}, 300: {5}}[length]
-    if window is None:
-        assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
+    blocks = slices(35, 1, 1)
+    assert {hi - lo for lo, hi in blocks} == {8, 9}
+    assert any(lo // 7 != (hi - 1) // 7 for lo, hi in blocks)
     counts, cuts = [], []
     windows = harness._window_slices
 
-    def one_source_slices(n_pixels, stream_length, sources, jobs):
-        got = slices(n_pixels, stream_length, 1, jobs)
+    def one_source_slices(n_pixels, sources, jobs):
+        got = slices(n_pixels, 1, jobs)
         counts.append(len(got))
         return got
 

@@ -44,9 +44,9 @@ def _planes(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _blocks(cfg: ExperimentConfig, n_pixels: int, jobs: int = 1) -> list[tuple[int, int]]:
-    """The pixel blocks of an n_pixels run of cfg's app and length."""
+    """The pixel blocks of an n_pixels run of cfg's app, at any length."""
     sources = len(stream_plan(cfg.app, cfg.params).groups)
-    return harness._block_slices(n_pixels, cfg.length, sources, jobs)
+    return harness._block_slices(n_pixels, sources, jobs)
 
 
 @pytest.mark.parametrize("length", (0, MAX_LENGTH + 1))
@@ -377,8 +377,8 @@ def test_operand_columns_of_any_cut_are_the_padded_planes(written_inputs, app, s
 
 
 def test_a_one_worker_run_gathers_each_blocks_columns_when_the_block_runs(monkeypatch):
-    # 9 sources x (64 + 256) cells a pixel at L=16: blocks of 8 pixels
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 9 * 320 * 8)
+    # 9 sources a pixel: blocks of 8 pixels
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 9 * 8)
     events, gathered = [], []
     gather, evaluate = harness.operand_columns, harness._evaluate_block
 
@@ -456,27 +456,24 @@ def test_synthetic_frames_are_made_once_per_input_kind():
 # pixel blocks
 
 
-@given(n_pixels=st.integers(1, 5000), length=st.integers(1, MAX_LENGTH),
-       sources=st.integers(1, 33), budget=st.integers(1, 4 * harness._BLOCK_CELLS),
-       jobs=st.integers(1, 8))
-def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, length, sources, budget,
-                                                         jobs):
-    # a pixel costs, per source, its stream bits in whole words plus the values
-    # held beside them
-    pixel_cells = sources * (64 * words_for(length) + harness._VALUE_CELLS)
-    with mock.patch.object(harness, "_BLOCK_CELLS", budget):
-        blocks = harness._block_slices(n_pixels, length, sources, jobs)
+# sources are at most 33, so a budget of 33 pairs or more holds a pixel of any app
+@given(n_pixels=st.integers(1, 5000), sources=st.integers(1, 33),
+       budget=st.integers(33, 4 * harness._BLOCK_PAIRS), jobs=st.integers(1, 8))
+def test_block_slices_cover_the_pixels_within_the_budget(n_pixels, sources, budget, jobs):
+    # a pixel is one (source, pixel) pair per source
+    with mock.patch.object(harness, "_BLOCK_PAIRS", budget):
+        blocks = harness._block_slices(n_pixels, sources, jobs)
     assert blocks[0][0] == 0 and blocks[-1][1] == n_pixels
     assert all(hi == lo for (_, hi), (lo, _) in zip(blocks, blocks[1:]))
     sizes = [hi - lo for lo, hi in blocks]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    assert all(size * pixel_cells <= budget for size in sizes if size > 1)
+    assert all(size * sources <= budget for size in sizes)
     # every worker gets a block, and the workers get equal shares of them
     assert len(blocks) >= min(jobs, n_pixels)
     assert len(blocks) % jobs == 0 or len(blocks) == n_pixels
     if jobs == 1:
         # the fewest blocks the budget allows
-        assert len(blocks) == -(-n_pixels // max(1, budget // pixel_cells))
+        assert len(blocks) == -(-n_pixels // (budget // sources))
 
 
 @given(n_pixels=st.integers(1, 2000),
@@ -511,15 +508,19 @@ _SHORT_SIZES = {AppKind.ROBERT: [12800] * 2, AppKind.MEDIAN: [8533, 8533, 8534],
                 AppKind.KDE: [2844, 2844] + [2845, 2844] * 3 + [2845]}
 
 
+# the cut does not depend on the length; the rows are the bench workloads'
+# shapes, one pixel at the longest length and the paper's default 128x128 run.
+# Blocks of 100,000 pairs over 5, 9, 2, 13 and 33 sources hold at most 20,000,
+# 11,111, 50,000, 7,692 and 3,030 pixels
 @pytest.mark.parametrize("n_pixels,length,sizes", [
-    # short streams: 320 cells a pixel and source, times 5, 9, 2, 13 and 33 sources
     (160 * 160, 32, _SHORT_SIZES),
-    (160 * 160, 1, _SHORT_SIZES),       # a length of 1 still fills a whole word
-    # long streams: 8448 cells a pixel and source
-    (512, 8192, {AppKind.ROBERT: [512], AppKind.MEDIAN: [256, 256], AppKind.FRAME: [512],
-                 AppKind.GAMMA: [256, 256], AppKind.KDE: [102, 102, 103, 102, 103]}),
-    (32 * 32, 1024, {**{app: [1024] for app in AppKind}, AppKind.KDE: [512, 512]}),
-    (1, MAX_LENGTH, {app: [1] for app in AppKind}),     # one pixel over the budget
+    (160 * 160, 1, _SHORT_SIZES),
+    (512, 8192, {app: [512] for app in AppKind}),
+    (32 * 32, 1024, {app: [1024] for app in AppKind}),
+    (1, MAX_LENGTH, {app: [1] for app in AppKind}),
+    (128 * 128, 1024, {AppKind.ROBERT: [16384], AppKind.MEDIAN: [8192] * 2,
+                       AppKind.FRAME: [16384], AppKind.GAMMA: [5461, 5461, 5462],
+                       AppKind.KDE: [2730, 2731, 2731] * 2}),
 ])
 def test_block_sizes_at_the_default_budget(n_pixels, length, sizes):
     got = {app: [hi - lo for lo, hi in _blocks(ExperimentConfig(app=app, length=length),
@@ -547,7 +548,8 @@ def test_a_run_on_two_workers_starts_one_pool_and_gives_the_serial_bytes():
 
 
 def test_each_block_task_is_its_config_and_pixel_range(monkeypatch):
-    monkeypatch.setattr(harness, "_BLOCK_CELLS", 600)
+    # 9 sources a pixel: one-pixel blocks
+    monkeypatch.setattr(harness, "_BLOCK_PAIRS", 9)
     # three CPUs, so jobs=3 runs on three workers
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
     cfg = ExperimentConfig(app=AppKind.MEDIAN, design=SystemDesign.CONV_LFSR, length=300,
@@ -567,7 +569,8 @@ def test_each_block_task_is_its_config_and_pixel_range(monkeypatch):
     # a task is (cfg, lo, hi), listed before the map; the block gathers its
     # operand columns itself, so no task holds an array
     assert isinstance(tasks, list)
-    assert tasks == [(cfg, lo, hi) for lo, hi in _blocks(cfg, 35, 3)]
+    assert tasks == [(cfg, lo, lo + 1) for lo in range(35)] == \
+        [(cfg, lo, hi) for lo, hi in _blocks(cfg, 35, 3)]
     assert not any(isinstance(part, np.ndarray) for task in tasks for part in task)
 
 
@@ -616,13 +619,13 @@ def _peak_bytes(cfg: ExperimentConfig) -> int:
 
 
 def test_long_streams_keep_block_memory_bounded():
-    # 64 pixels at L=262144 hold 17x the block budget over kde's 33 sources; as
-    # one block (the whole row) the run allocated 77.7 MB.  A block of 3
-    # pixels is cut into one-pixel windows of 1.08 MB of streams, which the
-    # tile buffers join: draws, mixer temporary and the draw steps at 8 bytes
-    # a cell (twice for the steps, whose product numpy may not make in place)
-    # and compare bits at 1.  Peaks: conv-lfsr 1.60 MB (no draw buffers),
-    # conv-mtj and stochmem 2.75 MB
+    # 64 pixels at L=262144 hold 69 MB of streams over kde's 33 sources; made
+    # whole in one block (the whole row) the run allocated 77.7 MB.  The run
+    # is one block, whose values are 68 KB, cut into one-pixel windows of
+    # 1.08 MB of streams, which the tile buffers join: draws, mixer temporary
+    # and the draw steps at 8 bytes a cell (twice for the steps, whose product
+    # numpy may not make in place) and compare bits at 1.  Peaks: conv-lfsr 1.60 MB (no draw buffers),
+    # conv-mtj and stochmem 2.76 MB
     length = 1 << 18
     window = len(stream_plan(AppKind.KDE, AppParams()).groups) * 8 * words_for(length)
     peaks = {design: _peak_bytes(ExperimentConfig(app=AppKind.KDE, design=design, length=length,
@@ -638,9 +641,9 @@ def test_one_budget_bounds_the_blocks_of_every_app(design):
     # 2x the 9-source median; over all sources, with each block's streams
     # made whole, the largest peak was gamma's 6.06-6.07 MB (13 sources, 256
     # pixels) on every design.  Made one window of at most _WINDOW_CELLS
-    # stream cells at a time, the largest are robert's and frame's 2.28 MB on
-    # the ASC designs (a window and the tile buffers) and frame's 2.11 MB on
-    # conv-lfsr
+    # stream cells at a time, in one block a run, the largest are gamma's
+    # 2.30 MB on the ASC designs (a window and the tile buffers) and robert's
+    # 1.83 MB on conv-lfsr
     peaks = {app: _peak_bytes(ExperimentConfig(app=app, design=design, length=8192,
                                                dims=(512, 1)))
              for app in AppKind}
@@ -652,7 +655,7 @@ def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
     # 512x1 at L=8192.  Both designs run the one tile loop, and a conv-lfsr
     # tile is a (pixel, cols) uint16 gather of ring values where a conv-mtj
     # tile needs uint64 draw, mixer and draw step buffers, so conv-lfsr peaks
-    # 0.46-0.92 MB below conv-mtj; the 16 KB allows for Python's own objects
+    # 0.46-1.02 MB below conv-mtj; the 16 KB allows for Python's own objects
     peaks = {}
     for design in (SystemDesign.CONV_LFSR, SystemDesign.CONV_MTJ):
         cfg = ExperimentConfig(app=app, design=design, length=8192, dims=(512, 1))
@@ -662,24 +665,35 @@ def test_a_conv_lfsr_run_peaks_no_higher_than_a_conv_mtj_run(app):
     assert peaks[SystemDesign.CONV_LFSR] <= peaks[SystemDesign.CONV_MTJ] + 16_384, peaks
 
 
-def _frames_block_and_images_bound(side: int) -> float:
-    """Bytes a run at side x side holds beside its cached frames: one block's
-    values and one window of its streams, at one bit a cell within the
-    block's budget (_BLOCK_CELLS / 8 bytes), the ASC tile buffers (draws and
-    mixer temporary at 8 bytes a cell, compare bits at 2 bytes a cell at
-    L=32), and at most four float64 images: the outputs and goldens of the
-    blocks run so far, the two images made of them, and error_metric's two
-    temporaries."""
+def _frames_block_and_images_bound(side: int, length: int) -> float:
+    """Bytes a run at side x side and length holds beside its cached frames:
+    one block's values, four 64-bit values for each of _BLOCK_PAIRS pairs;
+    one window of its streams, at one bit a cell within the window budget
+    (_WINDOW_CELLS / 8 bytes) and within the block's streams (8 bytes a pair
+    and stream word); the ASC tile buffers (draws and mixer temporary at 8
+    bytes a cell, compare bits at 1 byte a cell, or 2 below L=64, whose rows
+    are padded to a word); and at most four float64 images: the outputs and
+    goldens of the blocks run so far, the two images made of them, and
+    error_metric's two temporaries."""
+    window = min(harness._WINDOW_CELLS / 8, harness._BLOCK_PAIRS * 8 * words_for(length))
     image = side * side * 8
-    return harness._BLOCK_CELLS / 8 + harness._TILE_CELLS * (8 + 8 + 2) + 4 * image
+    return (harness._BLOCK_PAIRS * 4 * 8 + window + harness._TILE_CELLS * (8 + 8 + 2)
+            + 4 * image)
 
 
-@pytest.mark.parametrize("app", (AppKind.KDE, AppKind.MEDIAN), ids=lambda a: a.value)
-def test_a_run_holds_its_frames_one_block_and_a_few_images(app):
+@pytest.mark.parametrize("app,length", [
+    pytest.param(app, length, id=app.value if length == 32 else f"{app.value}-{length}")
+    for length in (32, 1024) for app in (AppKind.KDE, AppKind.MEDIAN)])
+def test_a_run_holds_its_frames_one_block_and_a_few_images(app, length):
     # Whole-image operand planes added 33 images for kde (9.7 MB at 192x192),
-    # which peaked at 13.7 MB; median at 6.50 MB; now 4.99 and 4.73 MB
-    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ, length=32, dims=(192, 192))
-    assert _peak_bytes(cfg) < _frames_block_and_images_bound(192)
+    # which peaked at 13.7 MB; median at 6.50 MB; now 3.63 and 3.63 MB at
+    # L=32.  At L=1024 a kde block of 32M cells of streams and values held 757
+    # pixels and a median block 2,777, peaking at 2.82 and 2.99 MB; blocks of
+    # _BLOCK_PAIRS pairs hold 3,030 and 11,111 pixels of values, whose streams
+    # they make one window at a time, and peak at 3.49 and 3.73 MB
+    cfg = ExperimentConfig(app=app, design=SystemDesign.CONV_MTJ, length=length,
+                           dims=(192, 192))
+    assert _peak_bytes(cfg) < _frames_block_and_images_bound(192, length)
 
 
 def test_a_run_on_two_workers_holds_no_more_than_a_one_worker_run(monkeypatch):
@@ -699,7 +713,7 @@ def test_a_run_on_two_workers_holds_no_more_than_a_one_worker_run(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < _frames_block_and_images_bound(192)
+    assert peak < _frames_block_and_images_bound(192, 32)
     assert parallel.tobytes() == serial.tobytes()
 
 
@@ -707,8 +721,8 @@ def test_a_run_on_two_workers_holds_no_more_than_a_one_worker_run(monkeypatch):
 @pytest.mark.parametrize("design", (SystemDesign.CONV_MTJ, SystemDesign.STOCHMEM),
                          ids=lambda d: d.value)
 def test_short_streams_keep_block_memory_bounded(design, length):
-    # A block of at most 3,030 pixels (32M cells at 33 sources x (64 + 256) a
-    # pixel) holds 4 MB of streams and values.  With kde's 33 operand planes
+    # A block of at most 3,030 pixels (_BLOCK_PAIRS pairs at 33 sources) holds
+    # 3.2 MB of values and, at L <= 64, 0.8 MB of streams in one window.  With kde's 33 operand planes
     # at 200x200 (10.6 MB) the runs peaked at 13.5 MB (L=1) and 14.6 MB (L=32,
     # with the 1.1 MB stream tile buffers).  Counting only L cells a pixel put
     # all 40,000 pixels in one block, which peaked at 44.9-45.3 MB

@@ -61,12 +61,28 @@ def test_tile_buffer_table_prints_one_row_per_row_length():
 
 
 def test_block_budget_table_prints_one_row_per_shape_and_app():
-    lines = _run_script("block_budget_table.py", "--repeats", "1", "--budgets", "32e6")
+    lines = _run_script("block_budget_table.py", "--repeats", "1", "--budgets", "100e3")
     # a title line, a header line, then one row per (workload, length) and app
     shapes = _load(ROOT / "scripts" / "block_budget_table.py").SHAPES
+    assert "k pairs" in lines[0]
     assert [line.split()[:3] for line in lines[2:]] == [
         [workload, str(length), app.value] for workload, _, length in shapes for app in AppKind]
-    assert {line.split()[4] for line in lines[2:]} == {"32"}
+    assert {line.split()[4] for line in lines[2:]} == {"100"}
+    # block MB is the largest block's values, four 8-byte values a pair: at
+    # most 3.2 MB at 100,000 pairs
+    assert all(0 < float(line.split()[6]) <= 3.2 for line in lines[2:])
+
+
+def test_block_budget_table_with_faults_prints_one_row_per_workload_and_budget():
+    lines = _run_script("block_budget_table.py", "--repeats", "1", "--budgets", "50e3,100e3",
+                        "--faults")
+    shapes = _load(ROOT / "scripts" / "block_budget_table.py").SHAPES
+    assert "faults median of 1" in lines[0] and lines[1].split() == ["workload", "budget",
+                                                                     "faults"]
+    assert [line.split()[:2] for line in lines[2:]] == [
+        [workload, budget] for workload in dict.fromkeys(w for w, _, _ in shapes)
+        for budget in ("50", "100")]
+    assert all(int(line.split()[2]) >= 0 for line in lines[2:])
 
 
 def test_block_budget_table_with_windows_prints_one_row_per_shape_and_app():
