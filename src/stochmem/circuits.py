@@ -199,6 +199,13 @@ def fit_bernstein(target, degree: int) -> tuple[tuple[float, ...], float]:
     return tuple(coeffs.tolist()), max_err
 
 
+@lru_cache(maxsize=16)
+def gamma_fit(params: AppParams) -> tuple[tuple[float, ...], float]:
+    """The gamma circuit's fit: fit_bernstein of x ** gamma_exponent at
+    bernstein_degree, its coefficients and max fit error."""
+    return fit_bernstein(lambda x: x ** params.gamma_exponent, params.bernstein_degree)
+
+
 def gamma_eval(x_bits, coeff_bits) -> np.ndarray:
     """Output bits from (degree, L) replica and (degree+1, L) coefficient bits:
     per cycle the ones count among the x replicas selects one coefficient
@@ -357,8 +364,8 @@ def stream_plan(app: AppKind, params: AppParams) -> StreamPlan:
         # streams may share one generator because each cycle samples
         # exactly one of them
         deg = params.bernstein_degree
-        coeffs, _ = fit_bernstein(lambda x: x ** params.gamma_exponent, deg)
-        return StreamPlan((0,) * deg, coeffs, tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
+        return StreamPlan((0,) * deg, gamma_fit(params)[0],
+                          tuple(range(deg)) + (GROUP_COEFF,) * (deg + 1))
     # median, frame and kde compare operands with each other: one generator
     n = WIRING[app].slots
     return StreamPlan(tuple(range(n)), (), (0,) * n)

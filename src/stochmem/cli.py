@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .calibrate import GAP_TOL_PP, NOISE_FIT_SEEDS, calibrate_access, calibrate_noise
-from .circuits import WIRING, AppKind, fit_bernstein
+from .circuits import WIRING, AppKind, gamma_fit
 from .config import FIELD_BY_KEY, FIELDS, parse_at, read_values, resolve_config
 from .costs import GROUPS, SystemDesign, area_report, energy_report, share_breakdown
 from .harness import (CSV_COLUMNS, DEFAULT_SEEDS, PAPER_LENGTHS, ExperimentConfig,
@@ -66,11 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="Stochastic image-processing system simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(command: str, help: str, config: bool = False,
+    def add(command: str, handler, help: str, config: bool = False,
             description: str | None = None) -> argparse.ArgumentParser:
         # a prefix would be one more spelling: sweep's --apps would take --app
         p = sub.add_parser(command, help=help, description=description, allow_abbrev=False)
-        p.set_defaults(parser=p, config=None)
+        p.set_defaults(parser=p, config=None, handler=handler)
         if config:
             p.add_argument("--config", help="flat key=value config file; flags given override "
                                             "its keys")
@@ -79,13 +79,13 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(f.flag, dest=f.key, help=f.help)
         return p
 
-    p_run = add("run", "run one experiment and report accuracy and cost", config=True)
+    p_run = add("run", _cmd_run, "run one experiment and report accuracy and cost", config=True)
     p_run.add_argument("--out", help="directory for output.pgm and report.csv")
 
-    p_sweep = add("sweep", "run the app x design x length x seed grid", config=True,
+    p_sweep = add("sweep", _cmd_sweep, "run the app x design x length x seed grid", config=True,
                   description="sweep reads no app, design or length key: for app use --apps, "
                               "for design use --designs, for length use --lengths.")
-    p_cost = add("cost", "print area and energy tables")
+    p_cost = add("cost", _cmd_cost, "print area and energy tables")
     for p in (p_sweep, p_cost):
         p.add_argument("--apps", default="all", help="comma list or 'all'")
         p.add_argument("--designs", default="all", help="comma list or 'all'")
@@ -95,14 +95,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="runs per configuration (seed = base + index)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
 
-    add("fit-gamma", "fit the power function as a Bernstein polynomial")
+    add("fit-gamma", _cmd_fit_gamma, "fit the power function as a Bernstein polynomial")
 
-    p_gen = add("gen-inputs", "write the synthetic inputs the apps read as PGM files",
+    p_gen = add("gen-inputs", _cmd_gen_inputs,
+                "write the synthetic inputs the apps read as PGM files",
                 description="The files hold the 8-bit rounding of the float64 frames a "
                             "synthetic run reads, so a run with --input on them is not that run.")
     p_gen.add_argument("--out", required=True, help="output directory")
 
-    p_cal = add("calibrate", "fit the noise sigma to the accuracy gap", config=True,
+    p_cal = add("calibrate", _cmd_calibrate, "fit the noise sigma to the accuracy gap",
+                config=True,
                 description="calibrate reads no app, design, length, sigma or energy key: the "
                             "noise fit runs every app on conv-mtj and stochmem, runs at length "
                             f"{ExperimentConfig.length}, measures no energy and fits both "
@@ -113,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--seeds", type=int, default=NOISE_FIT_SEEDS,
                        help="runs per evaluation (seed = base + index)")
 
-    add("calibrate-access", "fit the access multipliers to the energy reductions")
+    add("calibrate-access", _cmd_calibrate_access,
+        "fit the access multipliers to the energy reductions")
     return ap
 
 
@@ -159,16 +162,12 @@ def _cmd_cost(args) -> int:
             _print_report(area_report(design, app, cfg.costs), "area_um2")
             print(f"# energy_pJ_per_pixel app={app.value} design={design.value} "
                   f"length={cfg.length}")
-            # one stored operand per operand slot, as a run charges
-            _print_report(energy_report(design, app, cfg.length, WIRING[app].slots,
-                                        cfg.costs), "energy_pJ")
+            _print_report(energy_report(design, app, cfg.length, model=cfg.costs), "energy_pJ")
     return 0
 
 
 def _cmd_fit_gamma(args) -> int:
-    params = _config_from_args(args).params
-    coeffs, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent,
-                                    params.bernstein_degree)
+    coeffs, max_err = gamma_fit(_config_from_args(args).params)
     print("coefficient\tvalue")
     for k, c in enumerate(coeffs):
         print(f"b{k}\t{c:.6f}")
@@ -214,21 +213,10 @@ def _cmd_calibrate_access(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "cost": _cmd_cost,
-    "fit-gamma": _cmd_fit_gamma,
-    "gen-inputs": _cmd_gen_inputs,
-    "calibrate": _cmd_calibrate,
-    "calibrate-access": _cmd_calibrate_access,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,22 +8,27 @@ dataclass fields are its whole schema: the value checks and config.load_costs
 read them, and nothing restates them.  _units is the one inventory of each
 design's units and how each is charged under a CostModel (unit costs, app
 profiles, access multipliers); area_report and energy_report are its two
-columns.  Reports group the units into input layer (memory + ADC), conversion
-(DSC, DAC + ASC, or ASC), and stochastic logic.
+columns, and each rejects a unit whose value is not finite (finite prices
+whose product leaves the float range), naming the cost keys the unit reads,
+and a total past the float range.
+Reports group the units into input layer (memory + ADC), conversion (DSC,
+DAC + ASC, or ASC), and stochastic logic.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 
-from .circuits import AppKind
+from .circuits import WIRING, AppKind
 
 
 def _check_nonnegative_finite(what: str, **values: float) -> None:
     for name, value in values.items():
-        if not 0 <= value < math.inf:
+        # an int past the float range is below inf, but no price can be made of it
+        if not 0 <= value <= sys.float_info.max:
             raise ValueError(f"{what} must be nonnegative and finite; {name} is {value}")
 
 
@@ -172,53 +177,78 @@ def share_breakdown(report: CostReport) -> dict[str, float]:
 
 
 def _units(design: SystemDesign, app: AppKind, model: CostModel, length: int = 0, n: int = 0
-           ) -> list[tuple[str, str, float, float]]:
-    """(unit, group, area_um2, energy_pJ) of every unit of design, in report
-    order: memory, adc (conv designs), then dsc, or dac (conv-mtj) and asc,
-    then logic.  Energy is per pixel: per-cycle units run for `length` cycles,
-    and each of n operands is written once and read once, and converted once
-    by the ADC on the conv designs and by the DAC on conv-mtj, each event
-    scaled by its model multiplier.  Area depends on neither length, n nor m."""
+           ) -> list[tuple[str, str, float, float, tuple[str, ...]]]:
+    """(unit, group, area_um2, energy_pJ, keys) of every unit of design, in
+    report order: memory, adc (conv designs), then dsc, or dac (conv-mtj) and
+    asc, then logic; keys are the cost-file keys its two values read.  Energy
+    is per pixel: per-cycle units run for `length` cycles, and each of n
+    operands is written once and read once, and converted once by the ADC on
+    the conv designs and by the DAC on conv-mtj, each event scaled by its
+    model multiplier.  Area depends on neither length, n nor m."""
     c, profile, m = model.units, model.profiles[app], model.multipliers
     conv = design is not SystemDesign.STOCHMEM
-    cell = c["sram_cell" if conv else "analog_cell"]
-    units = [("memory", GROUP_INPUT,
-              profile.mem_area_digital_um2 if conv else profile.mem_area_analog_um2,
-              cell.energy_pJ * (n * m.read) + cell.write_energy_pJ * (n * m.write))]
+    cell, mem = ("sram_cell", "digital") if conv else ("analog_cell", "analog")
+    at = f"profile.{app.value}."
+    units = [("memory", GROUP_INPUT, getattr(profile, f"mem_area_{mem}_um2"),
+              c[cell].energy_pJ * (n * m.read) + c[cell].write_energy_pJ * (n * m.write),
+              (f"unit.{cell}.*", f"{at}mem_area_{mem}_um2", "mult.read", "mult.write"))]
     if conv:
         adc = c["adc_10bit"]
-        units.append(("adc", GROUP_INPUT, adc.area_um2, adc.energy_pJ * (n * m.adc)))
+        units.append(("adc", GROUP_INPUT, adc.area_um2, adc.energy_pJ * (n * m.adc),
+                      ("unit.adc_10bit.*", "mult.adc")))
     if design is SystemDesign.CONV_LFSR:
         lfsr, cmp = c["lfsr_10bit"], c["comparator_10bit"]
         units.append(("dsc", GROUP_CONVERSION,
                       lfsr.area_um2 * profile.n_lfsr + cmp.area_um2 * profile.n_streams,
                       (lfsr.energy_pJ * profile.n_lfsr
-                       + cmp.energy_pJ * profile.n_streams) * length))
+                       + cmp.energy_pJ * profile.n_streams) * length,
+                      ("unit.lfsr_10bit.*", "unit.comparator_10bit.*", f"{at}n_lfsr",
+                       f"{at}n_streams")))
     else:
         if design is SystemDesign.CONV_MTJ:
             dac = c["dac_8bit"]
-            units.append(("dac", GROUP_CONVERSION, dac.area_um2, dac.energy_pJ * (n * m.dac)))
+            units.append(("dac", GROUP_CONVERSION, dac.area_um2, dac.energy_pJ * (n * m.dac),
+                          ("unit.dac_8bit.*", "mult.dac")))
         asc = c["asc"]
         units.append(("asc", GROUP_CONVERSION, asc.area_um2 * profile.n_streams,
-                      asc.energy_pJ * profile.n_streams * length))
+                      asc.energy_pJ * profile.n_streams * length,
+                      ("unit.asc.*", f"{at}n_streams")))
     logic = c[f"logic_{app.value}"]
-    units.append(("logic", GROUP_LOGIC, logic.area_um2, logic.energy_pJ * length))
+    units.append(("logic", GROUP_LOGIC, logic.area_um2, logic.energy_pJ * length,
+                  (f"unit.logic_{app.value}.*",)))
     return units
+
+
+def _report(units: list[tuple], column: int, what: str) -> CostReport:
+    """The CostReport of one value column of _units; a ValueError names a
+    unit whose value is not finite and the cost keys it reads, or a total
+    past the float range."""
+    for unit in units:
+        if not math.isfinite(unit[column]):
+            raise ValueError(f"the {what} of unit {unit[0]} is {unit[column]}; it reads the "
+                             f"cost keys {', '.join(unit[4])}")
+    report = CostReport([(unit[0], unit[1], unit[column]) for unit in units])
+    if not math.isfinite(report.total):
+        raise ValueError(f"the {what} total is {report.total}: each unit's {what} is finite, "
+                         f"but their sum is not")
+    return report
 
 
 def area_report(design: SystemDesign, app: AppKind, model: CostModel = CostModel()) -> CostReport:
     """Area in um^2 of every unit of design."""
-    return CostReport([(unit, group, area) for unit, group, area, _ in _units(design, app, model)])
+    return _report(_units(design, app, model), 2, "area")
 
 
-def energy_report(design: SystemDesign, app: AppKind, length: int, n_operands: int,
+def energy_report(design: SystemDesign, app: AppKind, length: int, n_operands: int | None = None,
                   model: CostModel = CostModel()) -> CostReport:
     """Per-pixel energy in pJ of every unit of design, for streams of `length`
-    cycles and n_operands stored operands."""
+    cycles and n_operands stored operands: by default one per operand slot of
+    the app's WIRING row, the operands a run stores, so that run and stochmem
+    cost print one energy."""
+    n_operands = WIRING[app].slots if n_operands is None else n_operands
     _check_nonnegative_finite("stream length and operand count", length=length,
                               n_operands=n_operands)
-    return CostReport([(unit, group, energy) for unit, group, _, energy
-                       in _units(design, app, model, length, n_operands)])
+    return _report(_units(design, app, model, length, n_operands), 3, "energy")
 
 
 # ---------------------------------------------------------------------------

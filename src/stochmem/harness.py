@@ -20,9 +20,9 @@ chunk and per constant; sources, the stream plan's slots then its constants
 generator; logic.  It also gives its golden output, the array that the row's
 golden form (golden_eval) gives over its operand columns; the run joins the
 blocks' outputs and goldens into two images and scores them once.  The run's
-energy charges each operand slot as one stored operand (costs.energy_report
-with n_operands the slot count).  A report carries its config; report_csv_row, its one text form,
-is what run prints and sweep writes.
+energy charges each operand slot as one stored operand (costs.energy_report's
+default operand count), as stochmem cost does.  A report carries its config;
+report_csv_row, its one text form, is what run prints and sweep writes.
 
 Streams that a circuit requires to be correlated share one generator
 identity (global seed, pixel, stream group); everything else gets its own
@@ -44,16 +44,18 @@ block's pixel range, and holds no array: the block takes the run's frames
 (_run_frames) and gathers its own operand columns.  The worker count is jobs
 capped at the CPU count (_workers); with several workers the block count is a
 multiple of it, so a small image still spreads over every worker.  A block
-makes its values once: its operand columns, golden, pixel prefix states,
-stream levels and the generator inputs made of them (each group's generator
-positions, and a threshold, and on the ASC designs the rows at p >= 1, per
-distinct level array).  It then makes and uses its streams one window at a
-time (_window_slices), contiguous pixels of at most _WINDOW_CELLS stream
-cells over all of its sources, in one stream array it reuses for every
-window: it generates the window's streams, clears their bits past the
-length, and runs the logic on them.  Windows along the word axis would need
-circuits whose counts add up over pieces of a stream, so a single pixel over
-the budget is a window of its own.  Within a window every
+makes its values once: block_values, the one value stage (the tests' ASC
+oracle reads it too), gives its stream levels, golden and pixel prefix
+states, and frees the operand columns they are made of; the block then
+makes the generator inputs of them (each group's generator positions, and a
+threshold, and on the ASC designs the rows at p >= 1, per distinct level
+array).  It then makes and uses its streams one window at a time
+(_window_slices), contiguous pixels of at most _WINDOW_CELLS stream cells
+over all of its sources, in one stream array it reuses for every window: it
+generates the window's streams, clears their bits past the length, and runs
+the logic on them.  Windows along the word axis would need circuits whose
+counts add up over pieces of a stream, so a single pixel over the budget is
+a window of its own.  Within a window every
 stream is generated packed, as (pixels, words_for(length)) uint64 rows in
 the bitstream layout, and stays packed through the circuit; as the tails are
 cleared before the logic, popcounts and XOR distances need no masking and
@@ -179,6 +181,11 @@ class ExperimentConfig:
         for name in ("length", "global_seed", "input_seed", "jobs"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, integer(name, getattr(self, name)))
+        # the generators take a seed as its 64 bits, so another would alias one of them
+        for name in ("global_seed", "input_seed"):
+            seed = getattr(self, name)
+            if seed is not None and not 0 <= seed < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
         if self.dims is not None:
             object.__setattr__(self, "dims", tuple(integer("dims", v) for v in self.dims))
         check_length(self.length)
@@ -311,6 +318,18 @@ def _stream_levels(cfg: ExperimentConfig, plan: StreamPlan, operands: np.ndarray
     # constants skip the memory but not the converters
     return ([levels[slot] for slot in plan.slots]
             + [np.full(n, _convert(cfg.design, c)) for c in plan.consts])
+
+
+def block_values(cfg: ExperimentConfig, frames: list[ImageGray], lo: int, hi: int) -> tuple:
+    """(levels, golden, pixels) at the flat row-major pixels lo..hi of cfg's
+    run on frames (resolve_inputs): each stream plan source's level
+    (_stream_levels), the golden output (golden_eval) and the pixels'
+    pixel_states.  The operand columns they are made of are freed on return."""
+    operands = operand_columns(cfg.app, frames, lo, hi)
+    golden = golden_eval(cfg.app, operands, cfg.params)
+    ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(frames[-1].width))
+    pixels = pixel_states(cfg.global_seed, xs, ys)
+    return _stream_levels(cfg, stream_plan(cfg.app, cfg.params), operands, pixels), golden, pixels
 
 
 def _tile_shape(length: int) -> tuple[int, int]:
@@ -448,22 +467,18 @@ def _run_frames(cfg: ExperimentConfig, fresh: bool = False) -> list[ImageGray]:
 
 def _evaluate_block(task: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Output and golden of one pixel block.  task is (cfg, lo, hi): the flat
-    row-major pixels lo..hi of cfg's run, whose operand_columns the block
-    gathers from the run's frames.  The block turns its operands into its
-    golden and its generator inputs once, then makes and uses its streams
-    one window (_window_slices) at a time, in one reused stream array."""
+    row-major pixels lo..hi of cfg's run, whose block_values the block takes
+    from the run's frames.  The block turns its levels into its generator
+    inputs once, then makes and uses its streams one window (_window_slices)
+    at a time, in one reused stream array."""
     cfg, lo, hi = task
-    frames = _run_frames(cfg)
-    operands = operand_columns(cfg.app, frames, lo, hi)
-    golden = golden_eval(cfg.app, operands, cfg.params)
-    ys, xs = np.divmod(np.arange(lo, hi, dtype=np.uint64), np.uint64(frames[-1].width))
-    pixels = pixel_states(cfg.global_seed, xs, ys)
+    levels, golden, pixels = block_values(cfg, _run_frames(cfg), lo, hi)
     plan = stream_plan(cfg.app, cfg.params)
     n, sources, words = hi - lo, len(plan.groups), words_for(cfg.length)
     windows = _window_slices(n, cfg.length, sources)
     window = windows[0][1]   # the first window is the largest
-    inputs = _generator_inputs(cfg, plan, _stream_levels(cfg, plan, operands, pixels), pixels)
-    del operands
+    inputs = _generator_inputs(cfg, plan, levels, pixels)
+    del levels, pixels
     cells = np.empty(sources * window * words, dtype=np.uint64)
     output = np.empty(n)
     for a, b in windows:
@@ -510,8 +525,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         inaccuracy_percent=inaccuracy,
         output=output,
         area=area_report(cfg.design, cfg.app, cfg.costs),
-        energy=energy_report(cfg.design, cfg.app, cfg.length, WIRING[cfg.app].slots,
-                             cfg.costs),
+        energy=energy_report(cfg.design, cfg.app, cfg.length, model=cfg.costs),
         energy_default=energy_report(cfg.design, cfg.app, cfg.length,
                                      cfg.costs.profiles[cfg.app].n_streams, cfg.costs),
     )

@@ -45,11 +45,11 @@ are two cells of a Multinomial(L, (a_j, b_i, 1 - a_j - b_i)), so
 and differencing over j and i gives the joint law of the two match counts,
 whose sum kde_batch's rule scores.
 
-The levels and goldens come from the package (resolve_inputs,
-operand_columns, stream_plan, pixel_states, _stream_levels, golden_eval), so
-the operand wiring and the memory path stay in one place; the closed forms
-above replace the streams and circuits.  Every pixel is evaluated at once, so
-keep the images small.
+The levels and goldens come from the engine's value stage
+(harness.block_values over every pixel), so the operand wiring, the memory
+path and the golden forms stay in one place; the closed forms above replace
+the streams and circuits.  Every pixel is evaluated at once, so keep the
+images small.
 """
 
 import math
@@ -57,10 +57,9 @@ import math
 import numpy as np
 from scipy.stats import binom
 
-from stochmem.circuits import KDE_HISTORY, AppKind, golden_eval, stream_plan
+from stochmem.circuits import KDE_HISTORY, AppKind
 from stochmem.costs import SystemDesign
-from stochmem.harness import ExperimentConfig, _stream_levels, operand_columns, resolve_inputs
-from stochmem.rng import pixel_states
+from stochmem.harness import ExperimentConfig, block_values, resolve_inputs
 
 
 def _robert(levels, params):
@@ -92,12 +91,8 @@ def _levels_and_golden(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.design is SystemDesign.CONV_LFSR:
         raise ValueError(f"no closed form for {cfg.app.value} on {cfg.design.value}")
     frames = resolve_inputs(cfg)
-    height, width = frames[-1].data.shape
-    operands = operand_columns(cfg.app, frames, 0, height * width)
-    ys, xs = np.divmod(np.arange(height * width, dtype=np.uint64), np.uint64(width))
-    levels = _stream_levels(cfg, stream_plan(cfg.app, cfg.params), operands,
-                            pixel_states(cfg.global_seed, xs, ys))
-    return np.asarray(levels), golden_eval(cfg.app, operands, cfg.params)
+    levels, golden, _ = block_values(cfg, frames, 0, frames[-1].data.size)
+    return np.asarray(levels), golden
 
 
 def bit_probabilities(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +102,8 @@ def bit_probabilities(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     if cfg.app not in _BIT_PROBABILITY:
         raise ValueError(f"no closed form for {cfg.app.value} on {cfg.design.value}")
     levels, golden = _levels_and_golden(cfg)
-    return _BIT_PROBABILITY[cfg.app](levels, cfg.params), golden
+    # rounding can carry a sum of probabilities past 0 or 1 (gamma at exponent 0)
+    return np.clip(_BIT_PROBABILITY[cfg.app](levels, cfg.params), 0.0, 1.0), golden
 
 
 def _kde_cells(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

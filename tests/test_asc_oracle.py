@@ -8,7 +8,7 @@ import pytest
 from asc_oracle import (bit_probabilities, expected_inaccuracy, kde_exact, kde_exact_counts,
                         kde_samples)
 from stochmem import harness
-from stochmem.circuits import GROUP_SELECT, KDE_HISTORY, AppKind, stream_plan
+from stochmem.circuits import GROUP_SELECT, KDE_HISTORY, AppKind, AppParams, stream_plan
 from stochmem.costs import SystemDesign
 from stochmem.harness import ExperimentConfig, run_experiment
 from stochmem.images import ImageGray, save_pgm
@@ -49,6 +49,17 @@ def _z(cfg: ExperimentConfig) -> float:
 @pytest.mark.parametrize("app", APPS, ids=lambda a: a.value)
 def test_asc_runs_match_their_expected_inaccuracy(app, design, length, video_crop):
     assert abs(_z(_config(app, design, length, video_crop))) <= Z_BOUND
+
+
+@pytest.mark.parametrize("length", (1, 63, 300))
+@pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)
+def test_gamma_at_exponent_zero_matches_its_expected_inaccuracy(design, length):
+    # the fit of x ** 0 rounds its coefficients just below 1, so the Bernstein
+    # sum q can round just past 1 (by up to 9e-16); clipped, the expected
+    # inaccuracy is about 2e-14 % with an SD of 5e-9 to 9e-8 %
+    cfg = ExperimentConfig(app=AppKind.GAMMA, design=design, length=length, dims=(16, 16),
+                           params=AppParams(gamma_exponent=0.0))
+    assert abs(_z(cfg)) <= Z_BOUND
 
 
 @pytest.mark.parametrize("design", ASC_DESIGNS, ids=lambda d: d.value)

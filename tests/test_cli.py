@@ -1,6 +1,7 @@
 """The command-line front end: every subcommand on tiny inputs, and the
 documented exit codes (0 success, 1 domain error, 2 usage error)."""
 
+import argparse
 import re
 import shlex
 from pathlib import Path
@@ -9,7 +10,7 @@ from unittest import mock
 import pytest
 
 from stochmem import cli
-from stochmem.circuits import AppKind, AppParams, fit_bernstein
+from stochmem.circuits import AppKind, AppParams, gamma_fit, stream_plan
 from stochmem.cli import main
 from stochmem.config import FIELD_BY_KEY, FIELDS, resolve_config
 from stochmem.costs import SystemDesign
@@ -212,6 +213,19 @@ def test_a_bad_multiplier_in_a_cost_file_exits_1(tmp_path, capsys, line, message
     assert capsys.readouterr() == ("", f"error: {cfg}:1: costs: {costs}:2: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--app", "robert", "--design", "conv-mtj", "--dims", "8x8", "--length", "64"],
+    ["cost", "--apps", "robert", "--designs", "conv-mtj"],
+], ids=("run", "cost"))
+def test_a_price_that_overflows_the_energy_exits_1(tmp_path, capsys, argv):
+    # each value is finite, but the DAC's energy per pixel is not
+    costs = tmp_path / "costs.txt"
+    costs.write_text("mult.dac = 1e308\n")
+    assert main(argv + ["--costs", str(costs)]) == 1
+    assert capsys.readouterr().err == ("error: the energy of unit dac is inf; it reads the cost "
+                                       "keys unit.dac_8bit.*, mult.dac\n")
+
+
 def test_the_readme_commands_parse():
     """Every command line of the README's sh block parses, so a removed flag
     cannot linger there, and the block shows every command."""
@@ -222,19 +236,23 @@ def test_the_readme_commands_parse():
     for argv in lines:
         args = cli.build_parser().parse_args(argv[argv.index("stochmem.cli") + 1:])
         commands.add(args.command)
-    assert commands == set(cli._COMMANDS)
+    subcommands = next(a for a in cli.build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subcommands.choices)
 
 
 def test_fit_gamma_prints_coefficients(capsys):
     assert main(["fit-gamma", "--bernstein-degree", "3"]) == 0
     out = capsys.readouterr().out
     assert [line.split("\t")[0] for line in out.splitlines()[1:5]] == ["b0", "b1", "b2", "b3"]
-    # with no flags, the fit a run makes at the default parameters
+    # with no flags, the coefficients a run streams at the default parameters
+    # and the error of that one fit
     assert main(["fit-gamma"]) == 0
     params = AppParams()
-    coeffs, max_err = fit_bernstein(lambda x: x ** params.gamma_exponent, params.bernstein_degree)
+    coeffs = stream_plan(AppKind.GAMMA, params).consts
     assert capsys.readouterr().out.splitlines()[1:] == (
-        [f"b{k}\t{c:.6f}" for k, c in enumerate(coeffs)] + [f"max_fit_error\t{max_err:.6f}"])
+        [f"b{k}\t{c:.6f}" for k, c in enumerate(coeffs)]
+        + [f"max_fit_error\t{gamma_fit(params)[1]:.6f}"])
 
 
 def test_fit_gamma_accepts_the_largest_degree_a_run_uses(capsys):
@@ -412,6 +430,14 @@ def test_a_command_takes_the_flag_of_every_key_it_does_not_set(command, tmp_path
     (["cost", "--apps", ""], "apps is empty"),
     (["cost", "--designs", "conv-mtj,stochmem,conv-mtj"], "designs lists conv-mtj twice"),
     (["sweep", "--lengths", "16,x", "--out", "unused"], "--lengths: invalid literal"),
+    (["run", "--app", "robert", "--design", "conv-mtj", "--seed", "-5"],
+     "global_seed must lie in [0, 2^64), got -5"),
+    (["run", "--app", "robert", "--design", "conv-mtj", "--seed", "18446744073709551616"],
+     "global_seed must lie in [0, 2^64), got 18446744073709551616"),
+    (["sweep", "--seed", "18446744073709551615", "--seeds", "2", "--out", "unused"],
+     "global_seed must lie in [0, 2^64), got 18446744073709551616"),
+    (["gen-inputs", "--input-seed", "-1", "--out", "unused"],
+     "input_seed must lie in [0, 2^64), got -1"),
 ])
 def test_domain_errors_exit_1(argv, message, capsys):
     assert main(argv) == 1

@@ -118,6 +118,10 @@ def test_dims_with_an_input_file_fail_loudly(tmp_path, key, verb):
     ("profile.sobel.n_lfsr = 2", r"costs.txt:2: unknown application 'sobel'"),
     ("profile.kde.n_streams = -40", r"costs.txt:2: profile.kde.n_streams: profile counts and "
                                     r"areas must be nonnegative"),
+    # past the float range, a count would raise OverflowError when priced
+    pytest.param("profile.kde.n_streams = 1" + "0" * 400,
+                 r"costs.txt:2: profile.kde.n_streams: profile counts and areas must be "
+                 r"nonnegative and finite; n_streams is 10{400}$", id="count-past-the-float-range"),
     ("profile.gamma.mem_area_analog_um2 = -1",
      r"costs.txt:2: profile.gamma.mem_area_analog_um2: profile counts and areas"),
     ("unit.asc.energy_pJ = -0.5", r"costs.txt:2: unit.asc.energy_pJ: unit costs must be"),

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -148,6 +149,37 @@ class TestEnergy:
         with pytest.raises(ValueError, match="operand count must be nonnegative and finite; "
                                              "n_operands is -1"):
             energy_report(SystemDesign.STOCHMEM, AppKind.GAMMA, 1024, n_operands=-1)
+
+
+def test_the_default_operand_count_is_the_slot_count():
+    # a run stores one operand per operand slot, and so does cost
+    for app in APPS:
+        for design in SystemDesign:
+            assert (energy_report(design, app, 1024).entries
+                    == energy_report(design, app, 1024, WIRING[app].slots).entries)
+
+
+@pytest.mark.parametrize("report,message", [
+    (lambda m: energy_report(SystemDesign.CONV_MTJ, AppKind.ROBERT, 1024,
+                             model=replace(m, multipliers=AccessMultipliers(dac=1e308))),
+     "the energy of unit dac is inf; it reads the cost keys unit.dac_8bit.*, mult.dac"),
+    (lambda m: area_report(SystemDesign.STOCHMEM, AppKind.KDE,
+                           replace(m, units={**m.units, "asc": UnitCost(1e308, 0.03)})),
+     "the area of unit asc is inf; it reads the cost keys unit.asc.*, profile.kde.n_streams"),
+    (lambda m: energy_report(SystemDesign.STOCHMEM, AppKind.KDE, 1024, model=replace(
+        m, units={**m.units, "analog_cell": CellCost(58.7, 10.0, 1e308)})),
+     "the energy of unit memory is inf; it reads the cost keys unit.analog_cell.*, "
+     "profile.kde.mem_area_analog_um2, mult.read, mult.write"),
+    (lambda m: energy_report(SystemDesign.CONV_MTJ, AppKind.GAMMA, 1024, model=replace(
+        m, units={**m.units, "adc_10bit": UnitCost(50_000.0, 1e308),
+                  "dac_8bit": UnitCost(16_000.0, 1e308)},
+        multipliers=AccessMultipliers(adc=1.0, dac=1.0))),
+     "the energy total is inf: each unit's energy is finite, but their sum is not"),
+], ids=("dac-energy", "asc-area", "memory-energy", "energy-total"))
+def test_a_report_with_a_value_past_the_float_range_names_its_keys(report, message):
+    # every price is finite, but a product or a sum of them is not
+    with pytest.raises(ValueError, match=re.escape(message)):
+        report(CostModel())
 
 
 def test_share_breakdown_sums_to_one():
@@ -351,7 +383,7 @@ def _cuts(reports) -> tuple[float, ...]:
 # leaves each per-app ratio, and so each cut, where it was, up to rounding.
 @pytest.mark.parametrize("names,report", [
     (("energy_pJ", "write_energy_pJ"),
-     lambda d, a, m: energy_report(d, a, 1024, WIRING[a].slots, m)),
+     lambda d, a, m: energy_report(d, a, 1024, model=m)),
     (("energy_pJ", "write_energy_pJ"),
      lambda d, a, m: energy_report(d, a, 1024, m.profiles[a].n_streams, m)),
     (("area_um2", "mem_area_digital_um2", "mem_area_analog_um2"), area_report),

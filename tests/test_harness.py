@@ -61,6 +61,28 @@ def test_config_rejects_nonpositive_jobs():
         ExperimentConfig(jobs=0)
 
 
+@pytest.mark.parametrize("field", ("global_seed", "input_seed"))
+def test_config_rejects_a_seed_outside_64_bits(field):
+    # the generators read a seed's 64 bits, so -5 and 2^64 - 5 were one run
+    for seed in (-1, -5, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must lie in [0, 2^64), "
+                                                       f"got {seed}")):
+            ExperimentConfig(**{field: seed})
+    for seed in (0, (1 << 64) - 1):
+        assert getattr(ExperimentConfig(**{field: seed}), field) == seed
+
+
+def test_a_sweep_past_the_last_seed_fails_before_any_run():
+    template = ExperimentConfig(dims=(3, 2), length=8, global_seed=(1 << 64) - 2)
+    grid = dict(apps=[AppKind.ROBERT], designs=[SystemDesign.CONV_MTJ], lengths=(8,))
+    with mock.patch.object(harness, "run_experiment", side_effect=AssertionError("ran")):
+        with pytest.raises(ValueError, match=re.escape("global_seed must lie in [0, 2^64), "
+                                                       f"got {1 << 64}")):
+            sweep(template, n_seeds=3, **grid)
+    # its last seed is 2^64 - 1, the largest a config takes
+    assert len(sweep(template, n_seeds=2, **grid)) == 3
+
+
 @pytest.mark.parametrize("jobs", (0, -1))
 def test_sweep_rejects_nonpositive_jobs(jobs):
     # the other entry points take their workers from a config, which checks
